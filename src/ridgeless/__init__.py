@@ -3,19 +3,15 @@
 The package splits into spectra (eigenvalue sequences and tail sums),
 diagnostics (effective-rank index, fixed-point radii, bounds, regimes),
 design (Gaussian designs and the pseudo-inverse fit), noise (noise
-models and their design-independence tags), experiments (seeded trial
-harness, scans, studies), and cli (the command-line front end).
+models, each with its realization, design-independence flag and
+expected norm), experiments (seeded trial harness, scans, studies), and
+cli (the command-line front end).
 """
 
 from .design import (
     DesignMatrix,
     FitResult,
-    RegressionInstance,
-    deviation_term,
-    dump_design,
-    estimation_error,
     min_norm_fit,
-    parse_design,
     prediction_error,
     sample_design,
     smallest_singular_value,
@@ -29,14 +25,11 @@ from .diagnostics import (
     complexity_radius,
     diagnose,
     effective_rank_index,
-    gaussian_width_bound,
     localization_radius,
     lower_radius,
     prediction_bounds,
     regime_bounds,
     snr_and_regime,
-    subexp_combine,
-    subexp_tail_bound,
     tail_halving_index,
 )
 from .experiments import (
@@ -46,7 +39,6 @@ from .experiments import (
     ExperimentResult,
     TrialRecord,
     certificate_study,
-    expected_noise_norm_sq,
     lower_bound_study,
     run_experiment,
     run_trial,
@@ -59,7 +51,6 @@ from .noise import (
     ScaledDirectionNoise,
     StudentTNoise,
     ZeroNoise,
-    conditional_independence_tag,
     realize_noise,
 )
 from .spectra import (
@@ -70,7 +61,6 @@ from .spectra import (
     make_flat_spectrum,
     make_three_level_spectrum,
     parse_spectrum,
-    tail_sum,
 )
 
 __version__ = "0.1.0"

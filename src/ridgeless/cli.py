@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,15 +34,7 @@ from .experiments import (
     run_experiment,
     snr_scan,
 )
-from .noise import (
-    DeterministicNoise,
-    GaussianNoise,
-    ScaledDirectionNoise,
-    StudentTNoise,
-    ZeroNoise,
-    _load_vector,
-    noise_from_dict,
-)
+from .noise import WORST_SINGULAR, ZeroNoise, noise_from_dict
 from .serialize import csv_line, format_float, to_json, write_text
 from .spectra import (
     CovarianceModel,
@@ -50,6 +43,7 @@ from .spectra import (
     make_exp_floor_spectrum,
     make_flat_spectrum,
     make_three_level_spectrum,
+    read_vector,
 )
 
 __all__ = ["main", "entry"]
@@ -70,13 +64,6 @@ _CONFIG_KEYS = {
     "checks",
     "rel_tol",
     "rotation",
-}
-
-_SPECTRUM_KEYS = {
-    "flat": {"p", "value"},
-    "exp_floor": {"p", "tau", "eps"},
-    "three_level": {"k1", "c_times_n", "p", "eps1", "eps2"},
-    "values": {"values", "file"},
 }
 
 
@@ -121,50 +108,85 @@ def _pick(flag_value, env_name: str, parse, file_value=None, default=None):
 # spectrum resolution
 
 
-def _parse_int(text, what: str) -> int:
+def _parse(conv, text, what: str):
+    """conv(text), or a usage error naming the option."""
     try:
-        value = int(str(text), 10)
-    except ValueError:
-        raise _CliError(f"{what}: expected an integer, got {text!r}")
-    return value
-
-
-def _parse_float(text, what: str) -> float:
-    try:
-        return float(text)
+        return conv(text)
     except (TypeError, ValueError):
-        raise _CliError(f"{what}: expected a number, got {text!r}")
+        expected = "an integer" if conv is int else "a number"
+        raise _CliError(f"{what}: expected {expected}, got {text!r}")
+
+
+def _values_spectrum(file, values) -> Spectrum:
+    """Inline values as given, else the file's values sorted non-increasing."""
+    if values is not None:
+        return Spectrum(np.asarray(values, dtype=float))
+    if file is None:
+        raise _CliError("spectrum of type 'values' needs 'values' or 'file'")
+    loaded = load_spectrum(file)
+    if loaded.reordered:
+        print(
+            f"note: spectrum file {file} was not sorted; values reordered to non-increasing",
+            file=sys.stderr,
+        )
+    return loaded.spectrum
+
+
+class _Kind(NamedTuple):
+    """One spectrum kind: its flag, its config keys and its builder.
+
+    The flag's tokens fill `keys` in order; the echo lists them in the
+    same order after "type".  Keys in `defaults` may be left out.
+    """
+
+    flag: str
+    nargs: object  # argparse nargs; None: one token, unsplit in the environment
+    metavar: tuple
+    keys: dict  # config key -> converter
+    build: object  # keyword arguments named by keys -> Spectrum
+    help: str
+    defaults: dict = {}
+    echo: object = None  # Spectrum -> echo fields, when not the keys themselves
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+_SPECTRUM_KINDS = {
+    "flat": _Kind(
+        "--flat", "+", ("P", "V"), {"p": int, "value": float}, make_flat_spectrum,
+        "flat spectrum: P eigenvalues, each V (default 1)", {"value": 1.0},
+    ),
+    "exp_floor": _Kind(
+        "--exp-floor", 3, ("P", "TAU", "EPS"), {"p": int, "tau": float, "eps": float},
+        make_exp_floor_spectrum, "exp(-k/TAU) + EPS, k = 1..P",
+    ),
+    "three_level": _Kind(
+        "--three-level", 5, ("K1", "CN", "P", "E1", "E2"),
+        {"k1": int, "c_times_n": int, "p": int, "eps1": float, "eps2": float},
+        make_three_level_spectrum, "three-level spectrum",
+    ),
+    # An inline list or an external file; the echo pins the resolved
+    # (sorted) values so a re-run does not depend on the file's future.
+    "values": _Kind(
+        "--spectrum-file", None, ("PATH",), {"file": str, "values": list}, _values_spectrum,
+        "eigenvalues from a text file", {"file": None, "values": None},
+        lambda s: {"values": [float(v) for v in s.values]},
+    ),
+}
 
 
 def _spec_from_tokens(kind: str, tokens) -> dict:
-    tokens = list(tokens)
-    if kind == "flat":
-        if not 1 <= len(tokens) <= 2:
-            raise _CliError("--flat takes P [V]")
-        spec = {"type": "flat", "p": _parse_int(tokens[0], "--flat P")}
-        spec["value"] = _parse_float(tokens[1], "--flat V") if len(tokens) == 2 else 1.0
-        return spec
-    if kind == "exp_floor":
-        if len(tokens) != 3:
-            raise _CliError("--exp-floor takes P TAU EPS")
-        return {
-            "type": "exp_floor",
-            "p": _parse_int(tokens[0], "--exp-floor P"),
-            "tau": _parse_float(tokens[1], "--exp-floor TAU"),
-            "eps": _parse_float(tokens[2], "--exp-floor EPS"),
-        }
-    if kind == "three_level":
-        if len(tokens) != 5:
-            raise _CliError("--three-level takes K1 CN P E1 E2")
-        return {
-            "type": "three_level",
-            "k1": _parse_int(tokens[0], "--three-level K1"),
-            "c_times_n": _parse_int(tokens[1], "--three-level CN"),
-            "p": _parse_int(tokens[2], "--three-level P"),
-            "eps1": _parse_float(tokens[3], "--three-level E1"),
-            "eps2": _parse_float(tokens[4], "--three-level E2"),
-        }
-    raise _CliError(f"unknown spectrum builder {kind!r}")
+    row = _SPECTRUM_KINDS[kind]
+    least = sum(key not in row.defaults for key in row.keys)
+    if not least <= len(tokens) <= len(row.metavar):
+        usage = " ".join(m if i < least else f"[{m}]" for i, m in enumerate(row.metavar))
+        raise _CliError(f"{row.flag} takes {usage}")
+    spec = {"type": kind}
+    for (key, conv), meta, token in zip(row.keys.items(), row.metavar, tokens):
+        spec[key] = _parse(conv, token, f"{row.flag} {meta}")
+    return spec
 
 
 def _spectrum_from_spec(spec: dict) -> tuple[Spectrum, dict]:
@@ -172,144 +194,90 @@ def _spectrum_from_spec(spec: dict) -> tuple[Spectrum, dict]:
     if not isinstance(spec, dict) or "type" not in spec:
         raise _CliError("spectrum spec must be an object with a 'type' field")
     kind = spec["type"]
-    if kind not in _SPECTRUM_KEYS:
+    row = _SPECTRUM_KINDS.get(kind)
+    if row is None:
         raise _CliError(
-            f"spectrum type must be one of {sorted(_SPECTRUM_KEYS)}, got {kind!r}"
+            f"spectrum type must be one of {sorted(_SPECTRUM_KINDS)}, got {kind!r}"
         )
-    unknown = set(spec) - _SPECTRUM_KEYS[kind] - {"type"}
+    unknown = set(spec) - set(row.keys) - {"type"}
     if unknown:
         raise _CliError([f"spectrum: unknown key {k!r}" for k in sorted(unknown)])
-    try:
-        if kind == "flat":
-            s = make_flat_spectrum(int(spec["p"]), float(spec.get("value", 1.0)))
-            return s, {"type": "flat", "p": int(spec["p"]), "value": float(spec.get("value", 1.0))}
-        if kind == "exp_floor":
-            s = make_exp_floor_spectrum(int(spec["p"]), float(spec["tau"]), float(spec["eps"]))
-            return s, {
-                "type": "exp_floor",
-                "p": int(spec["p"]),
-                "tau": float(spec["tau"]),
-                "eps": float(spec["eps"]),
-            }
-        if kind == "three_level":
-            args = (
-                int(spec["k1"]),
-                int(spec["c_times_n"]),
-                int(spec["p"]),
-                float(spec["eps1"]),
-                float(spec["eps2"]),
-            )
-            s = make_three_level_spectrum(*args)
-            return s, {
-                "type": "three_level",
-                "k1": args[0],
-                "c_times_n": args[1],
-                "p": args[2],
-                "eps1": args[3],
-                "eps2": args[4],
-            }
-        # values: inline list or external file; the echo pins the resolved
-        # (sorted) values so a re-run does not depend on the file's future.
-        if "values" in spec:
-            s = Spectrum(np.asarray(spec["values"], dtype=float))
-        elif "file" in spec:
-            loaded = load_spectrum(spec["file"])
-            if loaded.reordered:
-                print(
-                    f"note: spectrum file {spec['file']} was not sorted; "
-                    "values reordered to non-increasing",
-                    file=sys.stderr,
-                )
-            s = loaded.spectrum
+    args = {}
+    for key, conv in row.keys.items():
+        if key in spec:
+            args[key] = _parse(conv, spec[key], f"spectrum {key}")
+        elif key in row.defaults:
+            args[key] = row.defaults[key]
         else:
-            raise _CliError("spectrum of type 'values' needs 'values' or 'file'")
-        return s, {"type": "values", "values": [float(v) for v in s.values]}
-    except _CliError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+            raise _CliError(f"spectrum: missing key {key!r}")
+    try:
+        s = row.build(**args)
+    except (OSError, ValueError) as exc:
         raise _CliError(f"spectrum: {exc}")
+    return s, {"type": kind, **(row.echo(s) if row.echo else args)}
 
 
 def _resolve_spectrum(ns, file_spec) -> tuple[Spectrum, dict]:
     """Flags beat environment beat config file; exactly one source required."""
-    flag_sources = []
-    if ns.flat is not None:
-        flag_sources.append(_spec_from_tokens("flat", ns.flat))
-    if ns.exp_floor is not None:
-        flag_sources.append(_spec_from_tokens("exp_floor", ns.exp_floor))
-    if ns.three_level is not None:
-        flag_sources.append(_spec_from_tokens("three_level", ns.three_level))
-    if ns.spectrum_file is not None:
-        flag_sources.append({"type": "values", "file": ns.spectrum_file})
-    if len(flag_sources) > 1:
-        raise _CliError("give exactly one spectrum source")
-    if flag_sources:
-        return _spectrum_from_spec(flag_sources[0])
-
-    env_sources = []
-    for kind, var in (("flat", "flat"), ("exp_floor", "exp_floor"), ("three_level", "three_level")):
-        raw = _env(var)
-        if raw is not None:
-            env_sources.append(_spec_from_tokens(kind, raw.split()))
-    raw = _env("spectrum_file")
-    if raw is not None:
-        env_sources.append({"type": "values", "file": raw})
-    if len(env_sources) > 1:
-        raise _CliError("give exactly one spectrum source in the environment")
-    if env_sources:
-        return _spectrum_from_spec(env_sources[0])
-
+    for where, lookup in (("", lambda dest: getattr(ns, dest)), (" in the environment", _env)):
+        sources = []
+        for kind, row in _SPECTRUM_KINDS.items():
+            raw = lookup(row.dest)
+            if isinstance(raw, str):  # an environment value, or a one-token flag
+                raw = raw.split() if row.nargs else [raw]
+            if raw is not None:
+                sources.append(_spec_from_tokens(kind, raw))
+        if len(sources) > 1:
+            raise _CliError("give exactly one spectrum source" + where)
+        if sources:
+            return _spectrum_from_spec(sources[0])
     if file_spec is not None:
         return _spectrum_from_spec(file_spec)
-    raise _CliError(
-        "no spectrum given: use --flat/--exp-floor/--three-level/--spectrum-file "
-        "or a config file"
-    )
+    flags = "/".join(row.flag for row in _SPECTRUM_KINDS.values())
+    raise _CliError(f"no spectrum given: use {flags} or a config file")
 
 
 # ---------------------------------------------------------------------------
 # noise resolution
 
+# --noise forms: usage -> (the fixed part of the noise dict, the keys that
+# the colon-separated parameters fill in order).
+_NOISE_FORMS = {
+    "zero": ({"type": "zero"}, ()),
+    "gaussian:S": ({"type": "gaussian"}, ("sigma",)),
+    "student:DF:S": ({"type": "student"}, ("df", "scale")),
+    "worst:S": ({"type": "scaled_direction", "direction": WORST_SINGULAR}, ("target_norm",)),
+    "file:PATH": ({"type": "deterministic"}, ("values",)),
+}
+_NOISE_USAGE = " | ".join(_NOISE_FORMS)
+
 
 def parse_noise_spec(text: str):
     """zero | gaussian:S | student:DF:S | worst:S | file:PATH"""
     head, _, rest = text.partition(":")
+    usage = next((u for u in _NOISE_FORMS if u.partition(":")[0] == head), None)
+    if usage is None:
+        raise _CliError(f"unknown noise spec {text!r}: expected {_NOISE_USAGE}")
+    fixed, keys = _NOISE_FORMS[usage]
+    # the last parameter keeps any further colons (a file path may hold them)
+    params = rest.split(":", len(keys) - 1) if rest else []
+    if len(params) != len(keys) or "" in params:
+        raise _CliError(f"noise {head!r} takes {usage}, got {text!r}")
     try:
-        if head == "zero":
-            if rest:
-                raise _CliError(f"noise 'zero' takes no parameters, got {text!r}")
-            return ZeroNoise()
-        if head == "gaussian":
-            return GaussianNoise(sigma=_parse_float(rest, "--noise gaussian:S"))
-        if head == "student":
-            df_text, _, scale_text = rest.partition(":")
-            if not scale_text:
-                raise _CliError("noise 'student' takes student:DF:S")
-            return StudentTNoise(
-                df=_parse_float(df_text, "--noise student DF"),
-                scale=_parse_float(scale_text, "--noise student S"),
-            )
-        if head == "worst":
-            return ScaledDirectionNoise(target_norm=_parse_float(rest, "--noise worst:S"))
-        if head == "file":
-            if not rest:
-                raise _CliError("noise 'file' takes file:PATH")
-            return DeterministicNoise(_load_vector(rest))
-    except _CliError:
-        raise
+        return noise_from_dict({**fixed, **dict(zip(keys, params))})
     except (OSError, ValueError) as exc:
         raise _CliError(f"--noise: {exc}")
-    raise _CliError(
-        f"unknown noise spec {text!r}: expected "
-        "zero | gaussian:S | student:DF:S | worst:S | file:PATH"
-    )
 
 
 # ---------------------------------------------------------------------------
 # config file
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(ns) -> dict:
+    """The contents of --config (or RIDGELESS_CONFIG); {} when neither is given."""
+    path = ns.config if ns.config is not None else _env("config")
+    if not path:
+        return {}
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -367,9 +335,22 @@ def _resolve_checks(file_conf: dict):
     return frozenset(names)
 
 
-def _build_experiment_config(ns, *, need_noise: bool = True) -> ExperimentConfig:
-    config_path = ns.config if ns.config is not None else _env("config")
-    file_conf = _load_config_file(config_path) if config_path else {}
+def _required_n(ns, file_conf: dict) -> int:
+    n = _pick(ns.n, "n", int, file_conf.get("n"))
+    if n is None:
+        raise _CliError("missing required option --n")
+    return n
+
+
+def _threads(ns) -> int:
+    threads = _pick(ns.threads, "threads", int, None, 1)
+    if threads < 1:
+        raise _CliError(f"--threads must be at least 1, got {threads}")
+    return threads
+
+
+def _build_experiment_config(ns) -> ExperimentConfig:
+    file_conf = _load_config_file(ns)
 
     errors = []
     spectrum = spec_echo = None
@@ -385,11 +366,11 @@ def _build_experiment_config(ns, *, need_noise: bool = True) -> ExperimentConfig
             noise = parse_noise_spec(noise_text)
         elif "noise" in file_conf:
             noise = noise_from_dict(file_conf["noise"])
-        elif need_noise:
+        else:
             noise = ZeroNoise()
     except _CliError as exc:
         errors.extend(exc.messages)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         errors.append(f"config noise: {exc}")
 
     constants = Constants()
@@ -406,9 +387,7 @@ def _build_experiment_config(ns, *, need_noise: bool = True) -> ExperimentConfig
 
     n = trials = seed = beta_norm = beta_direction = rel_tol = None
     try:
-        n = _pick(ns.n, "n", int, file_conf.get("n"))
-        if n is None:
-            errors.append("missing required option --n")
+        n = _required_n(ns, file_conf)
     except _CliError as exc:
         errors.extend(exc.messages)
     try:
@@ -424,9 +403,8 @@ def _build_experiment_config(ns, *, need_noise: bool = True) -> ExperimentConfig
 
     beta_values = None
     if file_conf.get("beta_values") is not None:
-        raw = file_conf["beta_values"]
         try:
-            beta_values = _load_vector(raw) if isinstance(raw, str) else np.asarray(raw, dtype=float)
+            beta_values = read_vector(file_conf["beta_values"])
         except (OSError, ValueError) as exc:
             errors.append(f"config beta_values: {exc}")
 
@@ -480,6 +458,24 @@ def _out_base(path: str) -> str:
     return path
 
 
+def _write_outputs(ns, payload, rows) -> str | None:
+    """With --out, write BASE.json and/or BASE.csv as --format selects.
+
+    payload() gives the JSON object and rows() the CSV rows, header first;
+    each is built only when written.  Returns BASE, or None without --out.
+    """
+    fmt = _pick_format(ns)
+    out = _pick(ns.out, "out", str)
+    if not out:
+        return None
+    base = _out_base(out)
+    if fmt in ("json", "both"):
+        write_text(base + ".json", to_json(payload()))
+    if fmt in ("csv", "both"):
+        write_text(base + ".csv", "".join(csv_line(row) for row in rows()))
+    return base
+
+
 def _fmt(x) -> str:
     if x is None:
         return "-"
@@ -499,11 +495,15 @@ def _print_aggregates(aggregates: dict, out=sys.stdout) -> None:
         print(f"{name:<{width}}  {row}", file=out)
 
 
-def _identity_status(result) -> tuple[bool, str]:
-    worst = max(r.identity_residual for r in result.records)
+def _identity_status(config, records) -> int:
+    """Print the identity check's line when it is enabled; 3 if it failed, else 0."""
+    if CHECK_IDENTITY not in config.checks:
+        return 0
+    worst = max(r.identity_residual for r in records)
     ok = worst <= IDENTITY_TOL
     tag = "[OK]" if ok else "[FAIL]"
-    return ok, f"{tag} identity: max residual {worst:.3e} (tolerance {IDENTITY_TOL:g})"
+    print(f"{tag} identity: max residual {worst:.3e} (tolerance {IDENTITY_TOL:g})")
+    return 0 if ok else 3
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +511,9 @@ def _identity_status(result) -> tuple[bool, str]:
 
 
 def _cmd_diagnose(ns) -> int:
-    config_path = ns.config if ns.config is not None else _env("config")
-    file_conf = _load_config_file(config_path) if config_path else {}
+    file_conf = _load_config_file(ns)
     spectrum, spec_echo = _resolve_spectrum(ns, file_conf.get("spectrum"))
-    n = _pick(ns.n, "n", int, file_conf.get("n"))
-    if n is None:
-        raise _CliError("missing required option --n")
+    n = _required_n(ns, file_conf)
     beta_norm = _pick(ns.beta_norm, "beta_norm", float, file_conf.get("beta_norm"), 0.0)
     xi_norm = _pick(ns.xi_norm, "xi_norm", float, None, 0.0)
     constants = _resolve_constants(ns, file_conf)
@@ -543,23 +540,18 @@ def _cmd_diagnose(ns) -> int:
 
 def _cmd_simulate(ns) -> int:
     config = _build_experiment_config(ns)
-    threads = _pick(ns.threads, "threads", int, None, 1)
+    threads = _threads(ns)
     try:
         result = run_experiment(config, threads=threads)
     except ExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    fmt = _pick_format(ns)
-    out = _pick(ns.out, "out", str)
-    if out:
-        base = _out_base(out)
-        if fmt in ("json", "both"):
-            write_text(base + ".json", to_json(result_to_dict(result)))
-        if fmt in ("csv", "both"):
-            lines = [csv_line(record_csv_header())]
-            lines += [csv_line(record_csv_row(r)) for r in result.records]
-            write_text(base + ".csv", "".join(lines))
+    _write_outputs(
+        ns,
+        lambda: result_to_dict(result),
+        lambda: [record_csv_header(), *map(record_csv_row, result.records)],
+    )
 
     if not ns.quiet:
         _print_aggregates(result.aggregates)
@@ -567,22 +559,16 @@ def _cmd_simulate(ns) -> int:
             print(f"{name} {_fmt(value)}")
         for check, reason in result.skipped.items():
             print(f"[SKIP] {check}: {reason}")
-
-    if CHECK_IDENTITY in config.checks:
-        ok, line = _identity_status(result)
-        print(line)
-        if not ok:
-            return 3
-    return 0
+    return _identity_status(config, result.records)
 
 
 def _parse_snr_grid(text: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise _CliError(f"--snr-grid takes LO:HI:N, got {text!r}")
-    lo = _parse_float(parts[0], "--snr-grid LO")
-    hi = _parse_float(parts[1], "--snr-grid HI")
-    count = _parse_int(parts[2], "--snr-grid N")
+    lo = _parse(float, parts[0], "--snr-grid LO")
+    hi = _parse(float, parts[1], "--snr-grid HI")
+    count = _parse(int, parts[2], "--snr-grid N")
     if not (lo > 0 and hi > lo and count >= 2):
         raise _CliError("--snr-grid needs 0 < LO < HI and N >= 2")
     return [float(v) for v in np.geomspace(lo, hi, count)]
@@ -616,7 +602,7 @@ def _cmd_scan(ns) -> int:
             file=sys.stderr,
         )
         return 2
-    threads = _pick(ns.threads, "threads", int, None, 1)
+    threads = _threads(ns)
     try:
         points = snr_scan(config, grid, threads=threads)
     except ExperimentError as exc:
@@ -625,36 +611,34 @@ def _cmd_scan(ns) -> int:
     except ValueError as exc:
         raise _CliError(str(exc))
 
-    fmt = _pick_format(ns)
-    out = _pick(ns.out, "out", str)
-    if out:
-        base = _out_base(out)
-        if fmt in ("json", "both"):
-            payload = {
-                "config": points[0].result.config_echo,
-                "snr_grid": [pt.snr_target for pt in points],
-                "points": [
-                    {
-                        "snr_target": pt.snr_target,
-                        "beta_norm": pt.beta_norm,
-                        "regime": pt.regime,
-                        "snr_threshold": pt.snr_threshold,
-                        "snr_threshold_cn": pt.snr_threshold_cn,
-                        "diagnostics": pt.result.diagnostics.to_dict(),
-                        "aggregates": pt.result.aggregates,
-                        "rates": pt.result.rates,
-                        "skipped": pt.result.skipped,
-                    }
-                    for pt in points
-                ],
-            }
-            write_text(base + ".json", to_json(payload))
-        if fmt in ("csv", "both"):
-            lines = [csv_line(record_csv_header(extra=("snr", "regime")))]
-            for pt in points:
-                for r in pt.result.records:
-                    lines.append(csv_line(record_csv_row(r, extra=(pt.snr_target, pt.regime))))
-            write_text(base + ".csv", "".join(lines))
+    def payload():
+        return {
+            "config": points[0].result.config_echo,
+            "snr_grid": [pt.snr_target for pt in points],
+            "points": [
+                {
+                    "snr_target": pt.snr_target,
+                    "beta_norm": pt.beta_norm,
+                    "regime": pt.regime,
+                    "snr_threshold": pt.snr_threshold,
+                    "snr_threshold_cn": pt.snr_threshold_cn,
+                    "diagnostics": pt.result.diagnostics.to_dict(),
+                    "aggregates": pt.result.aggregates,
+                    "rates": pt.result.rates,
+                    "skipped": pt.result.skipped,
+                }
+                for pt in points
+            ],
+        }
+
+    def rows():
+        yield record_csv_header(extra=("snr", "regime"))
+        for pt in points:
+            for r in pt.result.records:
+                yield record_csv_row(r, extra=(pt.snr_target, pt.regime))
+
+    base = _write_outputs(ns, payload, rows)
+    if base is not None:
         plot_lines = [csv_line(_PLOT_COLUMNS)]
         for pt in points:
             diag = pt.result.diagnostics
@@ -688,26 +672,13 @@ def _cmd_scan(ns) -> int:
             1 for a, b in zip(points, points[1:]) if a.regime != b.regime
         )
         print(f"regime switches: {switches}")
-
-    if CHECK_IDENTITY in config.checks:
-        worst = max(r.identity_residual for pt in points for r in pt.result.records)
-        ok = worst <= IDENTITY_TOL
-        print(
-            f"{'[OK]' if ok else '[FAIL]'} identity: max residual {worst:.3e} "
-            f"(tolerance {IDENTITY_TOL:g})"
-        )
-        if not ok:
-            return 3
-    return 0
+    return _identity_status(config, [r for pt in points for r in pt.result.records])
 
 
 def _cmd_certify(ns) -> int:
-    config_path = ns.config if ns.config is not None else _env("config")
-    file_conf = _load_config_file(config_path) if config_path else {}
+    file_conf = _load_config_file(ns)
     spectrum, spec_echo = _resolve_spectrum(ns, file_conf.get("spectrum"))
-    n = _pick(ns.n, "n", int, file_conf.get("n"))
-    if n is None:
-        raise _CliError("missing required option --n")
+    n = _required_n(ns, file_conf)
     trials = _pick(ns.trials, "trials", int, file_conf.get("trials"), 200)
     seed = _pick(ns.seed, "seed", int, file_conf.get("seed"), 0)
     constants = _resolve_constants(ns, file_conf)
@@ -725,34 +696,27 @@ def _cmd_certify(ns) -> int:
     except ValueError as exc:
         raise _CliError(str(exc))
 
-    fmt = _pick_format(ns)
-    out = _pick(ns.out, "out", str)
-    if out:
-        base = _out_base(out)
-        if fmt in ("json", "both"):
-            payload = {
-                "schema": 1,
-                "spectrum": spec_echo,
-                "n": n,
-                "c0": constants.c0,
-                "trials": trials,
-                "seed": seed,
-                "k_star": study.k_star,
-                "r_kstar": study.r_kstar,
-                "threshold": study.threshold,
-                "pass_rate": study.pass_rate,
-                "hist_edges": list(study.hist_edges),
-                "hist_counts": list(study.hist_counts),
-                "sigma_min": list(study.sigma_min),
-            }
-            write_text(base + ".json", to_json(payload))
-        if fmt in ("csv", "both"):
-            lines = [csv_line(["ratio_lo", "ratio_hi", "count"])]
-            for i, count in enumerate(study.hist_counts):
-                lines.append(
-                    csv_line([study.hist_edges[i], study.hist_edges[i + 1], count])
-                )
-            write_text(base + ".csv", "".join(lines))
+    payload = {
+        "schema": 1,
+        "spectrum": spec_echo,
+        "n": n,
+        "c0": constants.c0,
+        "trials": trials,
+        "seed": seed,
+        "k_star": study.k_star,
+        "r_kstar": study.r_kstar,
+        "threshold": study.threshold,
+        "pass_rate": study.pass_rate,
+        "hist_edges": list(study.hist_edges),
+        "hist_counts": list(study.hist_counts),
+        "sigma_min": list(study.sigma_min),
+    }
+    edges = study.hist_edges
+    _write_outputs(
+        ns,
+        lambda: payload,
+        lambda: [("ratio_lo", "ratio_hi", "count"), *zip(edges, edges[1:], study.hist_counts)],
+    )
 
     if not ns.quiet:
         print(f"k_star {study.k_star}")
@@ -763,27 +727,16 @@ def _cmd_certify(ns) -> int:
 
 
 def _cmd_spectrum(ns) -> int:
-    config_path = ns.config if ns.config is not None else _env("config")
-    file_conf = _load_config_file(config_path) if config_path else {}
-    spectrum, spec_echo = _resolve_spectrum(ns, file_conf.get("spectrum"))
+    spectrum, spec_echo = _resolve_spectrum(ns, _load_config_file(ns).get("spectrum"))
 
-    fmt = _pick_format(ns)
-    out = _pick(ns.out, "out", str)
-    if out:
-        base = _out_base(out)
-        if fmt in ("json", "both"):
-            payload = {
-                "schema": 1,
-                "spectrum": spec_echo,
-                "p": spectrum.p,
-                "trace": spectrum.trace,
-                "values": [float(v) for v in spectrum.values],
-            }
-            write_text(base + ".json", to_json(payload))
-        if fmt in ("csv", "both"):
-            # one value per line; loadable back through --spectrum-file
-            lines = [format_float(float(v)) + "\n" for v in spectrum.values]
-            write_text(base + ".csv", "".join(lines))
+    values = [float(v) for v in spectrum.values]
+    payload = {"schema": 1, "spectrum": spec_echo, "p": spectrum.p, "trace": spectrum.trace}
+    _write_outputs(
+        ns,
+        lambda: {**payload, "values": values},
+        # one value per line, headerless: loadable back through --spectrum-file
+        lambda: ([v] for v in values),
+    )
     if not ns.quiet:
         print(f"p {spectrum.p}")
         print(f"trace {format_float(spectrum.trace)}")
@@ -797,10 +750,9 @@ def _cmd_spectrum(ns) -> int:
 
 
 def _add_spectrum_flags(sub) -> None:
-    sub.add_argument("--flat", nargs="+", metavar=("P", "V"), help="flat spectrum: P eigenvalues, each V (default 1)")
-    sub.add_argument("--exp-floor", nargs=3, metavar=("P", "TAU", "EPS"), help="exp(-k/TAU) + EPS, k = 1..P")
-    sub.add_argument("--three-level", nargs=5, metavar=("K1", "CN", "P", "E1", "E2"), help="three-level spectrum")
-    sub.add_argument("--spectrum-file", metavar="PATH", help="eigenvalues from a text file")
+    for row in _SPECTRUM_KINDS.values():
+        metavar = row.metavar if row.nargs else row.metavar[0]
+        sub.add_argument(row.flag, nargs=row.nargs, metavar=metavar, help=row.help)
     sub.add_argument("--config", metavar="PATH", help="JSON config file (schema 1)")
 
 
@@ -822,7 +774,7 @@ def _add_experiment_flags(sub) -> None:
     sub.add_argument("--n", type=int, help="sample count")
     sub.add_argument("--beta-norm", type=float, help="true coefficient norm (default 0)")
     sub.add_argument("--beta-direction", choices=("e1", "random", "top"), help="true coefficient direction (default e1)")
-    sub.add_argument("--noise", metavar="SPEC", help="zero | gaussian:S | student:DF:S | worst:S | file:PATH")
+    sub.add_argument("--noise", metavar="SPEC", help=_NOISE_USAGE)
     sub.add_argument("--trials", type=int, help="number of Monte Carlo trials (default 100)")
     sub.add_argument("--seed", type=int, help="base seed (default 0)")
     sub.add_argument("--threads", type=int, help="worker thread cap; never affects results")

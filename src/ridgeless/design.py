@@ -30,8 +30,6 @@ __all__ = [
     "min_norm_fit",
     "smallest_singular_value",
     "prediction_error",
-    "estimation_error",
-    "deviation_term",
 ]
 
 
@@ -165,24 +163,6 @@ def prediction_error(cov: CovarianceModel, beta_hat, beta_star) -> float:
     return float(math.fsum(map(float, cov.spectrum.values * d * d)))
 
 
-def estimation_error(beta_hat, beta_star) -> float:
-    """Squared Euclidean distance ||beta_hat - beta_star||^2."""
-    a = np.asarray(beta_hat, dtype=float)
-    b = np.asarray(beta_star, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"vectors must share one dimension, got {a.shape} and {b.shape}")
-    d = a - b
-    return float(math.fsum(map(float, d * d)))
-
-
-def deviation_term(design: DesignMatrix, cov: CovarianceModel, beta_hat, beta_star) -> float:
-    """Empirical-minus-population quadratic gap (1/n) sum_i <X_i, Delta>^2 - Delta^T Sigma Delta."""
-    d = _delta(design.p, beta_hat, beta_star)
-    xd = design.entries @ d
-    empirical = float(xd @ xd) / design.n
-    return empirical - prediction_error(cov, beta_hat, beta_star)
-
-
 def _delta(p: int, beta_hat, beta_star) -> np.ndarray:
     a = np.asarray(beta_hat, dtype=float)
     b = np.asarray(beta_star, dtype=float)
@@ -191,65 +171,3 @@ def _delta(p: int, beta_hat, beta_star) -> np.ndarray:
             f"coefficient vectors must have shape ({p},), got {a.shape} and {b.shape}"
         )
     return a - b
-
-
-@dataclass(frozen=True, eq=False)
-class RegressionInstance:
-    """One fully-realized problem: targets = design @ beta_star + noise."""
-
-    design: DesignMatrix
-    targets: np.ndarray
-    beta_star: np.ndarray
-    noise: np.ndarray
-    covariance: CovarianceModel
-    seed: int
-
-    def __post_init__(self):
-        n, p = self.design.n, self.design.p
-        for name, value, length in (
-            ("targets", self.targets, n),
-            ("beta_star", self.beta_star, p),
-            ("noise", self.noise, n),
-        ):
-            arr = np.asarray(value, dtype=float)
-            if arr.shape != (length,):
-                raise ValueError(f"{name} must have shape ({length},), got {arr.shape}")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.covariance.p != p:
-            raise ValueError(
-                f"covariance dimension {self.covariance.p} does not match design p={p}"
-            )
-        predicted = self.design.entries @ self.beta_star + self.noise
-        scale = max(float(np.max(np.abs(self.targets))), 1.0)
-        if float(np.max(np.abs(predicted - self.targets))) > 1e-12 * scale:
-            raise ValueError("targets do not equal design @ beta_star + noise")
-
-
-def dump_design(design: DesignMatrix) -> str:
-    """Text dump: header line 'n p', then row-major whitespace-separated values."""
-    lines = [f"{design.n} {design.p}\n"]
-    for row in design.entries:
-        lines.append(" ".join(f"{v:.17g}" for v in row) + "\n")
-    return "".join(lines)
-
-
-def parse_design(text: str, override: bool = False) -> DesignMatrix:
-    """Inverse of dump_design; round-trips bit-exactly at 17 significant digits."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty design dump")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"header must be 'n p', got {lines[0]!r}")
-    n, p = int(header[0]), int(header[1])
-    if len(lines) - 1 != n:
-        raise ValueError(f"expected {n} rows, got {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        row = [float(tok) for tok in ln.split()]
-        if len(row) != p:
-            raise ValueError(f"expected {p} columns, got {len(row)}")
-        rows.append(row)
-    return DesignMatrix(np.array(rows, dtype=float), override=override)

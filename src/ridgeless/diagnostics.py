@@ -10,9 +10,7 @@ noise, and a handful of tunable absolute constants:
   - two complexity radii (upper and lower) balancing truncated spectral
     sums against the sample count and the noise budget;
   - the tail-halving index entering the noise-limited lower bound;
-  - squared prediction-error bounds, SNR regime classification, the
-    Gaussian-mean-width bound of the localized ellipsoid, and
-    sub-exponential tail-bound helpers.
+  - squared prediction-error bounds and SNR regime classification.
 
 Infinite results are math.inf in memory; serializers render them as the
 string "inf".
@@ -21,9 +19,7 @@ string "inf".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import asdict, dataclass, fields
 
 from .spectra import Spectrum
 
@@ -37,12 +33,9 @@ __all__ = [
     "complexity_radius",
     "lower_radius",
     "tail_halving_index",
-    "gaussian_width_bound",
     "prediction_bounds",
     "regime_bounds",
     "snr_and_regime",
-    "subexp_tail_bound",
-    "subexp_combine",
     "diagnose",
 ]
 
@@ -85,18 +78,11 @@ class Constants:
         return max(1, math.floor(self.c_frac * n))
 
     def to_dict(self) -> dict:
-        return {
-            "c0": self.c0,
-            "eta": self.eta,
-            "gamma": self.gamma,
-            "c3": self.c3,
-            "c_frac": self.c_frac,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Constants":
-        known = {"c0", "eta", "gamma", "c3", "c_frac"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown constants keys: {sorted(unknown)}")
         return cls(**{k: float(v) for k, v in d.items()})
@@ -218,16 +204,6 @@ def tail_halving_index(s: Spectrum, k_star: int, gamma: float) -> int:
     return s.p + 1
 
 
-def gaussian_width_bound(s: Spectrum, r: float, rho: float) -> float:
-    """Mean-width bound sqrt(2 sum_i min(lambda_i rho^2, r^2)) of the localized ellipsoid."""
-    if r < 0 or rho < 0:
-        raise ValueError("r and rho must be non-negative")
-    if r == 0.0 or rho == 0.0:
-        return 0.0
-    total = math.fsum(map(float, np.minimum(s.values * (rho * rho), r * r)))
-    return math.sqrt(2.0 * total)
-
-
 def prediction_bounds(
     rho: float, r_star: float, r_bar: float, xi_norm: float, n: int, c3: float
 ) -> tuple[float, float]:
@@ -290,39 +266,6 @@ def snr_and_regime(
     return snr, threshold, regime
 
 
-def subexp_tail_bound(nu: float, b: float, t: float) -> float:
-    """Two-regime sub-exponential tail bound, clamped to 1.
-
-    2 exp(-t^2 / (2 nu^2)) for 0 < t <= nu^2 / b, else 2 exp(-t / (2 b)).
-    The branches agree at t = nu^2 / b, where both give 2 exp(-nu^2 / (2 b^2)).
-    """
-    for name, v in (("nu", nu), ("b", b), ("t", t)):
-        if not v > 0:
-            raise ValueError(f"{name} must be positive, got {v!r}")
-    if t <= nu * nu / b:
-        raw = 2.0 * math.exp(-t * t / (2.0 * nu * nu))
-    else:
-        raw = 2.0 * math.exp(-t / (2.0 * b))
-    return min(1.0, raw)
-
-
-def subexp_combine(params) -> tuple[float, float]:
-    """Combine independent (nu_i, b_i) sub-exponential parameters.
-
-    The sum of independent variables with parameters (nu_i, b_i) has
-    parameters (sqrt(sum nu_i^2), max b_i).
-    """
-    params = list(params)
-    if not params:
-        raise ValueError("empty parameter sequence")
-    for nu, b in params:
-        if not (nu > 0 and b > 0):
-            raise ValueError(f"parameters must be positive, got ({nu!r}, {b!r})")
-    nu_total = math.sqrt(math.fsum(nu * nu for nu, _ in params))
-    b_total = max(b for _, b in params)
-    return nu_total, b_total
-
-
 @dataclass(frozen=True)
 class DiagnosticsReport:
     """Every deterministic bound ingredient for one (spectrum, n, norms, constants).
@@ -355,28 +298,8 @@ class DiagnosticsReport:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "beta_star_norm": self.beta_star_norm,
-            "xi_norm": self.xi_norm,
-            "trace": self.trace,
-            "k_star": self.k_star,
-            "r_kstar": self.r_kstar,
-            "rho": self.rho,
-            "r_star": self.r_star,
-            "r_bar": self.r_bar,
-            "k_bar": self.k_bar,
-            "snr": self.snr,
-            "snr_threshold": self.snr_threshold,
-            "regime": self.regime,
-            "upper_bound": self.upper_bound,
-            "lower_bound": self.lower_bound,
-            "corollary_upper": self.corollary_upper,
-            "corollary_lower": self.corollary_lower,
-            "constants": self.constants.to_dict(),
-            "error": self.error,
-        }
+        """Every field in declaration order, constants as their own dict."""
+        return asdict(self)
 
 
 def diagnose(
@@ -394,8 +317,9 @@ def diagnose(
     spectrum-level fields (trace, complexity radius) filled and `error`
     set; callers surface that as degenerate rather than raising.
     """
-    if beta_star_norm < 0 or xi_norm < 0:
-        raise ValueError("norms must be non-negative")
+    for name, v in (("beta_star_norm", beta_star_norm), ("xi_norm", xi_norm)):
+        if not 0 <= v < math.inf:
+            raise ValueError(f"{name} must be a non-negative finite number, got {v!r}")
     ks = effective_rank_index(s, n, constants.c0)
     r_star_val = complexity_radius(s, n, constants.eta)
     base = dict(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -37,18 +37,7 @@ from .diagnostics import (
     diagnose,
     effective_rank_index,
 )
-from .noise import (
-    DeterministicNoise,
-    GaussianNoise,
-    ModelResidualNoise,
-    NoiseModel,
-    ScaledDirectionNoise,
-    StudentTNoise,
-    ZeroNoise,
-    conditional_independence_tag,
-    noise_to_dict,
-    realize_noise,
-)
+from .noise import NoiseModel, ZeroNoise, noise_to_dict, realize_noise
 from .spectra import CovarianceModel
 
 __all__ = [
@@ -66,7 +55,6 @@ __all__ = [
     "resolve_beta_star",
     "run_trial",
     "run_experiment",
-    "expected_noise_norm_sq",
     "ScanPoint",
     "snr_scan",
     "CertificateStudy",
@@ -134,8 +122,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"beta_direction must be one of {_DIRECTIONS}, got {self.beta_direction!r}"
             )
-        if self.beta_norm < 0:
-            raise ValueError(f"beta_norm must be non-negative, got {self.beta_norm!r}")
+        if not 0 <= self.beta_norm < math.inf:
+            raise ValueError(
+                f"beta_norm must be a non-negative finite number, got {self.beta_norm!r}"
+            )
         unknown = set(self.checks) - ALL_CHECKS
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
@@ -148,6 +138,8 @@ class ExperimentConfig:
                 raise ValueError(
                     f"beta_values must have shape ({self.covariance.p},), got {v.shape}"
                 )
+            if not np.all(np.isfinite(v)):
+                raise ValueError("beta_values must be finite")
             v = v.copy()
             v.setflags(write=False)
             object.__setattr__(self, "beta_values", v)
@@ -193,6 +185,10 @@ class TrialRecord:
     identity_residual: float
     certificate_pass: bool | None
     est_bound_pass: bool | None
+
+
+# Record fields in output order: the JSON record keys and the CSV columns.
+_RECORD_FIELDS = tuple(f.name for f in fields(TrialRecord))
 
 
 @dataclass(frozen=True)
@@ -377,9 +373,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         for check in (CHECK_CERTIFICATE, CHECK_ESTIMATION, CHECK_UPPER, CHECK_LOWER):
             if check in config.checks:
                 skipped[check] = f"skipped: {reason}"
-    if CHECK_LOWER in config.checks and not conditional_independence_tag(
-        config.noise_model
-    ):
+    if CHECK_LOWER in config.checks and not config.noise_model.design_independent:
         skipped[CHECK_LOWER] = (
             "skipped: hypothesis violated (noise depends on the design, so rows "
             "conditionally on the noise are not i.i.d. Gaussian)"
@@ -410,36 +404,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     )
 
 
-def expected_noise_norm_sq(model: NoiseModel, n: int) -> float:
-    """E ||xi||^2 where well defined; used to aim SNR targets in scans."""
-    if isinstance(model, ZeroNoise):
-        raise ValueError("SNR undefined for zero noise")
-    if isinstance(model, GaussianNoise):
-        return n * model.sigma**2
-    if isinstance(model, StudentTNoise):
-        if model.df <= 2:
-            raise ValueError(
-                "expected noise norm undefined for df <= 2 (infinite variance); "
-                "SNR targets cannot be aimed"
-            )
-        return n * model.scale**2 * model.df / (model.df - 2.0)
-    if isinstance(model, DeterministicNoise):
-        total = float(model.values @ model.values)
-        if total == 0.0:
-            raise ValueError("SNR undefined for zero noise")
-        return total
-    if isinstance(model, ScaledDirectionNoise):
-        if model.target_norm == 0.0:
-            raise ValueError("SNR undefined for zero noise")
-        return model.target_norm**2
-    if isinstance(model, ModelResidualNoise):
-        raise ValueError(
-            "expected noise norm unavailable for residual noise (it depends on "
-            "the design and the coefficients)"
-        )
-    raise TypeError(f"unknown noise model {type(model).__name__}")
-
-
 @dataclass(frozen=True, eq=False)
 class ScanPoint:
     """One SNR grid point: the rescaled run plus both regime thresholds."""
@@ -468,7 +432,7 @@ def snr_scan(
         raise ValueError("SNR targets must be positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("SNR grid must be strictly increasing")
-    noise_norm_sq = expected_noise_norm_sq(base_config.noise_model, base_config.n)
+    noise_norm_sq = base_config.noise_model.expected_norm_sq(base_config.n)
 
     s = base_config.covariance.spectrum
     cn = min(base_config.constants.cn(base_config.n), s.p)
@@ -517,6 +481,8 @@ def certificate_study(
     """Monte Carlo frequency of the smallest-singular-value certificate."""
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if not (isinstance(bins, int) and bins >= 1):
+        raise ValueError(f"bins must be a positive integer, got {bins!r}")
     cov = spectrum if isinstance(spectrum, CovarianceModel) else CovarianceModel(spectrum)
     ks = effective_rank_index(cov.spectrum, n, c0)
     if math.isinf(ks):
@@ -571,7 +537,7 @@ def lower_bound_study(
     """
     if isinstance(config.noise_model, ZeroNoise):
         raise ValueError("lower-bound study undefined for zero noise")
-    if not conditional_independence_tag(config.noise_model):
+    if not config.noise_model.design_independent:
         raise ValueError(
             "lower-bound study refused: noise depends on the design, so rows "
             "conditionally on the noise are not i.i.d. Gaussian"
@@ -649,46 +615,13 @@ def result_to_dict(result: ExperimentResult) -> dict:
         "aggregates": result.aggregates,
         "rates": result.rates,
         "skipped": result.skipped,
-        "records": [
-            {
-                "trial_index": r.trial_index,
-                "xi_norm_sq": r.xi_norm_sq,
-                "pred_error": r.pred_error,
-                "est_error": r.est_error,
-                "sigma_min": r.sigma_min,
-                "deviation": r.deviation,
-                "identity_residual": r.identity_residual,
-                "certificate_pass": r.certificate_pass,
-                "est_bound_pass": r.est_bound_pass,
-            }
-            for r in result.records
-        ],
+        "records": [{f: getattr(r, f) for f in _RECORD_FIELDS} for r in result.records],
     }
 
 
 def record_csv_header(extra=()) -> list:
-    return list(extra) + [
-        "trial_index",
-        "xi_norm_sq",
-        "pred_error",
-        "est_error",
-        "sigma_min",
-        "deviation",
-        "identity_residual",
-        "certificate_pass",
-        "est_bound_pass",
-    ]
+    return list(extra) + list(_RECORD_FIELDS)
 
 
 def record_csv_row(r: TrialRecord, extra=()) -> list:
-    return list(extra) + [
-        r.trial_index,
-        r.xi_norm_sq,
-        r.pred_error,
-        r.est_error,
-        r.sigma_min,
-        r.deviation,
-        r.identity_residual,
-        r.certificate_pass,
-        r.est_bound_pass,
-    ]
+    return list(extra) + [getattr(r, f) for f in _RECORD_FIELDS]

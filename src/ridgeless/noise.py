@@ -5,21 +5,28 @@ it may be zero, random with any distribution (including heavy tails
 with infinite variance), a fixed vector, aligned with the design's
 weakest singular direction (the adversarial stress case, which
 saturates the pseudo-inverse norm), or the residual of an arbitrary
-prediction target.  Models whose realization depends on the sampled
-design are flagged by conditional_independence_tag so that lower-bound
-checks, whose hypothesis needs design rows independent of the noise,
-can be skipped rather than silently misapplied.
+prediction target.
+
+Each model is a frozen dataclass that carries its own behaviour: its
+serialized type name, `realize` (the length-n noise vector for one
+trial), `expected_norm_sq` (E ||xi||^2, used to aim SNR targets), and
+`design_independent`.  Models whose realization depends on the sampled
+design are not design-independent, so lower-bound checks, whose
+hypothesis needs design rows independent of the noise, can be skipped
+rather than silently misapplied.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
 from .design import DesignMatrix
+from .spectra import read_vector
 
 __all__ = [
     "ZeroNoise",
@@ -33,7 +40,6 @@ __all__ = [
     "FIRST_COORDINATE",
     "UNIFORM",
     "realize_noise",
-    "conditional_independence_tag",
     "noise_to_dict",
     "noise_from_dict",
 ]
@@ -43,10 +49,43 @@ FIRST_COORDINATE = "first_coordinate"
 UNIFORM = "uniform"
 _DIRECTIONS = (WORST_SINGULAR, FIRST_COORDINATE, UNIFORM)
 
+_ZERO_SNR = "SNR undefined for zero noise"
+
+
+def _check_positive(name: str, value) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def _frozen_vector(model, name: str) -> None:
+    """Validate a 1-d finite vector field and store it as a read-only copy."""
+    v = np.asarray(getattr(model, name), dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-d vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    v = v.copy()
+    v.setflags(write=False)
+    object.__setattr__(model, name, v)
+
+
+def _check_length(what: str, size: int, n: int) -> None:
+    if size != n:
+        raise ValueError(f"{what} has length {size}, expected n={n}")
+
 
 @dataclass(frozen=True)
 class ZeroNoise:
     """No noise: the targets are exactly X beta*."""
+
+    type_name = "zero"
+    design_independent = True
+
+    def realize(self, design: DesignMatrix, beta_star, rng) -> np.ndarray:
+        return np.zeros(design.n)
+
+    def expected_norm_sq(self, n: int) -> float:
+        raise ValueError(_ZERO_SNR)
 
 
 @dataclass(frozen=True)
@@ -55,9 +94,17 @@ class GaussianNoise:
 
     sigma: float
 
+    type_name = "gaussian"
+    design_independent = True
+
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        _check_positive("sigma", self.sigma)
+
+    def realize(self, design: DesignMatrix, beta_star, rng) -> np.ndarray:
+        return self.sigma * rng.standard_normal(design.n)
+
+    def expected_norm_sq(self, n: int) -> float:
+        return n * self.sigma**2
 
 
 @dataclass(frozen=True)
@@ -71,11 +118,23 @@ class StudentTNoise:
     df: float
     scale: float
 
+    type_name = "student"
+    design_independent = True
+
     def __post_init__(self):
-        if not self.df > 0:
-            raise ValueError(f"df must be positive, got {self.df!r}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale!r}")
+        _check_positive("df", self.df)
+        _check_positive("scale", self.scale)
+
+    def realize(self, design: DesignMatrix, beta_star, rng) -> np.ndarray:
+        return self.scale * rng.standard_t(self.df, size=design.n)
+
+    def expected_norm_sq(self, n: int) -> float:
+        if self.df <= 2:
+            raise ValueError(
+                "expected noise norm undefined for df <= 2 (infinite variance); "
+                "SNR targets cannot be aimed"
+            )
+        return n * self.scale**2 * self.df / (self.df - 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,15 +143,21 @@ class DeterministicNoise:
 
     values: np.ndarray
 
+    type_name = "deterministic"
+    design_independent = True
+
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("values must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        _frozen_vector(self, "values")
+
+    def realize(self, design: DesignMatrix, beta_star, rng) -> np.ndarray:
+        _check_length("deterministic noise", self.values.size, design.n)
+        return self.values.copy()
+
+    def expected_norm_sq(self, n: int) -> float:
+        total = float(self.values @ self.values)
+        if total == 0.0:
+            raise ValueError(_ZERO_SNR)
+        return total
 
 
 @dataclass(frozen=True)
@@ -109,13 +174,38 @@ class ScaledDirectionNoise:
     target_norm: float
     direction: str = WORST_SINGULAR
 
+    type_name = "scaled_direction"
+
     def __post_init__(self):
-        if self.target_norm < 0:
-            raise ValueError(f"target_norm must be non-negative, got {self.target_norm!r}")
+        if not 0 <= self.target_norm < math.inf:
+            raise ValueError(
+                f"target_norm must be a non-negative finite number, got {self.target_norm!r}"
+            )
         if self.direction not in _DIRECTIONS:
             raise ValueError(
                 f"direction must be one of {_DIRECTIONS}, got {self.direction!r}"
             )
+
+    @property
+    def design_independent(self) -> bool:
+        return self.direction != WORST_SINGULAR
+
+    def realize(self, design: DesignMatrix, beta_star, rng) -> np.ndarray:
+        n = design.n
+        if self.direction == FIRST_COORDINATE:
+            xi = np.zeros(n)
+            xi[0] = self.target_norm
+            return xi
+        if self.direction == UNIFORM:
+            return np.full(n, self.target_norm / np.sqrt(n))
+        # worst_singular: left singular vector for the smallest singular value
+        u, _, _ = np.linalg.svd(design.entries, full_matrices=False)
+        return self.target_norm * u[:, -1]
+
+    def expected_norm_sq(self, n: int) -> float:
+        if self.target_norm == 0.0:
+            raise ValueError(_ZERO_SNR)
+        return self.target_norm**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,15 +214,24 @@ class ModelResidualNoise:
 
     f_values: np.ndarray
 
+    type_name = "model_residual"
+    design_independent = False
+
     def __post_init__(self):
-        v = np.asarray(self.f_values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("f_values must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("f_values must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "f_values", v)
+        _frozen_vector(self, "f_values")
+
+    def realize(self, design: DesignMatrix, beta_star, rng) -> np.ndarray:
+        _check_length("residual noise targets", self.f_values.size, design.n)
+        b = np.asarray(beta_star, dtype=float)
+        if b.shape != (design.p,):
+            raise ValueError(f"beta_star must have shape ({design.p},), got {b.shape}")
+        return self.f_values - design.entries @ b
+
+    def expected_norm_sq(self, n: int) -> float:
+        raise ValueError(
+            "expected noise norm unavailable for residual noise (it depends on "
+            "the design and the coefficients)"
+        )
 
 
 NoiseModel = Union[
@@ -144,6 +243,13 @@ NoiseModel = Union[
     ModelResidualNoise,
 ]
 
+# Every noise model by its serialized type name.
+_TYPES = {cls.type_name: cls for cls in get_args(NoiseModel)}
+
+# How a dict field becomes a constructor argument, by its annotation; a
+# vector field may be an inline array or the path of a text file of numbers.
+_FIELD_PARSERS = {"float": float, "str": str, "np.ndarray": read_vector}
+
 
 def realize_noise(
     model: NoiseModel,
@@ -152,141 +258,32 @@ def realize_noise(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """The length-n noise vector for one trial."""
-    n = design.n
-    if isinstance(model, ZeroNoise):
-        return np.zeros(n)
-    if isinstance(model, GaussianNoise):
-        return model.sigma * rng.standard_normal(n)
-    if isinstance(model, StudentTNoise):
-        return model.scale * rng.standard_t(model.df, size=n)
-    if isinstance(model, DeterministicNoise):
-        if model.values.size != n:
-            raise ValueError(
-                f"deterministic noise has length {model.values.size}, expected n={n}"
-            )
-        return model.values.copy()
-    if isinstance(model, ModelResidualNoise):
-        if model.f_values.size != n:
-            raise ValueError(
-                f"residual noise targets have length {model.f_values.size}, expected n={n}"
-            )
-        b = np.asarray(beta_star, dtype=float)
-        if b.shape != (design.p,):
-            raise ValueError(f"beta_star must have shape ({design.p},), got {b.shape}")
-        return model.f_values - design.entries @ b
-    if isinstance(model, ScaledDirectionNoise):
-        if model.direction == FIRST_COORDINATE:
-            xi = np.zeros(n)
-            xi[0] = model.target_norm
-            return xi
-        if model.direction == UNIFORM:
-            return np.full(n, model.target_norm / np.sqrt(n))
-        # worst_singular: left singular vector for the smallest singular value
-        u, _, _ = np.linalg.svd(design.entries, full_matrices=False)
-        return model.target_norm * u[:, -1]
-    raise TypeError(f"unknown noise model {type(model).__name__}")
-
-
-def conditional_independence_tag(model: NoiseModel) -> bool:
-    """True when the design is sampled independently of the noise.
-
-    Then, conditionally on the noise, the rows are still i.i.d. Gaussian
-    with the model covariance, the hypothesis behind lower-bound checks.
-    The design-aligned (worst_singular) and residual models fail it.
-    """
-    if isinstance(model, (ZeroNoise, GaussianNoise, StudentTNoise, DeterministicNoise)):
-        return True
-    if isinstance(model, ScaledDirectionNoise):
-        return model.direction != WORST_SINGULAR
-    if isinstance(model, ModelResidualNoise):
-        return False
-    raise TypeError(f"unknown noise model {type(model).__name__}")
-
-
-def _load_vector(path) -> np.ndarray:
-    """Whitespace/comma-separated numbers, order preserved, '#' comments allowed."""
-    entries = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        for token in line.replace(",", " ").split():
-            try:
-                entries.append(float(token))
-            except ValueError:
-                raise ValueError(f"cannot parse vector entry {token!r}") from None
-    if not entries:
-        raise ValueError(f"empty vector file: {path}")
-    return np.array(entries)
+    return model.realize(design, beta_star, rng)
 
 
 def noise_to_dict(model: NoiseModel) -> dict:
     """JSON-ready description of a noise model ({"type": ..., parameters...})."""
-    if isinstance(model, ZeroNoise):
-        return {"type": "zero"}
-    if isinstance(model, GaussianNoise):
-        return {"type": "gaussian", "sigma": model.sigma}
-    if isinstance(model, StudentTNoise):
-        return {"type": "student", "df": model.df, "scale": model.scale}
-    if isinstance(model, DeterministicNoise):
-        return {"type": "deterministic", "values": [float(v) for v in model.values]}
-    if isinstance(model, ScaledDirectionNoise):
-        return {
-            "type": "scaled_direction",
-            "target_norm": model.target_norm,
-            "direction": model.direction,
-        }
-    if isinstance(model, ModelResidualNoise):
-        return {
-            "type": "model_residual",
-            "f_values": [float(v) for v in model.f_values],
-        }
-    raise TypeError(f"unknown noise model {type(model).__name__}")
+    out = {"type": model.type_name}
+    for f in dataclasses.fields(model):
+        value = getattr(model, f.name)
+        out[f.name] = [float(v) for v in value] if isinstance(value, np.ndarray) else value
+    return out
 
 
 def noise_from_dict(d: dict) -> NoiseModel:
-    """Inverse of noise_to_dict.
-
-    For the deterministic and model_residual types the vector field may
-    be an inline array or a string path to a text file of numbers.
-    """
+    """Inverse of noise_to_dict; every parameter key is required."""
     if not isinstance(d, dict) or "type" not in d:
         raise ValueError(f"noise spec must be an object with a 'type' key, got {d!r}")
     kind = d["type"]
+    cls = _TYPES.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown noise type {kind!r}")
+    fields = dataclasses.fields(cls)
     extra = set(d) - {"type"}
-
-    def expect(*keys):
-        unknown = extra - set(keys)
-        if unknown:
-            raise ValueError(f"unknown keys for noise type {kind!r}: {sorted(unknown)}")
-        missing = set(keys) - extra
-        if missing:
-            raise ValueError(f"missing keys for noise type {kind!r}: {sorted(missing)}")
-
-    if kind == "zero":
-        expect()
-        return ZeroNoise()
-    if kind == "gaussian":
-        expect("sigma")
-        return GaussianNoise(sigma=float(d["sigma"]))
-    if kind == "student":
-        expect("df", "scale")
-        return StudentTNoise(df=float(d["df"]), scale=float(d["scale"]))
-    if kind == "deterministic":
-        expect("values")
-        return DeterministicNoise(values=_vector_or_file(d["values"]))
-    if kind == "scaled_direction":
-        expect("target_norm", "direction")
-        return ScaledDirectionNoise(
-            target_norm=float(d["target_norm"]), direction=str(d["direction"])
-        )
-    if kind == "model_residual":
-        expect("f_values")
-        return ModelResidualNoise(f_values=_vector_or_file(d["f_values"]))
-    raise ValueError(f"unknown noise type {kind!r}")
-
-
-def _vector_or_file(value) -> np.ndarray:
-    if isinstance(value, str):
-        return _load_vector(value)
-    return np.asarray(value, dtype=float)
+    unknown = extra - {f.name for f in fields}
+    if unknown:
+        raise ValueError(f"unknown keys for noise type {kind!r}: {sorted(unknown)}")
+    missing = {f.name for f in fields} - extra
+    if missing:
+        raise ValueError(f"missing keys for noise type {kind!r}: {sorted(missing)}")
+    return cls(**{f.name: _FIELD_PARSERS[f.type](d[f.name]) for f in fields})

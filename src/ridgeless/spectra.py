@@ -25,7 +25,8 @@ __all__ = [
     "make_flat_spectrum",
     "make_exp_floor_spectrum",
     "make_three_level_spectrum",
-    "tail_sum",
+    "parse_numbers",
+    "read_vector",
     "parse_spectrum",
     "load_spectrum",
 ]
@@ -97,19 +98,6 @@ class Spectrum:
         """Number of eigenvalues above rel_tol times the largest."""
         return int(np.count_nonzero(self.values > rel_tol * float(self.values[0])))
 
-    def scaled(self, a: float) -> "Spectrum":
-        """Spectrum with every eigenvalue multiplied by a > 0."""
-        if not a > 0:
-            raise ValueError("scale factor must be positive")
-        return Spectrum(self.values * a)
-
-
-def tail_sum(s: Spectrum, k: int) -> float:
-    """Sum of the eigenvalues of s from rank k (1-based) through p."""
-    if not 1 <= k <= s.p:
-        raise ValueError(f"k must be in [1, {s.p}], got {k}")
-    return s.tail_sum(k)
-
 
 def make_flat_spectrum(p: int, value: float = 1.0) -> Spectrum:
     """p copies of a single positive eigenvalue (identity covariance when value = 1)."""
@@ -168,32 +156,36 @@ class LoadedSpectrum:
     reordered: bool
 
 
+def parse_numbers(text: str, what: str) -> np.ndarray:
+    """Whitespace- or comma-separated numbers in input order; '#' starts a comment."""
+    entries = []
+    for raw in text.splitlines():
+        for token in raw.split("#", 1)[0].replace(",", " ").split():
+            try:
+                entries.append(float(token))
+            except ValueError:
+                raise ValueError(f"cannot parse {what} entry {token!r}") from None
+    if not entries:
+        raise ValueError(f"empty {what} input")
+    return np.array(entries)
+
+
+def read_vector(source) -> np.ndarray:
+    """An inline sequence of numbers, or the path of a text file of them."""
+    if isinstance(source, str):
+        return parse_numbers(Path(source).read_text(encoding="utf-8"), "vector")
+    return np.asarray(source, dtype=float)
+
+
 def parse_spectrum(text: str) -> LoadedSpectrum:
     """Parse a newline- or comma-separated list of non-negative eigenvalues.
 
     Lines starting with '#' (or trailing '#' comments) are ignored.  Input
     that is not already non-increasing is sorted, with `reordered` set so
     callers can warn: eigenvalue files from external tools are often
-    ascending.
+    ascending.  Non-finite or negative entries are rejected by Spectrum.
     """
-    entries = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        for token in line.replace(",", " ").split():
-            try:
-                value = float(token)
-            except ValueError:
-                raise ValueError(f"cannot parse spectrum entry {token!r}") from None
-            if not np.isfinite(value):
-                raise ValueError(f"spectrum entry must be finite, got {token!r}")
-            if value < 0:
-                raise ValueError(f"spectrum entry must be non-negative, got {token!r}")
-            entries.append(value)
-    if not entries:
-        raise ValueError("empty spectrum input")
-    arr = np.array(entries)
+    arr = parse_numbers(text, "spectrum")
     ordered = np.sort(arr)[::-1]
     reordered = bool(np.any(arr != ordered))
     return LoadedSpectrum(Spectrum(ordered), reordered)

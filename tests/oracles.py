@@ -97,11 +97,6 @@ def min_norm_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.T @ np.linalg.solve(gram, y)
 
 
-def width_naive(values, r: float, rho: float) -> float:
-    mus = np.asarray(values, dtype=float) * rho * rho
-    return math.sqrt(2.0 * float(np.sum(np.minimum(mus, r * r))))
-
-
 def log_uniform_spectrum(rng: np.random.Generator, p: int, lo: float = -6.0, hi: float = 3.0):
     """Sorted positive eigenvalues spanning lo..hi decades."""
     vals = 10.0 ** rng.uniform(lo, hi, size=p)

@@ -346,3 +346,167 @@ def test_spectrum_export_reload(tmp_path, capsys):
     ])
     assert code == 0
     assert read_json(str(out2) + ".json")["values"] == original
+
+
+# ---------------------------------------------------------------------------
+# every spectrum kind and noise short form: flag, environment and config
+# file forms give the same echo
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _spectrum_forms(kind, tmp_path):
+    """(flag argv, environment, config spectrum objects) for one spectrum."""
+    if kind == "flat":
+        return ["--flat", "100", "2.5"], {"RIDGELESS_FLAT": "100 2.5"}, [
+            {"type": "flat", "p": 100, "value": 2.5}
+        ]
+    if kind == "exp_floor":
+        return ["--exp-floor", "200", "5", "0.1"], {"RIDGELESS_EXP_FLOOR": "200 5 0.1"}, [
+            {"type": "exp_floor", "p": 200, "tau": 5, "eps": 0.1}
+        ]
+    if kind == "three_level":
+        return (
+            ["--three-level", "3", "4", "50", "0.5", "0.1"],
+            {"RIDGELESS_THREE_LEVEL": "3 4 50 0.5 0.1"},
+            [{"type": "three_level", "k1": 3, "c_times_n": 4, "p": 50, "eps1": 0.5, "eps2": 0.1}],
+        )
+    values = [4.0, 2.0, 1.0, 1.0, 0.5, 0.25]
+    path = _write(tmp_path / "eig.txt", "# unsorted on purpose\n1.0, 4.0\n0.25\n2.0 1.0\n0.5\n")
+    return ["--spectrum-file", path], {"RIDGELESS_SPECTRUM_FILE": path}, [
+        {"type": "values", "file": path},
+        {"type": "values", "values": values},
+    ]
+
+
+@pytest.mark.parametrize("kind", ["flat", "exp_floor", "three_level", "values"])
+def test_spectrum_sources_agree(kind, tmp_path, monkeypatch):
+    flag_args, env, configs = _spectrum_forms(kind, tmp_path)
+    base = ["diagnose", "--n", "2", "--c0", "1", "--beta-norm", "1", "--xi-norm", "1", "-q"]
+    echoes = []
+
+    out = tmp_path / "flag"
+    assert main(base + flag_args + ["--out", str(out)]) == 0
+    echoes.append(read_json(str(out) + ".json")["spectrum"])
+
+    for i, spec in enumerate(configs):
+        conf = _write(tmp_path / f"conf{i}.json", json.dumps({"schema": 1, "spectrum": spec}))
+        out = tmp_path / f"conf{i}"
+        assert main(base + ["--config", conf, "--out", str(out)]) == 0
+        echoes.append(read_json(str(out) + ".json")["spectrum"])
+
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    out = tmp_path / "env"
+    assert main(base + ["--out", str(out)]) == 0
+    echoes.append(read_json(str(out) + ".json")["spectrum"])
+
+    # the last config form is the resolved echo itself, keys in echo order
+    for echo in echoes:
+        assert echo == configs[-1]
+        assert list(echo) == list(configs[-1])
+
+
+_NOISE_FORMS = [
+    ("zero", {"type": "zero"}),
+    ("gaussian:2", {"type": "gaussian", "sigma": 2}),
+    ("student:3:1.5", {"type": "student", "df": 3, "scale": 1.5}),
+    ("worst:1", {"type": "scaled_direction", "target_norm": 1, "direction": "worst_singular"}),
+    ("file:{xi}", {"type": "deterministic", "values": "{xi}"}),
+]
+
+
+@pytest.mark.parametrize("text,spec", _NOISE_FORMS, ids=[t.split(":")[0] for t, _ in _NOISE_FORMS])
+def test_noise_short_forms_match_config(text, spec, tmp_path):
+    xi = _write(tmp_path / "xi.txt", "0.5 -0.25\n1.0\n")
+    text = text.format(xi=xi)
+    spec = {k: v.format(xi=xi) if isinstance(v, str) else v for k, v in spec.items()}
+    base = ["simulate", "--flat", "20", "--n", "3", "--trials", "2", "--beta-norm", "1", "-q"]
+
+    out_flag, out_conf = tmp_path / "flag", tmp_path / "conf"
+    assert main(base + ["--noise", text, "--out", str(out_flag)]) == 0
+    conf = _write(tmp_path / "conf.json", json.dumps({"schema": 1, "noise": spec}))
+    assert main(base + ["--config", conf, "--out", str(out_conf)]) == 0
+
+    echo = read_json(str(out_flag) + ".json")["config"]["noise"]
+    assert echo == read_json(str(out_conf) + ".json")["config"]["noise"]
+    assert echo["type"] == spec["type"]
+
+
+# ---------------------------------------------------------------------------
+# bad values fail fast: exit 1 with a single message
+
+
+def _one_error(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1, err
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err, err
+
+
+@pytest.mark.parametrize(
+    "args,needle",
+    [
+        (["--noise", "worst:nan"], "target_norm"),
+        (["--noise", "worst:inf"], "target_norm"),
+        (["--beta-norm", "nan"], "beta_norm"),
+        (["--beta-norm", "inf"], "beta_norm"),
+        (["--threads", "0"], "--threads"),
+        (["--threads", "-5"], "--threads"),
+    ],
+)
+def test_simulate_rejects_bad_values(args, needle, capsys):
+    base = ["simulate", "--flat", "20", "--n", "3", "--trials", "2", "--beta-norm", "1"]
+    assert main(base + args) == 1
+    _one_error(capsys, needle)
+
+
+def test_scan_rejects_zero_threads(capsys):
+    assert main(SCAN_ARGS + ["--threads", "0"]) == 1
+    _one_error(capsys, "--threads")
+
+
+def test_non_finite_beta_values_file_rejected(tmp_path, capsys):
+    beta = _write(tmp_path / "beta.txt", "1.0\n" + "nan\n" + "0\n" * 18)
+    conf = _write(
+        tmp_path / "conf.json",
+        json.dumps({"schema": 1, "spectrum": {"type": "flat", "p": 20}, "n": 3,
+                    "beta_values": beta}),
+    )
+    assert main(["simulate", "--config", conf, "--trials", "2"]) == 1
+    _one_error(capsys, "beta_values must be finite")
+
+
+@pytest.mark.parametrize("flag", ["--beta-norm", "--xi-norm"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_diagnose_rejects_non_finite_norms(flag, value, capsys):
+    assert main(["diagnose", "--flat", "100", "--n", "5", flag, value]) == 1
+    _one_error(capsys, "norm must be a non-negative finite number")
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_certify_rejects_bins_below_one(bins, capsys):
+    assert main(["certify", "--flat", "50", "--n", "5", "--trials", "2", "--bins", bins]) == 1
+    _one_error(capsys, "bins must be a positive integer")
+
+
+def test_missing_input_files_exit_1(tmp_path, capsys):
+    missing = str(tmp_path / "absent.txt")
+    assert main(["diagnose", "--spectrum-file", missing, "--n", "5"]) == 1
+    _one_error(capsys, "absent.txt")
+    conf = _write(tmp_path / "conf.json", json.dumps({"schema": 1, "noise": {
+        "type": "deterministic", "values": missing}}))
+    assert main(["simulate", "--flat", "20", "--n", "3", "--config", conf]) == 1
+    _one_error(capsys, "absent.txt")
+
+
+@pytest.mark.parametrize(
+    "text", ["zero:1", "gaussian:", "gaussian:abc", "student:3", "student:3:", "worst:-1", "file:"]
+)
+def test_malformed_noise_short_forms(text, capsys):
+    assert main(["simulate", "--flat", "20", "--n", "3", "--trials", "2", "--noise", text]) == 1
+    _one_error(capsys, "noise")

@@ -1,4 +1,4 @@
-"""Design sampling, minimum-norm fit, error decompositions."""
+"""Design sampling, minimum-norm fit, error functionals and the per-trial error split."""
 
 import math
 
@@ -8,17 +8,14 @@ import pytest
 import oracles
 from ridgeless.design import (
     DesignMatrix,
-    RegressionInstance,
-    deviation_term,
-    dump_design,
-    estimation_error,
     min_norm_fit,
-    parse_design,
     prediction_error,
     sample_design,
     smallest_singular_value,
     trial_rng,
 )
+from ridgeless.experiments import ExperimentConfig, run_trial
+from ridgeless.noise import DeterministicNoise
 from ridgeless.spectra import CovarianceModel, Spectrum, make_flat_spectrum
 
 
@@ -268,49 +265,36 @@ def test_prediction_error_rotated_matches_dense():
         )
 
 
-def test_estimation_error_examples():
-    assert estimation_error([1.0, 2.0], [0.0, 0.0]) == 5.0
-    assert estimation_error([1.0], [1.0]) == 0.0
-    with pytest.raises(ValueError):
-        estimation_error([1.0, 2.0], [1.0])
-
-
-def test_deviation_term_examples():
-    cov = CovarianceModel(make_flat_spectrum(2, 1.0))
-    x = DesignMatrix(np.array([[1.0, 0.0]]))
-    assert deviation_term(x, cov, [1.0, 0.0], [0.0, 0.0]) == pytest.approx(0.0, abs=1e-14)
-    assert deviation_term(x, cov, [3.0, 1.0], [3.0, 1.0]) == 0.0
+def fixed_trial(p, n, seed, trial_index):
+    """One run_trial record with beta* and the noise fixed in advance."""
+    rng = np.random.default_rng(seed)
+    beta_star = rng.standard_normal(p)
+    xi = rng.standard_normal(n)
+    config = ExperimentConfig(
+        covariance=CovarianceModel(make_flat_spectrum(p, 1.0)),
+        n=n,
+        noise_model=DeterministicNoise(values=xi),
+        trials=trial_index + 1,
+        seed=seed,
+        beta_values=beta_star,
+    )
+    return run_trial(config, trial_index), beta_star, xi
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_prediction_plus_deviation_identity(seed):
     # on an interpolating fit, X Delta = xi, so pred + dev = ||xi||^2 / n
-    cov = CovarianceModel(make_flat_spectrum(30, 1.0))
-    rng = trial_rng(2024, seed)
-    x = sample_design(cov, 10, rng)
-    beta_star = rng.standard_normal(30) / 5.0
-    xi = rng.standard_normal(10)
-    fit = min_norm_fit(x, x.entries @ beta_star + xi)
-    pred = prediction_error(cov, fit.beta_hat, beta_star)
-    dev = deviation_term(x, cov, fit.beta_hat, beta_star)
+    rec, _, xi = fixed_trial(30, 10, 2024, seed)
     want = float(xi @ xi) / 10.0
-    assert pred + dev == pytest.approx(want, rel=1e-8)
+    assert rec.pred_error + rec.deviation == pytest.approx(want, rel=1e-8)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_deterministic_estimation_bound(seed):
     # ||Delta|| <= ||beta*|| + ||xi|| / sigma_n for any interpolating fit
-    cov = CovarianceModel(make_flat_spectrum(40, 1.0))
-    rng = trial_rng(99, seed)
-    x = sample_design(cov, 8, rng)
-    beta_star = rng.standard_normal(40)
-    xi = rng.standard_normal(8)
-    fit = min_norm_fit(x, x.entries @ beta_star + xi)
-    bound = (
-        np.linalg.norm(beta_star)
-        + np.linalg.norm(xi) / smallest_singular_value(x)
-    )
-    assert math.sqrt(estimation_error(fit.beta_hat, beta_star)) <= bound + 1e-8
+    rec, beta_star, xi = fixed_trial(40, 8, 99, seed)
+    bound = np.linalg.norm(beta_star) + np.linalg.norm(xi) / rec.sigma_min
+    assert math.sqrt(rec.est_error) <= bound + 1e-8
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -325,77 +309,3 @@ def test_pseudo_inverse_decomposition(seed):
     want = (pinv @ x - np.eye(15)) @ beta_star + pinv @ xi
     got = fit.beta_hat - beta_star
     assert np.linalg.norm(got - want) <= 1e-8 * max(np.linalg.norm(want), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# realized instances and text dumps
-
-
-def make_instance():
-    cov = CovarianceModel(make_flat_spectrum(5, 1.0))
-    rng = trial_rng(0, 0)
-    x = sample_design(cov, 2, rng)
-    beta_star = np.arange(5.0)
-    xi = np.array([0.5, -0.25])
-    return RegressionInstance(
-        design=x,
-        targets=x.entries @ beta_star + xi,
-        beta_star=beta_star,
-        noise=xi,
-        covariance=cov,
-        seed=0,
-    )
-
-
-def test_instance_accepts_consistent_data():
-    inst = make_instance()
-    assert inst.targets.shape == (2,)
-    with pytest.raises(ValueError):
-        inst.beta_star[0] = 9.0  # read-only
-
-
-def test_instance_rejects_corrupted_targets():
-    inst = make_instance()
-    with pytest.raises(ValueError):
-        RegressionInstance(
-            design=inst.design,
-            targets=inst.targets + 1e-6,
-            beta_star=inst.beta_star,
-            noise=inst.noise,
-            covariance=inst.covariance,
-            seed=0,
-        )
-
-
-def test_instance_rejects_wrong_shapes():
-    inst = make_instance()
-    with pytest.raises(ValueError):
-        RegressionInstance(
-            design=inst.design,
-            targets=inst.targets[:1],
-            beta_star=inst.beta_star,
-            noise=inst.noise,
-            covariance=inst.covariance,
-            seed=0,
-        )
-
-
-def test_dump_parse_round_trip():
-    x = sample_design(CovarianceModel(make_flat_spectrum(7, 1.3)), 3, trial_rng(8, 0))
-    back = parse_design(dump_design(x))
-    assert np.array_equal(back.entries, x.entries)  # 17g is lossless for doubles
-
-
-def test_dump_format():
-    text = dump_design(DesignMatrix(np.array([[1.0, 2.5]])))
-    assert text.splitlines()[0] == "1 2"
-    assert text.splitlines()[1] == "1 2.5"
-
-
-def test_parse_design_errors():
-    with pytest.raises(ValueError):
-        parse_design("")
-    with pytest.raises(ValueError):
-        parse_design("2 2\n1 2\n")  # row count mismatch
-    with pytest.raises(ValueError):
-        parse_design("1 3\n1 2\n")  # column count mismatch

@@ -1,4 +1,4 @@
-"""Effective-rank index, fixed-point radii, bounds, regimes, tail bounds."""
+"""Effective-rank index, fixed-point radii, bounds, regimes."""
 
 import math
 
@@ -15,14 +15,11 @@ from ridgeless.diagnostics import (
     complexity_radius,
     diagnose,
     effective_rank_index,
-    gaussian_width_bound,
     localization_radius,
     lower_radius,
     prediction_bounds,
     regime_bounds,
     snr_and_regime,
-    subexp_combine,
-    subexp_tail_bound,
     tail_halving_index,
 )
 from ridgeless.spectra import (
@@ -85,7 +82,7 @@ def test_kstar_non_decreasing_in_threshold(seed):
 
 def test_kstar_scale_invariant():
     s = fuzz_spectrum(7)
-    assert effective_rank_index(s, 5, 3.0) == effective_rank_index(s.scaled(37.5), 5, 3.0)
+    assert effective_rank_index(s, 5, 3.0) == effective_rank_index(Spectrum(s.values * 37.5), 5, 3.0)
 
 
 def test_kstar_validation():
@@ -156,7 +153,7 @@ def test_r_star_scale_covariance(seed, a):
     # scaling the spectrum by a scales the radius by sqrt(a)
     s = fuzz_spectrum(seed, max_p=80)
     base = complexity_radius(s, 7, 0.1)
-    scaled = complexity_radius(s.scaled(a), 7, 0.1)
+    scaled = complexity_radius(Spectrum(s.values * a), 7, 0.1)
     assert scaled == pytest.approx(math.sqrt(a) * base, rel=1e-9, abs=1e-12)
 
 
@@ -288,40 +285,6 @@ def test_kbar_at_least_kstar():
 
 
 # ---------------------------------------------------------------------------
-# width bound
-
-
-def test_width_flat_example():
-    s = make_flat_spectrum(4, 1.0)
-    assert gaussian_width_bound(s, 0.5, 1.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
-
-
-def test_width_zero_cases():
-    s = make_flat_spectrum(4, 1.0)
-    assert gaussian_width_bound(s, 0.0, 1.0) == 0.0
-    assert gaussian_width_bound(s, 1.0, 0.0) == 0.0
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_width_matches_naive(seed):
-    s = fuzz_spectrum(seed)
-    rng = np.random.default_rng(seed + 50_000)
-    r = float(10.0 ** rng.uniform(-3, 2))
-    rho = float(10.0 ** rng.uniform(-2, 2))
-    assert gaussian_width_bound(s, r, rho) == pytest.approx(
-        oracles.width_naive(s.values, r, rho), rel=1e-12
-    )
-
-
-def test_width_monotone_in_r():
-    s = fuzz_spectrum(5)
-    widths = [gaussian_width_bound(s, r, 1.5) for r in (0.01, 0.1, 1.0, 10.0, 1e4)]
-    assert all(a <= b for a, b in zip(widths, widths[1:]))
-    # saturates at sqrt(2 trace rho^2) once r^2 dominates every mu_i
-    assert widths[-1] == pytest.approx(math.sqrt(2.0 * s.trace * 1.5**2), rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # bounds
 
 
@@ -385,54 +348,6 @@ def test_snr_rejects_infinite_kstar():
 
 
 # ---------------------------------------------------------------------------
-# sub-exponential tails
-
-
-def test_subexp_examples():
-    assert subexp_tail_bound(1.0, 1.0, 2.0) == pytest.approx(2 * math.exp(-1), rel=1e-12)
-    assert subexp_tail_bound(1.0, 1.0, 0.5) == 1.0  # raw 2 e^{-1/8} = 1.7788 clamps
-    assert subexp_tail_bound(2.0, 1.0, 3.0) == pytest.approx(
-        2 * math.exp(-9.0 / 8.0), rel=1e-12  # = 0.649305, t <= nu^2/b regime
-    )
-
-
-@given(st.floats(0.1, 10.0), st.floats(0.1, 10.0))
-@settings(deadline=None)
-def test_subexp_continuous_at_crossover(nu, b):
-    t = nu * nu / b
-    small = 2 * math.exp(-t * t / (2 * nu * nu))
-    large = 2 * math.exp(-t / (2 * b))
-    assert small == pytest.approx(large, rel=1e-12)
-    assert subexp_tail_bound(nu, b, t) == pytest.approx(
-        min(1.0, 2 * math.exp(-nu * nu / (2 * b * b))), rel=1e-12
-    )
-
-
-@given(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.01, 100.0))
-@settings(deadline=None)
-def test_subexp_bound_in_unit_interval(nu, b, t):
-    assert 0.0 < subexp_tail_bound(nu, b, t) <= 1.0
-
-
-def test_subexp_combine_examples():
-    assert subexp_combine([(3.0, 1.0), (4.0, 2.0)]) == (5.0, 2.0)
-    assert subexp_combine([(1.5, 0.5)]) == (1.5, 0.5)
-    with pytest.raises(ValueError):
-        subexp_combine([])
-
-
-def test_subexp_combine_eigenvalue_terms():
-    # terms (2 lambda_i, 4 lambda_i) over a tail combine to
-    # (2 sqrt(sum lambda_i^2), 4 lambda_{k_star})
-    s = make_exp_floor_spectrum(50, 5.0, 1e-3)
-    k_star = 3
-    tail = s.values[k_star - 1 :]
-    nu, b = subexp_combine([(2 * lam, 4 * lam) for lam in tail])
-    assert nu == pytest.approx(2 * math.sqrt(float(np.sum(tail**2))), rel=1e-12)
-    assert b == pytest.approx(4 * tail[0], rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # full report
 
 
@@ -490,6 +405,11 @@ def test_diagnose_report_dict_field_names():
 def test_diagnose_rejects_negative_norms():
     with pytest.raises(ValueError):
         diagnose(make_flat_spectrum(4, 1.0), 2, -1.0, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            diagnose(make_flat_spectrum(4, 1.0), 2, bad, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            diagnose(make_flat_spectrum(4, 1.0), 2, 1.0, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from ridgeless.experiments import (
     ExperimentError,
     certificate_study,
     config_to_dict,
-    expected_noise_norm_sq,
     lower_bound_study,
     record_csv_header,
     record_csv_row,
@@ -65,10 +64,13 @@ def test_config_validation():
         flat_config(checks=frozenset({"identity", "vibes"}))
     with pytest.raises(ValueError):
         flat_config(beta_direction="down")
-    with pytest.raises(ValueError):
-        flat_config(beta_norm=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            flat_config(beta_norm=bad)
     with pytest.raises(ValueError):
         flat_config(beta_values=np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        flat_config(beta_values=np.r_[math.nan, np.zeros(49)])
     with pytest.raises(ValueError):
         flat_config(n=51)  # covariance rank 50 below n
     with pytest.raises(ValueError):
@@ -247,10 +249,10 @@ def test_record_csv_layout():
 
 
 def test_expected_noise_norm_sq():
-    assert expected_noise_norm_sq(GaussianNoise(sigma=2.0), 10) == 40.0
-    assert expected_noise_norm_sq(StudentTNoise(df=4.0, scale=1.0), 10) == pytest.approx(20.0)
-    assert expected_noise_norm_sq(DeterministicNoise(values=np.array([3.0, 4.0])), 2) == 25.0
-    assert expected_noise_norm_sq(ScaledDirectionNoise(target_norm=3.0), 5) == 9.0
+    assert GaussianNoise(sigma=2.0).expected_norm_sq(10) == 40.0
+    assert StudentTNoise(df=4.0, scale=1.0).expected_norm_sq(10) == pytest.approx(20.0)
+    assert DeterministicNoise(values=np.array([3.0, 4.0])).expected_norm_sq(2) == 25.0
+    assert ScaledDirectionNoise(target_norm=3.0).expected_norm_sq(5) == 9.0
     for model in (
         ZeroNoise(),
         StudentTNoise(df=2.0, scale=1.0),
@@ -259,7 +261,7 @@ def test_expected_noise_norm_sq():
         ModelResidualNoise(f_values=np.ones(3)),
     ):
         with pytest.raises(ValueError):
-            expected_noise_norm_sq(model, 3)
+            model.expected_norm_sq(3)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +332,12 @@ def test_certificate_study_single_sample_rate():
 def test_certificate_study_rejects_infinite_index():
     with pytest.raises(ValueError):
         certificate_study(Spectrum(4.0 ** -np.arange(1, 31)), 3, 10.0, 5, seed=0)
+
+
+@pytest.mark.parametrize("bins", [0, -3])
+def test_certificate_study_rejects_bins_below_one(bins):
+    with pytest.raises(ValueError, match="bins"):
+        certificate_study(make_flat_spectrum(50, 1.0), 5, 10.0, 2, seed=0, bins=bins)
 
 
 # ---------------------------------------------------------------------------

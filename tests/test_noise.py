@@ -1,4 +1,4 @@
-"""Noise models: realization, independence tags, serialization."""
+"""Noise models: realization, design independence, expected norms, serialization."""
 
 import math
 
@@ -16,7 +16,6 @@ from ridgeless.noise import (
     ScaledDirectionNoise,
     StudentTNoise,
     ZeroNoise,
-    conditional_independence_tag,
     noise_from_dict,
     noise_to_dict,
     realize_noise,
@@ -142,8 +141,11 @@ def test_parameter_validation():
         StudentTNoise(df=0.0, scale=1.0)
     with pytest.raises(ValueError):
         StudentTNoise(df=3.0, scale=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ScaledDirectionNoise(target_norm=bad)
     with pytest.raises(ValueError):
-        ScaledDirectionNoise(target_norm=-1.0)
+        GaussianNoise(sigma=math.inf)
     with pytest.raises(ValueError):
         ScaledDirectionNoise(target_norm=1.0, direction="sideways")
     with pytest.raises(ValueError):
@@ -166,13 +168,13 @@ def test_independence_tags():
         ScaledDirectionNoise(target_norm=1.0, direction=UNIFORM),
     ]
     for model in independent:
-        assert conditional_independence_tag(model) is True
+        assert model.design_independent is True
     dependent = [
         ScaledDirectionNoise(target_norm=1.0, direction=WORST_SINGULAR),
         ModelResidualNoise(f_values=np.ones(3)),
     ]
     for model in dependent:
-        assert conditional_independence_tag(model) is False
+        assert model.design_independent is False
 
 
 # ---------------------------------------------------------------------------
