@@ -458,22 +458,46 @@ def _out_base(path: str) -> str:
     return path
 
 
-def _write_outputs(ns, payload, rows) -> str | None:
-    """With --out, write BASE.json and/or BASE.csv as --format selects.
+def _output_target(ns) -> tuple[str | None, str]:
+    """(BASE, format) from --out and --format, checked before any work runs.
 
-    payload() gives the JSON object and rows() the CSV rows, header first;
-    each is built only when written.  Returns BASE, or None without --out.
+    BASE is None without --out; with it, BASE's directory must exist and
+    be writable, so a bad path fails before the trials rather than after.
     """
     fmt = _pick_format(ns)
     out = _pick(ns.out, "out", str)
     if not out:
-        return None
+        return None, fmt
     base = _out_base(out)
+    folder = os.path.dirname(base) or "."
+    if not os.path.isdir(folder):
+        raise _CliError(f"--out: directory {folder!r} does not exist")
+    if not os.access(folder, os.W_OK):
+        raise _CliError(f"--out: directory {folder!r} is not writable")
+    return base, fmt
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        write_text(path, text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _write_outputs(target, payload, rows) -> None:
+    """Write BASE.json and/or BASE.csv as the target's format selects.
+
+    target is _output_target's (BASE, format); nothing is written when BASE
+    is None.  payload() gives the JSON object and rows() the CSV rows,
+    header first; each is built only when written.
+    """
+    base, fmt = target
+    if base is None:
+        return
     if fmt in ("json", "both"):
-        write_text(base + ".json", to_json(payload()))
+        _write(base + ".json", to_json(payload()))
     if fmt in ("csv", "both"):
-        write_text(base + ".csv", "".join(csv_line(row) for row in rows()))
-    return base
+        _write(base + ".csv", "".join(csv_line(row) for row in rows()))
 
 
 def _fmt(x) -> str:
@@ -517,18 +541,26 @@ def _cmd_diagnose(ns) -> int:
     beta_norm = _pick(ns.beta_norm, "beta_norm", float, file_conf.get("beta_norm"), 0.0)
     xi_norm = _pick(ns.xi_norm, "xi_norm", float, None, 0.0)
     constants = _resolve_constants(ns, file_conf)
+    target = _output_target(ns)
 
     try:
         report = diagnose(spectrum, n, beta_norm, xi_norm, constants)
     except ValueError as exc:
         raise _CliError(str(exc))
 
-    payload = {"schema": 1, "spectrum": spec_echo}
-    payload.update(report.to_dict())
-    if ns.out:
-        write_text(_out_base(ns.out) + ".json", to_json(payload))
+    report_dict = report.to_dict()
+
+    def rows():
+        yield ("key", "value")
+        for key, value in report_dict.items():
+            if key == "constants":
+                yield from ((f"constants.{k}", v) for k, v in value.items())
+            else:
+                yield (key, value)
+
+    _write_outputs(target, lambda: {"schema": 1, "spectrum": spec_echo, **report_dict}, rows)
     if not ns.quiet:
-        for key, value in report.to_dict().items():
+        for key, value in report_dict.items():
             if key == "constants":
                 value = " ".join(f"{k}={_fmt(v)}" for k, v in value.items())
             print(f"{key:>14}  {_fmt(value)}")
@@ -541,6 +573,7 @@ def _cmd_diagnose(ns) -> int:
 def _cmd_simulate(ns) -> int:
     config = _build_experiment_config(ns)
     threads = _threads(ns)
+    target = _output_target(ns)
     try:
         result = run_experiment(config, threads=threads)
     except ExperimentError as exc:
@@ -548,7 +581,7 @@ def _cmd_simulate(ns) -> int:
         return 1
 
     _write_outputs(
-        ns,
+        target,
         lambda: result_to_dict(result),
         lambda: [record_csv_header(), *map(record_csv_row, result.records)],
     )
@@ -603,6 +636,7 @@ def _cmd_scan(ns) -> int:
         )
         return 2
     threads = _threads(ns)
+    target = _output_target(ns)
     try:
         points = snr_scan(config, grid, threads=threads)
     except ExperimentError as exc:
@@ -637,7 +671,8 @@ def _cmd_scan(ns) -> int:
             for r in pt.result.records:
                 yield record_csv_row(r, extra=(pt.snr_target, pt.regime))
 
-    base = _write_outputs(ns, payload, rows)
+    _write_outputs(target, payload, rows)
+    base = target[0]
     if base is not None:
         plot_lines = [csv_line(_PLOT_COLUMNS)]
         for pt in points:
@@ -660,7 +695,7 @@ def _cmd_scan(ns) -> int:
                     ]
                 )
             )
-        write_text(base + ".plot.csv", "".join(plot_lines))
+        _write(base + ".plot.csv", "".join(plot_lines))
 
     if not ns.quiet:
         for pt in points:
@@ -683,6 +718,7 @@ def _cmd_certify(ns) -> int:
     seed = _pick(ns.seed, "seed", int, file_conf.get("seed"), 0)
     constants = _resolve_constants(ns, file_conf)
     bins = _pick(ns.bins, "bins", int, None, 20)
+    target = _output_target(ns)
 
     if math.isinf(effective_rank_index(spectrum, n, constants.c0)):
         print(
@@ -713,7 +749,7 @@ def _cmd_certify(ns) -> int:
     }
     edges = study.hist_edges
     _write_outputs(
-        ns,
+        target,
         lambda: payload,
         lambda: [("ratio_lo", "ratio_hi", "count"), *zip(edges, edges[1:], study.hist_counts)],
     )
@@ -728,11 +764,12 @@ def _cmd_certify(ns) -> int:
 
 def _cmd_spectrum(ns) -> int:
     spectrum, spec_echo = _resolve_spectrum(ns, _load_config_file(ns).get("spectrum"))
+    target = _output_target(ns)
 
     values = [float(v) for v in spectrum.values]
     payload = {"schema": 1, "spectrum": spec_echo, "p": spectrum.p, "trace": spectrum.trace}
     _write_outputs(
-        ns,
+        target,
         lambda: {**payload, "values": values},
         # one value per line, headerless: loadable back through --spectrum-file
         lambda: ([v] for v in values),

@@ -8,15 +8,18 @@ execution order or worker count.
 
 The fit is the minimum Euclidean-norm solution of X beta = Y, computed
 from a thin SVD of the n x p design; singular values below rel_tol
-times the largest are treated as zero.  The high-dimensional regime
-p >= n is enforced on construction; p < n is allowed only behind an
-explicit override, used by low-dimensional oracle tests.
+times the largest are treated as zero.  A design computes its thin SVD
+once, on first use, so the fit and design-dependent noise share it, as
+do repeated fits of one design to different targets.  The
+high-dimensional regime p >= n is enforced on construction; p < n is
+allowed only behind an explicit override, used by low-dimensional
+oracle tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +57,7 @@ class DesignMatrix:
 
     entries: np.ndarray
     override: bool = False  # permit p < n, for low-dimensional oracle tests only
+    _svd: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
@@ -79,6 +83,19 @@ class DesignMatrix:
     @property
     def p(self) -> int:
         return int(self.entries.shape[1])
+
+    def svd(self) -> tuple:
+        """Thin SVD (u, s, vt) of the entries, computed on first use and kept.
+
+        Not a functools.cached_property: on Python < 3.12 its lock is shared
+        by every instance, which would serialise designs in a worker pool.
+        """
+        if self._svd is None:
+            factors = tuple(np.linalg.svd(self.entries, full_matrices=False))
+            for a in factors:
+                a.setflags(write=False)
+            object.__setattr__(self, "_svd", factors)
+        return self._svd
 
 
 def sample_design(cov: CovarianceModel, n: int, rng: np.random.Generator) -> DesignMatrix:
@@ -119,7 +136,7 @@ class FitResult:
 
 
 def min_norm_fit(design: DesignMatrix, targets, rel_tol: float = 1e-10) -> FitResult:
-    """Minimum Euclidean-norm solution of X beta = Y via thin SVD.
+    """Minimum Euclidean-norm solution of X beta = Y via the design's thin SVD.
 
     Singular values below rel_tol * sigma_max are treated as zero.  The
     decomposition is thin (cost ~ n^2 p), so p-dimensional objects are
@@ -130,7 +147,7 @@ def min_norm_fit(design: DesignMatrix, targets, rel_tol: float = 1e-10) -> FitRe
     y = np.asarray(targets, dtype=float)
     if y.shape != (design.n,):
         raise ValueError(f"targets must have shape ({design.n},), got {y.shape}")
-    u, sv, vt = np.linalg.svd(design.entries, full_matrices=False)
+    u, sv, vt = design.svd()
     cut = rel_tol * float(sv[0])
     keep = sv > cut
     rank = int(np.count_nonzero(keep))

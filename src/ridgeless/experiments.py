@@ -17,7 +17,11 @@ smallest-singular-value certificate (factor 1/4).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -231,16 +235,26 @@ def run_trial(
 ) -> TrialRecord:
     """One trial: sample the design and noise, fit, compute all metrics."""
     ctx = _ctx if _ctx is not None else _make_context(config)
+    design, xi = _draw(config, trial_index, ctx.beta_star)
+    return _evaluate(config, ctx, trial_index, design, xi)
+
+
+def _draw(config: ExperimentConfig, trial_index: int, beta_star: np.ndarray):
+    """The trial's design, then its noise, from the trial's own stream."""
     rng = trial_rng(config.seed, trial_index)
-    cov = config.covariance
-    design = sample_design(cov, config.n, rng)
-    xi = realize_noise(config.noise_model, design, ctx.beta_star, rng)
+    design = sample_design(config.covariance, config.n, rng)
+    xi = realize_noise(config.noise_model, design, beta_star, rng)
+    return design, xi
+
+
+def _evaluate(config, ctx, trial_index, design, xi) -> TrialRecord:
+    """Fit one drawn trial at ctx's beta* and compute all metrics."""
     y = design.entries @ ctx.beta_star + xi
     fit = min_norm_fit(design, y, config.rel_tol)
 
     n = config.n
     delta = fit.beta_hat - ctx.beta_star
-    pred = prediction_error(cov, fit.beta_hat, ctx.beta_star)
+    pred = prediction_error(config.covariance, fit.beta_hat, ctx.beta_star)
     est = float(delta @ delta)
     xd = design.entries @ delta
     deviation = float(xd @ xd) / n - pred
@@ -326,6 +340,94 @@ def _pass_rate(flags) -> float | None:
     return sum(known) / len(known)
 
 
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
+
+    Looked up at the first worker pool, not at import.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+            get = handle.scipy_openblas_get_num_threads64_
+            set_ = handle.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Context manager holding OpenBLAS at one thread while worker pools run.
+
+    Each pool worker already occupies a core, so BLAS threads of its own
+    would only oversubscribe the machine.  The thread count is process-wide:
+    the first pool to start saves it and sets 1, the last to finish
+    restores it.  Without the OpenBLAS symbols this does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._active = 0
+        self._saved = None
+
+    def __enter__(self):
+        with self._lock:
+            calls = _openblas_thread_calls()
+            if calls is not None and self._active == 0:
+                self._saved = calls[0]()
+                calls[1](1)
+            self._active += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._active -= 1
+            calls = _openblas_thread_calls()
+            if calls is not None and self._active == 0:
+                calls[1](self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+def _map_trials(task, trials: int, threads: int) -> list:
+    """[task(i) for i in range(trials)], in a worker pool when threads > 1.
+
+    The pool has min(threads, cores, trials) workers and runs with one BLAS
+    thread.  When a task raises, ExperimentError names the lowest failing
+    index and keeps the results that completed: those before it when
+    serial, every other one when pooled.
+    """
+    results: list = [None] * trials
+    if threads <= 1:
+        for i in range(trials):
+            try:
+                results[i] = task(i)
+            except Exception as exc:  # preserve completed work
+                raise ExperimentError(i, [r for r in results if r is not None], exc)
+        return results
+    failed = None
+    workers = min(threads, os.cpu_count() or 1, trials)
+    with _one_blas_thread, ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(task, i) for i in range(trials)]
+        for i, fut in enumerate(futures):
+            try:
+                results[i] = fut.result()
+            except Exception as exc:
+                if failed is None:
+                    failed = (i, exc)
+    if failed is not None:
+        raise ExperimentError(failed[0], [r for r in results if r is not None], failed[1])
+    return results
+
+
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run all trials (optionally in a thread pool) and aggregate.
 
@@ -334,31 +436,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     preserved on the exception.
     """
     ctx = _make_context(config)
-    records: list = [None] * config.trials
-    if threads <= 1:
-        for i in range(config.trials):
-            try:
-                records[i] = run_trial(config, i, ctx)
-            except Exception as exc:  # preserve completed work
-                raise ExperimentError(i, [r for r in records if r is not None], exc)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                pool.submit(run_trial, config, i, ctx): i for i in range(config.trials)
-            }
-            failed = None
-            for fut, i in futures.items():
-                try:
-                    records[i] = fut.result()
-                except Exception as exc:
-                    if failed is None:
-                        failed = (i, exc)
-            if failed is not None:
-                raise ExperimentError(
-                    failed[0], [r for r in records if r is not None], failed[1]
-                )
+    records = _map_trials(lambda i: run_trial(config, i, ctx), config.trials, threads)
+    return _summarize(config, ctx, tuple(records))
 
-    records = tuple(records)
+
+def _summarize(config: ExperimentConfig, ctx: _TrialContext, records: tuple) -> ExperimentResult:
+    """Aggregates, diagnostics, skipped checks and rates of one run's records."""
     aggregates = {
         m: _aggregate(np.array([getattr(r, m) for r in records])) for m in _METRICS
     }
@@ -423,7 +506,13 @@ def snr_scan(
 
     For each target the coefficient norm is rescaled (the noise model
     stays fixed) so that ||beta*||^2 / E||xi||^2 equals the target; the
-    regime label comes from each run's diagnostics.
+    regime label comes from each run's diagnostics.  Each point's result
+    equals run_experiment at its rescaled config.
+
+    The draws depend only on (seed, trial), so each trial's design and
+    noise are drawn and factored once and fitted at every grid point.  A
+    failing trial raises ExperimentError with the first grid point's
+    completed records, as run_experiment would at that point.
     """
     grid = [float(t) for t in snr_grid]
     if not grid:
@@ -432,22 +521,36 @@ def snr_scan(
         raise ValueError("SNR targets must be positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("SNR grid must be strictly increasing")
+    # Raises for the models without an expected norm, which include the
+    # only one whose noise depends on beta* (model_residual); every other
+    # model's noise is the same at every grid point.
     noise_norm_sq = base_config.noise_model.expected_norm_sq(base_config.n)
 
     s = base_config.covariance.spectrum
     cn = min(base_config.constants.cn(base_config.n), s.p)
     r_cn = s.tail_sum(cn)
 
+    beta_norms = [math.sqrt(target * noise_norm_sq) for target in grid]
+    configs = [replace(base_config, beta_norm=b, beta_values=None) for b in beta_norms]
+    ctxs = [_make_context(cfg) for cfg in configs]
+    if math.isinf(ctxs[0].k_star):
+        raise ValueError("scan requires a finite effective-rank index; adjust the constants")
+
+    def trial(i):
+        design, xi = _draw(base_config, i, ctxs[0].beta_star)
+        return [_evaluate(cfg, ctx, i, design, xi) for cfg, ctx in zip(configs, ctxs)]
+
+    try:
+        by_trial = _map_trials(trial, base_config.trials, threads)
+    except ExperimentError as exc:
+        raise ExperimentError(
+            exc.trial_index, [recs[0] for recs in exc.partial], exc.cause
+        ) from exc.cause
+
     points = []
-    for target in grid:
-        beta_norm = math.sqrt(target * noise_norm_sq)
-        cfg = replace(base_config, beta_norm=beta_norm, beta_values=None)
-        result = run_experiment(cfg, threads=threads)
+    for j, (target, beta_norm, cfg, ctx) in enumerate(zip(grid, beta_norms, configs, ctxs)):
+        result = _summarize(cfg, ctx, tuple(recs[j] for recs in by_trial))
         diag = result.diagnostics
-        if diag.regime is None:
-            raise ValueError(
-                "scan requires a finite effective-rank index; adjust the constants"
-            )
         points.append(
             ScanPoint(
                 snr_target=target,

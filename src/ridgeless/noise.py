@@ -199,7 +199,7 @@ class ScaledDirectionNoise:
         if self.direction == UNIFORM:
             return np.full(n, self.target_norm / np.sqrt(n))
         # worst_singular: left singular vector for the smallest singular value
-        u, _, _ = np.linalg.svd(design.entries, full_matrices=False)
+        u, _, _ = design.svd()
         return self.target_norm * u[:, -1]
 
     def expected_norm_sq(self, n: int) -> float:

@@ -510,3 +510,51 @@ def test_missing_input_files_exit_1(tmp_path, capsys):
 def test_malformed_noise_short_forms(text, capsys):
     assert main(["simulate", "--flat", "20", "--n", "3", "--trials", "2", "--noise", text]) == 1
     _one_error(capsys, "noise")
+
+
+# ---------------------------------------------------------------------------
+# --out is checked before any work runs; write failures exit 1
+
+
+@pytest.mark.parametrize(
+    "argv,entry",
+    [
+        (SIM_ARGS, "run_experiment"),
+        (SCAN_ARGS, "snr_scan"),
+        (["diagnose", "--flat", "100", "--n", "5", "-q"], "diagnose"),
+    ],
+)
+def test_missing_out_directory_fails_before_work(argv, entry, tmp_path, monkeypatch, capsys):
+    import ridgeless.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{entry} ran before --out was checked")
+
+    monkeypatch.setattr(cli, entry, must_not_run)
+    assert main(argv + ["--out", str(tmp_path / "missing" / "x")]) == 1
+    _one_error(capsys, "--out", "does not exist")
+
+
+def test_unwritable_output_file_exits_1(tmp_path, capsys):
+    (tmp_path / "run.json").mkdir()  # BASE.json cannot be opened for writing
+    assert main(SIM_ARGS + ["--out", str(tmp_path / "run")]) == 1
+    _one_error(capsys, "cannot write", "run.json")
+
+
+def test_diagnose_out_from_env_and_csv_format(tmp_path, monkeypatch):
+    args = ["diagnose", "--flat", "1000", "--n", "10", "--beta-norm", "1", "--xi-norm", "2", "-q"]
+    monkeypatch.setenv("RIDGELESS_OUT", str(tmp_path / "env"))
+    assert main(args) == 0
+    assert read_json(str(tmp_path / "env.json"))["k_star"] == 1
+    monkeypatch.delenv("RIDGELESS_OUT")
+
+    assert main(args + ["--out", str(tmp_path / "rep"), "--format", "csv"]) == 0
+    assert not (tmp_path / "rep.json").exists()
+    lines = (tmp_path / "rep.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "key,value"
+    rows = dict(line.split(",", 1) for line in lines[1:])
+    assert rows["k_star"] == "1" and rows["regime"] == "HighSNR"
+    assert rows["constants.c0"] == "10" and rows["error"] == ""
+    assert main(args + ["--out", str(tmp_path / "both"), "--format", "both"]) == 0
+    assert (tmp_path / "both.csv").read_bytes() == (tmp_path / "rep.csv").read_bytes()
+    assert read_json(str(tmp_path / "both.json"))["spectrum"]["type"] == "flat"

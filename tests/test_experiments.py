@@ -1,6 +1,8 @@
 """Monte Carlo harness: trials, aggregation, scans, studies."""
 
 import math
+from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from ridgeless.experiments import (
     snr_scan,
 )
 from ridgeless.noise import (
+    UNIFORM,
     DeterministicNoise,
     GaussianNoise,
     ModelResidualNoise,
@@ -35,6 +38,7 @@ from ridgeless.noise import (
     StudentTNoise,
     ZeroNoise,
 )
+from ridgeless.serialize import to_json
 from ridgeless.spectra import CovarianceModel, Spectrum, make_flat_spectrum
 
 
@@ -305,6 +309,170 @@ def test_snr_scan_overrides_explicit_beta():
     points = snr_scan(cfg, [4.0])
     assert points[0].beta_norm == pytest.approx(math.sqrt(20.0), rel=1e-12)
     assert "beta_values" not in points[0].result.config_echo
+
+
+SCAN_NOISES = [
+    GaussianNoise(sigma=1.0),
+    StudentTNoise(df=3.0, scale=1.0),
+    ScaledDirectionNoise(target_norm=1.0),
+    ScaledDirectionNoise(target_norm=1.0, direction=UNIFORM),
+    DeterministicNoise(values=np.array([0.5, -1.0, 2.0, 0.25, -0.75])),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "noise", SCAN_NOISES, ids=["gaussian", "student", "worst", "uniform", "deterministic"]
+)
+def test_snr_scan_points_equal_separate_runs(noise, threads):
+    # One draw and factorization per trial for the whole grid gives the
+    # bytes of a separate run at each rescaled config.
+    cfg = flat_config(noise_model=noise, trials=6, beta_direction="random")
+    points = snr_scan(cfg, [0.001, 0.1, 10.0], threads=threads)
+    for pt in points:
+        alone = run_experiment(replace(cfg, beta_norm=pt.beta_norm, beta_values=None))
+        assert to_json(result_to_dict(pt.result)) == to_json(result_to_dict(alone))
+
+
+class _SvdCounter:
+    def __init__(self, monkeypatch):
+        self.calls = []
+        real = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            self.calls.append(args)  # list.append is atomic under the GIL
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_snr_scan_factors_each_trial_once(monkeypatch, threads):
+    svd = _SvdCounter(monkeypatch)
+    snr_scan(flat_config(trials=7), [0.001, 0.1, 10.0, 100.0], threads=threads)
+    assert len(svd.calls) == 7
+
+
+def test_worst_noise_shares_the_fit_svd(monkeypatch):
+    svd = _SvdCounter(monkeypatch)
+    run_experiment(flat_config(noise_model=ScaledDirectionNoise(target_norm=1.0), trials=5))
+    assert len(svd.calls) == 5
+
+
+def _failing_trial_rng(monkeypatch, bad=3):
+    real = experiments.trial_rng
+
+    def trial_rng(seed, trial_index):
+        if trial_index == bad:
+            raise RuntimeError("synthetic failure")
+        return real(seed, trial_index)
+
+    monkeypatch.setattr(experiments, "trial_rng", trial_rng)
+
+
+@pytest.mark.parametrize("threads,kept", [(1, 3), (2, 5)])
+@pytest.mark.parametrize("scan", [False, True], ids=["run", "scan"])
+def test_failure_reports_trial_and_partial_count(monkeypatch, threads, kept, scan):
+    # Serial runs stop at the failure; pooled runs finish the other trials.
+    # A scan reports the first grid point's records, as a run there would.
+    cfg = flat_config(trials=6, beta_norm=math.sqrt(0.1 * 5.0))  # the scan's first point
+    reference = run_experiment(cfg)
+    _failing_trial_rng(monkeypatch)
+    with pytest.raises(ExperimentError) as info:
+        if scan:
+            snr_scan(cfg, [0.1, 10.0], threads=threads)
+        else:
+            run_experiment(cfg, threads=threads)
+    err = info.value
+    assert err.trial_index == 3
+    assert len(err.partial) == kept
+    assert str(err) == f"trial 3 failed: synthetic failure ({kept} earlier trial(s) preserved)"
+    assert all(r == reference.records[r.trial_index] for r in err.partial)
+
+
+class _InlinePool:
+    """Stands in for ThreadPoolExecutor: records max_workers, runs tasks inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
+
+
+@pytest.mark.parametrize(
+    "cpus,threads,trials,workers",
+    [(3, 10**6, 8, 3), (3, 2, 8, 2), (64, 10**6, 5, 5), (None, 4, 8, 1), (2, 4, 1, 1)],
+)
+def test_pool_is_clamped_to_cores_and_trials(monkeypatch, cpus, threads, trials, workers):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    cfg = flat_config(trials=trials)
+    assert run_experiment(cfg, threads=threads).records == run_experiment(cfg).records
+    snr_scan(cfg, [0.1, 10.0], threads=threads)
+    assert _InlinePool.sizes == [workers, workers]
+
+
+def _blas_get():
+    calls = experiments._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS thread-count symbols in this numpy build")
+    return calls[0]
+
+
+def test_pool_runs_with_one_blas_thread(monkeypatch):
+    get = _blas_get()
+    before = get()
+    seen = []
+    real = experiments.run_trial
+
+    def spy(config, trial_index, _ctx=None):
+        seen.append(get())
+        if trial_index == 5:
+            raise RuntimeError("synthetic failure")
+        return real(config, trial_index, _ctx)
+
+    monkeypatch.setattr(experiments, "run_trial", spy)
+    run_experiment(flat_config(trials=4), threads=2)
+    assert seen == [1] * 4
+    assert get() == before
+    with pytest.raises(ExperimentError):
+        run_experiment(flat_config(trials=6), threads=2)
+    assert get() == before
+    seen.clear()
+    run_experiment(flat_config(trials=3), threads=1)  # the serial path leaves BLAS alone
+    assert seen == [before] * 3
+
+
+def test_blas_pin_without_symbols_is_a_no_op(monkeypatch):
+    get = _blas_get()
+    before = get()
+    seen = []
+    real = experiments.run_trial
+
+    def spy(config, trial_index, _ctx=None):
+        seen.append(get())
+        return real(config, trial_index, _ctx)
+
+    monkeypatch.setattr(experiments, "_openblas_thread_calls", lambda: None)
+    monkeypatch.setattr(experiments, "run_trial", spy)
+    cfg = flat_config(trials=6)
+    assert run_experiment(cfg, threads=2).records == run_experiment(cfg).records
+    assert seen == [before] * 12
 
 
 # ---------------------------------------------------------------------------
