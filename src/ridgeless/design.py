@@ -177,7 +177,7 @@ def prediction_error(cov: CovarianceModel, beta_hat, beta_star) -> float:
     d = _delta(cov.p, beta_hat, beta_star)
     if cov.rotation is not None:
         d = cov.rotation.T @ d
-    return float(math.fsum(map(float, cov.spectrum.values * d * d)))
+    return math.fsum((cov.spectrum.values * d * d).tolist())
 
 
 def _delta(p: int, beta_hat, beta_star) -> np.ndarray:

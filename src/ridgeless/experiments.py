@@ -267,8 +267,9 @@ def _evaluate(config, ctx, trial_index, design, xi) -> TrialRecord:
     identity_residual = abs(pred + deviation - xi_norm_sq / n) / scale
 
     # The retained smallest singular value equals sigma_n at full rank; on a
-    # rank-deficient fit fall back to the true smallest singular value.
-    sigma_min = fit.sigma_min if fit.rank == n else smallest_singular_value(design)
+    # rank-deficient fit fall back to the true smallest singular value, read
+    # from the fit's own factors.
+    sigma_min = fit.sigma_min if fit.rank == n else float(design.svd()[1][-1])
 
     certificate_pass = None
     est_bound_pass = None
@@ -344,7 +345,7 @@ def _pass_rate(flags) -> float | None:
 def _openblas_thread_calls():
     """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
 
-    Looked up at the first worker pool, not at import.
+    Looked up at the first trial loop, not at import.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -364,13 +365,40 @@ def _openblas_thread_calls():
     return None
 
 
-class _OneBlasThread:
-    """Context manager holding OpenBLAS at one thread while worker pools run.
+# glibc's mallopt parameters and its ceiling for the dynamic mmap threshold
+# (4 MiB * sizeof(long) on 64-bit); the trim threshold follows it at twice.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_THRESHOLD = 32 * 1024 * 1024
 
-    Each pool worker already occupies a core, so BLAS threads of its own
-    would only oversubscribe the machine.  The thread count is process-wide:
-    the first pool to start saves it and sets 1, the last to finish
-    restores it.  Without the OpenBLAS symbols this does nothing.
+
+@functools.cache
+def _hold_heap() -> None:
+    """Fix glibc's mmap and trim thresholds, once per process.
+
+    Trial-sized arrays (a 20 x 2000 design is 320 KB) are otherwise
+    unmapped or trimmed on free and faulted back in on every trial.  The
+    values are glibc's own dynamic ceiling, which a large enough free would
+    reach anyway.  Without mallopt (a non-glibc libc) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _HEAP_THRESHOLD)
+
+
+class _TrialRuntime:
+    """Context manager every trial loop runs under, serial or pooled.
+
+    It holds OpenBLAS at one thread: trial-sized factorizations gain less
+    from BLAS threads than they cost, and pool workers already occupy the
+    cores, so parallelism comes only from the workers.  The thread count is
+    process-wide: the first loop to start saves it and sets 1, the last to
+    finish restores it.  Without the OpenBLAS symbols this does nothing.
+    The first entry also holds the heap (see _hold_heap), for good.
     """
 
     def __init__(self):
@@ -380,6 +408,7 @@ class _OneBlasThread:
 
     def __enter__(self):
         with self._lock:
+            _hold_heap()
             calls = _openblas_thread_calls()
             if calls is not None and self._active == 0:
                 self._saved = calls[0]()
@@ -394,28 +423,29 @@ class _OneBlasThread:
                 calls[1](self._saved)
 
 
-_one_blas_thread = _OneBlasThread()
+_trial_runtime = _TrialRuntime()
 
 
 def _map_trials(task, trials: int, threads: int) -> list:
     """[task(i) for i in range(trials)], in a worker pool when threads > 1.
 
-    The pool has min(threads, cores, trials) workers and runs with one BLAS
-    thread.  When a task raises, ExperimentError names the lowest failing
+    Both run under _trial_runtime; the pool has min(threads, cores, trials)
+    workers.  When a task raises, ExperimentError names the lowest failing
     index and keeps the results that completed: those before it when
     serial, every other one when pooled.
     """
     results: list = [None] * trials
     if threads <= 1:
-        for i in range(trials):
-            try:
-                results[i] = task(i)
-            except Exception as exc:  # preserve completed work
-                raise ExperimentError(i, [r for r in results if r is not None], exc)
+        with _trial_runtime:
+            for i in range(trials):
+                try:
+                    results[i] = task(i)
+                except Exception as exc:  # preserve completed work
+                    raise ExperimentError(i, [r for r in results if r is not None], exc)
         return results
     failed = None
     workers = min(threads, os.cpu_count() or 1, trials)
-    with _one_blas_thread, ThreadPoolExecutor(max_workers=workers) as pool:
+    with _trial_runtime, ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(task, i) for i in range(trials)]
         for i, fut in enumerate(futures):
             try:
@@ -596,9 +626,10 @@ def certificate_study(
     sqrt_rk = math.sqrt(r_kstar)
     threshold = _CERT_FACTOR * sqrt_rk
     sigma_mins = np.empty(trials)
-    for t in range(trials):
-        design = sample_design(cov, n, trial_rng(seed, t))
-        sigma_mins[t] = smallest_singular_value(design)
+    with _trial_runtime:
+        for t in range(trials):
+            design = sample_design(cov, n, trial_rng(seed, t))
+            sigma_mins[t] = smallest_singular_value(design)
     rate = float(np.mean(sigma_mins >= threshold))
     ratios = sigma_mins / sqrt_rk
     hi = max(1.0, float(np.max(ratios)))

@@ -265,6 +265,33 @@ def test_prediction_error_rotated_matches_dense():
         )
 
 
+def _fsum_per_element(v) -> float:
+    """Reference sum: math.fsum over one float() conversion per element."""
+    return math.fsum(map(float, v))
+
+
+def test_prediction_error_sum_is_bit_identical_to_per_element_fsum():
+    # fsum is correctly rounded, so converting the terms in one tolist()
+    # call cannot change the sum, even when the terms cancel.
+    rng = np.random.default_rng(5)
+    for p, rotated in ((1, False), (7, False), (7, True), (2000, False)):
+        spectrum = Spectrum(np.sort(rng.exponential(size=p))[::-1].copy())
+        q = random_orthogonal(rng, p) if rotated else None
+        cov = CovarianceModel(spectrum, rotation=q)
+        bh, bs = rng.standard_normal(p), rng.standard_normal(p)
+        d = bh - bs if q is None else q.T @ (bh - bs)
+        want = _fsum_per_element(spectrum.values * d * d)
+        assert prediction_error(cov, bh, bs).hex() == want.hex()
+    big = rng.standard_normal(1000) * 10.0 ** rng.integers(-20, 20, size=1000)
+    for v in (
+        np.array([1e16, 1.0, -1e16, 1e-16, -1.0]),
+        np.array([0.1] * 10 + [-1.0]),
+        np.concatenate([big, -big[::-1], [3e-300]]),
+        rng.standard_normal(2000),
+    ):
+        assert math.fsum(v.tolist()).hex() == _fsum_per_element(v).hex()
+
+
 def fixed_trial(p, n, seed, trial_index):
     """One run_trial record with beta* and the noise fixed in advance."""
     rng = np.random.default_rng(seed)

@@ -1,6 +1,10 @@
 """Monte Carlo harness: trials, aggregation, scans, studies."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -8,7 +12,9 @@ import numpy as np
 import pytest
 
 import oracles
+import ridgeless
 import ridgeless.experiments as experiments
+from ridgeless.design import sample_design, trial_rng
 from ridgeless.diagnostics import REGIME_HIGH, REGIME_LOW, Constants
 from ridgeless.experiments import (
     ALL_CHECKS,
@@ -143,6 +149,18 @@ def test_run_experiment_thread_counts_agree():
     pooled = run_experiment(cfg, threads=4)
     assert serial.records == pooled.records
     assert serial.aggregates == pooled.aggregates
+
+
+def test_thread_counts_agree_at_large_n():
+    # At n = 200 a thin SVD's last bits can depend on the BLAS thread count
+    # (they do with OpenBLAS at 1 against 2 threads), so this holds because
+    # serial and pooled loops both run one BLAS thread.
+    cov = CovarianceModel(make_flat_spectrum(2000, 1.0))
+    cfg = ExperimentConfig(
+        covariance=cov, n=200, noise_model=GaussianNoise(sigma=1.0),
+        trials=4, seed=0, beta_norm=1.0,
+    )
+    assert run_experiment(cfg, threads=1).records == run_experiment(cfg, threads=2).records
 
 
 def test_run_experiment_aggregates_match_numpy():
@@ -359,6 +377,21 @@ def test_worst_noise_shares_the_fit_svd(monkeypatch):
     assert len(svd.calls) == 5
 
 
+def test_rank_deficient_fit_reads_sigma_min_from_its_factors(monkeypatch):
+    # rel_tol 0.9 cuts genuine singular values, so every fit is rank-deficient
+    # and sigma_min is the true smallest singular value, not the retained one.
+    cfg = flat_config(rel_tol=0.9, trials=6)
+    svd = _SvdCounter(monkeypatch)
+    records = run_experiment(cfg).records
+    assert len(svd.calls) == 6
+    monkeypatch.undo()
+    for r in records:
+        x = sample_design(cfg.covariance, cfg.n, trial_rng(cfg.seed, r.trial_index)).entries
+        sv = np.linalg.svd(x, compute_uv=False)
+        assert sv[-1] < cfg.rel_tol * sv[0]
+        assert r.sigma_min == pytest.approx(sv[-1], rel=1e-12)
+
+
 def _failing_trial_rng(monkeypatch, bad=3):
     real = experiments.trial_rng
 
@@ -454,8 +487,9 @@ def test_pool_runs_with_one_blas_thread(monkeypatch):
         run_experiment(flat_config(trials=6), threads=2)
     assert get() == before
     seen.clear()
-    run_experiment(flat_config(trials=3), threads=1)  # the serial path leaves BLAS alone
-    assert seen == [before] * 3
+    run_experiment(flat_config(trials=3), threads=1)  # so does the serial path
+    assert seen == [1] * 3
+    assert get() == before
 
 
 def test_blas_pin_without_symbols_is_a_no_op(monkeypatch):
@@ -473,6 +507,48 @@ def test_blas_pin_without_symbols_is_a_no_op(monkeypatch):
     cfg = flat_config(trials=6)
     assert run_experiment(cfg, threads=2).records == run_experiment(cfg).records
     assert seen == [before] * 12
+
+
+def test_heap_hold_without_mallopt_is_a_no_op(monkeypatch):
+    monkeypatch.setattr(experiments.ctypes, "CDLL", lambda name: object())
+    assert experiments._hold_heap.__wrapped__() is None
+
+
+_FAULT_PROBE = """
+import resource
+from ridgeless.experiments import ExperimentConfig, run_experiment
+from ridgeless.noise import GaussianNoise
+from ridgeless.spectra import CovarianceModel, make_flat_spectrum
+
+cfg = ExperimentConfig(
+    covariance=CovarianceModel(make_flat_spectrum(2000, 1.0)), n=20,
+    noise_model=GaussianNoise(sigma=1.0), trials=200, seed=0, beta_norm=1.0,
+)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_experiment(cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the heap thresholds are glibc's",
+)
+def test_serial_trials_do_not_refault_the_heap():
+    # A fresh process: glibc raises its mmap threshold after large frees, so
+    # in a process that has run other work the faults may already be gone.
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(ridgeless.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [e for e in env.get("PYTHONPATH", "").split(os.pathsep) if e]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout)
+    assert faults < 20 * 200, f"{faults} minor page faults over 200 trials"
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +576,28 @@ def test_certificate_study_single_sample_rate():
 def test_certificate_study_rejects_infinite_index():
     with pytest.raises(ValueError):
         certificate_study(Spectrum(4.0 ** -np.arange(1, 31)), 3, 10.0, 5, seed=0)
+
+
+def test_certificate_study_runs_with_one_blas_thread(monkeypatch):
+    get = _blas_get()
+    before = get()
+    seen = []
+    real = experiments.smallest_singular_value
+
+    def spy(design):
+        seen.append(get())
+        if len(seen) == 7:
+            raise RuntimeError("synthetic failure")
+        return real(design)
+
+    monkeypatch.setattr(experiments, "smallest_singular_value", spy)
+    certificate_study(make_flat_spectrum(50, 1.0), 5, 10.0, 4, seed=0)
+    assert seen == [1] * 4
+    assert get() == before
+    with pytest.raises(RuntimeError, match="synthetic failure"):
+        certificate_study(make_flat_spectrum(50, 1.0), 5, 10.0, 6, seed=0)
+    assert seen == [1] * 7
+    assert get() == before
 
 
 @pytest.mark.parametrize("bins", [0, -3])
