@@ -39,7 +39,6 @@ from .experiments import (
     ExperimentResult,
     TrialRecord,
     certificate_study,
-    lower_bound_study,
     run_experiment,
     run_trial,
     snr_scan,

@@ -172,7 +172,7 @@ _SPECTRUM_KINDS = {
     "values": _Kind(
         "--spectrum-file", None, ("PATH",), {"file": str, "values": list}, _values_spectrum,
         "eigenvalues from a text file", {"file": None, "values": None},
-        lambda s: {"values": [float(v) for v in s.values]},
+        lambda s: {"values": s.values.tolist()},
     ),
 }
 
@@ -766,7 +766,7 @@ def _cmd_spectrum(ns) -> int:
     spectrum, spec_echo = _resolve_spectrum(ns, _load_config_file(ns).get("spectrum"))
     target = _output_target(ns)
 
-    values = [float(v) for v in spectrum.values]
+    values = spectrum.values.tolist()
     payload = {"schema": 1, "spectrum": spec_echo, "p": spectrum.p, "trace": spectrum.trace}
     _write_outputs(
         target,

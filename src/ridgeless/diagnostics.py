@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 
+import numpy as np
+
 from .spectra import Spectrum
 
 __all__ = [
@@ -88,6 +90,7 @@ class Constants:
         return cls(**{k: float(v) for k, v in d.items()})
 
 
+@np.errstate(over="ignore", invalid="ignore")  # silent inf/nan, as with Python floats
 def effective_rank_index(s: Spectrum, n: int, c0: float) -> int | float:
     """Smallest 1-based k with r_k(s) >= c0 * n * lambda_k; math.inf when none.
 
@@ -99,14 +102,10 @@ def effective_rank_index(s: Spectrum, n: int, c0: float) -> int | float:
         raise ValueError(f"n must be >= 1, got {n!r}")
     if not c0 > 0:
         raise ValueError(f"c0 must be positive, got {c0!r}")
-    threshold = c0 * n
-    for k in range(1, s.p + 1):
-        lam = float(s.values[k - 1])
-        if lam == 0.0:
-            break
-        if s.tail_sum(k) >= threshold * lam:
-            return k
-    return math.inf
+    vals = s.values[: np.count_nonzero(s.values)]  # up to the first zero
+    hits = s._tails[1 : vals.size + 1] >= (c0 * n) * vals
+    k = int(np.argmax(hits))
+    return k + 1 if hits[k] else math.inf
 
 
 def localization_radius(beta_star_norm: float, xi_norm: float, r_kstar: float) -> float:
@@ -153,6 +152,7 @@ def complexity_radius(s: Spectrum, n: int, eta: float) -> float:
     return math.sqrt(best)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # silent inf/nan, as with Python floats
 def lower_radius(s: Spectrum, rho: float, xi_norm: float, gamma: float) -> float:
     """Largest r with sum_i min(lambda_i rho^2, r^2) <= gamma ||xi||^2.
 
@@ -176,16 +176,15 @@ def lower_radius(s: Spectrum, rho: float, xi_norm: float, gamma: float) -> float
         return math.inf
     p = s.p
     vals = s.values
-    best = 0.0
-    for j in range(1, p + 1):
-        cand = (budget - rho2 * s.tail_sum(j + 1)) / j
-        if cand <= 0.0:
-            continue
-        hi = rho2 * float(vals[j - 1])
-        lo = 0.0 if j == p else rho2 * float(vals[j])
-        if cand < lo * (1.0 - _SEGMENT_SLACK) or cand > hi * (1.0 + _SEGMENT_SLACK):
-            continue
-        best = max(best, cand)
+    # candidate on the segment of exactly j eigenvalues above r^2, j = 1..p
+    cand = rho2 * s._tails[2:]
+    np.subtract(budget, cand, out=cand)
+    cand /= np.arange(1, p + 1, dtype=float)
+    ok = cand > 0.0
+    mu = rho2 * vals  # segment j runs from mu_{j+1} (mu_{p+1} = 0) up to mu_j
+    ok &= cand <= mu * (1.0 + _SEGMENT_SLACK)
+    ok[:-1] &= cand[:-1] >= mu[1:] * (1.0 - _SEGMENT_SLACK)
+    best = float(cand[ok].max()) if ok.any() else 0.0
     if best == 0.0:
         raise ArithmeticError("no feasible segment for the lower radius")
     return math.sqrt(best)
@@ -198,10 +197,9 @@ def tail_halving_index(s: Spectrum, k_star: int, gamma: float) -> int:
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     target = 0.5 * gamma * s.tail_sum(k_star)
-    for k in range(k_star, s.p + 1):
-        if s.tail_sum(k) <= target:
-            return k
-    return s.p + 1
+    hits = s._tails[k_star : s.p + 1] <= target
+    k = int(np.argmax(hits))
+    return k_star + k if hits[k] else s.p + 1
 
 
 def prediction_bounds(

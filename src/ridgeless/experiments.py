@@ -35,13 +35,12 @@ from .design import (
     trial_rng,
 )
 from .diagnostics import (
-    REGIME_HIGH,
     Constants,
     DiagnosticsReport,
     diagnose,
     effective_rank_index,
 )
-from .noise import NoiseModel, ZeroNoise, noise_to_dict, realize_noise
+from .noise import NoiseModel, noise_to_dict, realize_noise
 from .spectra import CovarianceModel
 
 __all__ = [
@@ -63,8 +62,6 @@ __all__ = [
     "snr_scan",
     "CertificateStudy",
     "certificate_study",
-    "LowerBoundStudy",
-    "lower_bound_study",
     "config_to_dict",
     "result_to_dict",
     "record_csv_header",
@@ -306,11 +303,6 @@ class ExperimentResult:
     aggregates: dict
     rates: dict
     skipped: dict
-
-    @property
-    def identity_ok(self) -> bool:
-        """Hard check: every trial satisfied the interpolation identity."""
-        return all(r.identity_residual <= IDENTITY_TOL for r in self.records)
 
 
 _METRICS = (
@@ -647,67 +639,6 @@ def certificate_study(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class LowerBoundStudy:
-    """Distribution of pred_error / (||xi||^2 / (n ∧ k_bar)) across trials."""
-
-    denominator_index: int  # n ∧ k_bar
-    floor: float
-    ratios: tuple
-    flagged: tuple  # trial indices with ratio below the floor
-    aggregates: dict
-    out_of_hypothesis: str | None
-    result: ExperimentResult
-
-
-def lower_bound_study(
-    config: ExperimentConfig, floor: float = 0.01, threads: int = 1
-) -> LowerBoundStudy:
-    """Noise-limited lower-bound study.
-
-    Refuses design-dependent noise (the hypothesis requires rows i.i.d.
-    Gaussian conditionally on the noise).  A run outside the low-SNR
-    regime still executes but is tagged out-of-hypothesis.
-    """
-    if isinstance(config.noise_model, ZeroNoise):
-        raise ValueError("lower-bound study undefined for zero noise")
-    if not config.noise_model.design_independent:
-        raise ValueError(
-            "lower-bound study refused: noise depends on the design, so rows "
-            "conditionally on the noise are not i.i.d. Gaussian"
-        )
-    result = run_experiment(config, threads=threads)
-    diag = result.diagnostics
-    if diag.k_bar is None:
-        raise ValueError(
-            "lower-bound study requires a finite effective-rank index; "
-            "adjust the constants"
-        )
-    denom_idx = min(config.n, diag.k_bar)
-    ratios = tuple(
-        (r.pred_error / (r.xi_norm_sq / denom_idx)) if r.xi_norm_sq > 0 else math.inf
-        for r in result.records
-    )
-    flagged = tuple(
-        r.trial_index for r, ratio in zip(result.records, ratios) if ratio < floor
-    )
-    warning = None
-    if diag.regime == REGIME_HIGH:
-        warning = (
-            "signal-to-noise ratio above threshold: outside the low-SNR "
-            "hypothesis; results are tagged, not guaranteed"
-        )
-    return LowerBoundStudy(
-        denominator_index=denom_idx,
-        floor=floor,
-        ratios=ratios,
-        flagged=flagged,
-        aggregates=_aggregate(np.array(ratios)),
-        out_of_hypothesis=warning,
-        result=result,
-    )
-
-
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Fully-resolved config echo, sufficient to re-run bit-identically.
 
@@ -719,7 +650,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     else:
         spectrum = {
             "type": "values",
-            "values": [float(v) for v in config.covariance.spectrum.values],
+            "values": config.covariance.spectrum.values.tolist(),
         }
     echo = {
         "schema": 1,

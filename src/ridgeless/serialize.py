@@ -25,6 +25,16 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# Items formatted per joined piece by the float-list fast path of _emit, so
+# that a long list never holds all its formatted items at once.
+_CHUNK = 65536
+
+
+def _finite_floats(items) -> bool:
+    """Non-empty, every item exactly a float (not a subclass) and finite."""
+    return bool(items) and all(type(v) is float for v in items) and all(map(math.isfinite, items))
+
+
 def _emit(obj, parts: list, indent: int, level: int) -> None:
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
@@ -53,6 +63,17 @@ def _emit(obj, parts: list, indent: int, level: int) -> None:
             _emit(v, parts, indent, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(pad + "}")
+    elif isinstance(obj, (list, tuple)) and _finite_floats(obj):
+        # the generic branch's bytes, without an _emit call per item
+        sep = ",\n" + pad_in
+        parts.append("[\n" + pad_in)
+        for i in range(0, len(obj), _CHUNK):
+            chunk = tuple(obj[i : i + _CHUNK])
+            if i:
+                parts.append(sep)
+            # "%.17g" % x renders a finite float exactly as format_float does
+            parts.append(sep.join(["%.17g"] * len(chunk)) % chunk)
+        parts.append("\n" + pad + "]")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")

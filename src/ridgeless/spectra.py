@@ -8,7 +8,13 @@ array positions happens internally.
 Tail sums r_k = sum_{i=k}^p lambda_i are precomputed once per spectrum
 with compensated (Kahan-Babuska-Neumaier) summation, accumulated from
 the smallest entries upward, so large spectra with a tiny eigenvalue
-floor do not lose the floor mass to rounding.
+floor do not lose the floor mass to rounding.  The sums are computed
+with whole-array numpy operations that give every tail the same bits as
+the plain scalar Neumaier loop (tests/oracles.py keeps it as the
+reference): np.cumsum (add.accumulate) adds a 1-d array strictly in
+order, so the running sum and the running compensation are the same
+sequences of IEEE additions, and each step's compensation term is the
+same elementwise expression.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ __all__ = [
 ]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # silent inf/nan, as with Python floats
 def _suffix_sums(vals: np.ndarray) -> np.ndarray:
     """Compensated suffix sums: out[k] = sum of vals[k-1:] for k = 1..p.
 
@@ -39,20 +46,32 @@ def _suffix_sums(vals: np.ndarray) -> np.ndarray:
     out[0] = nan (index 0 is never a valid rank).
     """
     p = vals.size
+    x = vals[::-1]  # smallest first
+    # Running sum s[i] = s[i - 1] + x[i - 1] from s[0] = 0.0, as a scalar loop
+    # starting at 0.0 adds (so a leading -0.0 sums to +0.0, as it does there).
+    s = np.empty(p + 1)
+    s[0] = 0.0
+    s[1:] = x
+    np.cumsum(s, out=s)
+    prev, t = s[:-1], s[1:]
+    # Each step's rounding error, (prev - t) + x when |prev| >= |x| and
+    # (x - t) + prev otherwise, accumulated from c[0] = 0.0 the same way.
+    c = np.empty(p + 1)
+    c[0] = 0.0
+    err = c[1:]
+    other = np.abs(x)
+    smaller = np.abs(prev) < other
+    np.subtract(prev, t, out=err)
+    err += x
+    np.subtract(x, t, out=other)
+    other += prev
+    np.copyto(err, other, where=smaller)
+    del other, smaller  # freed before `out` is allocated: a lower peak at large p
+    np.cumsum(c, out=c)
     out = np.empty(p + 2)
     out[0] = np.nan
     out[p + 1] = 0.0
-    s = 0.0
-    c = 0.0  # running compensation
-    for k in range(p, 0, -1):
-        x = float(vals[k - 1])
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
-        s = t
-        out[k] = s + c
+    np.add(t, err, out=out[p:0:-1])
     return out
 
 
@@ -77,8 +96,10 @@ class Spectrum:
             raise ValueError("spectrum must contain at least one positive value")
         vals = vals.copy()
         vals.setflags(write=False)
+        tails = _suffix_sums(vals)
+        tails.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_tails", _suffix_sums(vals))
+        object.__setattr__(self, "_tails", tails)
 
     @property
     def p(self) -> int:
@@ -158,16 +179,20 @@ class LoadedSpectrum:
 
 def parse_numbers(text: str, what: str) -> np.ndarray:
     """Whitespace- or comma-separated numbers in input order; '#' starts a comment."""
-    entries = []
-    for raw in text.splitlines():
-        for token in raw.split("#", 1)[0].replace(",", " ").split():
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    tokens = text.replace(",", " ").split()  # line breaks are whitespace too
+    if not tokens:
+        raise ValueError(f"empty {what} input")
+    try:
+        return np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        for token in tokens:  # name the first bad entry
             try:
-                entries.append(float(token))
+                float(token)
             except ValueError:
                 raise ValueError(f"cannot parse {what} entry {token!r}") from None
-    if not entries:
-        raise ValueError(f"empty {what} input")
-    return np.array(entries)
+        raise
 
 
 def read_vector(source) -> np.ndarray:
@@ -226,10 +251,3 @@ class CovarianceModel:
     @property
     def p(self) -> int:
         return self.spectrum.p
-
-    def matrix(self) -> np.ndarray:
-        """Dense covariance matrix; for oracle comparisons, not the hot path."""
-        lam = self.spectrum.values
-        if self.rotation is None:
-            return np.diag(lam)
-        return (self.rotation * lam) @ self.rotation.T

@@ -101,3 +101,114 @@ def log_uniform_spectrum(rng: np.random.Generator, p: int, lo: float = -6.0, hi:
     """Sorted positive eigenvalues spanning lo..hi decades."""
     vals = 10.0 ** rng.uniform(lo, hi, size=p)
     return np.sort(vals)[::-1].copy()
+
+
+def covariance_matrix(cov) -> np.ndarray:
+    """Dense covariance Q diag(spectrum) Q^T of a CovarianceModel (diag without Q)."""
+    lam = cov.spectrum.values
+    if cov.rotation is None:
+        return np.diag(lam)
+    return (cov.rotation * lam) @ cov.rotation.T
+
+
+# ---------------------------------------------------------------------------
+# Scalar loops the package used before its O(p) paths were vectorised.  The
+# vectorised forms must reproduce them bit for bit, so they are kept here
+# verbatim as oracles.
+
+SEGMENT_SLACK = 1e-12
+
+
+def suffix_sums_loop(vals: np.ndarray) -> np.ndarray:
+    """Compensated suffix sums: out[k] = sum of vals[k-1:] for k = 1..p.
+
+    out has length p + 2 with out[p + 1] = 0 (the empty tail) and
+    out[0] = nan (index 0 is never a valid rank).
+    """
+    p = vals.size
+    out = np.empty(p + 2)
+    out[0] = np.nan
+    out[p + 1] = 0.0
+    s = 0.0
+    c = 0.0  # running compensation
+    for k in range(p, 0, -1):
+        x = float(vals[k - 1])
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
+        else:
+            c += (x - t) + s
+        s = t
+        out[k] = s + c
+    return out
+
+
+def effective_rank_index_loop(s, n: int, c0: float):
+    if not n >= 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    if not c0 > 0:
+        raise ValueError(f"c0 must be positive, got {c0!r}")
+    threshold = c0 * n
+    for k in range(1, s.p + 1):
+        lam = float(s.values[k - 1])
+        if lam == 0.0:
+            break
+        if s.tail_sum(k) >= threshold * lam:
+            return k
+    return math.inf
+
+
+def lower_radius_loop(s, rho: float, xi_norm: float, gamma: float) -> float:
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho!r}")
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    if xi_norm < 0:
+        raise ValueError(f"xi_norm must be non-negative, got {xi_norm!r}")
+    if xi_norm == 0.0:
+        return 0.0
+    budget = gamma * xi_norm * xi_norm
+    rho2 = rho * rho
+    if s.trace * rho2 <= budget:
+        return math.inf
+    p = s.p
+    vals = s.values
+    best = 0.0
+    for j in range(1, p + 1):
+        cand = (budget - rho2 * s.tail_sum(j + 1)) / j
+        if cand <= 0.0:
+            continue
+        hi = rho2 * float(vals[j - 1])
+        lo = 0.0 if j == p else rho2 * float(vals[j])
+        if cand < lo * (1.0 - SEGMENT_SLACK) or cand > hi * (1.0 + SEGMENT_SLACK):
+            continue
+        best = max(best, cand)
+    if best == 0.0:
+        raise ArithmeticError("no feasible segment for the lower radius")
+    return math.sqrt(best)
+
+
+def tail_halving_index_loop(s, k_star: int, gamma: float) -> int:
+    if not (isinstance(k_star, int) and 1 <= k_star <= s.p):
+        raise ValueError(f"k_star must be an integer in [1, {s.p}], got {k_star!r}")
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    target = 0.5 * gamma * s.tail_sum(k_star)
+    for k in range(k_star, s.p + 1):
+        if s.tail_sum(k) <= target:
+            return k
+    return s.p + 1
+
+
+def parse_numbers_loop(text: str, what: str) -> np.ndarray:
+    """Whitespace- or comma-separated numbers in input order; '#' starts a comment."""
+    entries = []
+    for raw in text.splitlines():
+        for token in raw.split("#", 1)[0].replace(",", " ").split():
+            try:
+                entries.append(float(token))
+            except ValueError:
+                raise ValueError(f"cannot parse {what} entry {token!r}") from None
+    if not entries:
+        raise ValueError(f"empty {what} input")
+    return np.array(entries)

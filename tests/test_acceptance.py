@@ -25,9 +25,9 @@ from ridgeless.design import (
 )
 from ridgeless.diagnostics import Constants, complexity_radius, effective_rank_index, lower_radius, tail_halving_index
 from ridgeless.experiments import (
+    CHECK_LOWER,
     ExperimentConfig,
     certificate_study,
-    lower_bound_study,
     run_experiment,
     run_trial,
     snr_scan,
@@ -293,23 +293,24 @@ def test_criterion_7_lower_bound_regime():
         covariance=cov, n=100, noise_model=GaussianNoise(sigma=1.0),
         trials=200, seed=7, constants=Constants(c0=3.0), beta_norm=0.0,
     )
-    study = lower_bound_study(cfg, floor=0.01, threads=4)
-    ratios = np.array(study.ratios)
-    refused = False
-    try:
-        lower_bound_study(
-            ExperimentConfig(
-                covariance=cov, n=100,
-                noise_model=ScaledDirectionNoise(target_norm=1.0),
-                trials=2, seed=0, constants=Constants(c0=3.0),
-            )
+    result = run_experiment(cfg, threads=4)
+    # the noise-floor ratio pred_error / (||xi||^2 / (n ∧ k_bar)) per trial
+    denominator_index = min(cfg.n, result.diagnostics.k_bar)
+    ratios = np.array(
+        [r.pred_error / (r.xi_norm_sq / denominator_index) for r in result.records]
+    )
+    design_dependent = run_experiment(
+        ExperimentConfig(
+            covariance=cov, n=100,
+            noise_model=ScaledDirectionNoise(target_norm=1.0),
+            trials=2, seed=0, constants=Constants(c0=3.0),
         )
-    except ValueError:
-        refused = True
+    )
+    refused = "hypothesis violated" in design_dependent.skipped.get(CHECK_LOWER, "")
     elapsed = time.perf_counter() - start
     report(
         7,
-        study.denominator_index == 100
+        denominator_index == 100
         and float(ratios.min()) >= 0.01
         and 0.1 <= float(np.median(ratios)) <= 10.0
         and refused,

@@ -3,10 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ridgeless import serialize
 from ridgeless.serialize import csv_line, format_float, to_json, write_text
 
 
@@ -96,3 +98,63 @@ def test_write_text_no_crlf(tmp_path):
     path = tmp_path / "out.txt"
     write_text(path, "a\nb\n")
     assert path.read_bytes() == b"a\nb\n"
+
+
+# ---------------------------------------------------------------------------
+# float-list fast path
+
+
+def generic_json(obj) -> str:
+    """to_json with the float-list fast path switched off."""
+    real = serialize._finite_floats
+    serialize._finite_floats = lambda items: False
+    try:
+        return to_json(obj)
+    finally:
+        serialize._finite_floats = real
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 65535, 65536, 65537, 2 * 65536 + 3])
+def test_float_list_fast_path_matches_generic_bytes(length):
+    rng = np.random.default_rng(length)
+    values = (rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, length)).tolist()
+    values[: len(EDGE_FLOATS)] = EDGE_FLOATS[:length]
+    assert serialize._finite_floats(values) == (length > 0)
+    for obj in (values, {"a": {"values": values}}, [values, tuple(values)]):
+        assert to_json(obj) == generic_json(obj)
+
+
+def test_float_list_fast_path_expected_text():
+    assert to_json([-0.0, 5e-324, 1e308]) == "[\n  -0,\n  4.9406564584124654e-324,\n  1e+308\n]\n"
+    assert to_json({"v": [0.5]}) == '{\n  "v": [\n    0.5\n  ]\n}\n'
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        [1.0, math.nan],
+        [math.inf, 1.0],
+        [1.0, -math.inf],
+        [1.0, True],
+        [False],
+        [1.0, 2],
+        [3],
+        [1.0, "x"],
+        [1.0, None],
+        [np.float64(1.0), 2.0],
+        [1.0, [2.0]],
+    ],
+)
+def test_float_list_fast_path_falls_back(items):
+    assert not serialize._finite_floats(items)
+    assert to_json(items) == generic_json(items)
+    assert to_json({"k": items}) == generic_json({"k": items})
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+def test_float_list_fast_path_matches_generic_on_drawn_lists(values):
+    assert to_json({"x": values}) == generic_json({"x": values})
+    assert json.loads(to_json(values)) == values
