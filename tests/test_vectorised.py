@@ -28,8 +28,8 @@ from ridgeless.spectra import (
 )
 
 
-def _random(p=3000):
-    return Spectrum(oracles.log_uniform_spectrum(np.random.default_rng(11), p, -12.0, 6.0))
+def _random():
+    return Spectrum(oracles.log_uniform_spectrum(np.random.default_rng(11), 3000, -12.0, 6.0))
 
 
 def _zero_tail():
@@ -108,6 +108,7 @@ def test_infinite_and_zero_tail_cases_agree(name):
     # an infinite effective-rank index, a radius that is infinite at once,
     # and a degenerate one (rho^2 overflows) that both forms must refuse
     assert outcome(effective_rank_index, s, 10**9, 1e9) == math.inf
+    same_outcome(effective_rank_index, oracles.effective_rank_index_loop, s, 10**9, 1e9)
     same_outcome(lower_radius, oracles.lower_radius_loop, s, 1.0, 1e9, 0.5)
     same_outcome(lower_radius, oracles.lower_radius_loop, s, 1e200, 1.0, 0.5)
     assert outcome(lower_radius, s, 1e200, 1.0, 0.5) == (
