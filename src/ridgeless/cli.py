@@ -3,7 +3,9 @@
 Option precedence is flags > environment > config file > defaults.  Every
 long flag has an environment twin with the RIDGELESS_ prefix (dashes to
 underscores, upper case); multi-token flags take the same tokens space
-separated, e.g. RIDGELESS_EXP_FLOOR="300 20 1e-4".
+separated, e.g. RIDGELESS_EXP_FLOOR="300 20 1e-4", and --quiet takes 1 or
+0.  Values from every source are converted and checked alike, and every
+error is reported before any work runs.
 
 Exit codes: 0 success, 1 usage or config error, 2 degenerate mathematics
 (infinite effective-rank index), 3 hard-check failure.
@@ -16,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +38,7 @@ from .experiments import (
     snr_scan,
 )
 from .noise import WORST_SINGULAR, ZeroNoise, noise_from_dict
-from .serialize import csv_line, format_float, to_json, write_text
+from .serialize import csv_line, format_float, format_floats, to_json, write_text
 from .spectra import (
     CovarianceModel,
     Spectrum,
@@ -49,22 +52,6 @@ from .spectra import (
 __all__ = ["main", "entry"]
 
 ENV_PREFIX = "RIDGELESS_"
-
-_CONFIG_KEYS = {
-    "schema",
-    "spectrum",
-    "n",
-    "beta_norm",
-    "beta_direction",
-    "beta_values",
-    "noise",
-    "trials",
-    "seed",
-    "constants",
-    "checks",
-    "rel_tol",
-    "rotation",
-}
 
 
 class _CliError(Exception):
@@ -86,35 +73,224 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
+    return os.environ.get(ENV_PREFIX + name.upper())
 
 
-def _pick(flag_value, env_name: str, parse, file_value=None, default=None):
-    """Apply the precedence chain for one scalar option."""
-    if flag_value is not None:
-        return flag_value
-    raw = _env(env_name)
-    if raw is not None:
-        try:
-            return parse(raw)
-        except (TypeError, ValueError) as exc:
-            raise _CliError(f"environment {ENV_PREFIX}{env_name.upper()}: {exc}")
-    if file_value is not None:
-        return file_value
-    return default
+def _collect(errors: list, resolve, *args):
+    """resolve(*args); on a usage error, None with its messages added to errors."""
+    try:
+        return resolve(*args)
+    except _CliError as exc:
+        errors.extend(exc.messages)
+
+
+# ---------------------------------------------------------------------------
+# conversion
+
+
+def _switch(text: str) -> bool:
+    """A flag without a value: 1 or 0 in the environment."""
+    if text not in ("1", "0"):
+        raise ValueError(text)
+    return text == "1"
+
+
+_EXPECTED = {
+    int: "an integer", float: "a number", str: "a string", list: "a list", _switch: "1 or 0"
+}
+
+
+def _parse(conv, value, what: str, text: bool = True):
+    """conv(value), or a usage error naming `what`; never a coercion.
+
+    Text (a flag, an environment variable, a spectrum token) is parsed.  A
+    config-file value must already be of the option's JSON kind: a string
+    is not a number, a bool is not a number and 5.7 is not an integer.
+    """
+    kind = type(value)
+    json_ok = kind is conv or (conv, kind) == (float, int) or (
+        (conv, kind) == (int, float) and value.is_integer())
+    try:
+        if text or json_ok:
+            return conv(value)
+    except (TypeError, ValueError):
+        pass
+    raise _CliError(f"{what}: expected {_EXPECTED[conv]}, got {value!r}")
+
+
+def _snr_grid(text: str) -> list:
+    """LO:HI:N as N log-spaced SNR targets."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise _CliError(f"--snr-grid takes LO:HI:N, got {text!r}")
+    lo = _parse(float, parts[0], "--snr-grid LO")
+    hi = _parse(float, parts[1], "--snr-grid HI")
+    count = _parse(int, parts[2], "--snr-grid N")
+    if not (lo > 0 and hi > lo and count >= 2):
+        raise _CliError("--snr-grid needs 0 < LO < HI and N >= 2")
+    return [float(v) for v in np.geomspace(lo, hi, count)]
+
+
+# --noise forms: usage -> (the fixed part of the noise dict, the keys that
+# the colon-separated parameters fill in order).
+_NOISE_FORMS = {
+    "zero": ({"type": "zero"}, ()),
+    "gaussian:S": ({"type": "gaussian"}, ("sigma",)),
+    "student:DF:S": ({"type": "student"}, ("df", "scale")),
+    "worst:S": ({"type": "scaled_direction", "direction": WORST_SINGULAR}, ("target_norm",)),
+    "file:PATH": ({"type": "deterministic"}, ("values",)),
+}
+_NOISE_USAGE = " | ".join(_NOISE_FORMS)
+
+
+def parse_noise_spec(text: str):
+    """zero | gaussian:S | student:DF:S | worst:S | file:PATH"""
+    head, _, rest = text.partition(":")
+    usage = next((u for u in _NOISE_FORMS if u.partition(":")[0] == head), None)
+    if usage is None:
+        raise _CliError(f"unknown noise spec {text!r}: expected {_NOISE_USAGE}")
+    fixed, keys = _NOISE_FORMS[usage]
+    # the last parameter keeps any further colons (a file path may hold them)
+    params = rest.split(":", len(keys) - 1) if rest else []
+    if len(params) != len(keys) or "" in params:
+        raise _CliError(f"noise {head!r} takes {usage}, got {text!r}")
+    try:
+        return noise_from_dict({**fixed, **dict(zip(keys, params))})
+    except (OSError, ValueError) as exc:
+        raise _CliError(f"--noise: {exc}")
+
+
+# ---------------------------------------------------------------------------
+# the option table
+
+_COMMANDS = ("diagnose", "simulate", "scan", "certify", "spectrum")
+_BOUNDS = _COMMANDS[:4]  # the subcommands that take the paper's constants
+_RUNS = ("simulate", "scan")  # the subcommands that build an ExperimentConfig
+_REQUIRED = object()  # the default of an option that must be given
+
+
+def _on(commands, default=None) -> dict:
+    return dict.fromkeys(commands, default)
+
+
+class _Opt(NamedTuple):
+    """One option, declared once: its flag --NAME (underscores as dashes), its
+    environment twin RIDGELESS_NAME, its config-file `key` ("constants.c0" is
+    c0 in the "constants" object) and its default per subcommand that takes
+    it (None: unset), which a "{}" in the help shows.  The help is one
+    string or one per subcommand; an option without help has no flag.
+    """
+
+    name: str
+    conv: object  # int, float, str, _switch or _snr_grid, for every source
+    defaults: dict
+    help: object
+    key: str | None = None
+    metavar: str | None = None
+    choices: tuple | None = None
+    least: int | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+def _constant(name: str, text: str) -> _Opt:
+    default = getattr(Constants, name)
+    return _Opt(name, float, _on(_BOUNDS, default), text + " (default {})", "constants." + name)
+
+
+_OPTIONS = {row.name: row for row in (
+    _Opt("config", str, _on(_COMMANDS), "JSON config file (schema 1)", metavar="PATH"),
+    _constant("c0", "effective-rank constant"),
+    _constant("eta", "complexity-radius level"),
+    _constant("gamma", "lower-radius budget fraction"),
+    _constant("c3", "noise-floor constant"),
+    _constant("c_frac", "cn = max(1, floor(c_frac * n))"),
+    _Opt("n", int, _on(_BOUNDS, _REQUIRED), "sample count", "n"),
+    _Opt("beta_norm", float, _on(("diagnose", *_RUNS), 0.0),
+         "true coefficient norm (default {})", "beta_norm"),
+    _Opt("xi_norm", float, {"diagnose": 0.0}, "noise norm (default {})"),
+    _Opt("beta_direction", str, _on(_RUNS, "e1"), "true coefficient direction (default {})",
+         "beta_direction", choices=("e1", "random", "top")),
+    _Opt("noise", str, _on(_RUNS), _NOISE_USAGE, metavar="SPEC"),  # config: _resolve_noise
+    _Opt("trials", int, {"simulate": 100, "scan": 100, "certify": 200}, {
+        **_on(_RUNS, "number of Monte Carlo trials (default {})"),
+        "certify": "number of designs sampled (default {})"}, "trials"),
+    _Opt("seed", int, _on((*_RUNS, "certify"), 0), "base seed (default {})", "seed"),
+    _Opt("threads", int, _on(_RUNS, 1), "worker thread cap; never affects results", least=1),
+    _Opt("out", str, _on(_COMMANDS), "output base path (known suffixes stripped)", metavar="PATH"),
+    _Opt("format", str, _on(_COMMANDS, "json"), "output format (default {})",
+         choices=("json", "csv", "both")),
+    _Opt("quiet", _switch, _on(_COMMANDS, False), "suppress the stdout tables"),
+    _Opt("snr_grid", _snr_grid, {"scan": _REQUIRED}, "log-spaced SNR targets", metavar="LO:HI:N"),
+    _Opt("bins", int, {"certify": 20}, "histogram bin count (default {})"),
+    _Opt("rel_tol", float, _on(_RUNS, 1e-10), None, "rel_tol"),
+)}
+_CONSTANTS = tuple(f.name for f in fields(Constants))
+# the config keys of the rows, and those with a resolver of their own
+_CONFIG_KEYS = {row.key.partition(".")[0] for row in _OPTIONS.values() if row.key} | {
+    "schema", "spectrum", "noise", "checks", "beta_values", "rotation"}
+
+
+def _config_value(conf: dict, key):
+    section, _, name = (key or "").rpartition(".")
+    if section:
+        conf = conf.get(section)
+    return conf.get(name) if isinstance(conf, dict) and name else None
+
+
+def _value(row: _Opt, ns, conf: dict):
+    """One row's value: flag > environment > config file > default, converted and checked."""
+    text = True
+    if (raw := getattr(ns, row.name, None)) is not None:  # None also without a flag
+        where = row.flag
+    elif (raw := _env(row.name)) is not None:
+        where = f"environment {ENV_PREFIX}{row.name.upper()}"
+    elif (raw := _config_value(conf, row.key)) is not None:
+        where, text = "config " + row.key.replace(".", " "), False
+    elif row.defaults[ns.subcommand] is _REQUIRED:
+        usage = f"{row.flag} {row.metavar}" if row.metavar else row.flag
+        raise _CliError(f"missing required option {usage}")
+    else:
+        return row.defaults[ns.subcommand]
+    value = _parse(row.conv, raw, where, text)
+    if row.choices and value not in row.choices:
+        *head, last = row.choices
+        raise _CliError(f"{row.flag} must be {', '.join(head)}, or {last}, got {value!r}")
+    if row.least is not None and value < row.least:
+        raise _CliError(f"{row.flag} must be at least {row.least}, got {value}")
+    return value
+
+
+def _resolve(ns) -> None:
+    """Resolve every option of ns.subcommand into ns, converted and checked.
+
+    The spectrum, constants, noise, checks, beta_values and rotation follow
+    their own rules after the rows.  All errors are raised together, before
+    any work runs; a config file that cannot be read, or breaks the schema,
+    at once, since nothing read from it could be trusted.
+    """
+    cmd = ns.subcommand
+    conf = _load_config_file(_value(_OPTIONS["config"], ns, {}))
+    errors: list = []
+    for row in _OPTIONS.values():
+        if cmd in row.defaults:
+            setattr(ns, row.name, _collect(errors, _value, row, ns, conf))
+    ns.spectrum = _collect(errors, _resolve_spectrum, ns, conf.get("spectrum"))
+    if cmd in _BOUNDS:
+        ns.constants = _collect(errors, _resolve_constants, ns, conf.get("constants"))
+    if cmd in _RUNS:
+        ns.noise = _collect(errors, _resolve_noise, ns.noise, conf)
+        ns.checks = _collect(errors, _resolve_checks, conf)
+        ns.beta_values = _collect(errors, _config_array, conf, "beta_values")
+        ns.rotation = _collect(errors, _config_array, conf, "rotation")
+    if errors:
+        raise _CliError(errors)
 
 
 # ---------------------------------------------------------------------------
 # spectrum resolution
-
-
-def _parse(conv, text, what: str):
-    """conv(text), or a usage error naming the option."""
-    try:
-        return conv(text)
-    except (TypeError, ValueError):
-        expected = "an integer" if conv is int else "a number"
-        raise _CliError(f"{what}: expected {expected}, got {text!r}")
 
 
 def _values_spectrum(file, values) -> Spectrum:
@@ -125,10 +301,8 @@ def _values_spectrum(file, values) -> Spectrum:
         raise _CliError("spectrum of type 'values' needs 'values' or 'file'")
     loaded = load_spectrum(file)
     if loaded.reordered:
-        print(
-            f"note: spectrum file {file} was not sorted; values reordered to non-increasing",
-            file=sys.stderr,
-        )
+        note = "was not sorted; values reordered to non-increasing"
+        print(f"note: spectrum file {file} {note}", file=sys.stderr)
     return loaded.spectrum
 
 
@@ -205,7 +379,7 @@ def _spectrum_from_spec(spec: dict) -> tuple[Spectrum, dict]:
     args = {}
     for key, conv in row.keys.items():
         if key in spec:
-            args[key] = _parse(conv, spec[key], f"spectrum {key}")
+            args[key] = _parse(conv, spec[key], f"config spectrum {key}", text=False)
         elif key in row.defaults:
             args[key] = row.defaults[key]
         else:
@@ -238,44 +412,11 @@ def _resolve_spectrum(ns, file_spec) -> tuple[Spectrum, dict]:
 
 
 # ---------------------------------------------------------------------------
-# noise resolution
-
-# --noise forms: usage -> (the fixed part of the noise dict, the keys that
-# the colon-separated parameters fill in order).
-_NOISE_FORMS = {
-    "zero": ({"type": "zero"}, ()),
-    "gaussian:S": ({"type": "gaussian"}, ("sigma",)),
-    "student:DF:S": ({"type": "student"}, ("df", "scale")),
-    "worst:S": ({"type": "scaled_direction", "direction": WORST_SINGULAR}, ("target_norm",)),
-    "file:PATH": ({"type": "deterministic"}, ("values",)),
-}
-_NOISE_USAGE = " | ".join(_NOISE_FORMS)
+# config file and the options with their own rules
 
 
-def parse_noise_spec(text: str):
-    """zero | gaussian:S | student:DF:S | worst:S | file:PATH"""
-    head, _, rest = text.partition(":")
-    usage = next((u for u in _NOISE_FORMS if u.partition(":")[0] == head), None)
-    if usage is None:
-        raise _CliError(f"unknown noise spec {text!r}: expected {_NOISE_USAGE}")
-    fixed, keys = _NOISE_FORMS[usage]
-    # the last parameter keeps any further colons (a file path may hold them)
-    params = rest.split(":", len(keys) - 1) if rest else []
-    if len(params) != len(keys) or "" in params:
-        raise _CliError(f"noise {head!r} takes {usage}, got {text!r}")
-    try:
-        return noise_from_dict({**fixed, **dict(zip(keys, params))})
-    except (OSError, ValueError) as exc:
-        raise _CliError(f"--noise: {exc}")
-
-
-# ---------------------------------------------------------------------------
-# config file
-
-
-def _load_config_file(ns) -> dict:
-    """The contents of --config (or RIDGELESS_CONFIG); {} when neither is given."""
-    path = ns.config if ns.config is not None else _env("config")
+def _load_config_file(path) -> dict:
+    """The contents of the config file at path; {} when there is none."""
     if not path:
         return {}
     try:
@@ -297,34 +438,39 @@ def _load_config_file(ns) -> dict:
     return data
 
 
-def _resolve_constants(ns, file_conf: dict) -> Constants:
-    base = file_conf.get("constants")
-    if base is not None:
-        try:
-            cons = Constants.from_dict(base)
-        except (TypeError, ValueError) as exc:
-            raise _CliError(f"config constants: {exc}")
-    else:
-        cons = Constants()
-    fields = {}
-    for name in ("c0", "eta", "gamma", "c3", "c_frac"):
-        value = _pick(getattr(ns, name), name, float)
-        if value is not None:
-            fields[name] = value
-    if not fields:
-        return cons
+def _resolve_constants(ns, section) -> Constants | None:
+    """The constants from their rows; the config file's object must hold only their keys."""
+    if section is not None and not isinstance(section, dict):
+        raise _CliError(f"config constants: expected an object, got {section!r}")
+    unknown = sorted(set(section or ()) - set(_CONSTANTS))
+    if unknown:
+        raise _CliError(f"config constants: unknown constants keys: {unknown}")
+    values = {name: getattr(ns, name) for name in _CONSTANTS}
+    if None in values.values():  # a value that did not convert, already reported
+        return None
     try:
-        return Constants(**{**cons.to_dict(), **fields})
+        return Constants(**values)
     except ValueError as exc:
         raise _CliError(f"constants: {exc}")
 
 
-def _resolve_checks(file_conf: dict):
+def _resolve_noise(text, conf: dict):
+    if text is not None:
+        return parse_noise_spec(text)
+    if "noise" not in conf:
+        return ZeroNoise()
+    try:
+        return noise_from_dict(conf["noise"])
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise _CliError(f"config noise: {exc}")
+
+
+def _resolve_checks(conf: dict):
     raw = _env("checks")
     if raw is not None:
         names = [t for t in raw.replace(",", " ").split() if t]
-    elif "checks" in file_conf:
-        names = file_conf["checks"]
+    elif "checks" in conf:
+        names = conf["checks"]
         if not isinstance(names, list):
             raise _CliError("config checks: expected a list of check names")
     else:
@@ -335,104 +481,24 @@ def _resolve_checks(file_conf: dict):
     return frozenset(names)
 
 
-def _required_n(ns, file_conf: dict) -> int:
-    n = _pick(ns.n, "n", int, file_conf.get("n"))
-    if n is None:
-        raise _CliError("missing required option --n")
-    return n
-
-
-def _threads(ns) -> int:
-    threads = _pick(ns.threads, "threads", int, None, 1)
-    if threads < 1:
-        raise _CliError(f"--threads must be at least 1, got {threads}")
-    return threads
-
-
-def _build_experiment_config(ns) -> ExperimentConfig:
-    file_conf = _load_config_file(ns)
-
-    errors = []
-    spectrum = spec_echo = None
+def _config_array(conf: dict, key: str):
+    """The array the config file gives under key, inline or as a file; None when absent."""
+    if conf.get(key) is None:
+        return None
     try:
-        spectrum, spec_echo = _resolve_spectrum(ns, file_conf.get("spectrum"))
-    except _CliError as exc:
-        errors.extend(exc.messages)
+        return read_vector(conf[key])
+    except (OSError, TypeError, ValueError) as exc:
+        raise _CliError(f"config {key}: {exc}")
 
-    noise = None
+
+def _experiment_config(ns) -> ExperimentConfig:
+    spectrum, spec_echo = ns.spectrum
+    same = ("n", "trials", "seed", "constants", "beta_norm", "beta_direction", "beta_values",
+            "checks", "rel_tol")  # resolved under ExperimentConfig's own field names
     try:
-        noise_text = _pick(ns.noise, "noise", str)
-        if noise_text is not None:
-            noise = parse_noise_spec(noise_text)
-        elif "noise" in file_conf:
-            noise = noise_from_dict(file_conf["noise"])
-        else:
-            noise = ZeroNoise()
-    except _CliError as exc:
-        errors.extend(exc.messages)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        errors.append(f"config noise: {exc}")
-
-    constants = Constants()
-    try:
-        constants = _resolve_constants(ns, file_conf)
-    except _CliError as exc:
-        errors.extend(exc.messages)
-
-    checks = ALL_CHECKS
-    try:
-        checks = _resolve_checks(file_conf)
-    except _CliError as exc:
-        errors.extend(exc.messages)
-
-    n = trials = seed = beta_norm = beta_direction = rel_tol = None
-    try:
-        n = _required_n(ns, file_conf)
-    except _CliError as exc:
-        errors.extend(exc.messages)
-    try:
-        trials = _pick(ns.trials, "trials", int, file_conf.get("trials"), 100)
-        seed = _pick(ns.seed, "seed", int, file_conf.get("seed"), 0)
-        beta_norm = _pick(ns.beta_norm, "beta_norm", float, file_conf.get("beta_norm"), 0.0)
-        beta_direction = _pick(
-            ns.beta_direction, "beta_direction", str, file_conf.get("beta_direction"), "e1"
-        )
-        rel_tol = _pick(None, "rel_tol", float, file_conf.get("rel_tol"), 1e-10)
-    except _CliError as exc:
-        errors.extend(exc.messages)
-
-    beta_values = None
-    if file_conf.get("beta_values") is not None:
-        try:
-            beta_values = read_vector(file_conf["beta_values"])
-        except (OSError, ValueError) as exc:
-            errors.append(f"config beta_values: {exc}")
-
-    rotation = None
-    if file_conf.get("rotation") is not None:
-        try:
-            rotation = np.asarray(file_conf["rotation"], dtype=float)
-        except ValueError as exc:
-            errors.append(f"config rotation: {exc}")
-
-    if errors:
-        raise _CliError(errors)
-
-    try:
-        cov = CovarianceModel(spectrum, rotation)
         return ExperimentConfig(
-            covariance=cov,
-            n=n,
-            noise_model=noise,
-            trials=trials,
-            seed=seed,
-            constants=constants,
-            beta_norm=beta_norm,
-            beta_direction=beta_direction,
-            beta_values=beta_values,
-            checks=checks,
-            rel_tol=rel_tol,
-            spectrum_spec=spec_echo,
+            covariance=CovarianceModel(spectrum, ns.rotation), noise_model=ns.noise,
+            spectrum_spec=spec_echo, **{name: getattr(ns, name) for name in same},
         )
     except (TypeError, ValueError) as exc:
         raise _CliError(str(exc))
@@ -444,37 +510,19 @@ def _build_experiment_config(ns) -> ExperimentConfig:
 _KNOWN_SUFFIXES = (".plot.csv", ".json", ".csv")
 
 
-def _pick_format(ns) -> str:
-    fmt = _pick(ns.format, "format", str, None, "json")
-    if fmt not in ("json", "csv", "both"):
-        raise _CliError(f"--format must be json, csv, or both, got {fmt!r}")
-    return fmt
-
-
-def _out_base(path: str) -> str:
-    for suffix in _KNOWN_SUFFIXES:
-        if path.endswith(suffix):
-            return path[: -len(suffix)]
-    return path
-
-
 def _output_target(ns) -> tuple[str | None, str]:
-    """(BASE, format) from --out and --format, checked before any work runs.
-
-    BASE is None without --out; with it, BASE's directory must exist and
-    be writable, so a bad path fails before the trials rather than after.
+    """(BASE, format); BASE is None without --out, and its directory must
+    exist and be writable, so a bad path fails before the trials, not after.
     """
-    fmt = _pick_format(ns)
-    out = _pick(ns.out, "out", str)
-    if not out:
-        return None, fmt
-    base = _out_base(out)
+    if not ns.out:
+        return None, ns.format
+    base = next((ns.out[: -len(s)] for s in _KNOWN_SUFFIXES if ns.out.endswith(s)), ns.out)
     folder = os.path.dirname(base) or "."
     if not os.path.isdir(folder):
         raise _CliError(f"--out: directory {folder!r} does not exist")
     if not os.access(folder, os.W_OK):
         raise _CliError(f"--out: directory {folder!r} is not writable")
-    return base, fmt
+    return base, ns.format
 
 
 def _write(path: str, text: str) -> None:
@@ -484,12 +532,11 @@ def _write(path: str, text: str) -> None:
         raise _CliError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _write_outputs(target, payload, rows) -> None:
-    """Write BASE.json and/or BASE.csv as the target's format selects.
+def _write_outputs(target, payload, csv_pieces) -> None:
+    """Write BASE.json and/or BASE.csv for _output_target's (BASE, format).
 
-    target is _output_target's (BASE, format); nothing is written when BASE
-    is None.  payload() gives the JSON object and rows() the CSV rows,
-    header first; each is built only when written.
+    payload() gives the JSON object and csv_pieces() the CSV text in
+    pieces; each is built only when written.
     """
     base, fmt = target
     if base is None:
@@ -497,7 +544,7 @@ def _write_outputs(target, payload, rows) -> None:
     if fmt in ("json", "both"):
         _write(base + ".json", to_json(payload()))
     if fmt in ("csv", "both"):
-        _write(base + ".csv", "".join(csv_line(row) for row in rows()))
+        _write(base + ".csv", "".join(csv_pieces()))
 
 
 def _fmt(x) -> str:
@@ -519,6 +566,14 @@ def _print_aggregates(aggregates: dict, out=sys.stdout) -> None:
         print(f"{name:<{width}}  {row}", file=out)
 
 
+def _infinite_index(ns, consequence: str) -> bool:
+    """Whether k* is infinite for the resolved options; if so, say what that leaves undefined."""
+    infinite = math.isinf(effective_rank_index(ns.spectrum[0], ns.n, ns.constants.c0))
+    if infinite:
+        print(f"error: effective-rank index is infinite{consequence}", file=sys.stderr)
+    return infinite
+
+
 def _identity_status(config, records) -> int:
     """Print the identity check's line when it is enabled; 3 if it failed, else 0."""
     if CHECK_IDENTITY not in config.checks:
@@ -535,16 +590,12 @@ def _identity_status(config, records) -> int:
 
 
 def _cmd_diagnose(ns) -> int:
-    file_conf = _load_config_file(ns)
-    spectrum, spec_echo = _resolve_spectrum(ns, file_conf.get("spectrum"))
-    n = _required_n(ns, file_conf)
-    beta_norm = _pick(ns.beta_norm, "beta_norm", float, file_conf.get("beta_norm"), 0.0)
-    xi_norm = _pick(ns.xi_norm, "xi_norm", float, None, 0.0)
-    constants = _resolve_constants(ns, file_conf)
+    _resolve(ns)
     target = _output_target(ns)
+    spectrum, spec_echo = ns.spectrum
 
     try:
-        report = diagnose(spectrum, n, beta_norm, xi_norm, constants)
+        report = diagnose(spectrum, ns.n, ns.beta_norm, ns.xi_norm, ns.constants)
     except ValueError as exc:
         raise _CliError(str(exc))
 
@@ -558,7 +609,8 @@ def _cmd_diagnose(ns) -> int:
             else:
                 yield (key, value)
 
-    _write_outputs(target, lambda: {"schema": 1, "spectrum": spec_echo, **report_dict}, rows)
+    payload = {"schema": 1, "spectrum": spec_echo, **report_dict}
+    _write_outputs(target, lambda: payload, lambda: map(csv_line, rows()))
     if not ns.quiet:
         for key, value in report_dict.items():
             if key == "constants":
@@ -571,19 +623,18 @@ def _cmd_diagnose(ns) -> int:
 
 
 def _cmd_simulate(ns) -> int:
-    config = _build_experiment_config(ns)
-    threads = _threads(ns)
+    _resolve(ns)
+    config = _experiment_config(ns)
     target = _output_target(ns)
     try:
-        result = run_experiment(config, threads=threads)
+        result = run_experiment(config, threads=ns.threads)
     except ExperimentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _CliError(str(exc))
 
     _write_outputs(
         target,
         lambda: result_to_dict(result),
-        lambda: [record_csv_header(), *map(record_csv_row, result.records)],
+        lambda: map(csv_line, [record_csv_header(), *map(record_csv_row, result.records)]),
     )
 
     if not ns.quiet:
@@ -595,74 +646,34 @@ def _cmd_simulate(ns) -> int:
     return _identity_status(config, result.records)
 
 
-def _parse_snr_grid(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise _CliError(f"--snr-grid takes LO:HI:N, got {text!r}")
-    lo = _parse(float, parts[0], "--snr-grid LO")
-    hi = _parse(float, parts[1], "--snr-grid HI")
-    count = _parse(int, parts[2], "--snr-grid N")
-    if not (lo > 0 and hi > lo and count >= 2):
-        raise _CliError("--snr-grid needs 0 < LO < HI and N >= 2")
-    return [float(v) for v in np.geomspace(lo, hi, count)]
-
-
 _PLOT_COLUMNS = (
-    "snr",
-    "regime",
-    "median_pred",
-    "q05_pred",
-    "q95_pred",
-    "upper_bound",
-    "lower_bound",
-    "corollary_upper",
-    "corollary_lower",
-    "snr_threshold",
-    "snr_threshold_cn",
+    "snr", "regime", "median_pred", "q05_pred", "q95_pred", "upper_bound", "lower_bound",
+    "corollary_upper", "corollary_lower", "snr_threshold", "snr_threshold_cn",
 )
 
 
 def _cmd_scan(ns) -> int:
-    grid_text = _pick(ns.snr_grid, "snr_grid", str)
-    if grid_text is None:
-        raise _CliError("missing required option --snr-grid LO:HI:N")
-    grid = _parse_snr_grid(grid_text)
-    config = _build_experiment_config(ns)
-    if math.isinf(effective_rank_index(config.covariance.spectrum, config.n, config.constants.c0)):
-        print(
-            "error: effective-rank index is infinite for this spectrum and c0; "
-            "the scan's regime split is undefined",
-            file=sys.stderr,
-        )
+    _resolve(ns)
+    config = _experiment_config(ns)
+    if _infinite_index(ns, " for this spectrum and c0; the scan's regime split is undefined"):
         return 2
-    threads = _threads(ns)
     target = _output_target(ns)
     try:
-        points = snr_scan(config, grid, threads=threads)
-    except ExperimentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        points = snr_scan(config, ns.snr_grid, threads=ns.threads)
+    except (ExperimentError, ValueError) as exc:
         raise _CliError(str(exc))
 
     def payload():
         return {
             "config": points[0].result.config_echo,
             "snr_grid": [pt.snr_target for pt in points],
-            "points": [
-                {
-                    "snr_target": pt.snr_target,
-                    "beta_norm": pt.beta_norm,
-                    "regime": pt.regime,
-                    "snr_threshold": pt.snr_threshold,
-                    "snr_threshold_cn": pt.snr_threshold_cn,
-                    "diagnostics": pt.result.diagnostics.to_dict(),
-                    "aggregates": pt.result.aggregates,
-                    "rates": pt.result.rates,
-                    "skipped": pt.result.skipped,
-                }
-                for pt in points
-            ],
+            "points": [{
+                "snr_target": pt.snr_target, "beta_norm": pt.beta_norm, "regime": pt.regime,
+                "snr_threshold": pt.snr_threshold, "snr_threshold_cn": pt.snr_threshold_cn,
+                "diagnostics": pt.result.diagnostics.to_dict(),
+                "aggregates": pt.result.aggregates, "rates": pt.result.rates,
+                "skipped": pt.result.skipped,
+            } for pt in points],
         }
 
     def rows():
@@ -671,31 +682,18 @@ def _cmd_scan(ns) -> int:
             for r in pt.result.records:
                 yield record_csv_row(r, extra=(pt.snr_target, pt.regime))
 
-    _write_outputs(target, payload, rows)
-    base = target[0]
-    if base is not None:
-        plot_lines = [csv_line(_PLOT_COLUMNS)]
-        for pt in points:
-            diag = pt.result.diagnostics
-            agg = pt.result.aggregates["pred_error"]
-            plot_lines.append(
-                csv_line(
-                    [
-                        pt.snr_target,
-                        pt.regime,
-                        agg["median"],
-                        agg["q05"],
-                        agg["q95"],
-                        diag.upper_bound,
-                        diag.lower_bound,
-                        diag.corollary_upper,
-                        diag.corollary_lower,
-                        pt.snr_threshold,
-                        pt.snr_threshold_cn,
-                    ]
-                )
-            )
-        _write(base + ".plot.csv", "".join(plot_lines))
+    def plot_row(pt):  # one value per _PLOT_COLUMNS entry
+        diag, agg = pt.result.diagnostics, pt.result.aggregates["pred_error"]
+        return (
+            pt.snr_target, pt.regime, agg["median"], agg["q05"], agg["q95"], diag.upper_bound,
+            diag.lower_bound, diag.corollary_upper, diag.corollary_lower, pt.snr_threshold,
+            pt.snr_threshold_cn,
+        )
+
+    _write_outputs(target, payload, lambda: map(csv_line, rows()))
+    if target[0] is not None:
+        plot = map(csv_line, [_PLOT_COLUMNS, *map(plot_row, points)])
+        _write(target[0] + ".plot.csv", "".join(plot))
 
     if not ns.quiet:
         for pt in points:
@@ -703,55 +701,36 @@ def _cmd_scan(ns) -> int:
                 f"snr {_fmt(pt.snr_target):>12}  regime {pt.regime:<7}  "
                 f"median_pred {_fmt(pt.result.aggregates['pred_error']['median'])}"
             )
-        switches = sum(
-            1 for a, b in zip(points, points[1:]) if a.regime != b.regime
-        )
+        switches = sum(a.regime != b.regime for a, b in zip(points, points[1:]))
         print(f"regime switches: {switches}")
     return _identity_status(config, [r for pt in points for r in pt.result.records])
 
 
 def _cmd_certify(ns) -> int:
-    file_conf = _load_config_file(ns)
-    spectrum, spec_echo = _resolve_spectrum(ns, file_conf.get("spectrum"))
-    n = _required_n(ns, file_conf)
-    trials = _pick(ns.trials, "trials", int, file_conf.get("trials"), 200)
-    seed = _pick(ns.seed, "seed", int, file_conf.get("seed"), 0)
-    constants = _resolve_constants(ns, file_conf)
-    bins = _pick(ns.bins, "bins", int, None, 20)
+    _resolve(ns)
     target = _output_target(ns)
-
-    if math.isinf(effective_rank_index(spectrum, n, constants.c0)):
-        print(
-            "error: effective-rank index is infinite; the certificate threshold "
-            "is undefined",
-            file=sys.stderr,
-        )
+    spectrum, spec_echo = ns.spectrum
+    n, c0 = ns.n, ns.constants.c0
+    if _infinite_index(ns, "; the certificate threshold is undefined"):
         return 2
     try:
-        study = certificate_study(spectrum, n, constants.c0, trials, seed, bins=bins)
+        study = certificate_study(spectrum, n, c0, ns.trials, ns.seed, bins=ns.bins)
     except ValueError as exc:
         raise _CliError(str(exc))
 
     payload = {
-        "schema": 1,
-        "spectrum": spec_echo,
-        "n": n,
-        "c0": constants.c0,
-        "trials": trials,
-        "seed": seed,
-        "k_star": study.k_star,
-        "r_kstar": study.r_kstar,
-        "threshold": study.threshold,
-        "pass_rate": study.pass_rate,
-        "hist_edges": list(study.hist_edges),
-        "hist_counts": list(study.hist_counts),
+        "schema": 1, "spectrum": spec_echo, "n": n, "c0": c0, "trials": ns.trials,
+        "seed": ns.seed, "k_star": study.k_star, "r_kstar": study.r_kstar,
+        "threshold": study.threshold, "pass_rate": study.pass_rate,
+        "hist_edges": list(study.hist_edges), "hist_counts": list(study.hist_counts),
         "sigma_min": list(study.sigma_min),
     }
     edges = study.hist_edges
+    header = ("ratio_lo", "ratio_hi", "count")
     _write_outputs(
         target,
         lambda: payload,
-        lambda: [("ratio_lo", "ratio_hi", "count"), *zip(edges, edges[1:], study.hist_counts)],
+        lambda: map(csv_line, [header, *zip(edges, edges[1:], study.hist_counts)]),
     )
 
     if not ns.quiet:
@@ -763,8 +742,9 @@ def _cmd_certify(ns) -> int:
 
 
 def _cmd_spectrum(ns) -> int:
-    spectrum, spec_echo = _resolve_spectrum(ns, _load_config_file(ns).get("spectrum"))
+    _resolve(ns)
     target = _output_target(ns)
+    spectrum, spec_echo = ns.spectrum
 
     values = spectrum.values.tolist()
     payload = {"schema": 1, "spectrum": spec_echo, "p": spectrum.p, "trace": spectrum.trace}
@@ -772,7 +752,7 @@ def _cmd_spectrum(ns) -> int:
         target,
         lambda: {**payload, "values": values},
         # one value per line, headerless: loadable back through --spectrum-file
-        lambda: ([v] for v in values),
+        lambda: [*format_floats(values, "\n"), "\n"],
     )
     if not ns.quiet:
         print(f"p {spectrum.p}")
@@ -786,80 +766,31 @@ def _cmd_spectrum(ns) -> int:
 # parser
 
 
-def _add_spectrum_flags(sub) -> None:
-    for row in _SPECTRUM_KINDS.values():
-        metavar = row.metavar if row.nargs else row.metavar[0]
-        sub.add_argument(row.flag, nargs=row.nargs, metavar=metavar, help=row.help)
-    sub.add_argument("--config", metavar="PATH", help="JSON config file (schema 1)")
-
-
-def _add_constant_flags(sub) -> None:
-    sub.add_argument("--c0", type=float, help="effective-rank constant (default 10)")
-    sub.add_argument("--eta", type=float, help="complexity-radius level (default 0.05)")
-    sub.add_argument("--gamma", type=float, help="lower-radius budget fraction (default 0.5)")
-    sub.add_argument("--c3", type=float, help="noise-floor constant (default 1)")
-    sub.add_argument("--c-frac", type=float, help="cn = max(1, floor(c_frac * n)) (default 0.5)")
-
-
-def _add_output_flags(sub) -> None:
-    sub.add_argument("--out", metavar="PATH", help="output base path (known suffixes stripped)")
-    sub.add_argument("--format", choices=("json", "csv", "both"), help="output format (default json)")
-    sub.add_argument("-q", "--quiet", action="store_true", help="suppress the stdout tables")
-
-
-def _add_experiment_flags(sub) -> None:
-    sub.add_argument("--n", type=int, help="sample count")
-    sub.add_argument("--beta-norm", type=float, help="true coefficient norm (default 0)")
-    sub.add_argument("--beta-direction", choices=("e1", "random", "top"), help="true coefficient direction (default e1)")
-    sub.add_argument("--noise", metavar="SPEC", help=_NOISE_USAGE)
-    sub.add_argument("--trials", type=int, help="number of Monte Carlo trials (default 100)")
-    sub.add_argument("--seed", type=int, help="base seed (default 0)")
-    sub.add_argument("--threads", type=int, help="worker thread cap; never affects results")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ridgeless", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("diagnose", help="spectrum diagnostics and bound report")
-    _add_spectrum_flags(p)
-    _add_constant_flags(p)
-    _add_output_flags(p)
-    p.add_argument("--n", type=int, help="sample count")
-    p.add_argument("--beta-norm", type=float, help="true coefficient norm (default 0)")
-    p.add_argument("--xi-norm", type=float, help="noise norm (default 0)")
-    p.set_defaults(func=_cmd_diagnose)
-
-    p = subs.add_parser("simulate", help="run one Monte Carlo experiment")
-    _add_spectrum_flags(p)
-    _add_constant_flags(p)
-    _add_experiment_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = subs.add_parser("scan", help="sweep the SNR grid and tag regimes")
-    _add_spectrum_flags(p)
-    _add_constant_flags(p)
-    _add_experiment_flags(p)
-    _add_output_flags(p)
-    p.add_argument("--snr-grid", metavar="LO:HI:N", help="log-spaced SNR targets")
-    p.set_defaults(func=_cmd_scan)
-
-    p = subs.add_parser("certify", help="smallest-singular-value certificate study")
-    _add_spectrum_flags(p)
-    _add_constant_flags(p)
-    _add_output_flags(p)
-    p.add_argument("--n", type=int, help="sample count")
-    p.add_argument("--trials", type=int, help="number of designs sampled (default 200)")
-    p.add_argument("--seed", type=int, help="base seed (default 0)")
-    p.add_argument("--bins", type=int, help="histogram bin count (default 20)")
-    p.set_defaults(func=_cmd_certify)
-
-    p = subs.add_parser("spectrum", help="build a spectrum and export its values")
-    _add_spectrum_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_spectrum)
-
+    for cmd, func, text in (
+        ("diagnose", _cmd_diagnose, "spectrum diagnostics and bound report"),
+        ("simulate", _cmd_simulate, "run one Monte Carlo experiment"),
+        ("scan", _cmd_scan, "sweep the SNR grid and tag regimes"),
+        ("certify", _cmd_certify, "smallest-singular-value certificate study"),
+        ("spectrum", _cmd_spectrum, "build a spectrum and export its values"),
+    ):
+        sub = subs.add_parser(cmd, help=text)
+        for kind in _SPECTRUM_KINDS.values():
+            metavar = kind.metavar if kind.nargs else kind.metavar[0]
+            sub.add_argument(kind.flag, nargs=kind.nargs, metavar=metavar, help=kind.help)
+        for row in _OPTIONS.values():
+            if cmd not in row.defaults or row.help is None:
+                continue
+            text = row.help[cmd] if isinstance(row.help, dict) else row.help
+            text = text.format(_fmt(row.defaults[cmd]))
+            if row.conv is _switch:  # the flag alone means 1
+                sub.add_argument("-" + row.name[0], row.flag, action="store_const", const="1",
+                                 help=text)
+            else:
+                sub.add_argument(row.flag, metavar=row.metavar, choices=row.choices, help=text)
+        sub.set_defaults(func=func)
     return parser
 
 

@@ -11,9 +11,7 @@ from a thin SVD of the n x p design; singular values below rel_tol
 times the largest are treated as zero.  A design computes its thin SVD
 once, on first use, so the fit and design-dependent noise share it, as
 do repeated fits of one design to different targets.  The
-high-dimensional regime p >= n is enforced on construction; p < n is
-allowed only behind an explicit override, used by low-dimensional
-oracle tests.
+high-dimensional regime p >= n is enforced on construction.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ class DesignMatrix:
     """n x p design with one observation per row."""
 
     entries: np.ndarray
-    override: bool = False  # permit p < n, for low-dimensional oracle tests only
     _svd: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -68,10 +65,8 @@ class DesignMatrix:
             raise ValueError(f"design must be non-empty, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("design entries must be finite")
-        if p < n and not self.override:
-            raise ValueError(
-                f"low-dimensional design (p={p} < n={n}) requires override=True"
-            )
+        if p < n:
+            raise ValueError(f"low-dimensional design (p={p} < n={n}) is not supported")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)

@@ -19,7 +19,7 @@ string "inf".
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -70,7 +70,8 @@ class Constants:
     def __post_init__(self):
         for name in ("c0", "eta", "gamma", "c3", "c_frac"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            ok = isinstance(v, (int, float)) and not isinstance(v, bool)
+            if not (ok and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
         if self.c_frac > 1:
             raise ValueError(f"c_frac must be in (0, 1], got {self.c_frac!r}")
@@ -81,13 +82,6 @@ class Constants:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Constants":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown constants keys: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in d.items()})
 
 
 @np.errstate(over="ignore", invalid="ignore")  # silent inf/nan, as with Python floats
@@ -264,14 +258,14 @@ def snr_and_regime(
     return snr, threshold, regime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DiagnosticsReport:
     """Every deterministic bound ingredient for one (spectrum, n, norms, constants).
 
     Fields mirror the serialized JSON names exactly.  k_star is math.inf
     when no rank qualifies; the fields that then cannot be computed are
-    None and `error` explains why.  k_bar = p + 1 means the tail never
-    halves at the configured gamma.
+    left at None and `error` explains why.  k_bar = p + 1 means the tail
+    never halves at the configured gamma.
     """
 
     n: int
@@ -280,18 +274,18 @@ class DiagnosticsReport:
     xi_norm: float
     trace: float
     k_star: int | float
-    r_kstar: float | None
-    rho: float | None
+    r_kstar: float | None = None
+    rho: float | None = None
     r_star: float
-    r_bar: float | None
-    k_bar: int | None
-    snr: float | None
-    snr_threshold: float | None
-    regime: str | None
-    upper_bound: float | None
-    lower_bound: float | None
-    corollary_upper: float | None
-    corollary_lower: float | None
+    r_bar: float | None = None
+    k_bar: int | None = None
+    snr: float | None = None
+    snr_threshold: float | None = None
+    regime: str | None = None
+    upper_bound: float | None = None
+    lower_bound: float | None = None
+    corollary_upper: float | None = None
+    corollary_lower: float | None = None
     constants: Constants
     error: str | None = None
 
@@ -332,17 +326,6 @@ def diagnose(
     if math.isinf(ks):
         return DiagnosticsReport(
             k_star=math.inf,
-            r_kstar=None,
-            rho=None,
-            r_bar=None,
-            k_bar=None,
-            snr=None,
-            snr_threshold=None,
-            regime=None,
-            upper_bound=None,
-            lower_bound=None,
-            corollary_upper=None,
-            corollary_lower=None,
             error=(
                 "effective-rank index is infinite: no rank k has "
                 f"r_k >= c0 * n * lambda_k (c0={constants.c0}, n={n})"
@@ -376,6 +359,5 @@ def diagnose(
         lower_bound=lower,
         corollary_upper=cor_upper,
         corollary_lower=cor_lower,
-        error=None,
         **base,
     )

@@ -111,13 +111,14 @@ class ExperimentConfig:
     spectrum_spec: dict | None = None  # builder echo for serialized output
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+        # type(...) is int: a bool is an int instance, but no count or seed
+        if not (type(self.n) is int and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not (isinstance(self.trials, int) and 1 <= self.trials <= _BETA_STREAM):
+        if not (type(self.trials) is int and 1 <= self.trials <= _BETA_STREAM):
             raise ValueError(
                 f"trials must be an integer in [1, {_BETA_STREAM}], got {self.trials!r}"
             )
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (type(self.seed) is int and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if self.beta_direction not in _DIRECTIONS:
             raise ValueError(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 
-__all__ = ["format_float", "to_json", "csv_line", "write_text"]
+__all__ = ["format_float", "format_floats", "to_json", "csv_line", "write_text"]
 
 
 def format_float(x: float) -> str:
@@ -25,9 +25,24 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-# Items formatted per joined piece by the float-list fast path of _emit, so
-# that a long list never holds all its formatted items at once.
+# Items per piece of format_floats, so that a long list never holds all its
+# formatted items at once.
 _CHUNK = 65536
+
+
+def format_floats(values, sep: str) -> list:
+    """Finite floats rendered as format_float does and joined by sep.
+
+    The text comes in pieces of at most _CHUNK items; "".join gives it whole.
+    """
+    pieces = []
+    for i in range(0, len(values), _CHUNK):
+        chunk = tuple(values[i : i + _CHUNK])
+        if i:
+            pieces.append(sep)
+        # "%.17g" % x renders a finite float exactly as format_float does
+        pieces.append(sep.join(["%.17g"] * len(chunk)) % chunk)
+    return pieces
 
 
 def _finite_floats(items) -> bool:
@@ -65,14 +80,8 @@ def _emit(obj, parts: list, indent: int, level: int) -> None:
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple)) and _finite_floats(obj):
         # the generic branch's bytes, without an _emit call per item
-        sep = ",\n" + pad_in
         parts.append("[\n" + pad_in)
-        for i in range(0, len(obj), _CHUNK):
-            chunk = tuple(obj[i : i + _CHUNK])
-            if i:
-                parts.append(sep)
-            # "%.17g" % x renders a finite float exactly as format_float does
-            parts.append(sep.join(["%.17g"] * len(chunk)) % chunk)
+        parts.extend(format_floats(obj, ",\n" + pad_in))
         parts.append("\n" + pad + "]")
     elif isinstance(obj, (list, tuple)):
         if not obj:

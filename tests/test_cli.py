@@ -505,6 +505,64 @@ def test_missing_input_files_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "conf,message",
+    [
+        ({"spectrum": {"type": "flat", "p": 5.7}}, "config spectrum p: expected an integer, got 5.7"),
+        ({"spectrum": {"type": "flat", "p": True}}, "config spectrum p: expected an integer, got True"),
+        ({"seed": True}, "config seed: expected an integer, got True"),
+        ({"trials": True}, "config trials: expected an integer, got True"),
+        ({"constants": {"c0": True}}, "config constants c0: expected a number, got True"),
+        ({"beta_norm": "1"}, "config beta_norm: expected a number, got '1'"),
+    ],
+    ids=["p-float", "p-bool", "seed-bool", "trials-bool", "c0-bool", "beta_norm-str"],
+)
+def test_config_values_are_checked_not_coerced(conf, message, tmp_path, capsys):
+    base = {"schema": 1, "spectrum": {"type": "flat", "p": 20}, "n": 3, "trials": 2}
+    path = _write(tmp_path / "conf.json", json.dumps({**base, **conf}))
+    assert main(["simulate", "--config", path, "-q"]) == 1
+    _one_error(capsys, message)
+
+
+NO_SPECTRUM = "no spectrum given: use --flat/--exp-floor/--three-level/--spectrum-file or a config file"
+
+
+@pytest.mark.parametrize(
+    "argv,messages",
+    [
+        (["diagnose", "--n", "x", "--c0", "y"],
+         ["--n: expected an integer, got 'x'", "--c0: expected a number, got 'y'", NO_SPECTRUM]),
+        (["certify", "--n", "5", "--trials", "1.5", "--bins", "b"],
+         ["--trials: expected an integer, got '1.5'", "--bins: expected an integer, got 'b'",
+          NO_SPECTRUM]),
+        (["spectrum", "--flat", "x"], ["--flat P: expected an integer, got 'x'"]),
+    ],
+    ids=["diagnose", "certify", "spectrum"],
+)
+def test_every_subcommand_reports_every_error(argv, messages, monkeypatch, capsys):
+    monkeypatch.setenv("RIDGELESS_FORMAT", "yaml")
+    monkeypatch.setenv("RIDGELESS_QUIET", "yes")
+    assert main(argv + ["--out", "/nonexistent/x"]) == 1
+    err = capsys.readouterr().err
+    messages = messages + [
+        "--format must be json, csv, or both, got 'yaml'",
+        "environment RIDGELESS_QUIET: expected 1 or 0, got 'yes'",
+    ]
+    assert err.count("error:") == len(messages), err
+    for message in messages:
+        assert f"error: {message}\n" in err
+    assert "--out" not in err  # checked only once every option is valid
+
+
+def test_quiet_from_env(monkeypatch, capsys):
+    monkeypatch.setenv("RIDGELESS_QUIET", "1")
+    assert main(["spectrum", "--flat", "4"]) == 0
+    assert capsys.readouterr().out == ""
+    monkeypatch.setenv("RIDGELESS_QUIET", "0")
+    assert main(["spectrum", "--flat", "4"]) == 0
+    assert "p 4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "text", ["zero:1", "gaussian:", "gaussian:abc", "student:3", "student:3:", "worst:-1", "file:"]
 )
 def test_malformed_noise_short_forms(text, capsys):

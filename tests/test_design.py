@@ -52,10 +52,9 @@ def test_trial_rng_validation():
 # design container
 
 
-def test_design_requires_override_below_n():
-    with pytest.raises(ValueError):
+def test_design_rejects_p_below_n():
+    with pytest.raises(ValueError, match="p=2 < n=3"):
         DesignMatrix(np.ones((3, 2)))
-    assert DesignMatrix(np.ones((3, 2)), override=True).p == 2
 
 
 def test_design_rejects_non_finite():

@@ -387,8 +387,13 @@ def test_diagnose_infinite_kstar():
     report = diagnose(Spectrum(4.0 ** -np.arange(1, 51)), 10, 1.0, 1.0)
     assert math.isinf(report.k_star)
     assert report.error is not None
-    assert report.rho is None and report.k_bar is None and report.regime is None
     assert report.trace > 0 and report.r_star is not None
+    payload = report.to_dict()
+    assert [k for k, v in payload.items() if v is None] == [
+        "r_kstar", "rho", "r_bar", "k_bar", "snr", "snr_threshold", "regime",
+        "upper_bound", "lower_bound", "corollary_upper", "corollary_lower",
+    ]
+    assert list(payload) == list(diagnose(make_flat_spectrum(10, 1.0), 2, 1.0, 1.0).to_dict())
 
 
 def test_diagnose_report_dict_field_names():
@@ -430,14 +435,7 @@ def test_constants_cn():
 def test_constants_validation():
     for kwargs in (
         {"c0": 0.0}, {"eta": -1.0}, {"gamma": 0.0}, {"c3": -2.0},
-        {"c_frac": 0.0}, {"c_frac": 1.5},
+        {"c_frac": 0.0}, {"c_frac": 1.5}, {"c0": True},
     ):
         with pytest.raises(ValueError):
             Constants(**kwargs)
-
-
-def test_constants_dict_roundtrip():
-    cons = Constants(c0=3.0, eta=0.1, gamma=0.25, c3=2.0, c_frac=0.75)
-    assert Constants.from_dict(cons.to_dict()) == cons
-    with pytest.raises(ValueError):
-        Constants.from_dict({**cons.to_dict(), "bogus": 1.0})

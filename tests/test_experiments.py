@@ -85,6 +85,9 @@ def test_config_validation():
         flat_config(n=51)  # covariance rank 50 below n
     with pytest.raises(ValueError):
         flat_config(rel_tol=0.0)
+    for key in ("n", "trials", "seed"):  # bool is an int subclass
+        with pytest.raises(ValueError, match=key):
+            flat_config(**{key: True})
 
 
 def test_resolve_beta_star_directions():

@@ -125,6 +125,9 @@ def test_float_list_fast_path_matches_generic_bytes(length):
     assert serialize._finite_floats(values) == (length > 0)
     for obj in (values, {"a": {"values": values}}, [values, tuple(values)]):
         assert to_json(obj) == generic_json(obj)
+    # the headerless one-column CSV that the spectrum subcommand writes
+    csv_text = "".join([*serialize.format_floats(values, "\n"), "\n" if values else ""])
+    assert csv_text == "".join(csv_line([v]) for v in values)
 
 
 def test_float_list_fast_path_expected_text():
