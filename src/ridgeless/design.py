@@ -92,6 +92,15 @@ class DesignMatrix:
             object.__setattr__(self, "_svd", factors)
         return self._svd
 
+    def worst_direction(self) -> np.ndarray:
+        """Unit left singular vector for the smallest singular value.
+
+        Its sign is fixed by the design, not by the solver: the entry of
+        largest magnitude (the first, on a tie) is positive.
+        """
+        u = self.svd()[0][:, -1]
+        return u if u[np.argmax(np.abs(u))] > 0 else -u
+
 
 def sample_design(cov: CovarianceModel, n: int, rng: np.random.Generator) -> DesignMatrix:
     """n i.i.d. Gaussian rows with covariance cov.

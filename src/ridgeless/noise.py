@@ -165,9 +165,9 @@ class ScaledDirectionNoise:
     """A unit direction scaled to a fixed norm.
 
     worst_singular: the left singular vector of the design for its
-    smallest singular value; among all noise of this norm it maximizes
-    the pseudo-inverse image norm, making it the canonical adversarial
-    stress case.  first_coordinate and uniform are fixed directions that
+    smallest singular value, its largest-magnitude entry positive; among
+    all noise of this norm it maximizes the pseudo-inverse image norm,
+    making it the canonical adversarial stress case.  first_coordinate and uniform are fixed directions that
     do not look at the design.
     """
 
@@ -198,9 +198,7 @@ class ScaledDirectionNoise:
             return xi
         if self.direction == UNIFORM:
             return np.full(n, self.target_norm / np.sqrt(n))
-        # worst_singular: left singular vector for the smallest singular value
-        u, _, _ = design.svd()
-        return self.target_norm * u[:, -1]
+        return self.target_norm * design.worst_direction()
 
     def expected_norm_sq(self, n: int) -> float:
         if self.target_norm == 0.0:

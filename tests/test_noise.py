@@ -114,6 +114,15 @@ def test_worst_singular_saturates_pseudo_inverse(seed):
     assert np.linalg.norm(np.linalg.pinv(x.entries) @ xi) == pytest.approx(want, rel=1e-8)
 
 
+@pytest.mark.parametrize("n,p", [(4, 9), (20, 2000), (30, 30)])
+@pytest.mark.parametrize("seed", range(8))
+def test_worst_singular_sign_is_canonical(seed, n, p):
+    # the largest-magnitude entry is positive, whatever sign the solver returns
+    xi = realize_noise(ScaledDirectionNoise(target_norm=2.0), small_design(seed, n, p), None, None)
+    assert xi[np.argmax(np.abs(xi))] > 0
+    assert np.linalg.norm(xi) == pytest.approx(2.0, rel=1e-12)
+
+
 def test_model_residual():
     x = small_design()
     beta = np.arange(9.0) / 10.0
