@@ -14,7 +14,6 @@ from .design import (
     min_norm_fit,
     prediction_error,
     sample_design,
-    smallest_singular_value,
     trial_rng,
 )
 from .diagnostics import (

@@ -7,11 +7,13 @@ generator for trial t of a seeded run is a pure function of (seed, t)
 execution order or worker count.
 
 The fit is the minimum Euclidean-norm solution of X beta = Y, computed
-from a thin SVD of the n x p design; singular values below rel_tol
-times the largest are treated as zero.  A design computes its thin SVD
-once, on first use, so the fit and design-dependent noise share it, as
-do repeated fits of one design to different targets.  The
-high-dimensional regime p >= n is enforced on construction.
+from the eigenpairs of the n x n Gram matrix X X^T on a well-conditioned
+design at full rank, else from a thin SVD of the n x p design whose
+singular values below rel_tol times the largest are treated as zero.  A
+design computes each factorization once, on first use, so the fit,
+sigma_min and design-dependent noise share it, as do repeated fits of
+one design to different targets.  The high-dimensional regime p >= n is
+enforced on construction.
 """
 
 from __future__ import annotations
@@ -29,9 +31,12 @@ __all__ = [
     "trial_rng",
     "sample_design",
     "min_norm_fit",
-    "smallest_singular_value",
     "prediction_error",
 ]
+
+# Least w_min / w_max of X X^T that keeps the Gram path (condition number
+# 1e3, where the fit's identity residual stays near 1e-10); below, the SVD.
+_GRAM_MIN_RATIO = 1e-6
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -55,6 +60,7 @@ class DesignMatrix:
 
     entries: np.ndarray
     _svd: tuple | None = field(default=None, init=False, repr=False)
+    _gram: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
@@ -92,13 +98,32 @@ class DesignMatrix:
             object.__setattr__(self, "_svd", factors)
         return self._svd
 
-    def worst_direction(self) -> np.ndarray:
-        """Unit left singular vector for the smallest singular value.
+    def gram(self) -> tuple | None:
+        """Ascending eigenpairs (w, V) of X X^T, kept as svd() is; None (use
+        svd()) if X X^T overflows, w_min <= 0 or w_min < _GRAM_MIN_RATIO w_max."""
+        if self._gram is None:
+            factors = ()
+            with np.errstate(over="ignore"):
+                k = self.entries @ self.entries.T
+            if np.isfinite(k).all():
+                w, v = np.linalg.eigh(k)
+                if 0 < w[0] >= _GRAM_MIN_RATIO * w[-1]:
+                    factors = (w, v)
+            for a in factors:
+                a.setflags(write=False)
+            object.__setattr__(self, "_gram", factors)
+        return self._gram or None
 
-        Its sign is fixed by the design, not by the solver: the entry of
-        largest magnitude (the first, on a tie) is positive.
-        """
-        u = self.svd()[0][:, -1]
+    def sigma_min(self) -> float:
+        """Smallest singular value of the design (the n-th, as n <= p)."""
+        g = self.gram()
+        return math.sqrt(g[0][0]) if g else float(self.svd()[1][-1])
+
+    def worst_direction(self) -> np.ndarray:
+        """Unit left singular vector for sigma_min, signed by the design, not the
+        solver: its largest-magnitude entry (the first, on a tie) is positive."""
+        g = self.gram()
+        u = g[1][:, 0] if g else self.svd()[0][:, -1]
         return u if u[np.argmax(np.abs(u))] > 0 else -u
 
 
@@ -140,36 +165,30 @@ class FitResult:
 
 
 def min_norm_fit(design: DesignMatrix, targets, rel_tol: float = 1e-10) -> FitResult:
-    """Minimum Euclidean-norm solution of X beta = Y via the design's thin SVD.
+    """Minimum Euclidean-norm solution of X beta = Y, at cost ~ n^2 p.
 
-    Singular values below rel_tol * sigma_max are treated as zero.  The
-    decomposition is thin (cost ~ n^2 p), so p-dimensional objects are
-    never formed.
+    beta = X^T V diag(1/w) V^T Y from the Gram eigenpairs (DesignMatrix.gram)
+    when they exist and sqrt(w_min / w_max) > rel_tol; else from the thin
+    SVD, with singular values below rel_tol * sigma_max treated as zero.
     """
     if not rel_tol > 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
     y = np.asarray(targets, dtype=float)
     if y.shape != (design.n,):
         raise ValueError(f"targets must have shape ({design.n},), got {y.shape}")
-    u, sv, vt = design.svd()
-    cut = rel_tol * float(sv[0])
-    keep = sv > cut
-    rank = int(np.count_nonzero(keep))
-    if rank == 0:
-        beta = np.zeros(design.p)
-        sigma_min = 0.0
+    g = design.gram()
+    if g and math.sqrt(g[0][0] / g[0][-1]) > rel_tol:
+        w, v = g
+        beta = design.entries.T @ (v @ ((v.T @ y) / w))
+        rank, sigma_min = design.n, math.sqrt(w[0])
     else:
+        u, sv, vt = design.svd()
+        rank = int(np.count_nonzero(sv > rel_tol * float(sv[0])))
         sk = sv[:rank]
-        beta = vt[:rank].T @ ((u[:, :rank].T @ y) / sk)
-        sigma_min = float(sk[-1])
+        beta = vt[:rank].T @ ((u[:, :rank].T @ y) / sk)  # zeros at rank 0
+        sigma_min = float(sk[-1]) if rank else 0.0
     residual = float(np.linalg.norm(design.entries @ beta - y))
     return FitResult(beta_hat=beta, rank=rank, sigma_min=sigma_min, residual_norm=residual)
-
-
-def smallest_singular_value(design: DesignMatrix) -> float:
-    """Smallest singular value of the design (the n-th when n <= p)."""
-    sv = np.linalg.svd(design.entries, compute_uv=False)
-    return float(sv[-1])
 
 
 def prediction_error(cov: CovarianceModel, beta_hat, beta_star) -> float:

@@ -31,7 +31,6 @@ from .design import (
     min_norm_fit,
     prediction_error,
     sample_design,
-    smallest_singular_value,
     trial_rng,
 )
 from .diagnostics import (
@@ -265,9 +264,8 @@ def _evaluate(config, ctx, trial_index, design, xi) -> TrialRecord:
     identity_residual = abs(pred + deviation - xi_norm_sq / n) / scale
 
     # The retained smallest singular value equals sigma_n at full rank; on a
-    # rank-deficient fit fall back to the true smallest singular value, read
-    # from the fit's own factors.
-    sigma_min = fit.sigma_min if fit.rank == n else float(design.svd()[1][-1])
+    # rank-deficient fit fall back to the true smallest singular value.
+    sigma_min = fit.sigma_min if fit.rank == n else design.sigma_min()
 
     certificate_pass = None
     est_bound_pass = None
@@ -621,8 +619,7 @@ def certificate_study(
     sigma_mins = np.empty(trials)
     with _trial_runtime:
         for t in range(trials):
-            design = sample_design(cov, n, trial_rng(seed, t))
-            sigma_mins[t] = smallest_singular_value(design)
+            sigma_mins[t] = sample_design(cov, n, trial_rng(seed, t)).sigma_min()
     rate = float(np.mean(sigma_mins >= threshold))
     ratios = sigma_mins / sqrt_rk
     hi = max(1.0, float(np.max(ratios)))

@@ -167,8 +167,8 @@ class ScaledDirectionNoise:
     worst_singular: the left singular vector of the design for its
     smallest singular value, its largest-magnitude entry positive; among
     all noise of this norm it maximizes the pseudo-inverse image norm,
-    making it the canonical adversarial stress case.  first_coordinate and uniform are fixed directions that
-    do not look at the design.
+    making it the canonical adversarial stress case.  first_coordinate
+    and uniform are fixed directions that do not look at the design.
     """
 
     target_norm: float

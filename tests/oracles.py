@@ -97,6 +97,11 @@ def min_norm_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.T @ np.linalg.solve(gram, y)
 
 
+def smallest_singular_value(x: np.ndarray) -> float:
+    """The n-th singular value of an n x p matrix (n <= p), from LAPACK's SVD."""
+    return float(np.linalg.svd(np.asarray(x, dtype=float), compute_uv=False)[-1])
+
+
 def log_uniform_spectrum(rng: np.random.Generator, p: int, lo: float = -6.0, hi: float = 3.0):
     """Sorted positive eigenvalues spanning lo..hi decades."""
     vals = 10.0 ** rng.uniform(lo, hi, size=p)

@@ -20,7 +20,6 @@ from ridgeless.design import (
     DesignMatrix,
     min_norm_fit,
     sample_design,
-    smallest_singular_value,
     trial_rng,
 )
 from ridgeless.diagnostics import Constants, complexity_radius, effective_rank_index, lower_radius, tail_halving_index
@@ -339,7 +338,7 @@ def test_criterion_8_zero_noise_and_saturation():
             ScaledDirectionNoise(target_norm=2.0), design, None, rng
         )
         lhs = float(np.linalg.norm(np.linalg.pinv(design.entries) @ xi))
-        rhs = float(np.linalg.norm(xi)) / smallest_singular_value(design)
+        rhs = float(np.linalg.norm(xi)) / oracles.smallest_singular_value(design.entries)
         saturated &= math.isclose(lhs, rhs, rel_tol=1e-8)
     elapsed = time.perf_counter() - start
     report(

@@ -11,12 +11,17 @@ from ridgeless.design import (
     min_norm_fit,
     prediction_error,
     sample_design,
-    smallest_singular_value,
     trial_rng,
 )
 from ridgeless.experiments import ExperimentConfig, run_trial
 from ridgeless.noise import DeterministicNoise
-from ridgeless.spectra import CovarianceModel, Spectrum, make_flat_spectrum
+from ridgeless.spectra import (
+    CovarianceModel,
+    Spectrum,
+    make_exp_floor_spectrum,
+    make_flat_spectrum,
+    make_three_level_spectrum,
+)
 
 
 def random_orthogonal(rng, p):
@@ -225,19 +230,89 @@ def test_fit_interpolates_exactly_at_p_equals_n():
 
 
 def test_smallest_singular_value_examples():
-    assert smallest_singular_value(
-        DesignMatrix(np.array([[3.0, 0.0], [0.0, 4.0]]))
-    ) == pytest.approx(3.0, rel=1e-12)
-    assert smallest_singular_value(
-        DesignMatrix(np.array([[1.0, 0.0, 0.0]]))
-    ) == pytest.approx(1.0, rel=1e-12)
+    assert DesignMatrix(np.array([[3.0, 0.0], [0.0, 4.0]])).sigma_min() == pytest.approx(3.0, rel=1e-12)
+    assert DesignMatrix(np.array([[1.0, 0.0, 0.0]])).sigma_min() == pytest.approx(1.0, rel=1e-12)
+    assert DesignMatrix(np.zeros((2, 3))).sigma_min() == 0.0  # no Gram path: w_min = 0
 
 
 def test_smallest_singular_value_matches_numpy():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((6, 20))
-    got = smallest_singular_value(DesignMatrix(x))
-    assert got == pytest.approx(np.linalg.svd(x, compute_uv=False)[-1], rel=1e-12)
+    got = DesignMatrix(x).sigma_min()
+    assert got == pytest.approx(oracles.smallest_singular_value(x), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Gram factorization and its thin-SVD fallback
+
+
+class _SvdOnly(DesignMatrix):
+    """A design whose Gram path is switched off: every caller takes the thin SVD."""
+
+    def gram(self):
+        return None
+
+
+GRAM_DESIGNS = {
+    "flat-2000-20": (make_flat_spectrum(2000, 1.0), 20),
+    "exp-floor-300-100": (make_exp_floor_spectrum(300, 20, 1e-4), 100),
+    "three-level-2000-100": (make_three_level_spectrum(10, 50, 2000, 1e-2, 1e-5), 100),
+}
+
+
+def _rel(a, b) -> float:
+    return float(np.linalg.norm(np.subtract(a, b)) / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("name", GRAM_DESIGNS)
+@pytest.mark.parametrize("seed", range(4))
+def test_gram_fit_matches_svd_fit_and_normal_equations(name, seed):
+    spectrum, n = GRAM_DESIGNS[name]
+    rng = trial_rng(seed, 0)
+    design = sample_design(CovarianceModel(spectrum), n, rng)
+    y = rng.standard_normal(n)
+    w = design.gram()[0]
+    svd_only = _SvdOnly(design.entries)
+    gram_fit, svd_fit = min_norm_fit(design, y), min_norm_fit(svd_only, y)
+    assert gram_fit.rank == svd_fit.rank == n
+    assert _rel(gram_fit.beta_hat, svd_fit.beta_hat) <= 1e-10
+    assert _rel(gram_fit.beta_hat, oracles.min_norm_oracle(design.entries, y)) <= 1e-10
+    sigma = oracles.smallest_singular_value(design.entries)
+    for got in (gram_fit.sigma_min, design.sigma_min(), svd_fit.sigma_min):
+        assert got == pytest.approx(sigma, rel=1e-10)
+    # an eigenvector is as accurate as its eigengap allows: scale by w_max / gap
+    u, u_svd = design.worst_direction(), svd_only.worst_direction()
+    assert _rel(u, u_svd) <= 1e-10 * w[-1] / (w[1] - w[0])
+    assert np.linalg.norm(design.entries.T @ u) == pytest.approx(sigma, rel=1e-10)
+
+
+def test_ill_conditioned_square_design_falls_back_to_svd():
+    # at p = n the smallest singular value is often tiny: trial 15 of seed 0
+    # has w_min / w_max near 1e-7, below the Gram cutoff of 1e-6
+    rng = trial_rng(0, 15)
+    design = sample_design(CovarianceModel(make_flat_spectrum(60, 1.0)), 60, rng)
+    y = rng.standard_normal(60)
+    sv = np.linalg.svd(design.entries, compute_uv=False)
+    assert (sv[-1] / sv[0]) ** 2 < 1e-6
+    assert design.gram() is None
+    fit, reference = min_norm_fit(design, y), min_norm_fit(_SvdOnly(design.entries), y)
+    assert np.array_equal(fit.beta_hat, reference.beta_hat)
+    assert fit.rank == 60 and fit.sigma_min == design.sigma_min() == float(design.svd()[1][-1])
+    assert np.array_equal(design.worst_direction(), _SvdOnly(design.entries).worst_direction())
+
+
+def test_rank_cutoff_above_the_spread_falls_back_to_svd():
+    # rel_tol 0.9 cuts genuine singular values of a well-conditioned design:
+    # the fit is the truncated SVD one, and sigma_min stays the design's own
+    rng = trial_rng(5, 0)
+    design = sample_design(CovarianceModel(make_flat_spectrum(200, 1.0)), 5, rng)
+    y = rng.standard_normal(5)
+    assert design.gram() is not None
+    fit, reference = min_norm_fit(design, y, 0.9), min_norm_fit(_SvdOnly(design.entries), y, 0.9)
+    assert 1 <= fit.rank < 5 and fit.rank == reference.rank
+    assert np.array_equal(fit.beta_hat, reference.beta_hat)
+    assert fit.sigma_min == reference.sigma_min > design.sigma_min()
+    assert fit.residual_norm > 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import oracles
 import ridgeless
 import ridgeless.experiments as experiments
-from ridgeless.design import sample_design, trial_rng
+from ridgeless.design import DesignMatrix, sample_design, trial_rng
 from ridgeless.diagnostics import REGIME_HIGH, REGIME_LOW, Constants
 from ridgeless.experiments import (
     ALL_CHECKS,
@@ -356,38 +356,50 @@ def test_snr_scan_points_equal_separate_runs(noise, threads):
         assert to_json(result_to_dict(pt.result)) == to_json(result_to_dict(alone))
 
 
-class _SvdCounter:
+class _FactorCounter:
+    """Records the name of each numpy.linalg factorization a design can call."""
+
     def __init__(self, monkeypatch):
         self.calls = []
-        real = np.linalg.svd
+        for name in ("svd", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, self._counted(name, getattr(np.linalg, name)))
 
+    def _counted(self, name, real):
         def counted(*args, **kwargs):
-            self.calls.append(args)  # list.append is atomic under the GIL
+            self.calls.append(name)  # list.append is atomic under the GIL
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        return counted
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_snr_scan_factors_each_trial_once(monkeypatch, threads):
-    svd = _SvdCounter(monkeypatch)
+    factors = _FactorCounter(monkeypatch)
     snr_scan(flat_config(trials=7), [0.001, 0.1, 10.0, 100.0], threads=threads)
-    assert len(svd.calls) == 7
+    assert factors.calls == ["eigh"] * 7
 
 
 def test_worst_noise_shares_the_fit_svd(monkeypatch):
-    svd = _SvdCounter(monkeypatch)
+    # the fit, sigma_min and the worst direction share one Gram eigh
+    factors = _FactorCounter(monkeypatch)
     run_experiment(flat_config(noise_model=ScaledDirectionNoise(target_norm=1.0), trials=5))
-    assert len(svd.calls) == 5
+    assert factors.calls == ["eigh"] * 5
+
+
+def test_certificate_study_factors_each_trial_once(monkeypatch):
+    factors = _FactorCounter(monkeypatch)
+    certificate_study(make_flat_spectrum(200, 1.0), 5, 10.0, 6, seed=0)
+    assert factors.calls == ["eigh"] * 6
 
 
 def test_rank_deficient_fit_reads_sigma_min_from_its_factors(monkeypatch):
     # rel_tol 0.9 cuts genuine singular values, so every fit is rank-deficient
     # and sigma_min is the true smallest singular value, not the retained one.
+    # The Gram eigenvalues show the cut; the fit then takes one thin SVD.
     cfg = flat_config(rel_tol=0.9, trials=6)
-    svd = _SvdCounter(monkeypatch)
+    factors = _FactorCounter(monkeypatch)
     records = run_experiment(cfg).records
-    assert len(svd.calls) == 6
+    assert sorted(factors.calls) == ["eigh"] * 6 + ["svd"] * 6
     monkeypatch.undo()
     for r in records:
         x = sample_design(cfg.covariance, cfg.n, trial_rng(cfg.seed, r.trial_index)).entries
@@ -586,7 +598,7 @@ def test_certificate_study_runs_with_one_blas_thread(monkeypatch):
     get = _blas_get()
     before = get()
     seen = []
-    real = experiments.smallest_singular_value
+    real = DesignMatrix.sigma_min
 
     def spy(design):
         seen.append(get())
@@ -594,7 +606,7 @@ def test_certificate_study_runs_with_one_blas_thread(monkeypatch):
             raise RuntimeError("synthetic failure")
         return real(design)
 
-    monkeypatch.setattr(experiments, "smallest_singular_value", spy)
+    monkeypatch.setattr(DesignMatrix, "sigma_min", spy)
     certificate_study(make_flat_spectrum(50, 1.0), 5, 10.0, 4, seed=0)
     assert seen == [1] * 4
     assert get() == before
