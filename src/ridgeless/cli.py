@@ -154,8 +154,9 @@ def parse_noise_spec(text: str):
     params = rest.split(":", len(keys) - 1) if rest else []
     if len(params) != len(keys) or "" in params:
         raise _CliError(f"noise {head!r} takes {usage}, got {text!r}")
+    nums = {k: _parse(float, v, f"--noise {k}") for k, v in zip(keys, params) if k != "values"}
     try:
-        return noise_from_dict({**fixed, **dict(zip(keys, params))})
+        return noise_from_dict({**fixed, **dict(zip(keys, params)), **nums})
     except (OSError, ValueError) as exc:
         raise _CliError(f"--noise: {exc}")
 
@@ -557,13 +558,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _print_aggregates(aggregates: dict, out=sys.stdout) -> None:
+def _print_aggregates(aggregates: dict) -> None:
     cols = ("min", "q05", "median", "q95", "max", "mean")
     width = max(len(name) for name in aggregates)
-    print(f"{'metric':<{width}}  " + "  ".join(f"{c:>12}" for c in cols), file=out)
+    print(f"{'metric':<{width}}  " + "  ".join(f"{c:>12}" for c in cols))
     for name, stats in aggregates.items():
         row = "  ".join(f"{_fmt(stats[c]):>12}" for c in cols)
-        print(f"{name:<{width}}  {row}", file=out)
+        print(f"{name:<{width}}  {row}")
 
 
 def _infinite_index(ns, consequence: str) -> bool:

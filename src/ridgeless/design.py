@@ -6,14 +6,13 @@ generator for trial t of a seeded run is a pure function of (seed, t)
 (numpy SeedSequence with spawn_key), so results do not depend on
 execution order or worker count.
 
-The fit is the minimum Euclidean-norm solution of X beta = Y, computed
-from the eigenpairs of the n x n Gram matrix X X^T on a well-conditioned
-design at full rank, else from a thin SVD of the n x p design whose
-singular values below rel_tol times the largest are treated as zero.  A
-design computes each factorization once, on first use, so the fit,
-sigma_min and design-dependent noise share it, as do repeated fits of
-one design to different targets.  The high-dimensional regime p >= n is
-enforced on construction.
+The fit is the minimum Euclidean-norm solution of X beta = Y, from the
+eigenpairs of the Gram matrix X X^T on a well-conditioned design at full
+rank, else from a thin SVD (singular values below rel_tol times the
+largest count as zero).  A design computes each factorization once, so
+the fit, sigma_min and design-dependent noise share it, as do repeated
+fits of one design to different targets.  The high-dimensional regime
+p >= n is enforced on construction.
 """
 
 from __future__ import annotations

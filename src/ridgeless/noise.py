@@ -244,9 +244,17 @@ NoiseModel = Union[
 # Every noise model by its serialized type name.
 _TYPES = {cls.type_name: cls for cls in get_args(NoiseModel)}
 
-# How a dict field becomes a constructor argument, by its annotation; a
-# vector field may be an inline array or the path of a text file of numbers.
-_FIELD_PARSERS = {"float": float, "str": str, "np.ndarray": read_vector}
+# Kinds a scalar field accepts, by annotation; no coercion (a bool is no number).
+_FIELD_KINDS = {"float": ((int, float), "a number"), "str": (str, "a string")}
+
+
+def _field_value(f: dataclasses.Field, value):
+    if f.type == "np.ndarray":  # an inline array or the path of a text file of numbers
+        return read_vector(value)
+    kind, what = _FIELD_KINDS[f.type]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{f.name}: expected {what}, got {value!r}")
+    return value if f.type == "str" else float(value)
 
 
 def realize_noise(
@@ -284,4 +292,4 @@ def noise_from_dict(d: dict) -> NoiseModel:
     missing = {f.name for f in fields} - extra
     if missing:
         raise ValueError(f"missing keys for noise type {kind!r}: {sorted(missing)}")
-    return cls(**{f.name: _FIELD_PARSERS[f.type](d[f.name]) for f in fields})
+    return cls(**{f.name: _field_value(f, d[f.name]) for f in fields})

@@ -1,5 +1,7 @@
 """Command-line interface: precedence, exit codes, file outputs."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -513,8 +515,15 @@ def test_missing_input_files_exit_1(tmp_path, capsys):
         ({"trials": True}, "config trials: expected an integer, got True"),
         ({"constants": {"c0": True}}, "config constants c0: expected a number, got True"),
         ({"beta_norm": "1"}, "config beta_norm: expected a number, got '1'"),
+        ({"noise": {"type": "gaussian", "sigma": True}},
+         "config noise: sigma: expected a number, got True"),
+        ({"noise": {"type": "gaussian", "sigma": "2"}},
+         "config noise: sigma: expected a number, got '2'"),
+        ({"noise": {"type": "scaled_direction", "target_norm": 1, "direction": 5}},
+         "config noise: direction: expected a string, got 5"),
     ],
-    ids=["p-float", "p-bool", "seed-bool", "trials-bool", "c0-bool", "beta_norm-str"],
+    ids=["p-float", "p-bool", "seed-bool", "trials-bool", "c0-bool", "beta_norm-str",
+         "sigma-bool", "sigma-str", "direction-int"],
 )
 def test_config_values_are_checked_not_coerced(conf, message, tmp_path, capsys):
     base = {"schema": 1, "spectrum": {"type": "flat", "p": 20}, "n": 3, "trials": 2}
@@ -560,6 +569,16 @@ def test_quiet_from_env(monkeypatch, capsys):
     monkeypatch.setenv("RIDGELESS_QUIET", "0")
     assert main(["spectrum", "--flat", "4"]) == 0
     assert "p 4" in capsys.readouterr().out
+
+
+def test_simulate_output_follows_redirected_stdout(capsys):
+    # the aggregates table is printed to sys.stdout as it is at the call
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main([a for a in SIM_ARGS if a != "-q"]) == 0
+    assert capsys.readouterr().out == ""
+    text = buf.getvalue()
+    assert "[OK] identity" in text and "pred_error" in text and "metric" in text
 
 
 @pytest.mark.parametrize(
