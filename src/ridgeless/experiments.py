@@ -263,8 +263,7 @@ def _evaluate(config, ctx, trial_index, design, xi) -> TrialRecord:
     scale = max(xi_norm_sq, float(y @ y), 1e-30) / n
     identity_residual = abs(pred + deviation - xi_norm_sq / n) / scale
 
-    # The retained smallest singular value is sigma_n only at full rank.
-    sigma_min = fit.sigma_min if fit.rank == n else design.sigma_min()
+    sigma_min = design.sigma_min()  # sigma_n, also when the fit is rank-deficient
 
     certificate_pass = None
     est_bound_pass = None
