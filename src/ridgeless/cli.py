@@ -37,16 +37,19 @@ from .experiments import (
     run_experiment,
     snr_scan,
 )
-from .noise import WORST_SINGULAR, ZeroNoise, noise_from_dict
+from .noise import NOISE_TYPES, WORST_SINGULAR, ZeroNoise, noise_from_dict
 from .serialize import csv_line, format_float, format_floats, to_json, write_text
 from .spectra import (
     CovarianceModel,
     Spectrum,
+    fill_spec,
     load_spectrum,
     make_exp_floor_spectrum,
     make_flat_spectrum,
     make_three_level_spectrum,
+    read_spec,
     read_vector,
+    strict_value,
 )
 
 __all__ = ["main", "entry"]
@@ -77,45 +80,17 @@ def _env(name: str) -> str | None:
 
 
 def _collect(errors: list, resolve, *args):
-    """resolve(*args); on a usage error, None with its messages added to errors."""
+    """resolve(*args); on a usage error or a bad value, None with its messages added to errors."""
     try:
         return resolve(*args)
     except _CliError as exc:
         errors.extend(exc.messages)
+    except ValueError as exc:
+        errors.append(str(exc))
 
 
 # ---------------------------------------------------------------------------
 # conversion
-
-
-def _switch(text: str) -> bool:
-    """A flag without a value: 1 or 0 in the environment."""
-    if text not in ("1", "0"):
-        raise ValueError(text)
-    return text == "1"
-
-
-_EXPECTED = {
-    int: "an integer", float: "a number", str: "a string", list: "a list", _switch: "1 or 0"
-}
-
-
-def _parse(conv, value, what: str, text: bool = True):
-    """conv(value), or a usage error naming `what`; never a coercion.
-
-    Text (a flag, an environment variable, a spectrum token) is parsed.  A
-    config-file value must already be of the option's JSON kind: a string
-    is not a number, a bool is not a number and 5.7 is not an integer.
-    """
-    kind = type(value)
-    json_ok = kind is conv or (conv, kind) == (float, int) or (
-        (conv, kind) == (int, float) and value.is_integer())
-    try:
-        if text or json_ok:
-            return conv(value)
-    except (TypeError, ValueError):
-        pass
-    raise _CliError(f"{what}: expected {_EXPECTED[conv]}, got {value!r}")
 
 
 def _snr_grid(text: str) -> list:
@@ -123,22 +98,22 @@ def _snr_grid(text: str) -> list:
     parts = text.split(":")
     if len(parts) != 3:
         raise _CliError(f"--snr-grid takes LO:HI:N, got {text!r}")
-    lo = _parse(float, parts[0], "--snr-grid LO")
-    hi = _parse(float, parts[1], "--snr-grid HI")
-    count = _parse(int, parts[2], "--snr-grid N")
+    lo = strict_value(float, parts[0], "--snr-grid LO", text=True)
+    hi = strict_value(float, parts[1], "--snr-grid HI", text=True)
+    count = strict_value(int, parts[2], "--snr-grid N", text=True)
     if not (lo > 0 and hi > lo and count >= 2):
         raise _CliError("--snr-grid needs 0 < LO < HI and N >= 2")
     return [float(v) for v in np.geomspace(lo, hi, count)]
 
 
-# --noise forms: usage -> (the fixed part of the noise dict, the keys that
-# the colon-separated parameters fill in order).
+# --noise forms: usage -> the fixed part of the noise dict; the colon-separated
+# parameters fill the model's other fields in order (see fill_spec).
 _NOISE_FORMS = {
-    "zero": ({"type": "zero"}, ()),
-    "gaussian:S": ({"type": "gaussian"}, ("sigma",)),
-    "student:DF:S": ({"type": "student"}, ("df", "scale")),
-    "worst:S": ({"type": "scaled_direction", "direction": WORST_SINGULAR}, ("target_norm",)),
-    "file:PATH": ({"type": "deterministic"}, ("values",)),
+    "zero": {"type": "zero"},
+    "gaussian:S": {"type": "gaussian"},
+    "student:DF:S": {"type": "student"},
+    "worst:S": {"type": "scaled_direction", "direction": WORST_SINGULAR},
+    "file:PATH": {"type": "deterministic"},
 }
 _NOISE_USAGE = " | ".join(_NOISE_FORMS)
 
@@ -149,14 +124,14 @@ def parse_noise_spec(text: str):
     usage = next((u for u in _NOISE_FORMS if u.partition(":")[0] == head), None)
     if usage is None:
         raise _CliError(f"unknown noise spec {text!r}: expected {_NOISE_USAGE}")
-    fixed, keys = _NOISE_FORMS[usage]
+    count = usage.count(":")
     # the last parameter keeps any further colons (a file path may hold them)
-    params = rest.split(":", len(keys) - 1) if rest else []
-    if len(params) != len(keys) or "" in params:
+    params = rest.split(":", count - 1) if rest else []
+    if len(params) != count or "" in params:
         raise _CliError(f"noise {head!r} takes {usage}, got {text!r}")
-    nums = {k: _parse(float, v, f"--noise {k}") for k, v in zip(keys, params) if k != "values"}
+    spec = fill_spec(NOISE_TYPES, _NOISE_FORMS[usage], params, "--noise")
     try:
-        return noise_from_dict({**fixed, **dict(zip(keys, params)), **nums})
+        return noise_from_dict(spec)
     except (OSError, ValueError) as exc:
         raise _CliError(f"--noise: {exc}")
 
@@ -183,7 +158,7 @@ class _Opt(NamedTuple):
     """
 
     name: str
-    conv: object  # int, float, str, _switch or _snr_grid, for every source
+    conv: object  # int, float, str, bool (1 or 0 as text) or _snr_grid, for every source
     defaults: dict
     help: object
     key: str | None = None
@@ -223,7 +198,7 @@ _OPTIONS = {row.name: row for row in (
     _Opt("out", str, _on(_COMMANDS), "output base path (known suffixes stripped)", metavar="PATH"),
     _Opt("format", str, _on(_COMMANDS, "json"), "output format (default {})",
          choices=("json", "csv", "both")),
-    _Opt("quiet", _switch, _on(_COMMANDS, False), "suppress the stdout tables"),
+    _Opt("quiet", bool, _on(_COMMANDS, False), "suppress the stdout tables"),
     _Opt("snr_grid", _snr_grid, {"scan": _REQUIRED}, "log-spaced SNR targets", metavar="LO:HI:N"),
     _Opt("bins", int, {"certify": 20}, "histogram bin count (default {})"),
     _Opt("rel_tol", float, _on(_RUNS, 1e-10), None, "rel_tol"),
@@ -255,7 +230,7 @@ def _value(row: _Opt, ns, conf: dict):
         raise _CliError(f"missing required option {usage}")
     else:
         return row.defaults[ns.subcommand]
-    value = _parse(row.conv, raw, where, text)
+    value = row.conv(raw) if row.conv is _snr_grid else strict_value(row.conv, raw, where, text)
     if row.choices and value not in row.choices:
         *head, last = row.choices
         raise _CliError(f"{row.flag} must be {', '.join(head)}, or {last}, got {value!r}")
@@ -294,7 +269,7 @@ def _resolve(ns) -> None:
 # spectrum resolution
 
 
-def _values_spectrum(file, values) -> Spectrum:
+def _values_spectrum(file: str | None = None, values: list | None = None) -> Spectrum:
     """Inline values as given, else the file's values sorted non-increasing."""
     if values is not None:
         return Spectrum(np.asarray(values, dtype=float))
@@ -308,19 +283,16 @@ def _values_spectrum(file, values) -> Spectrum:
 
 
 class _Kind(NamedTuple):
-    """One spectrum kind: its flag, its config keys and its builder.
-
-    The flag's tokens fill `keys` in order; the echo lists them in the
-    same order after "type".  Keys in `defaults` may be left out.
+    """One spectrum kind: its flag and its builder, whose parameters are the
+    config keys (see read_spec).  The flag's tokens fill them in order, and
+    the echo lists them in the same order after "type".
     """
 
     flag: str
     nargs: object  # argparse nargs; None: one token, unsplit in the environment
     metavar: tuple
-    keys: dict  # config key -> converter
-    build: object  # keyword arguments named by keys -> Spectrum
+    build: object  # the config keys as keyword arguments -> Spectrum
     help: str
-    defaults: dict = {}
     echo: object = None  # Spectrum -> echo fields, when not the keys themselves
 
     @property
@@ -329,62 +301,24 @@ class _Kind(NamedTuple):
 
 
 _SPECTRUM_KINDS = {
-    "flat": _Kind(
-        "--flat", "+", ("P", "V"), {"p": int, "value": float}, make_flat_spectrum,
-        "flat spectrum: P eigenvalues, each V (default 1)", {"value": 1.0},
-    ),
-    "exp_floor": _Kind(
-        "--exp-floor", 3, ("P", "TAU", "EPS"), {"p": int, "tau": float, "eps": float},
-        make_exp_floor_spectrum, "exp(-k/TAU) + EPS, k = 1..P",
-    ),
-    "three_level": _Kind(
-        "--three-level", 5, ("K1", "CN", "P", "E1", "E2"),
-        {"k1": int, "c_times_n": int, "p": int, "eps1": float, "eps2": float},
-        make_three_level_spectrum, "three-level spectrum",
-    ),
+    "flat": _Kind("--flat", "+", ("P", "V"), make_flat_spectrum,
+                  "flat spectrum: P eigenvalues, each V (default 1)"),
+    "exp_floor": _Kind("--exp-floor", 3, ("P", "TAU", "EPS"), make_exp_floor_spectrum,
+                       "exp(-k/TAU) + EPS, k = 1..P"),
+    "three_level": _Kind("--three-level", 5, ("K1", "CN", "P", "E1", "E2"),
+                         make_three_level_spectrum, "three-level spectrum"),
     # An inline list or an external file; the echo pins the resolved
     # (sorted) values so a re-run does not depend on the file's future.
-    "values": _Kind(
-        "--spectrum-file", None, ("PATH",), {"file": str, "values": list}, _values_spectrum,
-        "eigenvalues from a text file", {"file": None, "values": None},
-        lambda s: {"values": s.values.tolist()},
-    ),
+    "values": _Kind("--spectrum-file", None, ("PATH",), _values_spectrum,
+                    "eigenvalues from a text file", lambda s: {"values": s.values.tolist()}),
 }
+_SPECTRUM_BUILDERS = {kind: row.build for kind, row in _SPECTRUM_KINDS.items()}
 
 
-def _spec_from_tokens(kind: str, tokens) -> dict:
-    row = _SPECTRUM_KINDS[kind]
-    least = sum(key not in row.defaults for key in row.keys)
-    if not least <= len(tokens) <= len(row.metavar):
-        usage = " ".join(m if i < least else f"[{m}]" for i, m in enumerate(row.metavar))
-        raise _CliError(f"{row.flag} takes {usage}")
-    spec = {"type": kind}
-    for (key, conv), meta, token in zip(row.keys.items(), row.metavar, tokens):
-        spec[key] = _parse(conv, token, f"{row.flag} {meta}")
-    return spec
-
-
-def _spectrum_from_spec(spec: dict) -> tuple[Spectrum, dict]:
+def _spectrum_from_spec(spec) -> tuple[Spectrum, dict]:
     """Build a spectrum from its dict form; returns (spectrum, resolved echo)."""
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise _CliError("spectrum spec must be an object with a 'type' field")
-    kind = spec["type"]
-    row = _SPECTRUM_KINDS.get(kind)
-    if row is None:
-        raise _CliError(
-            f"spectrum type must be one of {sorted(_SPECTRUM_KINDS)}, got {kind!r}"
-        )
-    unknown = set(spec) - set(row.keys) - {"type"}
-    if unknown:
-        raise _CliError([f"spectrum: unknown key {k!r}" for k in sorted(unknown)])
-    args = {}
-    for key, conv in row.keys.items():
-        if key in spec:
-            args[key] = _parse(conv, spec[key], f"config spectrum {key}", text=False)
-        elif key in row.defaults:
-            args[key] = row.defaults[key]
-        else:
-            raise _CliError(f"spectrum: missing key {key!r}")
+    kind, args = read_spec(spec, _SPECTRUM_BUILDERS, "spectrum", "config spectrum ")
+    row = _SPECTRUM_KINDS[kind]
     try:
         s = row.build(**args)
     except (OSError, ValueError) as exc:
@@ -401,7 +335,8 @@ def _resolve_spectrum(ns, file_spec) -> tuple[Spectrum, dict]:
             if isinstance(raw, str):  # an environment value, or a one-token flag
                 raw = raw.split() if row.nargs else [raw]
             if raw is not None:
-                sources.append(_spec_from_tokens(kind, raw))
+                sources.append(fill_spec(_SPECTRUM_BUILDERS, {"type": kind}, raw, row.flag,
+                                         row.metavar))
         if len(sources) > 1:
             raise _CliError("give exactly one spectrum source" + where)
         if sources:
@@ -786,7 +721,7 @@ def _build_parser() -> _Parser:
                 continue
             text = row.help[cmd] if isinstance(row.help, dict) else row.help
             text = text.format(_fmt(row.defaults[cmd]))
-            if row.conv is _switch:  # the flag alone means 1
+            if row.conv is bool:  # the flag alone means 1
                 sub.add_argument("-" + row.name[0], row.flag, action="store_const", const="1",
                                  help=text)
             else:
@@ -806,6 +741,9 @@ def main(argv=None) -> int:
     except _CliError as exc:
         for message in exc.messages:
             print(f"error: {message}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a --trials count too large to allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

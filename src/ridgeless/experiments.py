@@ -23,7 +23,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -92,9 +92,21 @@ _BETA_STREAM = 2**32
 _DIRECTIONS = ("e1", "random", "top")
 
 
+def _check_count(name: str, value, most: float = math.inf) -> None:
+    """A count is an int from 1 to `most`; a bool is an int instance, but no count."""
+    if not (type(value) is int and 1 <= value <= most):
+        bound = "a positive integer" if most == math.inf else f"an integer in [1, {most}]"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Everything needed to reproduce a run bit-for-bit."""
+    """Everything needed to reproduce a run bit-for-bit.
+
+    __post_init__ also derives, once, the private run state that every trial
+    reads: beta* (resolve_beta_star), its norm, k* and r_{k*} (None when k*
+    is infinite).  No caller sets it and config_to_dict does not echo it.
+    """
 
     covariance: CovarianceModel
     n: int
@@ -108,15 +120,15 @@ class ExperimentConfig:
     checks: frozenset = ALL_CHECKS
     rel_tol: float = 1e-10
     spectrum_spec: dict | None = None  # builder echo for serialized output
+    _beta_star: np.ndarray = field(init=False, repr=False)
+    _beta_norm: float = field(init=False, repr=False)
+    _k_star: int | float = field(init=False, repr=False)
+    _r_kstar: float | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        # type(...) is int: a bool is an int instance, but no count or seed
-        if not (type(self.n) is int and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not (type(self.trials) is int and 1 <= self.trials <= _BETA_STREAM):
-            raise ValueError(
-                f"trials must be an integer in [1, {_BETA_STREAM}], got {self.trials!r}"
-            )
+        _check_count("n", self.n)
+        _check_count("trials", self.trials, _BETA_STREAM)
+        # type(...) is int: a bool is an int instance, but no seed
         if not (type(self.seed) is int and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if self.beta_direction not in _DIRECTIONS:
@@ -149,6 +161,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"covariance rank {rank} is below the sample count n={self.n}"
             )
+        beta_star = resolve_beta_star(self)
+        k_star = effective_rank_index(self.covariance.spectrum, self.n, self.constants.c0)
+        object.__setattr__(self, "_beta_star", beta_star)
+        object.__setattr__(self, "_beta_norm", float(np.linalg.norm(beta_star)))
+        object.__setattr__(self, "_k_star", k_star)
+        object.__setattr__(self, "_r_kstar", None if math.isinf(k_star)
+                           else self.covariance.spectrum.tail_sum(k_star))
 
 
 def resolve_beta_star(config: ExperimentConfig) -> np.ndarray:
@@ -192,28 +211,6 @@ class TrialRecord:
 _RECORD_FIELDS = tuple(f.name for f in fields(TrialRecord))
 
 
-@dataclass(frozen=True)
-class _TrialContext:
-    """Per-run precomputation shared by all trials."""
-
-    beta_star: np.ndarray
-    beta_norm: float
-    k_star: int | float
-    r_kstar: float | None
-
-
-def _make_context(config: ExperimentConfig) -> _TrialContext:
-    beta_star = resolve_beta_star(config)
-    ks = effective_rank_index(config.covariance.spectrum, config.n, config.constants.c0)
-    rk = None if math.isinf(ks) else config.covariance.spectrum.tail_sum(ks)
-    return _TrialContext(
-        beta_star=beta_star,
-        beta_norm=float(np.linalg.norm(beta_star)),
-        k_star=ks,
-        r_kstar=rk,
-    )
-
-
 class ExperimentError(RuntimeError):
     """A trial failed; records completed before the failure are preserved."""
 
@@ -227,13 +224,11 @@ class ExperimentError(RuntimeError):
         self.cause = cause
 
 
-def run_trial(
-    config: ExperimentConfig, trial_index: int, _ctx: _TrialContext | None = None
-) -> TrialRecord:
-    """One trial: sample the design and noise, fit, compute all metrics."""
-    ctx = _ctx if _ctx is not None else _make_context(config)
-    design, xi = _draw(config, trial_index, ctx.beta_star)
-    return _evaluate(config, ctx, trial_index, design, xi)
+def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
+    """One trial: sample the design and noise, fit at the config's beta*,
+    compute all metrics."""
+    design, xi = _draw(config, trial_index, config._beta_star)
+    return _evaluate(config, trial_index, design, xi)
 
 
 def _draw(config: ExperimentConfig, trial_index: int, beta_star: np.ndarray):
@@ -244,14 +239,14 @@ def _draw(config: ExperimentConfig, trial_index: int, beta_star: np.ndarray):
     return design, xi
 
 
-def _evaluate(config, ctx, trial_index, design, xi) -> TrialRecord:
-    """Fit one drawn trial at ctx's beta* and compute all metrics."""
-    y = design.entries @ ctx.beta_star + xi
+def _evaluate(config, trial_index, design, xi) -> TrialRecord:
+    """Fit one drawn trial at the config's beta* and compute all metrics."""
+    y = design.entries @ config._beta_star + xi
     fit = min_norm_fit(design, y, config.rel_tol)
 
     n = config.n
-    delta = fit.beta_hat - ctx.beta_star
-    pred = prediction_error(config.covariance, fit.beta_hat, ctx.beta_star)
+    delta = fit.beta_hat - config._beta_star
+    pred = prediction_error(config.covariance, fit.beta_hat, config._beta_star)
     est = float(delta @ delta)
     xd = design.entries @ delta
     deviation = float(xd @ xd) / n - pred
@@ -267,12 +262,12 @@ def _evaluate(config, ctx, trial_index, design, xi) -> TrialRecord:
 
     certificate_pass = None
     est_bound_pass = None
-    if ctx.r_kstar is not None:
-        sqrt_rk = math.sqrt(ctx.r_kstar)
+    if config._r_kstar is not None:
+        sqrt_rk = math.sqrt(config._r_kstar)
         if CHECK_CERTIFICATE in config.checks:
             certificate_pass = bool(sigma_min >= _CERT_FACTOR * sqrt_rk)
         if CHECK_ESTIMATION in config.checks:
-            rho_realized = ctx.beta_norm + 4.0 * math.sqrt(xi_norm_sq) / sqrt_rk
+            rho_realized = config._beta_norm + 4.0 * math.sqrt(xi_norm_sq) / sqrt_rk
             est_bound_pass = bool(
                 math.sqrt(est) <= rho_realized * (1.0 + _BOUND_SLACK) + _BOUND_SLACK
             )
@@ -454,23 +449,22 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     A failing trial raises ExperimentError with the completed records
     preserved on the exception.
     """
-    ctx = _make_context(config)
-    records = _map_trials(lambda i: run_trial(config, i, ctx), config.trials, threads)
-    return _summarize(config, ctx, tuple(records))
+    records = _map_trials(lambda i: run_trial(config, i), config.trials, threads)
+    return _summarize(config, tuple(records))
 
 
-def _summarize(config: ExperimentConfig, ctx: _TrialContext, records: tuple) -> ExperimentResult:
+def _summarize(config: ExperimentConfig, records: tuple) -> ExperimentResult:
     """Aggregates, diagnostics, skipped checks and rates of one run's records."""
     aggregates = {
         m: _aggregate(np.array([getattr(r, m) for r in records])) for m in _METRICS
     }
     xi_median = float(np.median([math.sqrt(r.xi_norm_sq) for r in records]))
     diag = diagnose(
-        config.covariance.spectrum, config.n, ctx.beta_norm, xi_median, config.constants
+        config.covariance.spectrum, config.n, config._beta_norm, xi_median, config.constants
     )
 
     skipped: dict = {}
-    if math.isinf(ctx.k_star):
+    if math.isinf(config._k_star):
         reason = "effective-rank index is infinite"
         for check in (CHECK_CERTIFICATE, CHECK_ESTIMATION, CHECK_UPPER, CHECK_LOWER):
             if check in config.checks:
@@ -551,13 +545,12 @@ def snr_scan(
 
     beta_norms = [math.sqrt(target * noise_norm_sq) for target in grid]
     configs = [replace(base_config, beta_norm=b, beta_values=None) for b in beta_norms]
-    ctxs = [_make_context(cfg) for cfg in configs]
-    if math.isinf(ctxs[0].k_star):
+    if math.isinf(base_config._k_star):
         raise ValueError("scan requires a finite effective-rank index; adjust the constants")
 
     def trial(i):
-        design, xi = _draw(base_config, i, ctxs[0].beta_star)
-        return [_evaluate(cfg, ctx, i, design, xi) for cfg, ctx in zip(configs, ctxs)]
+        design, xi = _draw(base_config, i, configs[0]._beta_star)
+        return [_evaluate(cfg, i, design, xi) for cfg in configs]
 
     try:
         by_trial = _map_trials(trial, base_config.trials, threads)
@@ -567,8 +560,8 @@ def snr_scan(
         ) from exc.cause
 
     points = []
-    for j, (target, beta_norm, cfg, ctx) in enumerate(zip(grid, beta_norms, configs, ctxs)):
-        result = _summarize(cfg, ctx, tuple(recs[j] for recs in by_trial))
+    for j, (target, beta_norm, cfg) in enumerate(zip(grid, beta_norms, configs)):
+        result = _summarize(cfg, tuple(recs[j] for recs in by_trial))
         diag = result.diagnostics
         points.append(
             ScanPoint(
@@ -601,10 +594,9 @@ def certificate_study(
     spectrum, n: int, c0: float, trials: int, seed: int, bins: int = 20
 ) -> CertificateStudy:
     """Monte Carlo frequency of the smallest-singular-value certificate."""
-    if not (isinstance(trials, int) and trials >= 1):
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if not (isinstance(bins, int) and bins >= 1):
-        raise ValueError(f"bins must be a positive integer, got {bins!r}")
+    _check_count("n", n)
+    _check_count("trials", trials, _BETA_STREAM)
+    _check_count("bins", bins)
     cov = spectrum if isinstance(spectrum, CovarianceModel) else CovarianceModel(spectrum)
     ks = effective_rank_index(cov.spectrum, n, c0)
     if math.isinf(ks):

@@ -26,7 +26,7 @@ from typing import Union, get_args
 import numpy as np
 
 from .design import DesignMatrix
-from .spectra import read_vector
+from .spectra import read_spec, read_vector
 
 __all__ = [
     "ZeroNoise",
@@ -36,6 +36,7 @@ __all__ = [
     "ScaledDirectionNoise",
     "ModelResidualNoise",
     "NoiseModel",
+    "NOISE_TYPES",
     "WORST_SINGULAR",
     "FIRST_COORDINATE",
     "UNIFORM",
@@ -58,8 +59,8 @@ def _check_positive(name: str, value) -> None:
 
 
 def _frozen_vector(model, name: str) -> None:
-    """Validate a 1-d finite vector field and store it as a read-only copy."""
-    v = np.asarray(getattr(model, name), dtype=float)
+    """Validate a 1-d finite vector field (inline, or a file path) and store it read-only."""
+    v = read_vector(getattr(model, name))
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-d vector")
     if not np.all(np.isfinite(v)):
@@ -242,19 +243,7 @@ NoiseModel = Union[
 ]
 
 # Every noise model by its serialized type name.
-_TYPES = {cls.type_name: cls for cls in get_args(NoiseModel)}
-
-# Kinds a scalar field accepts, by annotation; no coercion (a bool is no number).
-_FIELD_KINDS = {"float": ((int, float), "a number"), "str": (str, "a string")}
-
-
-def _field_value(f: dataclasses.Field, value):
-    if f.type == "np.ndarray":  # an inline array or the path of a text file of numbers
-        return read_vector(value)
-    kind, what = _FIELD_KINDS[f.type]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{f.name}: expected {what}, got {value!r}")
-    return value if f.type == "str" else float(value)
+NOISE_TYPES = {cls.type_name: cls for cls in get_args(NoiseModel)}
 
 
 def realize_noise(
@@ -277,19 +266,9 @@ def noise_to_dict(model: NoiseModel) -> dict:
 
 
 def noise_from_dict(d: dict) -> NoiseModel:
-    """Inverse of noise_to_dict; every parameter key is required."""
-    if not isinstance(d, dict) or "type" not in d:
-        raise ValueError(f"noise spec must be an object with a 'type' key, got {d!r}")
-    kind = d["type"]
-    cls = _TYPES.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown noise type {kind!r}")
-    fields = dataclasses.fields(cls)
-    extra = set(d) - {"type"}
-    unknown = extra - {f.name for f in fields}
-    if unknown:
-        raise ValueError(f"unknown keys for noise type {kind!r}: {sorted(unknown)}")
-    missing = {f.name for f in fields} - extra
-    if missing:
-        raise ValueError(f"missing keys for noise type {kind!r}: {sorted(missing)}")
-    return cls(**{f.name: _field_value(f, d[f.name]) for f in fields})
+    """Inverse of noise_to_dict, read by spectra.read_spec: the keys are the
+    model's fields, each required unless it has a default; a vector field is
+    an inline array or the path of a text file of numbers.
+    """
+    kind, kwargs = read_spec(d, NOISE_TYPES, "noise")
+    return NOISE_TYPES[kind](**kwargs)

@@ -5,9 +5,13 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import ridgeless
 from ridgeless.cli import main
 
 pytestmark = pytest.mark.usefixtures("clean_env")
@@ -587,6 +591,101 @@ def test_simulate_output_follows_redirected_stdout(capsys):
 def test_malformed_noise_short_forms(text, capsys):
     assert main(["simulate", "--flat", "20", "--n", "3", "--trials", "2", "--noise", text]) == 1
     _one_error(capsys, "noise")
+
+
+def _limited_address_space():
+    import resource
+
+    limit = 4 << 30  # far below the 32 GiB that 2^32 trials ask for
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["certify", "--flat", "50", "--n", "5", "--trials", "1000000000000"],
+         "trials must be an integer in [1, 4294967296], got 1000000000000"),
+        (["certify", "--flat", "50", "--n", "5", "--trials", "4294967296"],
+         "out of memory: Unable to allocate 32.0 GiB"),
+        (["simulate", "--flat", "20", "--n", "3", "--trials", "4294967296", "-q"],
+         "out of memory"),
+    ],
+    ids=["certify-above-bound", "certify", "simulate"],
+)
+def test_trial_count_beyond_memory_exits_1(argv, message, tmp_path):
+    # The child's address space is capped before it starts, so the count's
+    # arrays cannot be allocated: the run must stop there, before any trial.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("RIDGELESS_")}
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(ridgeless.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [e for e in env.get("PYTHONPATH", "").split(os.pathsep) if e]
+    )
+    env["OPENBLAS_NUM_THREADS"] = "1"  # per-thread buffers count against the cap
+    proc = subprocess.run(
+        [sys.executable, "-m", "ridgeless", *argv], capture_output=True, text=True, env=env,
+        cwd=tmp_path, preexec_fn=_limited_address_space, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.count("error:") == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.startswith(f"error: {message}"), proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# every JSON payload re-runs itself: its "config" object, given back through
+# --config alone, reproduces BASE.json and BASE.csv byte for byte
+
+
+def _rerun_inline_config(tmp_path):
+    rng = np.random.default_rng(3)
+    rotation, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    beta = _write(tmp_path / "beta.txt", "".join(f"{0.1 * i * (-1) ** i}\n" for i in range(20)))
+    xi = _write(tmp_path / "xi.txt", "0.5 -0.25 1.0 2.0 -1.5\n")
+    conf = _write(tmp_path / "base.json", json.dumps({
+        "schema": 1, "spectrum": {"type": "values", "values": [3.0] * 5 + [1.0] * 15},
+        "rotation": rotation.tolist(), "beta_values": beta,
+        "noise": {"type": "deterministic", "values": xi}, "n": 5, "trials": 10,
+        "checks": ["identity", "upper_bound"], "constants": {"c0": 1.0},
+    }))
+    return ["simulate", "--config", conf]
+
+
+def _rerun_argv(case, tmp_path):
+    if case == "readme-simulate":
+        return ["simulate", "--flat", "200", "--n", "5", "--trials", "100",
+                "--noise", "gaussian:1", "--beta-norm", "1", "--seed", "5"]
+    if case == "three-level-worst-random":
+        return ["simulate", "--three-level", "3", "10", "200", "1e-2", "1e-5", "--n", "20",
+                "--c0", "1", "--noise", "worst:1", "--beta-norm", "1",
+                "--beta-direction", "random", "--trials", "20", "--seed", "4"]
+    if case == "file-student":
+        eig = _write(tmp_path / "eig.txt", "# unsorted\n1.0, 4.0\n0.25\n2.0 1.0\n0.5\n"
+                     + "".join(f"{0.1 / i}\n" for i in range(1, 61)))
+        return ["simulate", "--spectrum-file", eig, "--n", "5", "--c0", "1",
+                "--noise", "student:3:1", "--beta-norm", "2", "--trials", "20"]
+    if case == "inline-values":
+        return _rerun_inline_config(tmp_path)
+    return ["scan", "--exp-floor", "300", "20", "1e-4", "--n", "100", "--c0", "0.2",
+            "--noise", "gaussian:1", "--snr-grid", "1e-3:3:20", "--trials", "50"]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["readme-simulate", "three-level-worst-random", "file-student", "inline-values",
+     "readme-scan"],
+)
+def test_config_echo_reruns_exactly(case, tmp_path):
+    argv = _rerun_argv(case, tmp_path)
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(argv + ["-q", "--out", str(first), "--format", "both"]) == 0
+    echo = read_json(str(first) + ".json")["config"]
+    conf = _write(tmp_path / "echo.json", json.dumps(echo))
+    grid = argv[argv.index("--snr-grid"):][:2] if "--snr-grid" in argv else []
+    assert main([argv[0], "--config", conf, *grid, "-q", "--out", str(again),
+                 "--format", "both"]) == 0
+    for suffix in (".json", ".csv"):
+        assert (tmp_path / f"again{suffix}").read_bytes() == (
+            tmp_path / f"first{suffix}").read_bytes()
 
 
 # ---------------------------------------------------------------------------

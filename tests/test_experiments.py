@@ -223,10 +223,10 @@ def test_run_experiment_infinite_index_skips_bound_checks():
 def test_run_experiment_preserves_partial_on_failure(monkeypatch):
     real = experiments.run_trial
 
-    def explode_at_three(config, trial_index, _ctx=None):
+    def explode_at_three(config, trial_index):
         if trial_index == 3:
             raise RuntimeError("synthetic failure")
-        return real(config, trial_index, _ctx)
+        return real(config, trial_index)
 
     monkeypatch.setattr(experiments, "run_trial", explode_at_three)
     with pytest.raises(ExperimentError) as info:
@@ -489,11 +489,11 @@ def test_pool_runs_with_one_blas_thread(monkeypatch):
     seen = []
     real = experiments.run_trial
 
-    def spy(config, trial_index, _ctx=None):
+    def spy(config, trial_index):
         seen.append(get())
         if trial_index == 5:
             raise RuntimeError("synthetic failure")
-        return real(config, trial_index, _ctx)
+        return real(config, trial_index)
 
     monkeypatch.setattr(experiments, "run_trial", spy)
     run_experiment(flat_config(trials=4), threads=2)
@@ -514,9 +514,9 @@ def test_blas_pin_without_symbols_is_a_no_op(monkeypatch):
     seen = []
     real = experiments.run_trial
 
-    def spy(config, trial_index, _ctx=None):
+    def spy(config, trial_index):
         seen.append(get())
-        return real(config, trial_index, _ctx)
+        return real(config, trial_index)
 
     monkeypatch.setattr(experiments, "_openblas_thread_calls", lambda: None)
     monkeypatch.setattr(experiments, "run_trial", spy)
@@ -620,3 +620,19 @@ def test_certificate_study_runs_with_one_blas_thread(monkeypatch):
 def test_certificate_study_rejects_bins_below_one(bins):
     with pytest.raises(ValueError, match="bins"):
         certificate_study(make_flat_spectrum(50, 1.0), 5, 10.0, 2, seed=0, bins=bins)
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        ((5, 10.0, True, 0), "trials"),
+        ((True, 10.0, 2, 0), "n"),
+        ((5.0, 10.0, 2, 0), "n"),
+        ((5, 10.0, 2, 0, True), "bins"),
+    ],
+    ids=["trials-bool", "n-bool", "n-float", "bins-bool"],
+)
+def test_certificate_study_counts_follow_the_config_rule(args, name):
+    # the rule ExperimentConfig applies: an int, not a bool or a float
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        certificate_study(make_flat_spectrum(50, 1.0), *args)
