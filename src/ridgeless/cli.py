@@ -446,19 +446,19 @@ def _experiment_config(ns) -> ExperimentConfig:
 _KNOWN_SUFFIXES = (".plot.csv", ".json", ".csv")
 
 
-def _output_target(ns) -> tuple[str | None, str]:
-    """(BASE, format); BASE is None without --out, and its directory must
-    exist and be writable, so a bad path fails before the trials, not after.
+def _output_base(out) -> str | None:
+    """BASE of --out, known suffixes stripped (None without it); its directory
+    must exist and be writable, so a bad path fails before any work, not after.
     """
-    if not ns.out:
-        return None, ns.format
-    base = next((ns.out[: -len(s)] for s in _KNOWN_SUFFIXES if ns.out.endswith(s)), ns.out)
+    if not out:
+        return None
+    base = next((out[: -len(s)] for s in _KNOWN_SUFFIXES if out.endswith(s)), out)
     folder = os.path.dirname(base) or "."
     if not os.path.isdir(folder):
         raise _CliError(f"--out: directory {folder!r} does not exist")
     if not os.access(folder, os.W_OK):
         raise _CliError(f"--out: directory {folder!r} is not writable")
-    return base, ns.format
+    return base
 
 
 def _write(path: str, text: str) -> None:
@@ -468,19 +468,23 @@ def _write(path: str, text: str) -> None:
         raise _CliError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _write_outputs(target, payload, csv_pieces) -> None:
-    """Write BASE.json and/or BASE.csv for _output_target's (BASE, format).
+def _write_outputs(ns, payload, csv_pieces) -> None:
+    """Write BASE.json and/or BASE.csv, as ns.format selects, when ns.out is a BASE.
 
     payload() gives the JSON object and csv_pieces() the CSV text in
     pieces; each is built only when written.
     """
-    base, fmt = target
-    if base is None:
+    if ns.out is None:
         return
-    if fmt in ("json", "both"):
-        _write(base + ".json", to_json(payload()))
-    if fmt in ("csv", "both"):
-        _write(base + ".csv", "".join(csv_pieces()))
+    if ns.format in ("json", "both"):
+        _write(ns.out + ".json", to_json(payload()))
+    if ns.format in ("csv", "both"):
+        _write(ns.out + ".csv", "".join(csv_pieces()))
+
+
+def _fields(obj, *drop) -> dict:
+    """A dataclass's fields by name, in declared order, less those named in drop."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in drop}
 
 
 def _fmt(x) -> str:
@@ -502,12 +506,11 @@ def _print_aggregates(aggregates: dict) -> None:
         print(f"{name:<{width}}  {row}")
 
 
-def _infinite_index(ns, consequence: str) -> bool:
-    """Whether k* is infinite for the resolved options; if so, say what that leaves undefined."""
-    infinite = math.isinf(effective_rank_index(ns.spectrum[0], ns.n, ns.constants.c0))
-    if infinite:
+def _infinite_index(k_star, consequence: str) -> bool:
+    """Whether k* is infinite; if so, say what that leaves undefined."""
+    if math.isinf(k_star):
         print(f"error: effective-rank index is infinite{consequence}", file=sys.stderr)
-    return infinite
+    return math.isinf(k_star)
 
 
 def _identity_status(config, records) -> int:
@@ -526,8 +529,6 @@ def _identity_status(config, records) -> int:
 
 
 def _cmd_diagnose(ns) -> int:
-    _resolve(ns)
-    target = _output_target(ns)
     spectrum, spec_echo = ns.spectrum
 
     try:
@@ -546,7 +547,7 @@ def _cmd_diagnose(ns) -> int:
                 yield (key, value)
 
     payload = {"schema": 1, "spectrum": spec_echo, **report_dict}
-    _write_outputs(target, lambda: payload, lambda: map(csv_line, rows()))
+    _write_outputs(ns, lambda: payload, lambda: map(csv_line, rows()))
     if not ns.quiet:
         for key, value in report_dict.items():
             if key == "constants":
@@ -559,16 +560,13 @@ def _cmd_diagnose(ns) -> int:
 
 
 def _cmd_simulate(ns) -> int:
-    _resolve(ns)
-    config = _experiment_config(ns)
-    target = _output_target(ns)
     try:
-        result = run_experiment(config, threads=ns.threads)
+        result = run_experiment(ns.experiment, threads=ns.threads)
     except ExperimentError as exc:
         raise _CliError(str(exc))
 
     _write_outputs(
-        target,
+        ns,
         lambda: result_to_dict(result),
         lambda: map(csv_line, [record_csv_header(), *map(record_csv_row, result.records)]),
     )
@@ -579,7 +577,7 @@ def _cmd_simulate(ns) -> int:
             print(f"{name} {_fmt(value)}")
         for check, reason in result.skipped.items():
             print(f"[SKIP] {check}: {reason}")
-    return _identity_status(config, result.records)
+    return _identity_status(ns.experiment, result.records)
 
 
 _PLOT_COLUMNS = (
@@ -589,27 +587,25 @@ _PLOT_COLUMNS = (
 
 
 def _cmd_scan(ns) -> int:
-    _resolve(ns)
-    config = _experiment_config(ns)
-    if _infinite_index(ns, " for this spectrum and c0; the scan's regime split is undefined"):
+    config = ns.experiment
+    if _infinite_index(config._k_star,
+                       " for this spectrum and c0; the scan's regime split is undefined"):
         return 2
-    target = _output_target(ns)
     try:
         points = snr_scan(config, ns.snr_grid, threads=ns.threads)
     except (ExperimentError, ValueError) as exc:
         raise _CliError(str(exc))
 
+    def point(pt):  # the point's own fields, then its run's view less the shared parts
+        run = result_to_dict(pt.result)
+        del run["config"], run["records"]
+        return {**_fields(pt, "result"), **run}
+
     def payload():
         return {
             "config": points[0].result.config_echo,
             "snr_grid": [pt.snr_target for pt in points],
-            "points": [{
-                "snr_target": pt.snr_target, "beta_norm": pt.beta_norm, "regime": pt.regime,
-                "snr_threshold": pt.snr_threshold, "snr_threshold_cn": pt.snr_threshold_cn,
-                "diagnostics": pt.result.diagnostics.to_dict(),
-                "aggregates": pt.result.aggregates, "rates": pt.result.rates,
-                "skipped": pt.result.skipped,
-            } for pt in points],
+            "points": [point(pt) for pt in points],
         }
 
     def rows():
@@ -626,10 +622,10 @@ def _cmd_scan(ns) -> int:
             pt.snr_threshold_cn,
         )
 
-    _write_outputs(target, payload, lambda: map(csv_line, rows()))
-    if target[0] is not None:
+    _write_outputs(ns, payload, lambda: map(csv_line, rows()))
+    if ns.out is not None:
         plot = map(csv_line, [_PLOT_COLUMNS, *map(plot_row, points)])
-        _write(target[0] + ".plot.csv", "".join(plot))
+        _write(ns.out + ".plot.csv", "".join(plot))
 
     if not ns.quiet:
         for pt in points:
@@ -643,29 +639,21 @@ def _cmd_scan(ns) -> int:
 
 
 def _cmd_certify(ns) -> int:
-    _resolve(ns)
-    target = _output_target(ns)
     spectrum, spec_echo = ns.spectrum
     n, c0 = ns.n, ns.constants.c0
-    if _infinite_index(ns, "; the certificate threshold is undefined"):
+    if _infinite_index(effective_rank_index(spectrum, n, c0),
+                       "; the certificate threshold is undefined"):
         return 2
     try:
         study = certificate_study(spectrum, n, c0, ns.trials, ns.seed, bins=ns.bins)
-    except ValueError as exc:
+    except (ExperimentError, ValueError) as exc:
         raise _CliError(str(exc))
 
-    payload = {
-        "schema": 1, "spectrum": spec_echo, "n": n, "c0": c0, "trials": ns.trials,
-        "seed": ns.seed, "k_star": study.k_star, "r_kstar": study.r_kstar,
-        "threshold": study.threshold, "pass_rate": study.pass_rate,
-        "hist_edges": list(study.hist_edges), "hist_counts": list(study.hist_counts),
-        "sigma_min": list(study.sigma_min),
-    }
     edges = study.hist_edges
     header = ("ratio_lo", "ratio_hi", "count")
     _write_outputs(
-        target,
-        lambda: payload,
+        ns,
+        lambda: {"schema": 1, "spectrum": spec_echo, **_fields(study)},
         lambda: map(csv_line, [header, *zip(edges, edges[1:], study.hist_counts)]),
     )
 
@@ -678,14 +666,12 @@ def _cmd_certify(ns) -> int:
 
 
 def _cmd_spectrum(ns) -> int:
-    _resolve(ns)
-    target = _output_target(ns)
     spectrum, spec_echo = ns.spectrum
 
     values = spectrum.values.tolist()
     payload = {"schema": 1, "spectrum": spec_echo, "p": spectrum.p, "trace": spectrum.trace}
     _write_outputs(
-        target,
+        ns,
         lambda: {**payload, "values": values},
         # one value per line, headerless: loadable back through --spectrum-file
         lambda: [*format_floats(values, "\n"), "\n"],
@@ -737,6 +723,11 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 1
     try:
+        # options, then the run's config, then --out: all before any work
+        _resolve(ns)
+        if ns.subcommand in _RUNS:
+            ns.experiment = _experiment_config(ns)
+        ns.out = _output_base(ns.out)
         return ns.func(ns)
     except _CliError as exc:
         for message in exc.messages:

@@ -156,6 +156,11 @@ class ExperimentConfig:
             v = v.copy()
             v.setflags(write=False)
             object.__setattr__(self, "beta_values", v)
+        for f in fields(self.noise_model):  # a noise vector has one entry per sample
+            v = getattr(self.noise_model, f.name)
+            if isinstance(v, np.ndarray) and v.size != self.n:
+                raise ValueError(f"{self.noise_model.type_name} noise {f.name} has length "
+                                 f"{v.size}, expected n={self.n}")
         rank = self.covariance.spectrum.rank()
         if rank < self.n:
             raise ValueError(
@@ -578,22 +583,27 @@ def snr_scan(
 
 @dataclass(frozen=True, eq=False)
 class CertificateStudy:
-    """Empirical frequency of sigma_min >= sqrt(r_kstar)/4 plus histogram data."""
+    """Empirical frequency of sigma_min >= sqrt(r_kstar)/4 plus histogram data,
+    its fields in payload order: the study's inputs, then its results."""
 
+    n: int
+    c0: float
+    trials: int
+    seed: int
     k_star: int
     r_kstar: float
     threshold: float
-    trials: int
     pass_rate: float
-    sigma_min: tuple
     hist_edges: tuple  # bins of sigma_min / sqrt(r_kstar)
     hist_counts: tuple
+    sigma_min: tuple
 
 
 def certificate_study(
     spectrum, n: int, c0: float, trials: int, seed: int, bins: int = 20
 ) -> CertificateStudy:
-    """Monte Carlo frequency of the smallest-singular-value certificate."""
+    """Monte Carlo frequency of the smallest-singular-value certificate; a failing
+    trial raises ExperimentError with the earlier sigma_min values preserved."""
     _check_count("n", n)
     _check_count("trials", trials, _BETA_STREAM)
     _check_count("bins", bins)
@@ -606,24 +616,18 @@ def certificate_study(
     r_kstar = cov.spectrum.tail_sum(ks)
     sqrt_rk = math.sqrt(r_kstar)
     threshold = _CERT_FACTOR * sqrt_rk
-    sigma_mins = np.empty(trials)
-    with _trial_runtime:
-        for t in range(trials):
-            sigma_mins[t] = sample_design(cov, n, trial_rng(seed, t)).sigma_min()
+    sigma_mins = np.empty(trials)  # first: a count too large to hold fails here, with its size
+    sigma_mins[:] = _map_trials(lambda t: sample_design(cov, n, trial_rng(seed, t)).sigma_min(),
+                                trials, threads=1)
     rate = float(np.mean(sigma_mins >= threshold))
     ratios = sigma_mins / sqrt_rk
     hi = max(1.0, float(np.max(ratios)))
     edges = np.linspace(0.0, hi, bins + 1)
     counts, _ = np.histogram(ratios, bins=edges)
     return CertificateStudy(
-        k_star=ks,
-        r_kstar=r_kstar,
-        threshold=threshold,
-        trials=trials,
-        pass_rate=rate,
-        sigma_min=tuple(float(v) for v in sigma_mins),
-        hist_edges=tuple(float(e) for e in edges),
-        hist_counts=tuple(int(c) for c in counts),
+        n=n, c0=c0, trials=trials, seed=seed, k_star=ks, r_kstar=r_kstar, threshold=threshold,
+        pass_rate=rate, hist_edges=tuple(float(e) for e in edges),
+        hist_counts=tuple(int(c) for c in counts), sigma_min=tuple(float(v) for v in sigma_mins),
     )
 
 

@@ -281,6 +281,12 @@ def test_scan_brackets_threshold(tmp_path, capsys):
     assert "regime switches: 1" in captured
 
     payload = read_json(str(out) + ".json")
+    assert list(payload) == ["config", "snr_grid", "points"]
+    for point in payload["points"]:  # ScanPoint's order, then its run's
+        assert list(point) == [
+            "snr_target", "beta_norm", "regime", "snr_threshold", "snr_threshold_cn",
+            "diagnostics", "aggregates", "rates", "skipped",
+        ]
     assert [pt["regime"] for pt in payload["points"]] == ["LowSNR", "HighSNR"]
     assert payload["points"][0]["snr_threshold"] == pytest.approx(0.02, rel=1e-12)
 
@@ -319,6 +325,10 @@ def test_certify_flat_wide(tmp_path, capsys):
     assert code == 0
     assert "pass_rate 1" in capsys.readouterr().out
     payload = read_json(str(out) + ".json")
+    assert list(payload) == [  # CertificateStudy's order
+        "schema", "spectrum", "n", "c0", "trials", "seed", "k_star", "r_kstar", "threshold",
+        "pass_rate", "hist_edges", "hist_counts", "sigma_min",
+    ]
     assert payload["k_star"] == 1
     assert payload["pass_rate"] == 1.0
     assert payload["threshold"] == pytest.approx(math.sqrt(2000) / 4, rel=1e-12)
@@ -698,6 +708,10 @@ def test_config_echo_reruns_exactly(case, tmp_path):
         (SIM_ARGS, "run_experiment"),
         (SCAN_ARGS, "snr_scan"),
         (["diagnose", "--flat", "100", "--n", "5", "-q"], "diagnose"),
+        (["certify", "--flat", "50", "--n", "5", "--trials", "2", "-q"], "certificate_study"),
+        # k* is infinite here (exit 2), but --out is checked first, as for every subcommand
+        (["scan", "--exp-floor", "300", "20", "1e-4", "--n", "100", "--trials", "2",
+          "--snr-grid", "0.1:10:2", "--noise", "gaussian:1"], "snr_scan"),
     ],
 )
 def test_missing_out_directory_fails_before_work(argv, entry, tmp_path, monkeypatch, capsys):
@@ -709,6 +723,27 @@ def test_missing_out_directory_fails_before_work(argv, entry, tmp_path, monkeypa
     monkeypatch.setattr(cli, entry, must_not_run)
     assert main(argv + ["--out", str(tmp_path / "missing" / "x")]) == 1
     _one_error(capsys, "--out", "does not exist")
+
+
+@pytest.mark.parametrize("source", ["file", "config"])
+def test_noise_vector_of_wrong_length_fails_before_work(source, tmp_path, monkeypatch, capsys):
+    import ridgeless.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("run_experiment ran with a noise vector of the wrong length")
+
+    monkeypatch.setattr(cli, "run_experiment", must_not_run)
+    if source == "file":
+        xi = _write(tmp_path / "xi5.txt", "1\n2\n3\n4\n5\n")
+        argv = ["simulate", "--flat", "20", "--n", "3", "--noise", f"file:{xi}"]
+        message = "deterministic noise values has length 5, expected n=3"
+    else:
+        conf = {"schema": 1, "spectrum": {"type": "flat", "p": 20}, "n": 3,
+                "noise": {"type": "model_residual", "f_values": [1.0, 2.0]}}
+        argv = ["simulate", "--config", _write(tmp_path / "conf.json", json.dumps(conf))]
+        message = "model_residual noise f_values has length 2, expected n=3"
+    assert main(argv) == 1
+    _one_error(capsys, message)
 
 
 def test_unwritable_output_file_exits_1(tmp_path, capsys):

@@ -88,6 +88,13 @@ def test_config_validation():
     for key in ("n", "trials", "seed"):  # bool is an int subclass
         with pytest.raises(ValueError, match=key):
             flat_config(**{key: True})
+    for model, name in ((DeterministicNoise, "values"), (ModelResidualNoise, "f_values")):
+        # refused when the config is built, not inside the first trial
+        for length in (2, 7):
+            message = f"^{model.type_name} noise {name} has length {length}, expected n=5$"
+            with pytest.raises(ValueError, match=message):
+                flat_config(noise_model=model(np.ones(length)))
+        flat_config(noise_model=model(np.ones(5)))
 
 
 def test_resolve_beta_star_directions():
@@ -610,10 +617,14 @@ def test_certificate_study_runs_with_one_blas_thread(monkeypatch):
     certificate_study(make_flat_spectrum(50, 1.0), 5, 10.0, 4, seed=0)
     assert seen == [1] * 4
     assert get() == before
-    with pytest.raises(RuntimeError, match="synthetic failure"):
+    with pytest.raises(ExperimentError, match="^trial 2 failed: synthetic failure") as info:
         certificate_study(make_flat_spectrum(50, 1.0), 5, 10.0, 6, seed=0)
     assert seen == [1] * 7
     assert get() == before
+    assert info.value.trial_index == 2
+    monkeypatch.undo()
+    earlier = certificate_study(make_flat_spectrum(50, 1.0), 5, 10.0, 2, seed=0).sigma_min
+    assert info.value.partial == earlier
 
 
 @pytest.mark.parametrize("bins", [0, -3])
