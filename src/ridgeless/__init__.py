@@ -10,7 +10,6 @@ cli (the command-line front end).
 
 from .design import (
     DesignMatrix,
-    FitResult,
     min_norm_fit,
     prediction_error,
     sample_design,
@@ -21,6 +20,7 @@ from .diagnostics import (
     REGIME_LOW,
     Constants,
     DiagnosticsReport,
+    InfiniteIndexError,
     complexity_radius,
     diagnose,
     effective_rank_index,

@@ -7,8 +7,8 @@ separated, e.g. RIDGELESS_EXP_FLOOR="300 20 1e-4", and --quiet takes 1 or
 0.  Values from every source are converted and checked alike, and every
 error is reported before any work runs.
 
-Exit codes: 0 success, 1 usage or config error, 2 degenerate mathematics
-(infinite effective-rank index), 3 hard-check failure.
+Exit codes, all set in main: 0 success, 1 usage, config or runtime error,
+2 degenerate mathematics (infinite effective-rank index), 3 hard-check failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import Constants, diagnose, effective_rank_index
+from .diagnostics import Constants, InfiniteIndexError, diagnose
 from .experiments import (
     ALL_CHECKS,
     CHECK_IDENTITY,
@@ -101,8 +101,8 @@ def _snr_grid(text: str) -> list:
     lo = strict_value(float, parts[0], "--snr-grid LO", text=True)
     hi = strict_value(float, parts[1], "--snr-grid HI", text=True)
     count = strict_value(int, parts[2], "--snr-grid N", text=True)
-    if not (lo > 0 and hi > lo and count >= 2):
-        raise _CliError("--snr-grid needs 0 < LO < HI and N >= 2")
+    if not (0 < lo < hi < math.inf and count >= 2):
+        raise _CliError("--snr-grid needs 0 < LO < HI < inf and N >= 2")
     return [float(v) for v in np.geomspace(lo, hi, count)]
 
 
@@ -407,7 +407,7 @@ def _resolve_checks(conf: dict):
         names = [t for t in raw.replace(",", " ").split() if t]
     elif "checks" in conf:
         names = conf["checks"]
-        if not isinstance(names, list):
+        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
             raise _CliError("config checks: expected a list of check names")
     else:
         return ALL_CHECKS
@@ -431,13 +431,10 @@ def _experiment_config(ns) -> ExperimentConfig:
     spectrum, spec_echo = ns.spectrum
     same = ("n", "trials", "seed", "constants", "beta_norm", "beta_direction", "beta_values",
             "checks", "rel_tol")  # resolved under ExperimentConfig's own field names
-    try:
-        return ExperimentConfig(
-            covariance=CovarianceModel(spectrum, ns.rotation), noise_model=ns.noise,
-            spectrum_spec=spec_echo, **{name: getattr(ns, name) for name in same},
-        )
-    except (TypeError, ValueError) as exc:
-        raise _CliError(str(exc))
+    return ExperimentConfig(
+        covariance=CovarianceModel(spectrum, ns.rotation), noise_model=ns.noise,
+        spectrum_spec=spec_echo, **{name: getattr(ns, name) for name in same},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +503,6 @@ def _print_aggregates(aggregates: dict) -> None:
         print(f"{name:<{width}}  {row}")
 
 
-def _infinite_index(k_star, consequence: str) -> bool:
-    """Whether k* is infinite; if so, say what that leaves undefined."""
-    if math.isinf(k_star):
-        print(f"error: effective-rank index is infinite{consequence}", file=sys.stderr)
-    return math.isinf(k_star)
-
-
 def _identity_status(config, records) -> int:
     """Print the identity check's line when it is enabled; 3 if it failed, else 0."""
     if CHECK_IDENTITY not in config.checks:
@@ -530,12 +520,7 @@ def _identity_status(config, records) -> int:
 
 def _cmd_diagnose(ns) -> int:
     spectrum, spec_echo = ns.spectrum
-
-    try:
-        report = diagnose(spectrum, ns.n, ns.beta_norm, ns.xi_norm, ns.constants)
-    except ValueError as exc:
-        raise _CliError(str(exc))
-
+    report = diagnose(spectrum, ns.n, ns.beta_norm, ns.xi_norm, ns.constants)
     report_dict = report.to_dict()
 
     def rows():
@@ -560,11 +545,7 @@ def _cmd_diagnose(ns) -> int:
 
 
 def _cmd_simulate(ns) -> int:
-    try:
-        result = run_experiment(ns.experiment, threads=ns.threads)
-    except ExperimentError as exc:
-        raise _CliError(str(exc))
-
+    result = run_experiment(ns.experiment, threads=ns.threads)
     _write_outputs(
         ns,
         lambda: result_to_dict(result),
@@ -588,13 +569,7 @@ _PLOT_COLUMNS = (
 
 def _cmd_scan(ns) -> int:
     config = ns.experiment
-    if _infinite_index(config._k_star,
-                       " for this spectrum and c0; the scan's regime split is undefined"):
-        return 2
-    try:
-        points = snr_scan(config, ns.snr_grid, threads=ns.threads)
-    except (ExperimentError, ValueError) as exc:
-        raise _CliError(str(exc))
+    points = snr_scan(config, ns.snr_grid, threads=ns.threads)
 
     def point(pt):  # the point's own fields, then its run's view less the shared parts
         run = result_to_dict(pt.result)
@@ -640,15 +615,7 @@ def _cmd_scan(ns) -> int:
 
 def _cmd_certify(ns) -> int:
     spectrum, spec_echo = ns.spectrum
-    n, c0 = ns.n, ns.constants.c0
-    if _infinite_index(effective_rank_index(spectrum, n, c0),
-                       "; the certificate threshold is undefined"):
-        return 2
-    try:
-        study = certificate_study(spectrum, n, c0, ns.trials, ns.seed, bins=ns.bins)
-    except (ExperimentError, ValueError) as exc:
-        raise _CliError(str(exc))
-
+    study = certificate_study(spectrum, ns.n, ns.constants.c0, ns.trials, ns.seed, bins=ns.bins)
     edges = study.hist_edges
     header = ("ratio_lo", "ratio_hi", "count")
     _write_outputs(
@@ -722,17 +689,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 1
+    # Every library error ends here: an infinite k* exits 2, any other 1.  numpy
+    # raises FloatingPointError on overflow, 1/0 and NaN rather than warn, in the
+    # trials too (_map_trials runs them in this context).
     try:
-        # options, then the run's config, then --out: all before any work
-        _resolve(ns)
-        if ns.subcommand in _RUNS:
-            ns.experiment = _experiment_config(ns)
-        ns.out = _output_base(ns.out)
-        return ns.func(ns)
-    except _CliError as exc:
-        for message in exc.messages:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            # options, then the run's config, then --out: all before any work
+            _resolve(ns)
+            if ns.subcommand in _RUNS:
+                ns.experiment = _experiment_config(ns)
+            ns.out = _output_base(ns.out)
+            return ns.func(ns)
+    except (_CliError, ValueError, ArithmeticError, ExperimentError) as exc:
+        for message in getattr(exc, "messages", [exc]):
             print(f"error: {message}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InfiniteIndexError) else 1
     except MemoryError as exc:  # e.g. a --trials count too large to allocate
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1

@@ -26,7 +26,6 @@ from .spectra import CovarianceModel
 
 __all__ = [
     "DesignMatrix",
-    "FitResult",
     "trial_rng",
     "sample_design",
     "min_norm_fit",
@@ -148,23 +147,8 @@ def sample_design(cov: CovarianceModel, n: int, rng: np.random.Generator) -> Des
     return DesignMatrix(x)
 
 
-@dataclass(frozen=True, eq=False)
-class FitResult:
-    """Minimum-norm least-squares fit of X beta = Y.
-
-    sigma_min is the smallest singular value retained by the rank cutoff;
-    rank < n means exact interpolation was impossible and residual_norm
-    reports the remaining gap.
-    """
-
-    beta_hat: np.ndarray
-    rank: int
-    sigma_min: float
-    residual_norm: float
-
-
-def min_norm_fit(design: DesignMatrix, targets, rel_tol: float = 1e-10) -> FitResult:
-    """Minimum Euclidean-norm solution of X beta = Y, at cost ~ n^2 p.
+def min_norm_fit(design: DesignMatrix, targets, rel_tol: float = 1e-10) -> np.ndarray:
+    """Minimum Euclidean-norm least-squares solution beta_hat of X beta = Y, at cost ~ n^2 p.
 
     beta = X^T V diag(1/w) V^T Y from the Gram eigenpairs (DesignMatrix.gram)
     when they exist and sqrt(w_min / w_max) > rel_tol; else from the thin
@@ -178,16 +162,10 @@ def min_norm_fit(design: DesignMatrix, targets, rel_tol: float = 1e-10) -> FitRe
     g = design.gram()
     if g and math.sqrt(g[0][0] / g[0][-1]) > rel_tol:
         w, v = g
-        beta = design.entries.T @ (v @ ((v.T @ y) / w))
-        rank, sigma_min = design.n, math.sqrt(w[0])
-    else:
-        u, sv, vt = design.svd()
-        rank = int(np.count_nonzero(sv > rel_tol * float(sv[0])))
-        sk = sv[:rank]
-        beta = vt[:rank].T @ ((u[:, :rank].T @ y) / sk)  # zeros at rank 0
-        sigma_min = float(sk[-1]) if rank else 0.0
-    residual = float(np.linalg.norm(design.entries @ beta - y))
-    return FitResult(beta_hat=beta, rank=rank, sigma_min=sigma_min, residual_norm=residual)
+        return design.entries.T @ (v @ ((v.T @ y) / w))
+    u, sv, vt = design.svd()
+    rank = int(np.count_nonzero(sv > rel_tol * float(sv[0])))
+    return vt[:rank].T @ ((u[:, :rank].T @ y) / sv[:rank])  # zeros at rank 0
 
 
 def prediction_error(cov: CovarianceModel, beta_hat, beta_star) -> float:

@@ -19,6 +19,7 @@ string "inf".
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .spectra import Spectrum
 __all__ = [
     "Constants",
     "DiagnosticsReport",
+    "InfiniteIndexError",
     "REGIME_HIGH",
     "REGIME_LOW",
     "effective_rank_index",
@@ -48,6 +50,19 @@ REGIME_LOW = "LowSNR"
 # segment: a crossing landing exactly on a segment boundary must not be
 # lost to rounding.
 _SEGMENT_SLACK = 1e-12
+
+# The largest float whose square is finite: x * x overflows exactly when x > _ROOT_MAX.
+_ROOT_MAX = math.sqrt(sys.float_info.max)
+
+
+class InfiniteIndexError(ValueError):
+    """The effective-rank index is infinite, so what rests on it is undefined."""
+
+
+def _check_squarable(name: str, value: float) -> None:
+    if value > _ROOT_MAX:
+        raise ValueError(f"{name} must be at most {_ROOT_MAX!r} (its square overflows), "
+                         f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -211,6 +226,8 @@ def prediction_bounds(
     for name, v in (("rho", rho), ("r_star", r_star), ("xi_norm", xi_norm), ("c3", c3)):
         if v < 0:
             raise ValueError(f"{name} must be non-negative, got {v!r}")
+    _check_squarable("rho * r_star", rho * r_star)
+    _check_squarable("c3 * xi_norm", c3 * xi_norm)
     noise_floor = (c3 * xi_norm) ** 2 / n
     upper = max((rho * r_star) ** 2, noise_floor)
     lower = noise_floor if math.isinf(r_bar) else min(r_bar * r_bar, noise_floor)
@@ -245,7 +262,8 @@ def snr_and_regime(
 ) -> tuple[float, float, str]:
     """SNR = ||beta*||^2 / ||xi||^2, the threshold 1 / r_{k_star}, and the regime.
 
-    HighSNR exactly when snr > threshold; xi_norm == 0 gives snr = inf.
+    HighSNR exactly when snr > threshold; xi_norm == 0, or a ratio whose
+    square overflows, gives snr = inf.
     """
     if not (isinstance(k_star, int) and 1 <= k_star <= s.p):
         raise ValueError(
@@ -253,7 +271,8 @@ def snr_and_regime(
             f"got {k_star!r} (regime undefined when it is infinite)"
         )
     threshold = 1.0 / s.tail_sum(k_star)
-    snr = math.inf if xi_norm == 0.0 else (beta_star_norm / xi_norm) ** 2
+    ratio = math.inf if xi_norm == 0.0 else beta_star_norm / xi_norm
+    snr = math.inf if ratio > _ROOT_MAX else ratio**2
     regime = REGIME_HIGH if snr > threshold else REGIME_LOW
     return snr, threshold, regime
 
@@ -312,6 +331,7 @@ def diagnose(
     for name, v in (("beta_star_norm", beta_star_norm), ("xi_norm", xi_norm)):
         if not 0 <= v < math.inf:
             raise ValueError(f"{name} must be a non-negative finite number, got {v!r}")
+        _check_squarable(name, v)
     ks = effective_rank_index(s, n, constants.c0)
     r_star_val = complexity_radius(s, n, constants.eta)
     base = dict(
@@ -334,6 +354,7 @@ def diagnose(
         )
     r_kstar = s.tail_sum(ks)
     rho = localization_radius(beta_star_norm, xi_norm, r_kstar)
+    _check_squarable("rho", rho)  # lower_radius and the bounds square it
     if xi_norm == 0.0:
         r_bar_val = 0.0  # supremum of the empty constraint set, by convention
     else:

@@ -17,6 +17,7 @@ smallest-singular-value certificate (factor 1/4).
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import math
@@ -36,6 +37,7 @@ from .design import (
 from .diagnostics import (
     Constants,
     DiagnosticsReport,
+    InfiniteIndexError,
     diagnose,
     effective_rank_index,
 )
@@ -161,15 +163,29 @@ class ExperimentConfig:
             if isinstance(v, np.ndarray) and v.size != self.n:
                 raise ValueError(f"{self.noise_model.type_name} noise {f.name} has length "
                                  f"{v.size}, expected n={self.n}")
+        try:  # E||xi||^2 must be finite where the model defines it
+            with np.errstate(over="raise"):
+                finite = math.isfinite(self.noise_model.expected_norm_sq(self.n))
+        except ArithmeticError:  # OverflowError, or numpy's FloatingPointError
+            finite = False
+        except ValueError:  # undefined for this model
+            finite = True
+        if not finite:
+            raise ValueError(f"{self.noise_model.type_name} noise is too large: "
+                             f"E||xi||^2 at n={self.n} overflows")
         rank = self.covariance.spectrum.rank()
         if rank < self.n:
             raise ValueError(
                 f"covariance rank {rank} is below the sample count n={self.n}"
             )
         beta_star = resolve_beta_star(self)
+        with np.errstate(over="ignore"):  # a norm that overflows is refused just below
+            beta_norm = float(np.linalg.norm(beta_star))
+        if not math.isfinite(beta_norm):
+            raise ValueError("beta_norm or beta_values is too large: the norm of beta* overflows")
         k_star = effective_rank_index(self.covariance.spectrum, self.n, self.constants.c0)
         object.__setattr__(self, "_beta_star", beta_star)
-        object.__setattr__(self, "_beta_norm", float(np.linalg.norm(beta_star)))
+        object.__setattr__(self, "_beta_norm", beta_norm)
         object.__setattr__(self, "_k_star", k_star)
         object.__setattr__(self, "_r_kstar", None if math.isinf(k_star)
                            else self.covariance.spectrum.tail_sum(k_star))
@@ -247,11 +263,11 @@ def _draw(config: ExperimentConfig, trial_index: int, beta_star: np.ndarray):
 def _evaluate(config, trial_index, design, xi) -> TrialRecord:
     """Fit one drawn trial at the config's beta* and compute all metrics."""
     y = design.entries @ config._beta_star + xi
-    fit = min_norm_fit(design, y, config.rel_tol)
+    beta_hat = min_norm_fit(design, y, config.rel_tol)
 
     n = config.n
-    delta = fit.beta_hat - config._beta_star
-    pred = prediction_error(config.covariance, fit.beta_hat, config._beta_star)
+    delta = beta_hat - config._beta_star
+    pred = prediction_error(config.covariance, beta_hat, config._beta_star)
     est = float(delta @ delta)
     xd = design.entries @ delta
     deviation = float(xd @ xd) / n - pred
@@ -418,7 +434,8 @@ _trial_runtime = _TrialRuntime()
 def _map_trials(task, trials: int, threads: int) -> list:
     """[task(i) for i in range(trials)], in a worker pool when threads > 1.
 
-    Both run under _trial_runtime; the pool has min(threads, cores, trials)
+    Both run under _trial_runtime, and each task in the caller's context
+    (numpy's error state among it); the pool has min(threads, cores, trials)
     workers.  When a task raises, ExperimentError names the lowest failing
     index and keeps the results that completed: those before it when
     serial, every other one when pooled.
@@ -435,7 +452,7 @@ def _map_trials(task, trials: int, threads: int) -> list:
     failed = None
     workers = min(threads, os.cpu_count() or 1, trials)
     with _trial_runtime, ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task, i) for i in range(trials)]
+        futures = [pool.submit(contextvars.copy_context().run, task, i) for i in range(trials)]
         for i, fut in enumerate(futures):
             try:
                 results[i] = fut.result()
@@ -530,8 +547,12 @@ def snr_scan(
     The draws depend only on (seed, trial), so each trial's design and
     noise are drawn and factored once and fitted at every grid point.  A
     failing trial raises ExperimentError with the first grid point's
-    completed records, as run_experiment would at that point.
+    completed records, as run_experiment would at that point.  An infinite
+    effective-rank index raises InfiniteIndexError before any other check.
     """
+    if math.isinf(base_config._k_star):
+        raise InfiniteIndexError("effective-rank index is infinite for this spectrum and c0; "
+                                 "the scan's regime split is undefined")
     grid = [float(t) for t in snr_grid]
     if not grid:
         raise ValueError("SNR grid must be non-empty")
@@ -550,8 +571,6 @@ def snr_scan(
 
     beta_norms = [math.sqrt(target * noise_norm_sq) for target in grid]
     configs = [replace(base_config, beta_norm=b, beta_values=None) for b in beta_norms]
-    if math.isinf(base_config._k_star):
-        raise ValueError("scan requires a finite effective-rank index; adjust the constants")
 
     def trial(i):
         design, xi = _draw(base_config, i, configs[0]._beta_star)
@@ -603,16 +622,17 @@ def certificate_study(
     spectrum, n: int, c0: float, trials: int, seed: int, bins: int = 20
 ) -> CertificateStudy:
     """Monte Carlo frequency of the smallest-singular-value certificate; a failing
-    trial raises ExperimentError with the earlier sigma_min values preserved."""
+    trial raises ExperimentError with the earlier sigma_min values preserved.
+    n is checked first, then k* (InfiniteIndexError), then trials and bins."""
     _check_count("n", n)
-    _check_count("trials", trials, _BETA_STREAM)
-    _check_count("bins", bins)
     cov = spectrum if isinstance(spectrum, CovarianceModel) else CovarianceModel(spectrum)
     ks = effective_rank_index(cov.spectrum, n, c0)
     if math.isinf(ks):
-        raise ValueError(
-            "effective-rank index is infinite: the certificate threshold is undefined"
+        raise InfiniteIndexError(
+            "effective-rank index is infinite; the certificate threshold is undefined"
         )
+    _check_count("trials", trials, _BETA_STREAM)
+    _check_count("bins", bins)
     r_kstar = cov.spectrum.tail_sum(ks)
     sqrt_rk = math.sqrt(r_kstar)
     threshold = _CERT_FACTOR * sqrt_rk

@@ -101,6 +101,8 @@ class Spectrum:
         vals = vals.copy()
         vals.setflags(write=False)
         tails = _suffix_sums(vals)
+        if not np.isfinite(tails[1]):
+            raise ValueError("spectrum values must have a finite sum")
         tails.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_tails", tails)
@@ -133,6 +135,7 @@ def make_flat_spectrum(p: int, value: float = 1.0) -> Spectrum:
     return Spectrum(np.full(p, float(value)))
 
 
+@np.errstate(over="ignore")  # exp(-k/tau) is 0 once k/tau overflows
 def make_exp_floor_spectrum(p: int, tau: float, eps: float) -> Spectrum:
     """Exponential decay over a positive floor: lambda_k = exp(-k/tau) + eps, k = 1..p."""
     if not (isinstance(p, int) and p >= 1):

@@ -97,6 +97,14 @@ def min_norm_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.T @ np.linalg.solve(gram, y)
 
 
+def truncated_svd_fit(x: np.ndarray, y: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Min-norm least-squares solution from LAPACK's SVD, with the singular
+    values below rel_tol times the largest dropped."""
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    keep = s > rel_tol * s[0]
+    return vt[keep].T @ ((u[:, keep].T @ y) / s[keep])
+
+
 def smallest_singular_value(x: np.ndarray) -> float:
     """The n-th singular value of an n x p matrix (n <= p), from LAPACK's SVD."""
     return float(np.linalg.svd(np.asarray(x, dtype=float), compute_uv=False)[-1])

@@ -129,19 +129,19 @@ def test_criterion_2_solver_oracle():
         p = 2 * n + int(rng.integers(0, 120))  # p >= 2n keeps X X^T well conditioned
         x = rng.standard_normal((n, p))
         y = rng.standard_normal(n)
-        fit = min_norm_fit(DesignMatrix(x), y)
+        beta_hat = min_norm_fit(DesignMatrix(x), y)
         want = oracles.min_norm_oracle(x, y)
         ok &= bool(
-            np.linalg.norm(fit.beta_hat - want) <= 1e-8 * max(np.linalg.norm(want), 1.0)
+            np.linalg.norm(beta_hat - want) <= 1e-8 * max(np.linalg.norm(want), 1.0)
         )
         _, _, vt = np.linalg.svd(x, full_matrices=True)
-        base = np.linalg.norm(fit.beta_hat)
+        base = np.linalg.norm(beta_hat)
         null = vt[n:]
         for _ in range(10):
             coeffs = rng.standard_normal(null.shape[0])
             v = coeffs @ null
             t = float(rng.uniform(-2.0, 2.0))
-            ok &= bool(np.linalg.norm(fit.beta_hat + t * v) >= base - 1e-10)
+            ok &= bool(np.linalg.norm(beta_hat + t * v) >= base - 1e-10)
         if not ok:
             break
     elapsed = time.perf_counter() - start

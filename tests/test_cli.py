@@ -7,9 +7,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ridgeless
 from ridgeless.cli import main
@@ -769,3 +772,120 @@ def test_diagnose_out_from_env_and_csv_format(tmp_path, monkeypatch):
     assert main(args + ["--out", str(tmp_path / "both"), "--format", "both"]) == 0
     assert (tmp_path / "both.csv").read_bytes() == (tmp_path / "rep.csv").read_bytes()
     assert read_json(str(tmp_path / "both.json"))["spectrum"]["type"] == "flat"
+
+
+# ---------------------------------------------------------------------------
+# extreme magnitudes: one clear line and exit 1, before any trial; never a
+# traceback or a warning
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["certify", "--flat", "10", "--n", "0"], "n must be a positive integer, got 0"),
+        (["diagnose", "--flat", "2000", "1e306", "--n", "20"],
+         "spectrum: spectrum values must have a finite sum"),
+        (["diagnose", "--flat", "2000", "--n", "20", "--beta-norm", "1e160", "--xi-norm", "1"],
+         "beta_star_norm must be at most 1.3407807929942596e+154 (its square overflows), "
+         "got 1e+160"),
+        (["diagnose", "--flat", "2000", "--n", "20", "--xi-norm", "1e160"],
+         "xi_norm must be at most 1.3407807929942596e+154 (its square overflows), got 1e+160"),
+        (["scan", "--flat", "2000", "--n", "20", "--trials", "2", "--snr-grid", "0.1:10:2",
+          "--noise", "gaussian:1e200"], "gaussian noise is too large: E||xi||^2 at n=20 overflows"),
+        (["simulate", "--flat", "2000", "--n", "20", "--trials", "3", "--beta-norm", "1e300"],
+         "beta_norm or beta_values is too large: the norm of beta* overflows"),
+        (["simulate", "--flat", "2000", "--n", "20", "--trials", "3", "--noise", "worst:1e300"],
+         "scaled_direction noise is too large: E||xi||^2 at n=20 overflows"),
+        (["scan", "--flat", "200", "--n", "5", "--trials", "2", "--noise", "gaussian:1",
+          "--snr-grid", "1:inf:3"], "--snr-grid needs 0 < LO < HI < inf and N >= 2"),
+    ],
+    ids=["certify-n0", "diagnose-flat-sum", "diagnose-beta", "diagnose-xi", "scan-gaussian",
+         "simulate-beta", "simulate-worst", "scan-grid-inf"],
+)
+def test_overflowing_input_is_refused_before_any_trial(argv, message, tmp_path, monkeypatch,
+                                                       capsys):
+    import ridgeless.experiments as experiments
+
+    drawn = []
+    monkeypatch.setattr(experiments, "sample_design", lambda *a: drawn.append(a))
+    assert main(argv + ["-q", "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert drawn == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("checks", [[["identity"]], [1, "identity"], {"identity": 1}])
+def test_config_checks_must_be_a_list_of_names(checks, tmp_path, capsys):
+    # an unhashable or non-string entry once escaped as a TypeError traceback
+    conf = _write(tmp_path / "conf.json", json.dumps({"schema": 1, "checks": checks}))
+    assert main(["simulate", "--flat", "5", "--n", "2", "--config", conf]) == 1
+    assert capsys.readouterr().err == "error: config checks: expected a list of check names\n"
+
+
+def _run_unfiltered(argv):
+    """main(argv) with warnings recorded, not raised: (exit code, warnings, stderr lines)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, [str(w.message) for w in caught], err.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_overflow_inside_a_trial_exits_1_without_a_warning(threads):
+    # each input is in range, but X beta* overflows: numpy raises, the run stops
+    argv = ["simulate", "--flat", "5", "1e300", "--n", "2", "--trials", "2", "--beta-norm",
+            "1e100", "--threads", threads, "-q"]
+    code, caught, err = _run_unfiltered(argv)
+    assert (code, caught, len(err)) == (1, [], 1)
+    assert err[0].startswith("error: trial 0 failed: overflow encountered in "), err
+
+
+# as flag text: a float from 1e-300 to 1e300, log-uniform, or an edge value
+_MAGNITUDE = st.one_of(
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 299)),
+    st.sampled_from([math.inf, math.nan, 5e-324, 1e-300, 1e300, 1.3407807929942596e154,
+                     1.7976931348623157e308]),
+).map(repr)
+
+
+@st.composite
+def _extreme_argv(draw):
+    cmd = draw(st.sampled_from(["diagnose", "simulate", "scan", "certify", "spectrum"]))
+    p, n = draw(st.integers(1, 50)), draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["flat", "exp-floor", "three-level"]))
+    if kind == "flat":
+        argv = [cmd, "--flat", str(p), draw(_MAGNITUDE)]
+    elif kind == "exp-floor":
+        argv = [cmd, "--exp-floor", str(p), draw(_MAGNITUDE), draw(_MAGNITUDE)]
+    else:
+        argv = [cmd, "--three-level", "1", "1", str(max(p, 3)), draw(_MAGNITUDE),
+                draw(_MAGNITUDE)]
+    if cmd == "spectrum":
+        return argv
+    argv += ["--n", str(n)]
+    if cmd != "certify":
+        argv += ["--beta-norm", draw(_MAGNITUDE)]
+    if cmd == "diagnose":
+        return argv + ["--xi-norm", draw(_MAGNITUDE)]
+    argv += ["--trials", str(draw(st.integers(1, 3)))]
+    if cmd == "certify":
+        return argv
+    noise = draw(st.sampled_from(["gaussian:{}", "student:{}:{}", "worst:{}"]))
+    argv += ["--noise", noise.format(draw(_MAGNITUDE), draw(_MAGNITUDE)),
+             "--threads", str(draw(st.integers(1, 2)))]
+    if cmd == "scan":
+        grid = f"{draw(_MAGNITUDE)}:{draw(_MAGNITUDE)}:{draw(st.integers(2, 4))}"
+        argv += ["--snr-grid", grid]
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_extreme_argv())
+def test_extreme_magnitudes_never_escape_main(argv):
+    # clean_env runs once for all examples, which is all it has to
+    code, caught, err = _run_unfiltered(argv + ["-q"])
+    assert code in (0, 1, 2, 3) and caught == [], (code, caught)
+    assert all(line.startswith("error: ") for line in err), err
+    assert bool(err) == (code in (1, 2)), (code, err)

@@ -150,17 +150,16 @@ def test_sample_design_rank_below_n():
 
 
 def test_fit_single_row_example():
-    fit = min_norm_fit(DesignMatrix(np.array([[1.0, 1.0]])), [2.0])
-    assert fit.beta_hat == pytest.approx([1.0, 1.0], abs=1e-12)
-    assert fit.rank == 1
-    assert fit.residual_norm < 1e-12
+    x, y = np.array([[1.0, 1.0]]), np.array([2.0])
+    beta_hat = min_norm_fit(DesignMatrix(x), y)
+    assert beta_hat == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert np.linalg.norm(x @ beta_hat - y) < 1e-12
 
 
 def test_fit_diagonal_example():
     x = DesignMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
-    fit = min_norm_fit(x, [1.0, 2.0])
-    assert fit.beta_hat == pytest.approx([1.0, 1.0, 0.0], abs=1e-12)
-    assert fit.sigma_min == pytest.approx(1.0, rel=1e-12)
+    assert min_norm_fit(x, [1.0, 2.0]) == pytest.approx([1.0, 1.0, 0.0], abs=1e-12)
+    assert x.sigma_min() == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -170,9 +169,9 @@ def test_fit_matches_normal_equations_oracle(seed):
     p = n + int(rng.integers(0, 13))
     x = rng.standard_normal((n, p))
     y = rng.standard_normal(n)
-    fit = min_norm_fit(DesignMatrix(x), y)
+    beta_hat = min_norm_fit(DesignMatrix(x), y)
     want = oracles.min_norm_oracle(x, y)
-    assert np.linalg.norm(fit.beta_hat - want) <= 1e-8 * max(np.linalg.norm(want), 1.0)
+    assert np.linalg.norm(beta_hat - want) <= 1e-8 * max(np.linalg.norm(want), 1.0)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -180,36 +179,36 @@ def test_fit_is_minimum_norm(seed):
     # adding any null-space direction cannot shrink the norm
     rng = np.random.default_rng(seed + 100)
     x = rng.standard_normal((4, 9))
-    fit = min_norm_fit(DesignMatrix(x), rng.standard_normal(4))
+    beta_hat = min_norm_fit(DesignMatrix(x), rng.standard_normal(4))
     _, _, vt = np.linalg.svd(x, full_matrices=True)
-    base = np.linalg.norm(fit.beta_hat)
+    base = np.linalg.norm(beta_hat)
     for k in range(vt.shape[0] - 4):
         for t in (-2.0, 0.7):
-            assert np.linalg.norm(fit.beta_hat + t * vt[4 + k]) >= base - 1e-10
+            assert np.linalg.norm(beta_hat + t * vt[4 + k]) >= base - 1e-10
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_fit_lies_in_row_space(seed):
     rng = np.random.default_rng(seed + 200)
     x = rng.standard_normal((5, 12))
-    fit = min_norm_fit(DesignMatrix(x), rng.standard_normal(5))
-    proj = np.linalg.pinv(x) @ x @ fit.beta_hat
-    assert np.linalg.norm(proj - fit.beta_hat) <= 1e-8 * np.linalg.norm(fit.beta_hat)
+    beta_hat = min_norm_fit(DesignMatrix(x), rng.standard_normal(5))
+    proj = np.linalg.pinv(x) @ x @ beta_hat
+    assert np.linalg.norm(proj - beta_hat) <= 1e-8 * np.linalg.norm(beta_hat)
 
 
 def test_fit_rank_deficient_reports_residual():
-    # duplicated row with inconsistent targets: no interpolant exists
-    x = DesignMatrix(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]))
-    fit = min_norm_fit(x, [1.0, 3.0])
-    assert fit.rank == 1
-    assert fit.residual_norm == pytest.approx(math.sqrt(2.0), rel=1e-10)
+    # duplicated row with inconsistent targets: no interpolant exists; the fit is
+    # the least-squares one of the rank-1 truncated SVD, which leaves sqrt(2)
+    x, y = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]), np.array([1.0, 3.0])
+    beta_hat = min_norm_fit(DesignMatrix(x), y)
+    assert _rel(beta_hat, oracles.truncated_svd_fit(x, y, 1e-10)) <= 1e-12
+    assert np.linalg.norm(x @ beta_hat - y) == pytest.approx(math.sqrt(2.0), rel=1e-10)
 
 
 def test_fit_zero_design():
-    fit = min_norm_fit(DesignMatrix(np.zeros((2, 4))), [1.0, 2.0])
-    assert fit.rank == 0
-    assert np.all(fit.beta_hat == 0.0)
-    assert fit.sigma_min == 0.0
+    design = DesignMatrix(np.zeros((2, 4)))
+    assert np.all(min_norm_fit(design, [1.0, 2.0]) == 0.0)
+    assert design.sigma_min() == 0.0
 
 
 def test_fit_target_shape_checked():
@@ -221,8 +220,8 @@ def test_fit_interpolates_exactly_at_p_equals_n():
     rng = np.random.default_rng(77)
     x = rng.standard_normal((50, 50))
     beta = rng.standard_normal(50)
-    fit = min_norm_fit(DesignMatrix(x), x @ beta)
-    assert np.linalg.norm(fit.beta_hat - beta) <= 1e-8 * np.linalg.norm(beta)
+    beta_hat = min_norm_fit(DesignMatrix(x), x @ beta)
+    assert np.linalg.norm(beta_hat - beta) <= 1e-8 * np.linalg.norm(beta)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +273,11 @@ def test_gram_fit_matches_svd_fit_and_normal_equations(name, seed):
     w = design.gram()[0]
     svd_only = _SvdOnly(design.entries)
     gram_fit, svd_fit = min_norm_fit(design, y), min_norm_fit(svd_only, y)
-    assert gram_fit.rank == svd_fit.rank == n
-    assert _rel(gram_fit.beta_hat, svd_fit.beta_hat) <= 1e-10
-    assert _rel(gram_fit.beta_hat, oracles.min_norm_oracle(design.entries, y)) <= 1e-10
+    assert _rel(gram_fit, svd_fit) <= 1e-10
+    assert _rel(gram_fit, oracles.min_norm_oracle(design.entries, y)) <= 1e-10
+    assert _rel(svd_fit, oracles.truncated_svd_fit(design.entries, y, 1e-10)) <= 1e-10
     sigma = oracles.smallest_singular_value(design.entries)
-    for got in (gram_fit.sigma_min, design.sigma_min(), svd_fit.sigma_min):
+    for got in (design.sigma_min(), svd_only.sigma_min()):
         assert got == pytest.approx(sigma, rel=1e-10)
     # an eigenvector is as accurate as its eigengap allows: scale by w_max / gap
     u, u_svd = design.worst_direction(), svd_only.worst_direction()
@@ -296,23 +295,25 @@ def test_ill_conditioned_square_design_falls_back_to_svd():
     assert (sv[-1] / sv[0]) ** 2 < 1e-6
     assert design.gram() is None
     fit, reference = min_norm_fit(design, y), min_norm_fit(_SvdOnly(design.entries), y)
-    assert np.array_equal(fit.beta_hat, reference.beta_hat)
-    assert fit.rank == 60 and fit.sigma_min == design.sigma_min() == float(design.svd()[1][-1])
+    assert np.array_equal(fit, reference)
+    assert _rel(fit, oracles.truncated_svd_fit(design.entries, y, 1e-10)) <= 1e-8  # rank 60
+    assert design.sigma_min() == float(design.svd()[1][-1])
     assert np.array_equal(design.worst_direction(), _SvdOnly(design.entries).worst_direction())
 
 
 def test_rank_cutoff_above_the_spread_falls_back_to_svd():
     # rel_tol 0.9 cuts genuine singular values of a well-conditioned design:
-    # the fit is the truncated SVD one, and sigma_min stays the design's own
+    # the fit is the truncated SVD one, and no longer interpolates
     rng = trial_rng(5, 0)
     design = sample_design(CovarianceModel(make_flat_spectrum(200, 1.0)), 5, rng)
     y = rng.standard_normal(5)
     assert design.gram() is not None
+    sv = np.linalg.svd(design.entries, compute_uv=False)
+    assert 1 <= np.count_nonzero(sv > 0.9 * sv[0]) < 5
     fit, reference = min_norm_fit(design, y, 0.9), min_norm_fit(_SvdOnly(design.entries), y, 0.9)
-    assert 1 <= fit.rank < 5 and fit.rank == reference.rank
-    assert np.array_equal(fit.beta_hat, reference.beta_hat)
-    assert fit.sigma_min == reference.sigma_min > design.sigma_min()
-    assert fit.residual_norm > 0
+    assert np.array_equal(fit, reference)
+    assert _rel(fit, oracles.truncated_svd_fit(design.entries, y, 0.9)) <= 1e-10
+    assert np.linalg.norm(design.entries @ fit - y) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +406,8 @@ def test_pseudo_inverse_decomposition(seed):
     x = rng.standard_normal((6, 15))
     beta_star = rng.standard_normal(15)
     xi = rng.standard_normal(6)
-    fit = min_norm_fit(DesignMatrix(x), x @ beta_star + xi)
+    beta_hat = min_norm_fit(DesignMatrix(x), x @ beta_star + xi)
     pinv = np.linalg.pinv(x)
     want = (pinv @ x - np.eye(15)) @ beta_star + pinv @ xi
-    got = fit.beta_hat - beta_star
+    got = beta_hat - beta_star
     assert np.linalg.norm(got - want) <= 1e-8 * max(np.linalg.norm(want), 1.0)

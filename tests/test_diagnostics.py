@@ -297,6 +297,15 @@ def test_prediction_bounds_examples():
     assert lower_zero == 0.0
 
 
+def test_prediction_bounds_refuse_a_square_that_overflows():
+    root = math.sqrt(1.7976931348623157e308)  # the largest float with a finite square
+    assert prediction_bounds(1.0, root, 0.0, root, 1, 1.0)[0] == root * root
+    with pytest.raises(ValueError, match=r"^rho \* r_star must be at most .* got inf$"):
+        prediction_bounds(1e200, 1e200, 0.0, 1.0, 1, 1.0)
+    with pytest.raises(ValueError, match=r"^c3 \* xi_norm must be at most .* got 2e\+154$"):
+        prediction_bounds(1.0, 1.0, 0.0, 1e154, 1, 2.0)
+
+
 def test_regime_bounds_examples():
     s = make_flat_spectrum(1000, 1.0)
     cons = Constants()
@@ -340,6 +349,11 @@ def test_snr_zero_noise_infinite():
 def test_snr_zero_signal_low():
     snr, _, regime = snr_and_regime(0.0, 2.0, make_flat_spectrum(4, 1.0), 1)
     assert snr == 0.0 and regime == REGIME_LOW
+
+
+def test_snr_is_infinite_when_the_ratio_squared_overflows():
+    snr, _, regime = snr_and_regime(1e100, 1e-100, make_flat_spectrum(4, 1.0), 1)
+    assert math.isinf(snr) and regime == REGIME_HIGH
 
 
 def test_snr_rejects_infinite_kstar():
@@ -415,6 +429,18 @@ def test_diagnose_rejects_negative_norms():
             diagnose(make_flat_spectrum(4, 1.0), 2, bad, 0.0)
         with pytest.raises(ValueError, match="finite"):
             diagnose(make_flat_spectrum(4, 1.0), 2, 1.0, bad)
+
+
+def test_diagnose_refuses_norms_whose_squares_overflow():
+    s = make_flat_spectrum(4, 1.0)
+    for args, name in (((1e155, 0.0), "beta_star_norm"), ((1.0, 1e155), "xi_norm")):
+        with pytest.raises(ValueError, match=f"^{name} must be at most 1.3407807929942596e\\+154 "
+                           r"\(its square overflows\), got 1e\+155$"):
+            diagnose(s, 2, *args)
+    # both norms in range, but rho = 1 + 4 ||xi|| / sqrt(r_k*) is not: refused
+    # before lower_radius squares it
+    with pytest.raises(ValueError, match="^rho must be at most "):
+        diagnose(make_flat_spectrum(100, 1e-300), 2, 1.0, 1e10)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import oracles
 import ridgeless
 import ridgeless.experiments as experiments
 from ridgeless.design import DesignMatrix, sample_design, trial_rng
-from ridgeless.diagnostics import REGIME_HIGH, REGIME_LOW, Constants
+from ridgeless.diagnostics import REGIME_HIGH, REGIME_LOW, Constants, InfiniteIndexError
 from ridgeless.experiments import (
     ALL_CHECKS,
     CHECK_CERTIFICATE,
@@ -95,6 +95,23 @@ def test_config_validation():
             with pytest.raises(ValueError, match=message):
                 flat_config(noise_model=model(np.ones(length)))
         flat_config(noise_model=model(np.ones(5)))
+
+
+def test_config_refuses_magnitudes_whose_squares_overflow():
+    beta = "^beta_norm or beta_values is too large: the norm of beta\\* overflows$"
+    for kwargs in ({"beta_norm": 1e155}, {"beta_norm": 1e155, "beta_direction": "random"},
+                   {"beta_values": np.full(50, 1e154)}):
+        with pytest.raises(ValueError, match=beta):
+            flat_config(**kwargs)
+    flat_config(beta_norm=1e154)  # ||beta*||^2 = 1e308 is still a float
+    for model in (GaussianNoise(1e154), StudentTNoise(3.0, 1e154), ScaledDirectionNoise(1e155),
+                  DeterministicNoise(np.full(5, 1e154))):
+        message = f"^{model.type_name} noise is too large: E\\|\\|xi\\|\\|\\^2 at n=5 overflows$"
+        with pytest.raises(ValueError, match=message):
+            flat_config(noise_model=model)
+    # E||xi||^2 is undefined for these; the trials meet whatever they draw
+    for model in (StudentTNoise(2.0, 1e300), ModelResidualNoise(np.full(5, 1e300))):
+        flat_config(noise_model=model)
 
 
 def test_resolve_beta_star_directions():
@@ -317,6 +334,13 @@ def test_snr_scan_rescales_and_labels():
 
 
 def test_snr_scan_rejections():
+    # an infinite k* is reported before the grid and the noise are looked at
+    infinite = flat_config(covariance=CovarianceModel(Spectrum(4.0 ** -np.arange(1, 31))),
+                           n=3, noise_model=ZeroNoise())
+    message = ("^effective-rank index is infinite for this spectrum and c0; "
+               "the scan's regime split is undefined$")
+    with pytest.raises(InfiniteIndexError, match=message):
+        snr_scan(infinite, [])
     cfg = flat_config()
     with pytest.raises(ValueError):
         snr_scan(cfg, [])
@@ -483,6 +507,13 @@ def test_pool_is_clamped_to_cores_and_trials(monkeypatch, cpus, threads, trials,
     assert _InlinePool.sizes == [workers, workers]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_trials_run_in_the_callers_numpy_error_state(threads):
+    with np.errstate(over="raise", invalid="ignore"):
+        states = experiments._map_trials(lambda i: np.geterr(), 3, threads)
+    assert [(s["over"], s["invalid"]) for s in states] == [("raise", "ignore")] * 3
+
+
 def _blas_get():
     calls = experiments._openblas_thread_calls()
     if calls is None:
@@ -597,8 +628,17 @@ def test_certificate_study_single_sample_rate():
 
 
 def test_certificate_study_rejects_infinite_index():
+    s = Spectrum(4.0 ** -np.arange(1, 31))  # k* is infinite at c0 = 10
     with pytest.raises(ValueError):
-        certificate_study(Spectrum(4.0 ** -np.arange(1, 31)), 3, 10.0, 5, seed=0)
+        certificate_study(s, 3, 10.0, 5, seed=0)
+    # n is checked first, then k*, then trials and bins
+    with pytest.raises(ValueError, match="^n must be a positive integer, got 0$"):
+        certificate_study(s, 0, 10.0, 0, seed=0, bins=0)
+    message = "^effective-rank index is infinite; the certificate threshold is undefined$"
+    with pytest.raises(InfiniteIndexError, match=message):
+        certificate_study(s, 3, 10.0, 0, seed=0, bins=0)
+    with pytest.raises(ValueError, match="^trials must be "):
+        certificate_study(s, 3, 0.1, 0, seed=0, bins=0)
 
 
 def test_certificate_study_runs_with_one_blas_thread(monkeypatch):

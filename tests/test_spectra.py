@@ -56,6 +56,12 @@ def test_exp_floor_rejects_zero_eps():
         make_exp_floor_spectrum(5, 0.0, 0.1)
 
 
+def test_exp_floor_at_a_subnormal_tau_is_its_floor():
+    # k / tau overflows to inf, and exp(-inf) = 0 is the limit, not a warning
+    with np.errstate(over="raise"):
+        assert np.array_equal(make_exp_floor_spectrum(5, 5e-324, 0.5).values, np.full(5, 0.5))
+
+
 def test_exp_floor_strictly_decreasing():
     s = make_exp_floor_spectrum(200, 7.5, 1e-3)
     assert np.all(np.diff(s.values) < 0)

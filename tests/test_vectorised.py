@@ -56,7 +56,8 @@ SPECTRA = {
         np.sort(np.random.default_rng(0).pareto(1.5, 20_000) + 1e-6)[::-1].copy()
     ),
     "p=1": lambda: Spectrum(np.array([2.5])),
-    "overflow": lambda: Spectrum(np.array([1e308, 1e308, 1e300, 1.0, 0.0])),
+    # the largest values whose sum is finite: c0 * n * lambda and rho^2 r_k overflow
+    "overflow": lambda: Spectrum(np.array([1e308, 7e307, 1e300, 1.0, 0.0])),
 }
 
 
@@ -114,6 +115,14 @@ def test_infinite_and_zero_tail_cases_agree(name):
     assert outcome(lower_radius, s, 1e200, 1.0, 0.5) == (
         ArithmeticError, "no feasible segment for the lower radius"
     )
+
+
+def test_spectrum_with_an_infinite_sum_is_refused():
+    # the suffix sums still match the loop bit for bit; Spectrum then refuses them
+    vals = np.array([1e308, 1e308, 1e300, 1.0, 0.0])
+    assert same_bits(spectra._suffix_sums(vals), oracles.suffix_sums_loop(vals))
+    with pytest.raises(ValueError, match="^spectrum values must have a finite sum$"):
+        Spectrum(vals)
 
 
 def test_tails_are_read_only():
