@@ -16,9 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -30,14 +31,12 @@ from .experiments import (
     IDENTITY_TOL,
     ExperimentConfig,
     ExperimentError,
+    TrialRecord,
     certificate_study,
-    record_csv_header,
-    record_csv_row,
-    result_to_dict,
     run_experiment,
     snr_scan,
 )
-from .noise import NOISE_TYPES, WORST_SINGULAR, ZeroNoise, noise_from_dict
+from .noise import NOISE_TYPES, WORST_SINGULAR, ZeroNoise, noise_from_dict, noise_to_dict
 from .serialize import csv_line, format_float, format_floats, to_json, write_text
 from .spectra import (
     CovarianceModel,
@@ -365,8 +364,9 @@ def _load_config_file(path) -> dict:
     if not isinstance(data, dict):
         raise _CliError(f"config file {path}: expected a JSON object")
     errors = []
-    if data.get("schema") != 1:
-        errors.append(f"config file {path}: 'schema' must be 1, got {data.get('schema')!r}")
+    schema = data.get("schema")
+    if isinstance(schema, bool) or schema != 1:  # True == 1, but a bool is no schema number
+        errors.append(f"config file {path}: 'schema' must be 1, got {schema!r}")
     for key in sorted(set(data) - _CONFIG_KEYS):
         errors.append(f"config file {path}: unknown key {key!r}")
     if errors:
@@ -428,13 +428,35 @@ def _config_array(conf: dict, key: str):
 
 
 def _experiment_config(ns) -> ExperimentConfig:
-    spectrum, spec_echo = ns.spectrum
     same = ("n", "trials", "seed", "constants", "beta_norm", "beta_direction", "beta_values",
             "checks", "rel_tol")  # resolved under ExperimentConfig's own field names
     return ExperimentConfig(
-        covariance=CovarianceModel(spectrum, ns.rotation), noise_model=ns.noise,
-        spectrum_spec=spec_echo, **{name: getattr(ns, name) for name in same},
+        covariance=CovarianceModel(ns.spectrum[0], ns.rotation), noise_model=ns.noise,
+        **{name: getattr(ns, name) for name in same},
     )
+
+
+def _config_echo(config: ExperimentConfig, spectrum_echo: dict) -> dict:
+    """The run's config under the config file's keys, enough to re-run it bit for bit; without
+    the worker count, since results and output files are the same at any thread count."""
+    echo = {
+        "schema": 1,
+        "spectrum": spectrum_echo,
+        "n": config.n,
+        "beta_norm": config.beta_norm,
+        "beta_direction": config.beta_direction,
+        "noise": noise_to_dict(config.noise_model),
+        "trials": config.trials,
+        "seed": config.seed,
+        "constants": asdict(config.constants),
+        "checks": sorted(config.checks),
+        "rel_tol": config.rel_tol,
+    }
+    if config.beta_values is not None:
+        echo["beta_values"] = [float(v) for v in config.beta_values]
+    if config.covariance.rotation is not None:
+        echo["rotation"] = [[float(v) for v in row] for row in config.covariance.rotation]
+    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +506,24 @@ def _fields(obj, *drop) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in drop}
 
 
+# A trial record's CSV columns (also its JSON keys) and their getter: _fields per record
+# would leave one tuple per fields() call on CPython's free list (0.2 MB at 2000 records).
+_RECORD_COLUMNS = tuple(f.name for f in fields(TrialRecord))
+_record_values = operator.attrgetter(*_RECORD_COLUMNS)
+
+
+def _run_view(result) -> dict:
+    """A run's diagnostics, aggregates, rates and skipped checks: each scan point's view."""
+    return {"diagnostics": asdict(result.diagnostics), "aggregates": result.aggregates,
+            "rates": result.rates, "skipped": result.skipped}
+
+
+def _run_payload(result, spectrum_echo: dict) -> dict:
+    """simulate's JSON payload: the config echo, the run's view and every record."""
+    return {"config": _config_echo(result.config, spectrum_echo), **_run_view(result),
+            "records": [dict(zip(_RECORD_COLUMNS, _record_values(r))) for r in result.records]}
+
+
 def _fmt(x) -> str:
     if x is None:
         return "-"
@@ -521,7 +561,7 @@ def _identity_status(config, records) -> int:
 def _cmd_diagnose(ns) -> int:
     spectrum, spec_echo = ns.spectrum
     report = diagnose(spectrum, ns.n, ns.beta_norm, ns.xi_norm, ns.constants)
-    report_dict = report.to_dict()
+    report_dict = asdict(report)
 
     def rows():
         yield ("key", "value")
@@ -548,8 +588,8 @@ def _cmd_simulate(ns) -> int:
     result = run_experiment(ns.experiment, threads=ns.threads)
     _write_outputs(
         ns,
-        lambda: result_to_dict(result),
-        lambda: map(csv_line, [record_csv_header(), *map(record_csv_row, result.records)]),
+        lambda: _run_payload(result, ns.spectrum[1]),
+        lambda: map(csv_line, [_RECORD_COLUMNS, *map(_record_values, result.records)]),
     )
 
     if not ns.quiet:
@@ -571,23 +611,18 @@ def _cmd_scan(ns) -> int:
     config = ns.experiment
     points = snr_scan(config, ns.snr_grid, threads=ns.threads)
 
-    def point(pt):  # the point's own fields, then its run's view less the shared parts
-        run = result_to_dict(pt.result)
-        del run["config"], run["records"]
-        return {**_fields(pt, "result"), **run}
-
-    def payload():
+    def payload():  # the first point's config echo stands for all; records go to BASE.csv
         return {
-            "config": points[0].result.config_echo,
+            "config": _config_echo(points[0].result.config, ns.spectrum[1]),
             "snr_grid": [pt.snr_target for pt in points],
-            "points": [point(pt) for pt in points],
+            "points": [{**_fields(pt, "result"), **_run_view(pt.result)} for pt in points],
         }
 
     def rows():
-        yield record_csv_header(extra=("snr", "regime"))
+        yield ("snr", "regime", *_RECORD_COLUMNS)
         for pt in points:
             for r in pt.result.records:
-                yield record_csv_row(r, extra=(pt.snr_target, pt.regime))
+                yield (pt.snr_target, pt.regime, *_record_values(r))
 
     def plot_row(pt):  # one value per _PLOT_COLUMNS entry
         diag, agg = pt.result.diagnostics, pt.result.aggregates["pred_error"]

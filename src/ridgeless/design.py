@@ -154,8 +154,8 @@ def min_norm_fit(design: DesignMatrix, targets, rel_tol: float = 1e-10) -> np.nd
     when they exist and sqrt(w_min / w_max) > rel_tol; else from the thin
     SVD, with singular values below rel_tol * sigma_max treated as zero.
     """
-    if not rel_tol > 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
+    if not 0 < rel_tol < 1:  # at 1 or above every singular value is cut
+        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     y = np.asarray(targets, dtype=float)
     if y.shape != (design.n,):
         raise ValueError(f"targets must have shape ({design.n},), got {y.shape}")

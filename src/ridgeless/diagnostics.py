@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,9 +94,6 @@ class Constants:
     def cn(self, n: int) -> int:
         """Tail index used by the upper rate bound: floor(c_frac * n), minimum 1."""
         return max(1, math.floor(self.c_frac * n))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # silent inf/nan, as with Python floats
@@ -307,10 +304,6 @@ class DiagnosticsReport:
     corollary_lower: float | None = None
     constants: Constants
     error: str | None = None
-
-    def to_dict(self) -> dict:
-        """Every field in declaration order, constants as their own dict."""
-        return asdict(self)
 
 
 def diagnose(

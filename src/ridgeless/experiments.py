@@ -41,7 +41,7 @@ from .diagnostics import (
     diagnose,
     effective_rank_index,
 )
-from .noise import NoiseModel, noise_to_dict, realize_noise
+from .noise import NoiseModel, realize_noise
 from .spectra import CovarianceModel
 
 __all__ = [
@@ -63,10 +63,6 @@ __all__ = [
     "snr_scan",
     "CertificateStudy",
     "certificate_study",
-    "config_to_dict",
-    "result_to_dict",
-    "record_csv_header",
-    "record_csv_row",
 ]
 
 CHECK_IDENTITY = "identity"
@@ -107,7 +103,7 @@ class ExperimentConfig:
 
     __post_init__ also derives, once, the private run state that every trial
     reads: beta* (resolve_beta_star), its norm, k* and r_{k*} (None when k*
-    is infinite).  No caller sets it and config_to_dict does not echo it.
+    is infinite).  No caller sets it.
     """
 
     covariance: CovarianceModel
@@ -121,7 +117,6 @@ class ExperimentConfig:
     beta_values: np.ndarray | None = None  # explicit vector; overrides norm + direction
     checks: frozenset = ALL_CHECKS
     rel_tol: float = 1e-10
-    spectrum_spec: dict | None = None  # builder echo for serialized output
     _beta_star: np.ndarray = field(init=False, repr=False)
     _beta_norm: float = field(init=False, repr=False)
     _k_star: int | float = field(init=False, repr=False)
@@ -145,8 +140,8 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
         object.__setattr__(self, "checks", frozenset(self.checks))
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol!r}")
+        if not 0 < self.rel_tol < 1:  # at 1 or above every singular value is cut
+            raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol!r}")
         if self.beta_values is not None:
             v = np.asarray(self.beta_values, dtype=float)
             if v.shape != (self.covariance.p,):
@@ -228,10 +223,6 @@ class TrialRecord:
     est_bound_pass: bool | None
 
 
-# Record fields in output order: the JSON record keys and the CSV columns.
-_RECORD_FIELDS = tuple(f.name for f in fields(TrialRecord))
-
-
 class ExperimentError(RuntimeError):
     """A trial failed; records completed before the failure are preserved."""
 
@@ -308,9 +299,9 @@ def _evaluate(config, trial_index, design, xi) -> TrialRecord:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    """One run: config echo, diagnostics, per-trial records, and aggregates."""
+    """One run: its config, diagnostics, per-trial records, and aggregates."""
 
-    config_echo: dict
+    config: ExperimentConfig
     diagnostics: DiagnosticsReport
     records: tuple
     aggregates: dict
@@ -513,7 +504,7 @@ def _summarize(config: ExperimentConfig, records: tuple) -> ExperimentResult:
         "lower_ratio": lower_ratio,
     }
     return ExperimentResult(
-        config_echo=config_to_dict(config),
+        config=config,
         diagnostics=diag,
         records=records,
         aggregates=aggregates,
@@ -556,14 +547,19 @@ def snr_scan(
     grid = [float(t) for t in snr_grid]
     if not grid:
         raise ValueError("SNR grid must be non-empty")
-    if any(t <= 0 for t in grid):
-        raise ValueError("SNR targets must be positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("SNR grid must be strictly increasing")
     # Raises for the models without an expected norm, which include the
     # only one whose noise depends on beta* (model_residual); every other
     # model's noise is the same at every grid point.
-    noise_norm_sq = base_config.noise_model.expected_norm_sq(base_config.n)
+    noise = base_config.noise_model
+    noise_norm_sq = noise.expected_norm_sq(base_config.n)
+    for t in grid:  # a NaN target passes the order check above
+        if not 0 < t < math.inf:
+            raise ValueError(f"SNR target {t!r} must be a positive finite number")
+        if not math.isfinite(t * noise_norm_sq):
+            raise ValueError(f"SNR target {t!r} is too large for {noise.type_name} noise: "
+                             f"target * E||xi||^2 at n={base_config.n} overflows")
 
     s = base_config.covariance.spectrum
     cn = min(base_config.constants.cn(base_config.n), s.p)
@@ -649,56 +645,3 @@ def certificate_study(
         pass_rate=rate, hist_edges=tuple(float(e) for e in edges),
         hist_counts=tuple(int(c) for c in counts), sigma_min=tuple(float(v) for v in sigma_mins),
     )
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    """Fully-resolved config echo, sufficient to re-run bit-identically.
-
-    Deliberately excludes the worker count: results do not depend on it,
-    and output files must be identical at any thread count.
-    """
-    if config.spectrum_spec is not None:
-        spectrum = dict(config.spectrum_spec)
-    else:
-        spectrum = {
-            "type": "values",
-            "values": config.covariance.spectrum.values.tolist(),
-        }
-    echo = {
-        "schema": 1,
-        "spectrum": spectrum,
-        "n": config.n,
-        "beta_norm": config.beta_norm,
-        "beta_direction": config.beta_direction,
-        "noise": noise_to_dict(config.noise_model),
-        "trials": config.trials,
-        "seed": config.seed,
-        "constants": config.constants.to_dict(),
-        "checks": sorted(config.checks),
-        "rel_tol": config.rel_tol,
-    }
-    if config.beta_values is not None:
-        echo["beta_values"] = [float(v) for v in config.beta_values]
-    if config.covariance.rotation is not None:
-        echo["rotation"] = [[float(v) for v in row] for row in config.covariance.rotation]
-    return echo
-
-
-def result_to_dict(result: ExperimentResult) -> dict:
-    """Full JSON-ready view of an experiment result."""
-    return {
-        "config": result.config_echo,
-        "diagnostics": result.diagnostics.to_dict(),
-        "aggregates": result.aggregates,
-        "rates": result.rates,
-        "skipped": result.skipped,
-        "records": [{f: getattr(r, f) for f in _RECORD_FIELDS} for r in result.records],
-    }
-
-
-def record_csv_header(extra=()) -> list:
-    return list(extra) + list(_RECORD_FIELDS)
-
-
-def record_csv_row(r: TrialRecord, extra=()) -> list:
-    return list(extra) + [getattr(r, f) for f in _RECORD_FIELDS]

@@ -302,7 +302,7 @@ class CovarianceModel:
     """Covariance given by its spectrum and an optional eigenbasis.
 
     Without a rotation the covariance is diagonal with the spectrum on the
-    diagonal; with one it is Q diag(spectrum) Q^T.  Q must be orthogonal to
+    diagonal; with one it is Q diag(spectrum) Q^T.  Q must be finite and orthogonal to
     within 1e-10 (max absolute entry of Q^T Q - I).
     """
 
@@ -315,6 +315,8 @@ class CovarianceModel:
             p = self.spectrum.p
             if q.shape != (p, p):
                 raise ValueError(f"rotation must be {p}x{p}, got {q.shape}")
+            if not np.all(np.isfinite(q)):  # NaN would slip past the check below
+                raise ValueError("rotation entries must be finite")
             deviation = float(np.max(np.abs(q.T @ q - np.eye(p))))
             if deviation > 1e-10:
                 raise ValueError(

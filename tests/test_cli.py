@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import ridgeless
 from ridgeless.cli import main
+from ridgeless.serialize import format_float
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -303,6 +304,9 @@ def test_scan_brackets_threshold(tmp_path, capsys):
     record_lines = (tmp_path / "scan.csv").read_text(encoding="utf-8").splitlines()
     assert record_lines[0].startswith("snr,regime,trial_index")
     assert len(record_lines) == 1 + 2 * 3  # two grid points, three trials each
+    row = record_lines[1].split(",")  # the point's snr and regime, then the record's fields
+    assert row[0] == format_float(payload["snr_grid"][0]) and row[1:3] == ["LowSNR", "0"]
+    assert len(row) == len(record_lines[0].split(","))
 
 
 def test_scan_deterministic_across_threads(tmp_path):
@@ -538,9 +542,10 @@ def test_missing_input_files_exit_1(tmp_path, capsys):
          "config noise: sigma: expected a number, got '2'"),
         ({"noise": {"type": "scaled_direction", "target_norm": 1, "direction": 5}},
          "config noise: direction: expected a string, got 5"),
+        ({"schema": True}, "'schema' must be 1, got True"),  # True == 1, but no schema number
     ],
     ids=["p-float", "p-bool", "seed-bool", "trials-bool", "c0-bool", "beta_norm-str",
-         "sigma-bool", "sigma-str", "direction-int"],
+         "sigma-bool", "sigma-str", "direction-int", "schema-bool"],
 )
 def test_config_values_are_checked_not_coerced(conf, message, tmp_path, capsys):
     base = {"schema": 1, "spectrum": {"type": "flat", "p": 20}, "n": 3, "trials": 2}
@@ -798,9 +803,12 @@ def test_diagnose_out_from_env_and_csv_format(tmp_path, monkeypatch):
          "scaled_direction noise is too large: E||xi||^2 at n=20 overflows"),
         (["scan", "--flat", "200", "--n", "5", "--trials", "2", "--noise", "gaussian:1",
           "--snr-grid", "1:inf:3"], "--snr-grid needs 0 < LO < HI < inf and N >= 2"),
+        (["scan", "--flat", "50", "--n", "5", "--trials", "1", "--noise", "gaussian:1e100",
+          "--snr-grid", "1e100:1e300:2"],
+         "SNR target 1e+300 is too large for gaussian noise: target * E||xi||^2 at n=5 overflows"),
     ],
     ids=["certify-n0", "diagnose-flat-sum", "diagnose-beta", "diagnose-xi", "scan-gaussian",
-         "simulate-beta", "simulate-worst", "scan-grid-inf"],
+         "simulate-beta", "simulate-worst", "scan-grid-inf", "scan-target"],
 )
 def test_overflowing_input_is_refused_before_any_trial(argv, message, tmp_path, monkeypatch,
                                                        capsys):
@@ -811,6 +819,35 @@ def test_overflowing_input_is_refused_before_any_trial(argv, message, tmp_path, 
     assert main(argv + ["-q", "--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert drawn == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "env,conf,message",
+    [
+        ({"RIDGELESS_REL_TOL": "1"}, {}, "rel_tol must be in (0, 1), got 1.0"),
+        ({"RIDGELESS_REL_TOL": "inf"}, {}, "rel_tol must be in (0, 1), got inf"),
+        ({}, {"rel_tol": 2}, "rel_tol must be in (0, 1), got 2.0"),
+        ({}, {"rotation": [[math.nan, 0, 0], [0, 1, 0], [0, 0, 1]]},
+         "rotation entries must be finite"),
+    ],
+    ids=["rel_tol-1", "rel_tol-inf", "rel_tol-config", "rotation-nan"],
+)
+def test_run_settings_are_refused_before_any_trial(env, conf, message, tmp_path, monkeypatch,
+                                                   capsys):
+    # a cutoff of 1 or more once dropped every singular value and exited 3;
+    # a NaN rotation once passed its orthogonality check and failed in trial 0
+    import ridgeless.experiments as experiments
+
+    drawn = []
+    monkeypatch.setattr(experiments, "sample_design", lambda *a: drawn.append(a))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    path = _write(tmp_path / "conf.json", json.dumps({"schema": 1, **conf}))  # NaN as JSON NaN
+    argv = ["simulate", "--flat", "3", "--n", "2", "--trials", "2", "--beta-norm", "1",
+            "--config", path, "-q", "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert drawn == [] and sorted(tmp_path.iterdir()) == [tmp_path / "conf.json"]
 
 
 @pytest.mark.parametrize("checks", [[["identity"]], [1, "identity"], {"identity": 1}])

@@ -301,6 +301,14 @@ def test_ill_conditioned_square_design_falls_back_to_svd():
     assert np.array_equal(design.worst_direction(), _SvdOnly(design.entries).worst_direction())
 
 
+def test_rank_cutoff_must_lie_between_zero_and_one():
+    # at 1 or above every singular value is cut, and the fit would be silently zero
+    design = sample_design(CovarianceModel(make_flat_spectrum(20, 1.0)), 5, trial_rng(5, 0))
+    for bad in (0.0, -0.5, 1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^rel_tol must be in \(0, 1\), got "):
+            min_norm_fit(design, np.ones(5), bad)
+
+
 def test_rank_cutoff_above_the_spread_falls_back_to_svd():
     # rel_tol 0.9 cuts genuine singular values of a well-conditioned design:
     # the fit is the truncated SVD one, and no longer interpolates

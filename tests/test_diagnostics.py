@@ -1,6 +1,7 @@
 """Effective-rank index, fixed-point radii, bounds, regimes."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -402,17 +403,17 @@ def test_diagnose_infinite_kstar():
     assert math.isinf(report.k_star)
     assert report.error is not None
     assert report.trace > 0 and report.r_star is not None
-    payload = report.to_dict()
+    payload = asdict(report)
     assert [k for k, v in payload.items() if v is None] == [
         "r_kstar", "rho", "r_bar", "k_bar", "snr", "snr_threshold", "regime",
         "upper_bound", "lower_bound", "corollary_upper", "corollary_lower",
     ]
-    assert list(payload) == list(diagnose(make_flat_spectrum(10, 1.0), 2, 1.0, 1.0).to_dict())
+    assert list(payload) == list(asdict(diagnose(make_flat_spectrum(10, 1.0), 2, 1.0, 1.0)))
 
 
 def test_diagnose_report_dict_field_names():
     report = diagnose(make_flat_spectrum(10, 1.0), 2, 1.0, 1.0)
-    payload = report.to_dict()
+    payload = asdict(report)
     for name in (
         "k_star", "r_kstar", "rho", "r_star", "r_bar", "k_bar", "snr",
         "snr_threshold", "regime", "upper_bound", "lower_bound",

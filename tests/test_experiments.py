@@ -14,6 +14,7 @@ import pytest
 import oracles
 import ridgeless
 import ridgeless.experiments as experiments
+from ridgeless.cli import _config_echo, _run_payload
 from ridgeless.design import DesignMatrix, sample_design, trial_rng
 from ridgeless.diagnostics import REGIME_HIGH, REGIME_LOW, Constants, InfiniteIndexError
 from ridgeless.experiments import (
@@ -26,11 +27,7 @@ from ridgeless.experiments import (
     ExperimentConfig,
     ExperimentError,
     certificate_study,
-    config_to_dict,
-    record_csv_header,
-    record_csv_row,
     resolve_beta_star,
-    result_to_dict,
     run_experiment,
     run_trial,
     snr_scan,
@@ -83,8 +80,10 @@ def test_config_validation():
         flat_config(beta_values=np.r_[math.nan, np.zeros(49)])
     with pytest.raises(ValueError):
         flat_config(n=51)  # covariance rank 50 below n
-    with pytest.raises(ValueError):
-        flat_config(rel_tol=0.0)
+    for bad in (0.0, -1e-10, 1.0, math.inf, math.nan):  # at 1 every singular value is cut
+        with pytest.raises(ValueError, match=r"^rel_tol must be in \(0, 1\), got "):
+            flat_config(rel_tol=bad)
+    flat_config(rel_tol=0.9)
     for key in ("n", "trials", "seed"):  # bool is an int subclass
         with pytest.raises(ValueError, match=key):
             flat_config(**{key: True})
@@ -262,36 +261,30 @@ def test_run_experiment_preserves_partial_on_failure(monkeypatch):
     assert "synthetic failure" in str(err)
 
 
+# The CLI's resolved echo of flat_config's spectrum.
+FLAT_ECHO = {"type": "flat", "p": 50, "value": 1.0}
+
+
 def test_config_echo_shape():
-    echo = config_to_dict(flat_config())
+    echo = _config_echo(flat_config(), FLAT_ECHO)
+    assert list(echo) == ["schema", "spectrum", "n", "beta_norm", "beta_direction", "noise",
+                          "trials", "seed", "constants", "checks", "rel_tol"]
     assert echo["schema"] == 1
-    assert "threads" not in echo
     assert echo["checks"] == sorted(ALL_CHECKS)
-    assert echo["spectrum"]["type"] == "values"
+    assert echo["spectrum"] == FLAT_ECHO  # the resolved spectrum echo, verbatim
     assert echo["noise"] == {"type": "gaussian", "sigma": 1.0}
-    # builder echo is preserved verbatim when present
-    cfg = flat_config(spectrum_spec={"type": "flat", "p": 50, "value": 1.0})
-    assert config_to_dict(cfg)["spectrum"] == {"type": "flat", "p": 50, "value": 1.0}
+    assert echo["constants"] == {"c0": 10.0, "eta": 0.05, "gamma": 0.5, "c3": 1.0, "c_frac": 0.5}
 
 
 def test_result_to_dict_shape():
-    result = run_experiment(flat_config(trials=3))
-    payload = result_to_dict(result)
-    assert set(payload) == {
-        "config", "diagnostics", "aggregates", "rates", "skipped", "records",
-    }
+    cfg = flat_config(trials=3)
+    result = run_experiment(cfg)
+    assert result.config is cfg
+    payload = _run_payload(result, FLAT_ECHO)
+    assert list(payload) == ["config", "diagnostics", "aggregates", "rates", "skipped", "records"]
+    assert payload["config"] == _config_echo(cfg, FLAT_ECHO)
     assert len(payload["records"]) == 3
     assert payload["records"][0]["trial_index"] == 0
-
-
-def test_record_csv_layout():
-    header = record_csv_header(extra=("snr", "regime"))
-    assert header[:2] == ["snr", "regime"]
-    assert header[2] == "trial_index"
-    rec = run_trial(flat_config(), 0)
-    row = record_csv_row(rec, extra=(0.5, "LowSNR"))
-    assert row[0] == 0.5 and row[1] == "LowSNR"
-    assert row[2] == 0 and len(row) == len(header)
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +322,10 @@ def test_snr_scan_rescales_and_labels():
         assert point.snr_threshold == pytest.approx(0.02, rel=1e-12)
         # cn = max(1, floor(0.5 * 5)) = 2, r_2 = 49
         assert point.snr_threshold_cn == pytest.approx(1.0 / 49.0, rel=1e-12)
-        echo = point.result.config_echo
-        assert echo["beta_norm"] == pytest.approx(point.beta_norm, rel=1e-15)
+        assert point.result.config.beta_norm == pytest.approx(point.beta_norm, rel=1e-15)
 
 
-def test_snr_scan_rejections():
+def test_snr_scan_rejections(monkeypatch):
     # an infinite k* is reported before the grid and the noise are looked at
     infinite = flat_config(covariance=CovarianceModel(Spectrum(4.0 ** -np.arange(1, 31))),
                            n=3, noise_model=ZeroNoise())
@@ -346,8 +338,18 @@ def test_snr_scan_rejections():
         snr_scan(cfg, [])
     with pytest.raises(ValueError):
         snr_scan(cfg, [1.0, 0.5])
-    with pytest.raises(ValueError):
-        snr_scan(cfg, [-1.0, 1.0])
+    # a target that is not a positive finite number, or whose beta* norm would
+    # overflow, is named before any design is drawn; the second with the noise
+    monkeypatch.setattr(experiments, "sample_design", lambda *a: pytest.fail("design drawn"))
+    for grid, shown in (([1.0, math.inf], "inf"), ([math.nan], "nan"), ([math.nan, 1.0], "nan"),
+                        ([-1.0, 1.0], "-1.0")):
+        with pytest.raises(ValueError,
+                           match=f"^SNR target {shown} must be a positive finite number$"):
+            snr_scan(cfg, grid)
+    message = (r"^SNR target 1e\+300 is too large for gaussian noise: "
+               r"target \* E\|\|xi\|\|\^2 at n=5 overflows$")
+    with pytest.raises(ValueError, match=message):
+        snr_scan(flat_config(noise_model=GaussianNoise(sigma=1e100)), [1e100, 1e300])
     with pytest.raises(ValueError):
         snr_scan(flat_config(noise_model=ZeroNoise()), [1.0])
     with pytest.raises(ValueError):
@@ -361,7 +363,7 @@ def test_snr_scan_overrides_explicit_beta():
     cfg = flat_config(beta_values=np.ones(50))
     points = snr_scan(cfg, [4.0])
     assert points[0].beta_norm == pytest.approx(math.sqrt(20.0), rel=1e-12)
-    assert "beta_values" not in points[0].result.config_echo
+    assert points[0].result.config.beta_values is None
 
 
 SCAN_NOISES = [
@@ -384,7 +386,8 @@ def test_snr_scan_points_equal_separate_runs(noise, threads):
     points = snr_scan(cfg, [0.001, 0.1, 10.0], threads=threads)
     for pt in points:
         alone = run_experiment(replace(cfg, beta_norm=pt.beta_norm, beta_values=None))
-        assert to_json(result_to_dict(pt.result)) == to_json(result_to_dict(alone))
+        # the whole payload: config echo, diagnostics, aggregates, rates, skipped, records
+        assert to_json(_run_payload(pt.result, FLAT_ECHO)) == to_json(_run_payload(alone, FLAT_ECHO))
 
 
 class _FactorCounter:

@@ -252,6 +252,11 @@ def test_covariance_rotation_matrix(rng):
 
 def test_covariance_rejects_non_orthogonal():
     s = make_flat_spectrum(3, 1.0)
+    for bad in (math.nan, math.inf):  # NaN once passed, since NaN > 1e-10 is False
+        q = np.eye(3)
+        q[0, 0] = bad
+        with pytest.raises(ValueError, match="^rotation entries must be finite$"):
+            CovarianceModel(s, q)
     with pytest.raises(ValueError):
         CovarianceModel(s, np.eye(3) * 1.5)
     with pytest.raises(ValueError):
