@@ -14,12 +14,14 @@ Exit codes, all set in main: 0 success, 1 usage, config or runtime error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import operator
 import os
 import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -36,19 +38,16 @@ from .experiments import (
     run_experiment,
     snr_scan,
 )
-from .noise import NOISE_TYPES, WORST_SINGULAR, ZeroNoise, noise_from_dict, noise_to_dict
+from .noise import NOISE_TYPES, WORST_SINGULAR, ZeroNoise
 from .serialize import csv_line, format_float, format_floats, to_json, write_text
 from .spectra import (
     CovarianceModel,
     Spectrum,
-    fill_spec,
     load_spectrum,
     make_exp_floor_spectrum,
     make_flat_spectrum,
     make_three_level_spectrum,
-    read_spec,
-    read_vector,
-    strict_value,
+    parse_numbers,
 )
 
 __all__ = ["main", "entry"]
@@ -89,14 +88,121 @@ def _collect(errors: list, resolve, *args):
 
 
 # ---------------------------------------------------------------------------
-# conversion
+# conversion: the one reader of text and of the config file's values
 
 
-def _snr_grid(text: str) -> list:
-    """LO:HI:N as N log-spaced SNR targets."""
-    parts = text.split(":")
+def _brief(value) -> str:
+    """repr(value), or its kind for a list or an object, whose repr could be huge."""
+    return {list: "a list", dict: "an object"}.get(type(value)) or repr(value)
+
+
+def _path(value, what: str, text: bool = False) -> str:
+    """A string, refused when empty: the empty path would read the working directory."""
+    if not strict_value(str, value, what, text):
+        raise _CliError(f"{what}: empty path")
+    return value
+
+
+def _numbers(value, what: str, text: bool = False, depth: int = 1) -> np.ndarray:
+    """A number array: a file of numbers (see _path; text is always one), or a JSON list of
+    numbers, of such lists at depth 2, with no bool and no string.  A refusal names the first
+    bad entry, never the whole list."""
+    if text or isinstance(value, str):
+        return parse_numbers(Path(_path(value, what, text)).read_text(encoding="utf-8"), "vector")
+    rows = value if depth == 2 and isinstance(value, list) else [value]
+    for i, row in enumerate(rows):
+        at = f"{what}[{i}]" if rows is value else what
+        if not isinstance(row, list):
+            raise _CliError(f"{at}: expected a list of numbers, got {_brief(row)}")
+        if len(row) != len(rows[0]):
+            raise _CliError(f"{at}: expected {len(rows[0])} entries, as row 0 has, got {len(row)}")
+        if not set(map(type, row)) <= {float}:  # an int only as large as a float holds
+            bad = next((j for j, v in enumerate(row) if type(v) is not float and not (
+                type(v) is int and abs(v) <= sys.float_info.max)), None)
+            if bad is not None:
+                raise _CliError(f"{at}[{bad}]: expected a number, got {_brief(row[bad])}")
+    return np.array(value, dtype=float)
+
+
+_EXPECTED = {int: "an integer", float: "a number", str: "a string", bool: "1 or 0"}
+_KINDS = {"int": int, "float": float, "str": str, "bool": bool, "Path": _path,
+          "np.ndarray": _numbers}
+
+
+def strict_value(kind, value, what: str, text: bool = False):
+    """value as a `kind` (int, float, str, bool, a reader (value, what, text) or an annotation
+    naming one: "Path | None" is _path), or a _CliError naming `what`; never a coercion.  Text
+    (a flag, an environment variable, a short-form token) is parsed, a bool from 1 or 0.  A
+    JSON value must already be of the kind: a string or a bool is not a number, nor 5.7 an int.
+    """
+    kind = _KINDS[kind.partition(" |")[0]] if isinstance(kind, str) else kind
+    if not isinstance(kind, type):
+        return kind(value, what, text)
+    try:
+        if text:
+            return {"1": True, "0": False}[value] if kind is bool else kind(value)
+        if type(value) is kind or (kind, type(value)) == (float, int) or (
+                kind is int and type(value) is float and value.is_integer()):
+            return kind(value)
+    except (KeyError, TypeError, ValueError, OverflowError):  # OverflowError: an int beyond a float
+        pass
+    raise _CliError(f"{what}: expected {_EXPECTED[kind]}, got {value!r}")
+
+
+def read_spec(spec, builders: dict, where: str = "") -> tuple[str, dict]:
+    """(type, keyword arguments for builders[type]) from a {"type": ...} object.
+
+    The other keys are the builder's parameters, in signature order, each of the kind its
+    annotation names (see strict_value) and required unless it has a default.  `where`
+    prefixes a key: a value's refusal is a _CliError, the object's a ValueError to place.
+    """
+    if not isinstance(spec, dict) or "type" not in spec:
+        raise ValueError(f"expected an object with a 'type' key, got {_brief(spec)}")
+    kind = spec["type"]
+    if not (isinstance(kind, str) and kind in builders):
+        raise ValueError(f"type must be one of {sorted(builders)}, got {kind!r}")
+    params = inspect.signature(builders[kind]).parameters.values()
+    if unknown := sorted(set(spec) - {"type", *(p.name for p in params)}):
+        raise ValueError(f"unknown keys for type {kind!r}: {unknown}")
+    if missing := [p.name for p in params if p.name not in spec and p.default is p.empty]:
+        raise ValueError(f"missing keys for type {kind!r}: {missing}")
+    return kind, {p.name: strict_value(p.annotation, spec[p.name], where + p.name) if p.name in spec
+                  else p.default for p in params}
+
+
+def fill_spec(builders: dict, fixed: dict, tokens, what: str, labels=None) -> dict:
+    """`fixed` plus the parameters of builders[fixed["type"]] it leaves open,
+    parsed from text tokens in signature order; those with a default may be
+    left off the end.  `labels` name them in messages (default: their names).
+    """
+    params = [p for p in inspect.signature(builders[fixed["type"]]).parameters.values()
+              if p.name not in fixed]
+    labels = labels or [p.name for p in params]
+    least = sum(p.default is p.empty for p in params)
+    if not least <= len(tokens) <= len(labels):
+        usage = " ".join(m if i < least else f"[{m}]" for i, m in enumerate(labels))
+        raise _CliError(f"{what} takes {usage}")
+    return {**fixed, **{p.name: strict_value(p.annotation, token, f"{what} {label}", True)
+                        for p, label, token in zip(params, labels, tokens)}}
+
+
+def noise_to_dict(model) -> dict:
+    """A noise model's config object: its type name, then its fields."""
+    return {"type": model.type_name, **{name: value.tolist() if isinstance(value, np.ndarray)
+                                        else value for name, value in _fields(model).items()}}
+
+
+def noise_from_dict(d, where: str = ""):
+    """The noise model of a config object, the inverse of noise_to_dict (see read_spec)."""
+    kind, kwargs = read_spec(d, NOISE_TYPES, where)
+    return NOISE_TYPES[kind](**kwargs)
+
+
+def _snr_grid(raw: str, where: str, text: bool) -> list:
+    """LO:HI:N as N log-spaced SNR targets; a flag or an environment value, so always text."""
+    parts = raw.split(":")
     if len(parts) != 3:
-        raise _CliError(f"--snr-grid takes LO:HI:N, got {text!r}")
+        raise _CliError(f"--snr-grid takes LO:HI:N, got {raw!r}")
     lo = strict_value(float, parts[0], "--snr-grid LO", text=True)
     hi = strict_value(float, parts[1], "--snr-grid HI", text=True)
     count = strict_value(int, parts[2], "--snr-grid N", text=True)
@@ -128,11 +234,27 @@ def parse_noise_spec(text: str):
     params = rest.split(":", count - 1) if rest else []
     if len(params) != count or "" in params:
         raise _CliError(f"noise {head!r} takes {usage}, got {text!r}")
-    spec = fill_spec(NOISE_TYPES, _NOISE_FORMS[usage], params, "--noise")
+    spec = fill_spec(NOISE_TYPES, _NOISE_FORMS[usage], params, "--noise")  # reads file:PATH
+    return NOISE_TYPES[spec.pop("type")](**spec)
+
+
+def _noise(raw, where: str, text: bool):
+    """The noise model of a --noise short form (text) or of a config object.  A refused
+    value is a _CliError that names it; a file's or a model's error is placed here."""
     try:
-        return noise_from_dict(spec)
+        return parse_noise_spec(raw) if text else noise_from_dict(raw, where + ": ")
     except (OSError, ValueError) as exc:
-        raise _CliError(f"--noise: {exc}")
+        raise _CliError(f"{where}: {exc}")
+
+
+def _checks(raw, where: str, text: bool) -> frozenset:
+    """Check names: comma- or space-separated as text, a JSON list of strings in a config file."""
+    names = raw.replace(",", " ").split() if text else raw
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise _CliError(f"{where}: expected a list of check names")
+    if unknown := sorted(set(names) - ALL_CHECKS):
+        raise _CliError([f"unknown check {name!r}" for name in unknown])
+    return frozenset(names)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +279,7 @@ class _Opt(NamedTuple):
     """
 
     name: str
-    conv: object  # int, float, str, bool (1 or 0 as text) or _snr_grid, for every source
+    conv: object  # a kind of strict_value, for every source: int, float, str, bool or a reader
     defaults: dict
     help: object
     key: str | None = None
@@ -188,7 +310,7 @@ _OPTIONS = {row.name: row for row in (
     _Opt("xi_norm", float, {"diagnose": 0.0}, "noise norm (default {})"),
     _Opt("beta_direction", str, _on(_RUNS, "e1"), "true coefficient direction (default {})",
          "beta_direction", choices=("e1", "random", "top")),
-    _Opt("noise", str, _on(_RUNS), _NOISE_USAGE, metavar="SPEC"),  # config: _resolve_noise
+    _Opt("noise", _noise, _on(_RUNS, ZeroNoise()), _NOISE_USAGE, "noise", metavar="SPEC"),
     _Opt("trials", int, {"simulate": 100, "scan": 100, "certify": 200}, {
         **_on(_RUNS, "number of Monte Carlo trials (default {})"),
         "certify": "number of designs sampled (default {})"}, "trials"),
@@ -200,12 +322,13 @@ _OPTIONS = {row.name: row for row in (
     _Opt("quiet", bool, _on(_COMMANDS, False), "suppress the stdout tables"),
     _Opt("snr_grid", _snr_grid, {"scan": _REQUIRED}, "log-spaced SNR targets", metavar="LO:HI:N"),
     _Opt("bins", int, {"certify": 20}, "histogram bin count (default {})"),
+    _Opt("checks", _checks, _on(_RUNS, ALL_CHECKS), None, "checks"),
     _Opt("rel_tol", float, _on(_RUNS, 1e-10), None, "rel_tol"),
 )}
 _CONSTANTS = tuple(f.name for f in fields(Constants))
 # the config keys of the rows, and those with a resolver of their own
 _CONFIG_KEYS = {row.key.partition(".")[0] for row in _OPTIONS.values() if row.key} | {
-    "schema", "spectrum", "noise", "checks", "beta_values", "rotation"}
+    "schema", "spectrum", "beta_values", "rotation"}
 
 
 def _config_value(conf: dict, key):
@@ -229,7 +352,7 @@ def _value(row: _Opt, ns, conf: dict):
         raise _CliError(f"missing required option {usage}")
     else:
         return row.defaults[ns.subcommand]
-    value = row.conv(raw) if row.conv is _snr_grid else strict_value(row.conv, raw, where, text)
+    value = strict_value(row.conv, raw, where, text)
     if row.choices and value not in row.choices:
         *head, last = row.choices
         raise _CliError(f"{row.flag} must be {', '.join(head)}, or {last}, got {value!r}")
@@ -241,10 +364,10 @@ def _value(row: _Opt, ns, conf: dict):
 def _resolve(ns) -> None:
     """Resolve every option of ns.subcommand into ns, converted and checked.
 
-    The spectrum, constants, noise, checks, beta_values and rotation follow
-    their own rules after the rows.  All errors are raised together, before
-    any work runs; a config file that cannot be read, or breaks the schema,
-    at once, since nothing read from it could be trusted.
+    The spectrum, constants, beta_values and rotation follow their own rules
+    after the rows.  All errors are raised together, before any work runs; a
+    config file that cannot be read, or breaks the schema, at once, since
+    nothing read from it could be trusted.
     """
     cmd = ns.subcommand
     conf = _load_config_file(_value(_OPTIONS["config"], ns, {}))
@@ -256,10 +379,8 @@ def _resolve(ns) -> None:
     if cmd in _BOUNDS:
         ns.constants = _collect(errors, _resolve_constants, ns, conf.get("constants"))
     if cmd in _RUNS:
-        ns.noise = _collect(errors, _resolve_noise, ns.noise, conf)
-        ns.checks = _collect(errors, _resolve_checks, conf)
-        ns.beta_values = _collect(errors, _config_array, conf, "beta_values")
-        ns.rotation = _collect(errors, _config_array, conf, "rotation")
+        ns.beta_values = _collect(errors, _config_array, conf, "beta_values", 1)
+        ns.rotation = _collect(errors, _config_array, conf, "rotation", 2)
     if errors:
         raise _CliError(errors)
 
@@ -268,10 +389,10 @@ def _resolve(ns) -> None:
 # spectrum resolution
 
 
-def _values_spectrum(file: str | None = None, values: list | None = None) -> Spectrum:
-    """Inline values as given, else the file's values sorted non-increasing."""
+def _values_spectrum(file: Path | None = None, values: np.ndarray | None = None) -> Spectrum:
+    """The values as given, else the file's values sorted non-increasing."""
     if values is not None:
-        return Spectrum(np.asarray(values, dtype=float))
+        return Spectrum(values)
     if file is None:
         raise _CliError("spectrum of type 'values' needs 'values' or 'file'")
     loaded = load_spectrum(file)
@@ -316,12 +437,12 @@ _SPECTRUM_BUILDERS = {kind: row.build for kind, row in _SPECTRUM_KINDS.items()}
 
 def _spectrum_from_spec(spec) -> tuple[Spectrum, dict]:
     """Build a spectrum from its dict form; returns (spectrum, resolved echo)."""
-    kind, args = read_spec(spec, _SPECTRUM_BUILDERS, "spectrum", "config spectrum ")
-    row = _SPECTRUM_KINDS[kind]
-    try:
-        s = row.build(**args)
+    try:  # a refusal of a value is a _CliError, which names its key
+        kind, args = read_spec(spec, _SPECTRUM_BUILDERS, "config spectrum ")
+        s = _SPECTRUM_KINDS[kind].build(**args)
     except (OSError, ValueError) as exc:
         raise _CliError(f"spectrum: {exc}")
+    row = _SPECTRUM_KINDS[kind]
     return s, {"type": kind, **(row.echo(s) if row.echo else args)}
 
 
@@ -359,7 +480,7 @@ def _load_config_file(path) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise _CliError(f"config file: {exc}")
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:  # too deep, not JSON, an int beyond 4300 digits
         raise _CliError(f"config file {path}: invalid JSON ({exc})")
     if not isinstance(data, dict):
         raise _CliError(f"config file {path}: expected a JSON object")
@@ -378,8 +499,7 @@ def _resolve_constants(ns, section) -> Constants | None:
     """The constants from their rows; the config file's object must hold only their keys."""
     if section is not None and not isinstance(section, dict):
         raise _CliError(f"config constants: expected an object, got {section!r}")
-    unknown = sorted(set(section or ()) - set(_CONSTANTS))
-    if unknown:
+    if unknown := sorted(set(section or ()) - set(_CONSTANTS)):
         raise _CliError(f"config constants: unknown constants keys: {unknown}")
     values = {name: getattr(ns, name) for name in _CONSTANTS}
     if None in values.values():  # a value that did not convert, already reported
@@ -390,40 +510,13 @@ def _resolve_constants(ns, section) -> Constants | None:
         raise _CliError(f"constants: {exc}")
 
 
-def _resolve_noise(text, conf: dict):
-    if text is not None:
-        return parse_noise_spec(text)
-    if "noise" not in conf:
-        return ZeroNoise()
-    try:
-        return noise_from_dict(conf["noise"])
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise _CliError(f"config noise: {exc}")
-
-
-def _resolve_checks(conf: dict):
-    raw = _env("checks")
-    if raw is not None:
-        names = [t for t in raw.replace(",", " ").split() if t]
-    elif "checks" in conf:
-        names = conf["checks"]
-        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
-            raise _CliError("config checks: expected a list of check names")
-    else:
-        return ALL_CHECKS
-    unknown = sorted(set(names) - ALL_CHECKS)
-    if unknown:
-        raise _CliError([f"unknown check {name!r}" for name in unknown])
-    return frozenset(names)
-
-
-def _config_array(conf: dict, key: str):
-    """The array the config file gives under key, inline or as a file; None when absent."""
+def _config_array(conf: dict, key: str, depth: int):
+    """The number array the config file gives under key (see _numbers); None when absent."""
     if conf.get(key) is None:
         return None
     try:
-        return read_vector(conf[key])
-    except (OSError, TypeError, ValueError) as exc:
+        return _numbers(conf[key], "config " + key, depth=depth)
+    except (OSError, ValueError) as exc:  # a file that cannot be read or parsed
         raise _CliError(f"config {key}: {exc}")
 
 

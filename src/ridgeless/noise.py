@@ -18,7 +18,6 @@ rather than silently misapplied.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Union, get_args
@@ -26,7 +25,6 @@ from typing import Union, get_args
 import numpy as np
 
 from .design import DesignMatrix
-from .spectra import read_spec, read_vector
 
 __all__ = [
     "ZeroNoise",
@@ -41,8 +39,6 @@ __all__ = [
     "FIRST_COORDINATE",
     "UNIFORM",
     "realize_noise",
-    "noise_to_dict",
-    "noise_from_dict",
 ]
 
 WORST_SINGULAR = "worst_singular"
@@ -59,8 +55,8 @@ def _check_positive(name: str, value) -> None:
 
 
 def _frozen_vector(model, name: str) -> None:
-    """Validate a 1-d finite vector field (inline, or a file path) and store it read-only."""
-    v = read_vector(getattr(model, name))
+    """Validate a 1-d finite vector field and store it as a read-only float array."""
+    v = np.asarray(getattr(model, name), dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-d vector")
     if not np.all(np.isfinite(v)):
@@ -254,21 +250,3 @@ def realize_noise(
 ) -> np.ndarray:
     """The length-n noise vector for one trial."""
     return model.realize(design, beta_star, rng)
-
-
-def noise_to_dict(model: NoiseModel) -> dict:
-    """JSON-ready description of a noise model ({"type": ..., parameters...})."""
-    out = {"type": model.type_name}
-    for f in dataclasses.fields(model):
-        value = getattr(model, f.name)
-        out[f.name] = [float(v) for v in value] if isinstance(value, np.ndarray) else value
-    return out
-
-
-def noise_from_dict(d: dict) -> NoiseModel:
-    """Inverse of noise_to_dict, read by spectra.read_spec: the keys are the
-    model's fields, each required unless it has a default; a vector field is
-    an inline array or the path of a text file of numbers.
-    """
-    kind, kwargs = read_spec(d, NOISE_TYPES, "noise")
-    return NOISE_TYPES[kind](**kwargs)

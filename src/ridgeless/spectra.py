@@ -19,7 +19,6 @@ same elementwise expression.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,10 +32,6 @@ __all__ = [
     "make_exp_floor_spectrum",
     "make_three_level_spectrum",
     "parse_numbers",
-    "read_vector",
-    "strict_value",
-    "read_spec",
-    "fill_spec",
     "parse_spectrum",
     "load_spectrum",
 ]
@@ -200,82 +195,6 @@ def parse_numbers(text: str, what: str) -> np.ndarray:
             except ValueError:
                 raise ValueError(f"cannot parse {what} entry {token!r}") from None
         raise
-
-
-def read_vector(source) -> np.ndarray:
-    """An inline sequence of numbers, or the path of a text file of them."""
-    if isinstance(source, str):
-        return parse_numbers(Path(source).read_text(encoding="utf-8"), "vector")
-    return np.asarray(source, dtype=float)
-
-
-# {"type": ...} specs, read alike for the spectrum kinds and the noise models.
-_EXPECTED = {int: "an integer", float: "a number", str: "a string", list: "a list", bool: "1 or 0"}
-_KINDS = {kind.__name__: kind for kind in _EXPECTED}
-
-
-def strict_value(kind: type, value, what: str, text: bool = False):
-    """value as a `kind`, or a ValueError naming `what`; never a coercion.
-
-    Text (a flag, an environment variable, a short-form token) is parsed, a
-    bool from 1 or 0.  A JSON value must already be of the kind: a string is
-    not a number, a bool is not a number and 5.7 is not an integer.
-    """
-    try:
-        if text:
-            return {"1": True, "0": False}[value] if kind is bool else kind(value)
-        if type(value) is kind or (kind, type(value)) == (float, int) or (
-                kind is int and type(value) is float and value.is_integer()):
-            return kind(value)
-    except (KeyError, TypeError, ValueError):
-        pass
-    raise ValueError(f"{what}: expected {_EXPECTED[kind]}, got {value!r}")
-
-
-def _value(param: inspect.Parameter, value, what: str, text: bool):
-    """value as the kind param's annotation names ("str | None": a str); any
-    other annotation (an array, which its builder reads) takes it as given."""
-    kind = _KINDS.get(param.annotation.partition(" |")[0])
-    return value if kind is None else strict_value(kind, value, what, text)
-
-
-def read_spec(spec, builders: dict, what: str, where: str = "") -> tuple[str, dict]:
-    """(type, keyword arguments for builders[type]) from a {"type": ...} object.
-
-    The other keys are the builder's parameters, in signature order, each of
-    the kind its annotation names (see strict_value) and required unless it
-    has a default.  `what` names the object in messages; `where` prefixes a key.
-    """
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ValueError(f"{what} spec must be an object with a 'type' key, got {spec!r}")
-    kind = spec["type"]
-    if not (isinstance(kind, str) and kind in builders):
-        raise ValueError(f"{what} type must be one of {sorted(builders)}, got {kind!r}")
-    params = inspect.signature(builders[kind]).parameters.values()
-    unknown = sorted(set(spec) - {"type", *(p.name for p in params)})
-    if unknown:
-        raise ValueError(f"unknown keys for {what} type {kind!r}: {unknown}")
-    missing = [p.name for p in params if p.name not in spec and p.default is p.empty]
-    if missing:
-        raise ValueError(f"missing keys for {what} type {kind!r}: {missing}")
-    return kind, {p.name: _value(p, spec[p.name], where + p.name, False) if p.name in spec
-                  else p.default for p in params}
-
-
-def fill_spec(builders: dict, fixed: dict, tokens, what: str, labels=None) -> dict:
-    """`fixed` plus the parameters of builders[fixed["type"]] it leaves open,
-    parsed from text tokens in signature order; those with a default may be
-    left off the end.  `labels` name them in messages (default: their names).
-    """
-    params = [p for p in inspect.signature(builders[fixed["type"]]).parameters.values()
-              if p.name not in fixed]
-    labels = labels or [p.name for p in params]
-    least = sum(p.default is p.empty for p in params)
-    if not least <= len(tokens) <= len(labels):
-        usage = " ".join(m if i < least else f"[{m}]" for i, m in enumerate(labels))
-        raise ValueError(f"{what} takes {usage}")
-    return {**fixed, **{p.name: _value(p, token, f"{what} {label}", True)
-                        for p, label, token in zip(params, labels, tokens)}}
 
 
 def parse_spectrum(text: str) -> LoadedSpectrum:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import ridgeless
 from ridgeless.cli import main
+from ridgeless.experiments import ALL_CHECKS
 from ridgeless.serialize import format_float
 
 pytestmark = pytest.mark.usefixtures("clean_env")
@@ -543,15 +544,103 @@ def test_missing_input_files_exit_1(tmp_path, capsys):
         ({"noise": {"type": "scaled_direction", "target_norm": 1, "direction": 5}},
          "config noise: direction: expected a string, got 5"),
         ({"schema": True}, "'schema' must be 1, got True"),  # True == 1, but no schema number
+        # arrays: a list of numbers, never a string or a bool; the first bad entry is named
+        ({"spectrum": {"type": "values", "values": ["3", "2", "1"]}},
+         "config spectrum values[0]: expected a number, got '3'"),
+        ({"spectrum": {"type": "flat", "p": 4}, "beta_values": ["1", "0", "0", "0"]},
+         "config beta_values[0]: expected a number, got '1'"),
+        ({"spectrum": {"type": "flat", "p": 2}, "n": 1, "rotation": [["1", 0], [0, True]]},
+         "config rotation[0][0]: expected a number, got '1'"),
+        ({"noise": {"type": "deterministic", "values": [True, "2"]}},
+         "config noise: values[0]: expected a number, got True"),
+        ({"spectrum": {"type": "flat", "p": 2}, "n": 1, "rotation": [[1, 0], [0]]},
+         "config rotation[1]: expected 2 entries, as row 0 has, got 1"),
+        ({"spectrum": {"type": "flat", "p": 4}, "beta_values": [[1, 0, 0, 0]]},
+         "config beta_values[0]: expected a number, got a list"),
+        ({"spectrum": {"type": "flat", "p": 3}, "beta_values": [1, 0.5, "x"]},
+         "config beta_values[2]: expected a number, got 'x'"),
+        ({"spectrum": {"type": "flat", "p": 2}, "n": 1, "rotation": [1, 0]},
+         "config rotation[0]: expected a list of numbers, got 1"),
+        ({"beta_values": {"values": [1]}},
+         "config beta_values: expected a list of numbers, got an object"),
+        # integers beyond a float are named, and the other errors still reported
+        ({"beta_norm": 10**400, "seed": "x"},
+         [f"config beta_norm: expected a number, got {10**400}",
+          "config seed: expected an integer, got 'x'"]),
+        ({"spectrum": {"type": "flat", "p": 20, "value": 10**400}},
+         f"config spectrum value: expected a number, got {10**400}"),
+        ({"constants": {"c0": -10**400}},
+         f"config constants c0: expected a number, got {-10**400}"),
+        ({"noise": {"type": "student", "df": 10**400, "scale": 1}},
+         f"config noise: df: expected a number, got {10**400}"),
+        ({"spectrum": {"type": "flat", "p": 3}, "beta_values": [1, 10**400, 0]},
+         f"config beta_values[1]: expected a number, got {10**400}"),
+        ('"seed": 1' + "0" * 5000, "invalid JSON (Exceeds the limit (4300 digits)"),
     ],
     ids=["p-float", "p-bool", "seed-bool", "trials-bool", "c0-bool", "beta_norm-str",
-         "sigma-bool", "sigma-str", "direction-int", "schema-bool"],
+         "sigma-bool", "sigma-str", "direction-int", "schema-bool", "values-str",
+         "beta_values-str", "rotation-str-bool", "noise-values-bool-str", "rotation-ragged",
+         "beta_values-nested", "beta_values-third", "rotation-flat", "beta_values-object",
+         "beta_norm-huge-and-seed", "value-huge", "c0-huge", "df-huge", "beta_values-huge",
+         "int-5000-digits"],
 )
-def test_config_values_are_checked_not_coerced(conf, message, tmp_path, capsys):
-    base = {"schema": 1, "spectrum": {"type": "flat", "p": 20}, "n": 3, "trials": 2}
-    path = _write(tmp_path / "conf.json", json.dumps({**base, **conf}))
-    assert main(["simulate", "--config", path, "-q"]) == 1
-    _one_error(capsys, message)
+def test_config_values_are_checked_not_coerced(conf, message, tmp_path, monkeypatch, capsys):
+    # each bad value is one line that names it, before any trial and with no file written
+    import ridgeless.experiments as experiments
+
+    drawn = []
+    monkeypatch.setattr(experiments, "sample_design", lambda *a: drawn.append(a))
+    base = '"schema": 1, "spectrum": {"type": "flat", "p": 20}, "n": 3, "trials": 2'
+    text = "{%s, %s}" % (base, conf) if isinstance(conf, str) else json.dumps(
+        {**json.loads("{%s}" % base), **conf})
+    path = _write(tmp_path / "conf.json", text)
+    assert main(["simulate", "--config", path, "-q", "--out", str(tmp_path / "run")]) == 1
+    messages = [message] if isinstance(message, str) else message
+    err = capsys.readouterr().err
+    assert err.count("error:") == len(messages) == len(err.splitlines()), err
+    assert "Traceback" not in err
+    for line in messages:
+        assert line in err, err
+    assert drawn == [] and sorted(tmp_path.iterdir()) == [tmp_path / "conf.json"]
+
+
+@pytest.mark.parametrize(
+    "argv,conf,message",
+    [
+        ([], {"beta_values": ""}, "config beta_values: empty path"),
+        ([], {"rotation": ""}, "config rotation: empty path"),
+        ([], {"noise": {"type": "deterministic", "values": ""}},
+         "config noise: values: empty path"),
+        ([], {"spectrum": {"type": "values", "file": ""}}, "config spectrum file: empty path"),
+        (["--spectrum-file", ""], {}, "--spectrum-file PATH: empty path"),
+    ],
+    ids=["beta_values", "rotation", "noise-values", "spectrum-file-config", "spectrum-file-flag"],
+)
+def test_empty_paths_are_refused_by_key(argv, conf, message, tmp_path, monkeypatch, capsys):
+    # refused before any file is read: the empty path would read the working directory
+    from pathlib import Path
+
+    opened = []
+    monkeypatch.setattr(Path, "read_text", lambda self, **kw: opened.append(self))
+    path = _write(tmp_path / "conf.json", json.dumps(
+        {"schema": 1, "spectrum": {"type": "flat", "p": 20}, "n": 3, "trials": 2, **conf}))
+    assert main(["simulate", "--config", path, *argv, "-q"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert opened == []
+
+
+def test_null_means_absent_for_every_key(tmp_path):
+    # null is the key's absence: its flag, environment variable or default applies
+    base = {"schema": 1, "spectrum": {"type": "flat", "p": 20}, "trials": 3, "beta_norm": 1}
+    nulls = dict.fromkeys(["noise", "checks", "beta_values", "rotation", "seed", "n",
+                           "rel_tol", "beta_direction"])
+    for name, conf in (("plain", base), ("nulls", {**base, **nulls})):
+        path = _write(tmp_path / f"{name}-conf.json", json.dumps(conf))
+        assert main(["simulate", "--config", path, "--n", "3", "-q",
+                     "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "nulls.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    echo = read_json(str(tmp_path / "plain.json"))["config"]
+    assert echo["noise"] == {"type": "zero"} and echo["checks"] == sorted(ALL_CHECKS)
 
 
 NO_SPECTRUM = "no spectrum given: use --flat/--exp-floor/--three-level/--spectrum-file or a config file"
@@ -926,3 +1015,83 @@ def test_extreme_magnitudes_never_escape_main(argv):
     assert code in (0, 1, 2, 3) and caught == [], (code, caught)
     assert all(line.startswith("error: ") for line in err), err
     assert bool(err) == (code in (1, 2)), (code, err)
+
+
+# random config files: wrong types, nesting, unknown keys, null, +-10^400, random spectrum
+# and noise objects.  Every count is tiny (<= 5) or out of its range, never a large valid
+# one, which would start the allocation or the trials it asks for.
+_HUGE = st.sampled_from([10**400, -(10**400)])
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), _HUGE,
+    st.sampled_from([0.5, -1.0, 0.0, 1e-300, 1e300, math.inf, -math.inf, math.nan]),
+    st.lists(st.integers(-1, 2), max_size=2), st.dictionaries(st.sampled_from(["type", "x"]),
+                                                              st.integers(0, 1), max_size=2),
+)
+
+
+def _mostly(valid):
+    """valid three times in four, else junk: most files then get past their first key."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else _JUNK)
+
+
+_COUNT = _mostly(st.one_of(st.integers(-2, 5), _HUGE))
+_NUMBER = _mostly(st.one_of(st.floats(0.01, 10), st.integers(1, 3)))
+_PATH = st.sampled_from(["", "missing.txt", "xi.txt", "."])
+_ARRAY = _mostly(st.one_of(_PATH, st.lists(_NUMBER, max_size=5),
+                           st.lists(st.lists(_NUMBER, max_size=4), max_size=4)))
+_VALUES = {"p": _COUNT, "k1": _COUNT, "c_times_n": _COUNT, "file": _PATH, "values": _ARRAY,
+           "f_values": _ARRAY, "direction": _mostly(st.sampled_from(["worst_singular", "uniform"]))}
+
+
+def _objects(keys: dict):
+    """{"type": T, ...} with some of T's keys (and an unknown type), each of its kind."""
+    return _mostly(st.sampled_from(sorted(keys.items())).flatmap(lambda item: st.fixed_dictionaries(
+        {"type": st.just(item[0])},
+        optional={key: _VALUES.get(key, _NUMBER) for key in item[1].split()})))
+
+
+_SPECTRUM = _objects({"flat": "p value", "exp_floor": "p tau eps", "values": "values file",
+                      "three_level": "k1 c_times_n p eps1 eps2", "pink": "p"})
+_NOISE = _objects({"zero": "", "gaussian": "sigma", "student": "df scale", "pink": "sigma",
+                   "scaled_direction": "target_norm direction", "deterministic": "values",
+                   "model_residual": "f_values"})
+_CONFIG = st.fixed_dictionaries(
+    {"schema": _mostly(st.just(1))},
+    optional={
+        "spectrum": _SPECTRUM, "n": _COUNT, "trials": _COUNT, "seed": _mostly(st.integers(0, 3)),
+        "beta_norm": _NUMBER, "beta_direction": _mostly(st.sampled_from(["e1", "random", "top"])),
+        "noise": _NOISE, "beta_values": _ARRAY, "rotation": _ARRAY, "rel_tol": _NUMBER,
+        "checks": _mostly(st.lists(st.sampled_from(sorted(ALL_CHECKS)), max_size=3)),
+        "constants": _mostly(st.dictionaries(st.sampled_from(["c0", "eta", "c3"]), _NUMBER,
+                                             max_size=2)),
+    },
+)
+# an unknown key, at the top or in a nested object, one file in four
+_UNKNOWN = st.sampled_from([None, None, None, (), ("spectrum",), ("noise",), ("constants",)])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cmd=st.sampled_from(["diagnose", "simulate", "scan", "certify", "spectrum"]),
+       conf=_CONFIG, unknown=_UNKNOWN, flat=st.booleans(), n=st.booleans(),
+       bins=st.integers(-2, 5))
+def test_random_config_files_never_escape_main(cmd, conf, unknown, flat, n, bins, tmp_path,
+                                               monkeypatch):
+    # a flag here and there lets more files reach the spectrum, the noise and the trials
+    monkeypatch.chdir(tmp_path)  # relative paths: xi.txt below, missing.txt nowhere
+    _write(tmp_path / "xi.txt", "0.5 -1 2\n")
+    if unknown is not None:
+        obj = conf.get(unknown[0]) if unknown else conf
+        if isinstance(obj, dict):
+            obj["x"] = 1
+    _write(tmp_path / "conf.json", json.dumps(conf))
+    argv = [cmd, "--config", "conf.json", *(["--flat", "5"] if flat else [])]
+    if n and cmd != "spectrum":
+        argv += ["--n", "2"]
+    if cmd == "scan":
+        argv += ["--snr-grid", "0.1:10:2"]
+    if cmd == "certify":
+        argv += ["--bins", str(bins)]
+    code, caught, err = _run_unfiltered(argv + ["-q"])
+    assert code in (0, 1, 2, 3) and caught == [], (code, caught)
+    assert all(line.startswith(("error: ", "note: ")) for line in err), err

@@ -1,11 +1,14 @@
-"""Noise models: realization, design independence, expected norms, serialization."""
+"""Noise models: realization, design independence, expected norms, and their config objects,
+which the CLI alone reads and writes."""
 
+import json
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ridgeless.cli import noise_from_dict, noise_to_dict
 from ridgeless.design import sample_design, trial_rng
 from ridgeless.noise import (
     FIRST_COORDINATE,
@@ -17,8 +20,6 @@ from ridgeless.noise import (
     ScaledDirectionNoise,
     StudentTNoise,
     ZeroNoise,
-    noise_from_dict,
-    noise_to_dict,
     realize_noise,
 )
 from ridgeless.spectra import CovarianceModel, make_flat_spectrum
@@ -161,6 +162,8 @@ def test_parameter_validation():
         ScaledDirectionNoise(target_norm=1.0, direction="sideways")
     with pytest.raises(ValueError):
         DeterministicNoise(values=np.array([1.0, math.nan]))
+    with pytest.raises(ValueError, match="must be a non-empty 1-d vector"):
+        ModelResidualNoise(f_values=np.ones((2, 2)))
     StudentTNoise(df=2.0, scale=1.0)  # infinite variance is allowed
     ScaledDirectionNoise(target_norm=0.0)  # zero norm is allowed
 
@@ -188,8 +191,18 @@ def test_independence_tags():
         assert model.design_independent is False
 
 
+def test_models_take_arrays_not_paths(tmp_path):
+    # a model never opens a file: the CLI reads a path into an array first
+    path = tmp_path / "xi.txt"
+    path.write_text("1.0 2.0\n", encoding="utf-8")
+    for cls in (DeterministicNoise, ModelResidualNoise):
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            cls(str(path))
+    assert np.array_equal(DeterministicNoise([1, 2]).values, [1.0, 2.0])
+
+
 # ---------------------------------------------------------------------------
-# serialization
+# config objects, through the CLI's reader and writer
 
 
 @pytest.mark.parametrize(
@@ -208,18 +221,19 @@ def test_dict_round_trip(model):
     back = noise_from_dict(noise_to_dict(model))
     assert type(back) is type(model)
     assert noise_to_dict(back) == noise_to_dict(model)
+    assert json.loads(json.dumps(noise_to_dict(model))) == noise_to_dict(model)  # plain JSON
 
 
 def test_from_dict_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="type must be one of"):
         noise_from_dict({"type": "pink"})
-    with pytest.raises(ValueError):
-        noise_from_dict({"type": "gaussian"})  # missing sigma
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"missing keys for type 'gaussian': \['sigma'\]"):
+        noise_from_dict({"type": "gaussian"})
+    with pytest.raises(ValueError, match=r"unknown keys for type 'gaussian': \['mean'\]"):
         noise_from_dict({"type": "gaussian", "sigma": 1.0, "mean": 0.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected an object with a 'type' key"):
         noise_from_dict({"sigma": 1.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected an object with a 'type' key, got 'gaussian'"):
         noise_from_dict("gaussian")
 
 
@@ -233,9 +247,9 @@ def test_vector_from_file(tmp_path):
 def test_vector_file_errors(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty vector input$"):
         noise_from_dict({"type": "deterministic", "values": str(empty)})
     bad = tmp_path / "bad.txt"
     bad.write_text("1.0 oops\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cannot parse vector entry 'oops'$"):
         noise_from_dict({"type": "model_residual", "f_values": str(bad)})
