@@ -12,7 +12,13 @@ rank, else from a thin SVD (singular values below rel_tol times the
 largest count as zero).  A design computes each factorization once, so
 the fit, sigma_min and design-dependent noise share it, as do repeated
 fits of one design to different targets.  The high-dimensional regime
-p >= n is enforced on construction.
+p >= n is enforced on construction; sample_design builds its designs in
+place and hands them over without a copy or a finiteness scan.
+
+The prediction error is the correctly rounded sum of its non-negative
+terms, the bits of math.fsum: an extended-precision (x87 long double)
+sum in blocks is returned when its error bound certifies the rounding,
+else math.fsum decides.
 """
 
 from __future__ import annotations
@@ -35,6 +41,14 @@ __all__ = [
 # Least w_min / w_max of X X^T that keeps the Gram path (condition number
 # 1e3, where the fit's identity residual stays near 1e-10); below, the SVD.
 _GRAM_MIN_RATIO = 1e-6
+
+# The certified sum needs the 64-bit significand of the x87 long double, in
+# its arithmetic too (1 + 2^-63 rounds to 1 at a narrower precision).
+_EXTENDED = bool(np.finfo(np.longdouble).nmant == 63
+                 and np.longdouble(1) + np.longdouble(2.0**-63) != 1)
+# Its unit roundoff 2^-64, 1 % above so that the bound h u s also covers
+# gamma_h / (1 - gamma_h) and the rounding of the bound's own product.
+_INFLATED_U = 2.0**-64 * 1.01
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -74,6 +88,15 @@ class DesignMatrix:
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
+
+    @classmethod
+    def _trusted(cls, a: np.ndarray) -> DesignMatrix:
+        """Wrap a finite float array of shape (n, p), p >= n, without a copy or a
+        scan, and make it read-only; for arrays built here alone."""
+        a.setflags(write=False)
+        design = object.__new__(cls)
+        object.__setattr__(design, "entries", a)
+        return design
 
     @property
     def n(self) -> int:
@@ -129,8 +152,12 @@ def sample_design(cov: CovarianceModel, n: int, rng: np.random.Generator) -> Des
     """n i.i.d. Gaussian rows with covariance cov.
 
     Drawn as G diag(sqrt(lambda)) (then rotated into the eigenbasis when
-    one is supplied) with G standard Gaussian.  The covariance must have
-    rank at least n so that an interpolating fit exists almost surely.
+    one is supplied) with G standard Gaussian, scaled in place.  The
+    covariance must have rank at least n so that an interpolating fit
+    exists almost surely.  The entries need no finiteness scan: numpy's
+    Gaussian sampler returns |g| < 14, so every entry is at most
+    14 sqrt(sum lambda) in size (Cauchy-Schwarz over a row of Q when
+    rotated), and the spectrum's sum is finite.
     """
     if not n >= 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
@@ -140,11 +167,11 @@ def sample_design(cov: CovarianceModel, n: int, rng: np.random.Generator) -> Des
             f"covariance rank {rank} is below the sample count n={n}: "
             "interpolation is impossible"
         )
-    g = rng.standard_normal((n, cov.p))
-    x = g * np.sqrt(cov.spectrum.values)
+    x = rng.standard_normal((n, cov.p))
+    x *= np.sqrt(cov.spectrum.values)
     if cov.rotation is not None:
         x = x @ cov.rotation.T
-    return DesignMatrix(x)
+    return DesignMatrix._trusted(x)
 
 
 def min_norm_fit(design: DesignMatrix, targets, rel_tol: float = 1e-10) -> np.ndarray:
@@ -171,13 +198,52 @@ def min_norm_fit(design: DesignMatrix, targets, rel_tol: float = 1e-10) -> np.nd
 def prediction_error(cov: CovarianceModel, beta_hat, beta_star) -> float:
     """Squared prediction gap Delta^T Sigma Delta at a fresh Gaussian point.
 
-    Evaluated in the eigenbasis as sum_i lambda_i d_i^2, a sum of
-    non-negative terms, so the result is non-negative to rounding.
+    Evaluated in the eigenbasis as sum_i (lambda_i d_i) d_i, a sum of
+    non-negative terms, correctly rounded: the bits of math.fsum over the
+    terms (see _nonneg_sum).
     """
-    d = _delta(cov.p, beta_hat, beta_star)
+    return _weighted_square(cov, _delta(cov.p, beta_hat, beta_star))
+
+
+def _weighted_square(cov: CovarianceModel, d: np.ndarray) -> float:
+    """d^T Sigma d for a float vector d of length p, as prediction_error."""
     if cov.rotation is not None:
         d = cov.rotation.T @ d
-    return math.fsum((cov.spectrum.values * d * d).tolist())
+    t = cov.spectrum.values * d
+    t *= d
+    return _nonneg_sum(t)
+
+
+def _nonneg_sum(t: np.ndarray) -> float:
+    """math.fsum(t.tolist()) for a non-empty 1-d float array of terms >= 0.
+
+    The terms are summed in long double in b blocks of b (zero-padded), so
+    each passes through at most h = 2b additions, and the computed s is
+    within h u s (1 + o(1)) of the exact sum (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 2nd ed., sec. 4.2; the terms are
+    non-negative, so their absolute sum is the sum).  s is rounded to the
+    double m and returned only if that bound keeps the exact sum strictly
+    inside the half-gaps to m's neighbours, where rounding to nearest gives
+    m whatever the tie rule.  Zero, non-finite, overflowing and near-tie
+    sums, and platforms without the x87 long double, take math.fsum
+    (Shewchuk's exact summation), which also raises on overflow.  The
+    block buffer takes 16 b^2 bytes, below the tolist() of the fallback.
+    """
+    if _EXTENDED:
+        b = math.isqrt(t.size - 1) + 1
+        blocks = np.zeros(b * b, np.longdouble)
+        blocks[: t.size] = t
+        s = blocks.reshape(b, b).sum(axis=1).sum()
+        del blocks  # freed before any fallback's tolist()
+        m = float(s)
+        up = math.nextafter(m, math.inf)
+        if m > 0 and up < math.inf:
+            bound = s * (2 * b * _INFLATED_U)
+            r = s - m  # exact (Sterbenz), as is each half-gap in long double
+            if (bound < np.longdouble(up - m) / 2 - r
+                    and bound < np.longdouble(m - math.nextafter(m, 0.0)) / 2 + r):
+                return m
+    return math.fsum(t.tolist())
 
 
 def _delta(p: int, beta_hat, beta_star) -> np.ndarray:

@@ -65,6 +65,14 @@ def _check_squarable(name: str, value: float) -> None:
                          f"got {value!r}")
 
 
+def _check_n(n) -> None:
+    """n is at least 1, and no larger than a float holds: the bounds scale floats by it."""
+    if not n >= 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    if not n <= sys.float_info.max:
+        raise ValueError(f"n must be at most {sys.float_info.max!r}, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Constants:
     """Tunable absolute constants entering the diagnostics.
@@ -104,8 +112,7 @@ def effective_rank_index(s: Spectrum, n: int, c0: float) -> int | float:
     (the sequence is non-increasing), so the ratio is 0/0 and the scan
     can stop.
     """
-    if not n >= 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    _check_n(n)
     if not c0 > 0:
         raise ValueError(f"c0 must be positive, got {c0!r}")
     vals = s.values[: np.count_nonzero(s.values)]  # up to the first zero
@@ -134,8 +141,7 @@ def complexity_radius(s: Spectrum, n: int, eta: float) -> float:
     so the candidate is r^2 = r_{j+1} / (eta n - j), valid only for
     j < eta n.  The result is the smallest accepted candidate.
     """
-    if not n >= 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    _check_n(n)
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta!r}")
     p = s.p
@@ -218,8 +224,7 @@ def prediction_bounds(
 
     An infinite r_bar leaves the noise floor as the lower bound.
     """
-    if not n >= 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    _check_n(n)
     for name, v in (("rho", rho), ("r_star", r_star), ("xi_norm", xi_norm), ("c3", c3)):
         if v < 0:
             raise ValueError(f"{name} must be non-negative, got {v!r}")
@@ -244,8 +249,7 @@ def regime_bounds(
     upper = max(||beta*||^2 r_cn / n, ||xi||^2 / n) with cn = floor(c_frac n) (min 1)
     lower = c3 ||xi||^2 / min(n, k_bar)
     """
-    if not n >= 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    _check_n(n)
     if not (isinstance(k_bar, int) and k_bar >= 1):
         raise ValueError(f"k_bar must be a positive integer, got {k_bar!r}")
     cn = min(constants.cn(n), s.p)  # clamp: the tail sum needs a valid rank

@@ -28,12 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .design import (
-    min_norm_fit,
-    prediction_error,
-    sample_design,
-    trial_rng,
-)
+from .design import _weighted_square, min_norm_fit, sample_design, trial_rng
 from .diagnostics import (
     Constants,
     DiagnosticsReport,
@@ -86,6 +81,11 @@ _BOUND_SLACK = 1e-12
 # Stream index for the one-off random beta* direction draw; trial indices
 # stay below 2^32 so the streams never collide.
 _BETA_STREAM = 2**32
+
+# Most histogram bins a certificate study takes: its edges and counts are
+# built after the draws and each is written out, so a larger count is
+# refused before the first design (a million bins write 30 MB of JSON).
+_MAX_BINS = 10**6
 
 _DIRECTIONS = ("e1", "random", "top")
 
@@ -258,7 +258,7 @@ def _evaluate(config, trial_index, design, xi) -> TrialRecord:
 
     n = config.n
     delta = beta_hat - config._beta_star
-    pred = prediction_error(config.covariance, beta_hat, config._beta_star)
+    pred = _weighted_square(config.covariance, delta)
     est = float(delta @ delta)
     xd = design.entries @ delta
     deviation = float(xd @ xd) / n - pred
@@ -619,7 +619,8 @@ def certificate_study(
 ) -> CertificateStudy:
     """Monte Carlo frequency of the smallest-singular-value certificate; a failing
     trial raises ExperimentError with the earlier sigma_min values preserved.
-    n is checked first, then k* (InfiniteIndexError), then trials and bins."""
+    n is checked first, then k* (InfiniteIndexError), then trials and bins
+    (at most _MAX_BINS)."""
     _check_count("n", n)
     cov = spectrum if isinstance(spectrum, CovarianceModel) else CovarianceModel(spectrum)
     ks = effective_rank_index(cov.spectrum, n, c0)
@@ -629,6 +630,8 @@ def certificate_study(
         )
     _check_count("trials", trials, _BETA_STREAM)
     _check_count("bins", bins)
+    if bins > _MAX_BINS:
+        raise ValueError(f"bins must be at most {_MAX_BINS}, got {bins}")
     r_kstar = cov.spectrum.tail_sum(ks)
     sqrt_rk = math.sqrt(r_kstar)
     threshold = _CERT_FACTOR * sqrt_rk

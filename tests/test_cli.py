@@ -518,6 +518,39 @@ def test_certify_rejects_bins_below_one(bins, capsys):
     _one_error(capsys, "bins must be a positive integer")
 
 
+def _no_design_drawn(monkeypatch) -> list:
+    import ridgeless.experiments as experiments
+
+    drawn = []
+    monkeypatch.setattr(experiments, "sample_design", lambda *a: drawn.append(a))
+    return drawn
+
+
+def test_certify_refuses_bins_past_the_cap_before_any_design(monkeypatch, capsys):
+    # once asked numpy for 7.28 TiB of histogram, after drawing every design
+    drawn = _no_design_drawn(monkeypatch)
+    argv = ["certify", "--flat", "50", "--n", "2", "--trials", "2", "--bins", "1000000000000"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: bins must be at most 1000000, got 1000000000000\n"
+    assert drawn == []
+
+
+@pytest.mark.parametrize("cmd", ["diagnose", "certify"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_n_beyond_a_float_is_refused_by_name(cmd, source, tmp_path, monkeypatch, capsys):
+    # once "error: int too large to convert to float", which named nothing
+    drawn = _no_design_drawn(monkeypatch)
+    n = 10**400
+    if source == "flag":
+        argv = [cmd, "--flat", "5", "--n", str(n)]
+    else:
+        argv = [cmd, "--flat", "5", "--config",
+                _write(tmp_path / "conf.json", json.dumps({"schema": 1, "n": n}))]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: n must be at most {sys.float_info.max!r}, got {n}\n"
+    assert drawn == []
+
+
 def test_missing_input_files_exit_1(tmp_path, capsys):
     missing = str(tmp_path / "absent.txt")
     assert main(["diagnose", "--spectrum-file", missing, "--n", "5"]) == 1

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from ridgeless import design as design_module
 from ridgeless.design import (
     DesignMatrix,
+    _nonneg_sum,
     min_norm_fit,
     prediction_error,
     sample_design,
@@ -70,9 +74,12 @@ def test_design_rejects_non_finite():
 
 
 def test_design_entries_read_only():
-    d = DesignMatrix(np.ones((2, 3)))
+    a = np.ones((2, 3))
+    d = DesignMatrix(a)
     with pytest.raises(ValueError):
         d.entries[0, 0] = 5.0
+    a[0, 0] = 5.0  # a copy: the caller's array stays its own
+    assert d.entries[0, 0] == 1.0 and a.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +116,19 @@ class _StubRng:
 
 
 def test_sample_design_rotation_construction():
-    # rotated draw is (G sqrt(Lambda)) Q^T for the same Gaussian block G
+    # rotated draw is (G sqrt(Lambda)) Q^T for the same Gaussian block G, bit for bit
+    # (scaled in place, then rotated), and read-only as a copied design is
     rng = np.random.default_rng(5)
     q = random_orthogonal(rng, 3)
     spectrum = Spectrum(np.array([3.0, 1.0, 0.5]))
     g = rng.standard_normal((3, 3))
     plain = sample_design(CovarianceModel(spectrum), 3, _StubRng(g)).entries
     rotated = sample_design(CovarianceModel(spectrum, rotation=q), 3, _StubRng(g)).entries
-    assert np.allclose(plain, g * np.sqrt(spectrum.values), atol=0)
-    assert np.max(np.abs(rotated - plain @ q.T)) < 1e-15
+    assert plain.tobytes() == (g * np.sqrt(spectrum.values)).tobytes()
+    assert rotated.tobytes() == (plain @ q.T).tobytes()
+    for entries in (plain, rotated):
+        with pytest.raises(ValueError):
+            entries[0, 0] = 5.0
 
 
 def test_sample_design_rotation_covariance():
@@ -373,6 +384,114 @@ def test_prediction_error_sum_is_bit_identical_to_per_element_fsum():
         rng.standard_normal(2000),
     ):
         assert math.fsum(v.tolist()).hex() == _fsum_per_element(v).hex()
+
+
+# ---------------------------------------------------------------------------
+# the certified extended-precision sum behind prediction_error
+
+needs_extended = pytest.mark.skipif(
+    not design_module._EXTENDED, reason="the fast path needs the x87 long double"
+)
+
+
+def _outcome(f, t):
+    """f(t)'s bits, or the type of the error it raises."""
+    try:
+        return f(t).hex()
+    except OverflowError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.integers(1, 5000),
+    seed=st.integers(0, 2**32 - 1),
+    low=st.integers(-1100, 1030),
+    spread=st.sampled_from([0, 1, 10, 60, 300, 2100]),
+    zeros=st.sampled_from([0.0, 0.5, 1.0]),
+    special=st.sampled_from([None, math.inf, math.nan]),
+)
+def test_nonneg_sum_has_the_bits_of_fsum(p, seed, low, spread, zeros, special):
+    # mantissas in [0, 1) times 2^e, e in [low, low + spread] up to 1024 (every term
+    # finite): wide exponent spreads, subnormals, terms that flush to zero and sums
+    # that overflow; then zeros and an inf or a nan
+    rng = np.random.default_rng(seed)
+    e = rng.integers(low, low + spread, size=p, endpoint=True)
+    t = np.ldexp(rng.random(p), np.minimum(e, 1024))
+    t[rng.random(p) < zeros] = 0.0
+    if special is not None:
+        t[rng.integers(p)] = special
+    assert _outcome(_nonneg_sum, t) == _outcome(lambda v: math.fsum(v.tolist()), t)
+
+
+def test_nonneg_sum_overflow_raises_on_both_paths(monkeypatch):
+    big = np.array([1.7976931348623157e308, 1e292])  # exact sum is past the overflow threshold
+    with pytest.raises(OverflowError):
+        math.fsum(big.tolist())
+    with pytest.raises(OverflowError):
+        _nonneg_sum(big)
+    monkeypatch.setattr(design_module, "_EXTENDED", False)
+    with pytest.raises(OverflowError):
+        _nonneg_sum(big)
+
+
+def _counting_fsum(monkeypatch):
+    calls = []
+    fsum = math.fsum
+
+    def counted(terms):
+        calls.append(len(terms))
+        return fsum(terms)
+
+    monkeypatch.setattr(math, "fsum", counted)
+    return calls
+
+
+@needs_extended
+@pytest.mark.parametrize(
+    "terms,want",
+    [
+        ([1.0, 2.0**-53], 1.0),  # exact tie, to even below
+        ([1.0 + 2.0**-52, 2.0**-53], 1.0 + 2.0**-51),  # exact tie, to even above
+        ([1.0, 2.0**-53, 2.0**-100], 1.0 + 2.0**-52),  # past the tie by less than s resolves
+        ([1.0, 2.0**-53 - 2.0**-106], 1.0),  # short of the tie by less than s resolves
+        ([0.5, 0.5 - 2.0**-54], 1.0),  # tie below a power of two, where the gap halves
+        ([1.0, 2.0**-54, 2.0**-54], 1.0),  # a tie built from two terms
+    ],
+    ids=["tie-down", "tie-up", "above-tie", "below-tie", "binade-tie", "two-term-tie"],
+)
+def test_near_ties_take_the_fsum_fallback(terms, want, monkeypatch):
+    t = np.array(terms)
+    calls = _counting_fsum(monkeypatch)
+    assert _nonneg_sum(t).hex() == want.hex()
+    assert calls == [t.size]
+
+
+@needs_extended
+def test_ordinary_sums_take_the_fast_path(monkeypatch):
+    # exact sums (r = 0) always pass the certificate; random ones mostly do
+    exact = [np.arange(1.0, p + 1) for p in (1, 2, 7, 2000)]
+    rng = np.random.default_rng(8)
+    drawn = [rng.standard_normal(2000) ** 2 for _ in range(200)]
+    want = [math.fsum(t.tolist()).hex() for t in exact + drawn]
+    calls = _counting_fsum(monkeypatch)
+    assert [_nonneg_sum(t).hex() for t in exact] == want[: len(exact)]
+    assert calls == []
+    assert [_nonneg_sum(t).hex() for t in drawn] == want[len(exact):]
+    assert len(calls) < 40  # 14 of 200 fall back: where s lies within 2b u s of a tie
+
+
+def test_trial_loop_kernel_has_the_bits_of_fsum():
+    # the trial loop passes Delta itself to the kernel behind prediction_error
+    rng = np.random.default_rng(9)
+    spectrum = Spectrum(np.sort(rng.exponential(size=50))[::-1].copy())
+    for rotation in (None, random_orthogonal(rng, 50)):
+        cov = CovarianceModel(spectrum, rotation=rotation)
+        bh, bs = rng.standard_normal(50), rng.standard_normal(50)
+        d = bh - bs if rotation is None else rotation.T @ (bh - bs)
+        want = math.fsum(((spectrum.values * d) * d).tolist())
+        assert prediction_error(cov, bh, bs).hex() == want.hex()
+        assert design_module._weighted_square(cov, bh - bs).hex() == want.hex()
 
 
 def fixed_trial(p, n, seed, trial_index):

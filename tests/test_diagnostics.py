@@ -94,6 +94,22 @@ def test_kstar_validation():
         effective_rank_index(s, 3, 0.0)
 
 
+def test_n_beyond_a_float_is_refused_by_name():
+    # the bounds scale floats by n; 10^400 once escaped as "int too large to convert to float"
+    s = make_flat_spectrum(3, 1.0)
+    for call in (
+        lambda n: effective_rank_index(s, n, 1.0),
+        lambda n: complexity_radius(s, n, 1.0),
+        lambda n: prediction_bounds(1.0, 1.0, 1.0, 1.0, n, 1.0),
+        lambda n: regime_bounds(s, 1.0, 1.0, n, 1, Constants()),
+        lambda n: diagnose(s, n, 1.0, 1.0),
+    ):
+        with pytest.raises(ValueError, match=r"^n must be at most 1\.7976931348623157e\+308, got 1"):
+            call(10**400)
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+            call(0)
+
+
 # ---------------------------------------------------------------------------
 # localization radius
 

@@ -670,6 +670,12 @@ def test_certificate_study_runs_with_one_blas_thread(monkeypatch):
     assert info.value.partial == earlier
 
 
+def test_certificate_study_refuses_bins_past_the_cap_before_any_design(monkeypatch):
+    monkeypatch.setattr(experiments, "sample_design", lambda *a: pytest.fail("design drawn"))
+    with pytest.raises(ValueError, match=r"^bins must be at most 1000000, got 1000001$"):
+        certificate_study(make_flat_spectrum(50, 1.0), 5, 10.0, 2, seed=0, bins=10**6 + 1)
+
+
 @pytest.mark.parametrize("bins", [0, -3])
 def test_certificate_study_rejects_bins_below_one(bins):
     with pytest.raises(ValueError, match="bins"):
