@@ -108,7 +108,8 @@ def _numbers(value, what: str, text: bool = False, depth: int = 1) -> np.ndarray
     numbers, of such lists at depth 2, with no bool and no string.  A refusal names the first
     bad entry, never the whole list."""
     if text or isinstance(value, str):
-        return parse_numbers(Path(_path(value, what, text)).read_text(encoding="utf-8"), "vector")
+        return parse_numbers(Path(_path(value, what, text)).read_text(encoding="utf-8-sig"),
+                             "vector")
     rows = value if depth == 2 and isinstance(value, list) else [value]
     for i, row in enumerate(rows):
         at = f"{what}[{i}]" if rows is value else what
@@ -430,7 +431,7 @@ _SPECTRUM_KINDS = {
     # An inline list or an external file; the echo pins the resolved
     # (sorted) values so a re-run does not depend on the file's future.
     "values": _Kind("--spectrum-file", None, ("PATH",), _values_spectrum,
-                    "eigenvalues from a text file", lambda s: {"values": s.values.tolist()}),
+                    "eigenvalues from a text file", lambda s: {"values": s.values}),
 }
 _SPECTRUM_BUILDERS = {kind: row.build for kind, row in _SPECTRUM_KINDS.items()}
 
@@ -476,7 +477,7 @@ def _load_config_file(path) -> dict:
     if not path:
         return {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise _CliError(f"config file: {exc}")
@@ -762,14 +763,12 @@ def _cmd_certify(ns) -> int:
 
 def _cmd_spectrum(ns) -> int:
     spectrum, spec_echo = ns.spectrum
-
-    values = spectrum.values.tolist()
     payload = {"schema": 1, "spectrum": spec_echo, "p": spectrum.p, "trace": spectrum.trace}
     _write_outputs(
         ns,
-        lambda: {**payload, "values": values},
+        lambda: {**payload, "values": spectrum.values},
         # one value per line, headerless: loadable back through --spectrum-file
-        lambda: [*format_floats(values, "\n"), "\n"],
+        lambda: [*format_floats(spectrum.values, "\n"), "\n"],
     )
     if not ns.quiet:
         print(f"p {spectrum.p}")

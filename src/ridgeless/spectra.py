@@ -212,8 +212,9 @@ def parse_spectrum(text: str) -> LoadedSpectrum:
 
 
 def load_spectrum(path) -> LoadedSpectrum:
-    """Read a spectrum from a UTF-8 text file (see parse_spectrum for the format)."""
-    return parse_spectrum(Path(path).read_text(encoding="utf-8"))
+    """Read a spectrum from a UTF-8 text file, with or without a byte-order mark
+    (see parse_spectrum for the format)."""
+    return parse_spectrum(Path(path).read_text(encoding="utf-8-sig"))
 
 
 @dataclass(frozen=True, eq=False)

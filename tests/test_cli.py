@@ -434,6 +434,34 @@ def test_spectrum_sources_agree(kind, tmp_path, monkeypatch):
         assert list(echo) == list(configs[-1])
 
 
+@pytest.mark.parametrize("reader", ["spectrum-file", "noise-file", "config-values", "config"])
+def test_a_byte_order_mark_changes_no_byte(reader, tmp_path, capsys):
+    """Every input file reads the same with a UTF-8 byte-order mark as without."""
+    results = []
+    for bom in ("", "\ufeff"):
+        folder = tmp_path / ("bom" if bom else "plain")
+        folder.mkdir()
+        marked = {reader: bom}.get
+        eig = _write(folder / "eig.txt", marked("spectrum-file", "") + "3\n2, 1\n0.5\n0.25\n")
+        values = _write(folder / "values.txt", marked("config-values", "") + "4 2 1 0.5\n")
+        xi = _write(folder / "xi.txt", marked("noise-file", "") + "0.5 -0.25\n1.0\n")
+        conf = {"schema": 1, "n": 3, "beta_norm": 1, "trials": 2,
+                "spectrum": {"type": "values", "values": values}}
+        conf = _write(folder / "conf.json", marked("config", "") + json.dumps(conf))
+        out = str(folder / "out")
+        argv = {
+            "spectrum-file": ["diagnose", "--spectrum-file", eig, "--n", "2", "--c0", "1",
+                              "--xi-norm", "1"],
+            "noise-file": ["simulate", "--flat", "20", "--n", "3", "--trials", "2",
+                           "--noise", f"file:{xi}"],
+        }.get(reader, ["simulate", "--config", conf])
+        assert main(argv + ["--beta-norm", "1", "--out", out, "--format", "both"]) == 0
+        std = capsys.readouterr()
+        results.append((std.out, std.err.replace(str(folder), "DIR"),
+                        [(folder / f"out{s}").read_bytes() for s in (".json", ".csv")]))
+    assert results[0] == results[1]
+
+
 _NOISE_FORMS = [
     ("zero", {"type": "zero"}),
     ("gaussian:2", {"type": "gaussian", "sigma": 2}),
