@@ -11,7 +11,6 @@ cli (the command-line front end).
 from .design import (
     DesignMatrix,
     min_norm_fit,
-    prediction_error,
     sample_design,
     trial_rng,
 )
@@ -24,11 +23,7 @@ from .diagnostics import (
     complexity_radius,
     diagnose,
     effective_rank_index,
-    localization_radius,
     lower_radius,
-    prediction_bounds,
-    regime_bounds,
-    snr_and_regime,
     tail_halving_index,
 )
 from .experiments import (

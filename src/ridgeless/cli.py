@@ -199,6 +199,10 @@ def noise_from_dict(d, where: str = ""):
     return NOISE_TYPES[kind](**kwargs)
 
 
+# Most --snr-grid points: the scan builds one config, and fits every trial, per point.
+_MAX_GRID = 10**4
+
+
 def _snr_grid(raw: str, where: str, text: bool) -> list:
     """LO:HI:N as N log-spaced SNR targets; a flag or an environment value, so always text."""
     parts = raw.split(":")
@@ -209,6 +213,8 @@ def _snr_grid(raw: str, where: str, text: bool) -> list:
     count = strict_value(int, parts[2], "--snr-grid N", text=True)
     if not (0 < lo < hi < math.inf and count >= 2):
         raise _CliError("--snr-grid needs 0 < LO < HI < inf and N >= 2")
+    if count > _MAX_GRID:  # before the grid, and the one config per point, are built
+        raise _CliError(f"--snr-grid N must be at most {_MAX_GRID}, got {count}")
     return [float(v) for v in np.geomspace(lo, hi, count)]
 
 
@@ -299,7 +305,7 @@ def _constant(name: str, text: str) -> _Opt:
 
 
 _OPTIONS = {row.name: row for row in (
-    _Opt("config", str, _on(_COMMANDS), "JSON config file (schema 1)", metavar="PATH"),
+    _Opt("config", _path, _on(_COMMANDS), "JSON config file (schema 1)", metavar="PATH"),
     _constant("c0", "effective-rank constant"),
     _constant("eta", "complexity-radius level"),
     _constant("gamma", "lower-radius budget fraction"),
@@ -317,7 +323,8 @@ _OPTIONS = {row.name: row for row in (
         "certify": "number of designs sampled (default {})"}, "trials"),
     _Opt("seed", int, _on((*_RUNS, "certify"), 0), "base seed (default {})", "seed"),
     _Opt("threads", int, _on(_RUNS, 1), "worker thread cap; never affects results", least=1),
-    _Opt("out", str, _on(_COMMANDS), "output base path (known suffixes stripped)", metavar="PATH"),
+    _Opt("out", _path, _on(_COMMANDS), "output base path (known suffixes stripped)",
+         metavar="PATH"),
     _Opt("format", str, _on(_COMMANDS, "json"), "output format (default {})",
          choices=("json", "csv", "both")),
     _Opt("quiet", bool, _on(_COMMANDS, False), "suppress the stdout tables"),
@@ -560,12 +567,14 @@ _KNOWN_SUFFIXES = (".plot.csv", ".json", ".csv")
 
 
 def _output_base(out) -> str | None:
-    """BASE of --out, known suffixes stripped (None without it); its directory
-    must exist and be writable, so a bad path fails before any work, not after.
+    """BASE of --out, known suffixes stripped (None without it); it must name a file in a
+    directory that exists and is writable, so a bad path fails before any work, not after.
     """
-    if not out:
+    if out is None:  # an empty --out is refused by its reader, _path
         return None
     base = next((out[: -len(s)] for s in _KNOWN_SUFFIXES if out.endswith(s)), out)
+    if os.path.basename(base) in ("", ".", ".."):  # BASE.json would be a hidden file
+        raise _CliError(f"--out: {out!r} names no file")
     folder = os.path.dirname(base) or "."
     if not os.path.isdir(folder):
         raise _CliError(f"--out: directory {folder!r} does not exist")

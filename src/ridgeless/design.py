@@ -35,7 +35,6 @@ __all__ = [
     "trial_rng",
     "sample_design",
     "min_norm_fit",
-    "prediction_error",
 ]
 
 # Least w_min / w_max of X X^T that keeps the Gram path (condition number
@@ -195,18 +194,14 @@ def min_norm_fit(design: DesignMatrix, targets, rel_tol: float = 1e-10) -> np.nd
     return vt[:rank].T @ ((u[:, :rank].T @ y) / sv[:rank])  # zeros at rank 0
 
 
-def prediction_error(cov: CovarianceModel, beta_hat, beta_star) -> float:
-    """Squared prediction gap Delta^T Sigma Delta at a fresh Gaussian point.
+def _weighted_square(cov: CovarianceModel, d: np.ndarray) -> float:
+    """The squared prediction gap d^T Sigma d at a fresh Gaussian point, for a float vector d
+    of length p (d = beta_hat - beta*).
 
     Evaluated in the eigenbasis as sum_i (lambda_i d_i) d_i, a sum of
     non-negative terms, correctly rounded: the bits of math.fsum over the
     terms (see _nonneg_sum).
     """
-    return _weighted_square(cov, _delta(cov.p, beta_hat, beta_star))
-
-
-def _weighted_square(cov: CovarianceModel, d: np.ndarray) -> float:
-    """d^T Sigma d for a float vector d of length p, as prediction_error."""
     if cov.rotation is not None:
         d = cov.rotation.T @ d
     t = cov.spectrum.values * d
@@ -245,12 +240,3 @@ def _nonneg_sum(t: np.ndarray) -> float:
                 return m
     return math.fsum(t.tolist())
 
-
-def _delta(p: int, beta_hat, beta_star) -> np.ndarray:
-    a = np.asarray(beta_hat, dtype=float)
-    b = np.asarray(beta_star, dtype=float)
-    if a.shape != (p,) or b.shape != (p,):
-        raise ValueError(
-            f"coefficient vectors must have shape ({p},), got {a.shape} and {b.shape}"
-        )
-    return a - b

@@ -33,13 +33,9 @@ __all__ = [
     "REGIME_HIGH",
     "REGIME_LOW",
     "effective_rank_index",
-    "localization_radius",
     "complexity_radius",
     "lower_radius",
     "tail_halving_index",
-    "prediction_bounds",
-    "regime_bounds",
-    "snr_and_regime",
     "diagnose",
 ]
 
@@ -104,6 +100,11 @@ class Constants:
         return max(1, math.floor(self.c_frac * n))
 
 
+def _r_cn(s: Spectrum, n: int, constants: Constants) -> float:
+    """r_cn(s), the tail sum of the upper rate, with cn clamped to p: the tail sum needs a rank."""
+    return s.tail_sum(min(constants.cn(n), s.p))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # silent inf/nan, as with Python floats
 def effective_rank_index(s: Spectrum, n: int, c0: float) -> int | float:
     """Smallest 1-based k with r_k(s) >= c0 * n * lambda_k; math.inf when none.
@@ -119,17 +120,6 @@ def effective_rank_index(s: Spectrum, n: int, c0: float) -> int | float:
     hits = s._tails[1 : vals.size + 1] >= (c0 * n) * vals
     k = int(np.argmax(hits))
     return k + 1 if hits[k] else math.inf
-
-
-def localization_radius(beta_star_norm: float, xi_norm: float, r_kstar: float) -> float:
-    """Estimation-error radius ||beta*|| + 4 ||xi|| / sqrt(r_kstar)."""
-    if not r_kstar > 0:
-        raise ValueError(
-            f"degenerate spectral tail: r_kstar must be positive, got {r_kstar!r}"
-        )
-    if beta_star_norm < 0 or xi_norm < 0:
-        raise ValueError("norms must be non-negative")
-    return beta_star_norm + 4.0 * xi_norm / math.sqrt(r_kstar)
 
 
 def complexity_radius(s: Spectrum, n: int, eta: float) -> float:
@@ -214,70 +204,6 @@ def tail_halving_index(s: Spectrum, k_star: int, gamma: float) -> int:
     return k_star + k if hits[k] else s.p + 1
 
 
-def prediction_bounds(
-    rho: float, r_star: float, r_bar: float, xi_norm: float, n: int, c3: float
-) -> tuple[float, float]:
-    """Squared prediction-error envelope (upper, lower).
-
-    upper = max((rho * r_star)^2, c3^2 ||xi||^2 / n)
-    lower = min(r_bar^2,          c3^2 ||xi||^2 / n)
-
-    An infinite r_bar leaves the noise floor as the lower bound.
-    """
-    _check_n(n)
-    for name, v in (("rho", rho), ("r_star", r_star), ("xi_norm", xi_norm), ("c3", c3)):
-        if v < 0:
-            raise ValueError(f"{name} must be non-negative, got {v!r}")
-    _check_squarable("rho * r_star", rho * r_star)
-    _check_squarable("c3 * xi_norm", c3 * xi_norm)
-    noise_floor = (c3 * xi_norm) ** 2 / n
-    upper = max((rho * r_star) ** 2, noise_floor)
-    lower = noise_floor if math.isinf(r_bar) else min(r_bar * r_bar, noise_floor)
-    return upper, lower
-
-
-def regime_bounds(
-    s: Spectrum,
-    beta_star_norm: float,
-    xi_norm: float,
-    n: int,
-    k_bar: int,
-    constants: Constants,
-) -> tuple[float, float]:
-    """Squared rate bounds tied to the SNR regimes.
-
-    upper = max(||beta*||^2 r_cn / n, ||xi||^2 / n) with cn = floor(c_frac n) (min 1)
-    lower = c3 ||xi||^2 / min(n, k_bar)
-    """
-    _check_n(n)
-    if not (isinstance(k_bar, int) and k_bar >= 1):
-        raise ValueError(f"k_bar must be a positive integer, got {k_bar!r}")
-    cn = min(constants.cn(n), s.p)  # clamp: the tail sum needs a valid rank
-    upper = max(beta_star_norm**2 * s.tail_sum(cn) / n, xi_norm**2 / n)
-    lower = constants.c3 * xi_norm**2 / min(n, k_bar)
-    return upper, lower
-
-
-def snr_and_regime(
-    beta_star_norm: float, xi_norm: float, s: Spectrum, k_star: int
-) -> tuple[float, float, str]:
-    """SNR = ||beta*||^2 / ||xi||^2, the threshold 1 / r_{k_star}, and the regime.
-
-    HighSNR exactly when snr > threshold; xi_norm == 0, or a ratio whose
-    square overflows, gives snr = inf.
-    """
-    if not (isinstance(k_star, int) and 1 <= k_star <= s.p):
-        raise ValueError(
-            "effective-rank index must be a finite integer in range; "
-            f"got {k_star!r} (regime undefined when it is infinite)"
-        )
-    threshold = 1.0 / s.tail_sum(k_star)
-    ratio = math.inf if xi_norm == 0.0 else beta_star_norm / xi_norm
-    snr = math.inf if ratio > _ROOT_MAX else ratio**2
-    regime = REGIME_HIGH if snr > threshold else REGIME_LOW
-    return snr, threshold, regime
-
-
 @dataclass(frozen=True, kw_only=True)
 class DiagnosticsReport:
     """Every deterministic bound ingredient for one (spectrum, n, norms, constants).
@@ -319,8 +245,17 @@ def diagnose(
 ) -> DiagnosticsReport:
     """Full diagnostics report, computed in dependency order.
 
-    effective-rank index -> its tail sum -> localization radius -> the
-    two complexity radii and the tail-halving index -> bounds -> regime.
+    effective-rank index -> its tail sum -> localization radius
+    rho = ||beta*|| + 4 ||xi|| / sqrt(r_kstar) -> the two complexity radii
+    and the tail-halving index -> bounds -> regime:
+
+      upper_bound     = max((rho * r_star)^2, c3^2 ||xi||^2 / n)
+      lower_bound     = min(r_bar^2,          c3^2 ||xi||^2 / n)  (the noise floor when r_bar = inf)
+      corollary_upper = max(||beta*||^2 r_cn / n, ||xi||^2 / n)
+      corollary_lower = c3 ||xi||^2 / min(n, k_bar)
+      snr = ||beta*||^2 / ||xi||^2, the threshold 1 / r_kstar, HighSNR exactly when
+      snr > threshold; xi_norm == 0, or a ratio whose square overflows, gives snr = inf.
+
     An infinite effective-rank index yields a report with only the
     spectrum-level fields (trace, complexity radius) filled and `error`
     set; callers surface that as degenerate rather than raising.
@@ -350,20 +285,20 @@ def diagnose(
             **base,
         )
     r_kstar = s.tail_sum(ks)
-    rho = localization_radius(beta_star_norm, xi_norm, r_kstar)
+    rho = beta_star_norm + 4.0 * xi_norm / math.sqrt(r_kstar)
     _check_squarable("rho", rho)  # lower_radius and the bounds square it
     if xi_norm == 0.0:
         r_bar_val = 0.0  # supremum of the empty constraint set, by convention
     else:
         r_bar_val = lower_radius(s, rho, xi_norm, constants.gamma)
     k_bar_val = tail_halving_index(s, ks, constants.gamma)
-    upper, lower = prediction_bounds(
-        rho, r_star_val, r_bar_val, xi_norm, n, constants.c3
-    )
-    cor_upper, cor_lower = regime_bounds(
-        s, beta_star_norm, xi_norm, n, k_bar_val, constants
-    )
-    snr, threshold, regime = snr_and_regime(beta_star_norm, xi_norm, s, ks)
+    _check_squarable("rho * r_star", rho * r_star_val)
+    _check_squarable("c3 * xi_norm", constants.c3 * xi_norm)
+    noise_floor = (constants.c3 * xi_norm) ** 2 / n
+    lower = noise_floor if math.isinf(r_bar_val) else min(r_bar_val * r_bar_val, noise_floor)
+    threshold = 1.0 / r_kstar
+    ratio = math.inf if xi_norm == 0.0 else beta_star_norm / xi_norm
+    snr = math.inf if ratio > _ROOT_MAX else ratio**2
     return DiagnosticsReport(
         k_star=ks,
         r_kstar=r_kstar,
@@ -372,10 +307,10 @@ def diagnose(
         k_bar=k_bar_val,
         snr=snr,
         snr_threshold=threshold,
-        regime=regime,
-        upper_bound=upper,
+        regime=REGIME_HIGH if snr > threshold else REGIME_LOW,
+        upper_bound=max((rho * r_star_val) ** 2, noise_floor),
         lower_bound=lower,
-        corollary_upper=cor_upper,
-        corollary_lower=cor_lower,
+        corollary_upper=max(beta_star_norm**2 * _r_cn(s, n, constants) / n, xi_norm**2 / n),
+        corollary_lower=constants.c3 * xi_norm**2 / min(n, k_bar_val),
         **base,
     )

@@ -33,6 +33,7 @@ from .diagnostics import (
     Constants,
     DiagnosticsReport,
     InfiniteIndexError,
+    _r_cn,
     diagnose,
     effective_rank_index,
 )
@@ -51,7 +52,6 @@ __all__ = [
     "TrialRecord",
     "ExperimentResult",
     "ExperimentError",
-    "resolve_beta_star",
     "run_trial",
     "run_experiment",
     "ScanPoint",
@@ -102,8 +102,8 @@ class ExperimentConfig:
     """Everything needed to reproduce a run bit-for-bit.
 
     __post_init__ also derives, once, the private run state that every trial
-    reads: beta* (resolve_beta_star), its norm, k* and r_{k*} (None when k*
-    is infinite).  No caller sets it.
+    reads: beta*, its norm, k* and r_{k*} (None when k* is infinite).  No
+    caller sets it.
     """
 
     covariance: CovarianceModel
@@ -173,7 +173,22 @@ class ExperimentConfig:
             raise ValueError(
                 f"covariance rank {rank} is below the sample count n={self.n}"
             )
-        beta_star = resolve_beta_star(self)
+        # beta*, fixed across all trials: beta_values, else beta_norm times a unit direction
+        p = self.covariance.p
+        if self.beta_values is not None:
+            beta_star = np.array(self.beta_values)
+        else:
+            if self.beta_direction == "random":
+                g = trial_rng(self.seed, _BETA_STREAM).standard_normal(p)
+                direction = g / np.linalg.norm(g)
+            else:
+                # e1: first standard basis vector.  top: the direction of the largest
+                # eigenvalue, which is the first eigenbasis column (or e1 when diagonal).
+                direction = np.zeros(p)
+                direction[0] = 1.0
+                if self.beta_direction == "top" and self.covariance.rotation is not None:
+                    direction = np.array(self.covariance.rotation[:, 0])
+            beta_star = self.beta_norm * direction
         with np.errstate(over="ignore"):  # a norm that overflows is refused just below
             beta_norm = float(np.linalg.norm(beta_star))
         if not math.isfinite(beta_norm):
@@ -184,24 +199,6 @@ class ExperimentConfig:
         object.__setattr__(self, "_k_star", k_star)
         object.__setattr__(self, "_r_kstar", None if math.isinf(k_star)
                            else self.covariance.spectrum.tail_sum(k_star))
-
-
-def resolve_beta_star(config: ExperimentConfig) -> np.ndarray:
-    """The true coefficient vector, fixed across all trials of a run."""
-    if config.beta_values is not None:
-        return np.array(config.beta_values)
-    p = config.covariance.p
-    if config.beta_direction == "random":
-        g = trial_rng(config.seed, _BETA_STREAM).standard_normal(p)
-        direction = g / np.linalg.norm(g)
-    else:
-        # e1: first standard basis vector.  top: the direction of the largest
-        # eigenvalue, which is the first eigenbasis column (or e1 when diagonal).
-        direction = np.zeros(p)
-        direction[0] = 1.0
-        if config.beta_direction == "top" and config.covariance.rotation is not None:
-            direction = np.array(config.covariance.rotation[:, 0])
-    return config.beta_norm * direction
 
 
 @dataclass(frozen=True)
@@ -561,9 +558,7 @@ def snr_scan(
             raise ValueError(f"SNR target {t!r} is too large for {noise.type_name} noise: "
                              f"target * E||xi||^2 at n={base_config.n} overflows")
 
-    s = base_config.covariance.spectrum
-    cn = min(base_config.constants.cn(base_config.n), s.p)
-    r_cn = s.tail_sum(cn)
+    r_cn = _r_cn(base_config.covariance.spectrum, base_config.n, base_config.constants)
 
     beta_norms = [math.sqrt(target * noise_norm_sq) for target in grid]
     configs = [replace(base_config, beta_norm=b, beta_values=None) for b in beta_norms]

@@ -690,6 +690,85 @@ def test_empty_paths_are_refused_by_key(argv, conf, message, tmp_path, monkeypat
     assert opened == []
 
 
+@pytest.mark.parametrize(
+    "argv,env,message",
+    [
+        (["--out", ""], {}, "--out: empty path"),
+        ([], {"RIDGELESS_OUT": ""}, "environment RIDGELESS_OUT: empty path"),
+        (["--config", ""], {}, "--config: empty path"),
+        ([], {"RIDGELESS_CONFIG": ""}, "environment RIDGELESS_CONFIG: empty path"),
+    ],
+    ids=["out-flag", "out-env", "config-flag", "config-env"],
+)
+def test_empty_out_and_config_are_refused_by_key(argv, env, message, tmp_path, monkeypatch,
+                                                 capsys):
+    # an empty --out once wrote nothing and exited 0; an empty --config was ignored
+    import ridgeless.experiments as experiments
+
+    drawn = []
+    monkeypatch.setattr(experiments, "sample_design", lambda *a: drawn.append(a))
+    monkeypatch.chdir(tmp_path)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main(SIM_ARGS + argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert drawn == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        (["scan", "--flat", "200", "--n", "5", "--trials", "2", "--noise", "gaussian:1",
+          "--snr-grid", "0.1:10:2", "--format", "both"], ".csv"),
+        (["spectrum", "--flat", "3"], "sub/"),
+        (["diagnose", "--flat", "100", "--n", "5"], "sub/.json"),
+        (["simulate", "--flat", "50", "--n", "5", "--trials", "2"], "."),
+        (["certify", "--flat", "50", "--n", "5", "--trials", "2"], "sub/.."),
+    ],
+    ids=["scan-suffix-only", "spectrum-directory", "diagnose-dir-suffix", "simulate-dot",
+         "certify-dotdot"],
+)
+def test_out_that_names_no_file_is_refused(argv, out, tmp_path, monkeypatch, capsys):
+    # BASE would be empty, "." or "..": scan once wrote hidden .csv, .json and .plot.csv files
+    import ridgeless.experiments as experiments
+
+    drawn = []
+    monkeypatch.setattr(experiments, "sample_design", lambda *a: drawn.append(a))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main(argv + ["-q", "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: --out: {out!r} names no file\n"
+    assert drawn == [] and [p.name for p in tmp_path.rglob("*")] == ["sub"]
+
+
+@pytest.mark.parametrize("count", [10**4 + 1, 10**23])
+def test_snr_grid_count_is_capped_before_any_grid_or_config(count, monkeypatch, capsys):
+    # N = 10^23 once failed in numpy with "Maximum allowed size exceeded", naming no option
+    import ridgeless.cli as cli
+
+    built = []
+    geomspace = np.geomspace
+
+    def grid(*args):
+        built.append("grid")
+        return geomspace(*args)
+
+    def config(**kwargs):
+        built.append("config")
+        raise ValueError("config built")
+
+    monkeypatch.setattr(cli.np, "geomspace", grid)
+    monkeypatch.setattr(cli, "ExperimentConfig", config)
+    argv = ["scan", "--flat", "200", "--n", "5", "--trials", "2", "--noise", "gaussian:1",
+            "--snr-grid"]
+    assert main(argv + [f"0.1:10:{count}"]) == 1
+    assert capsys.readouterr().err == f"error: --snr-grid N must be at most 10000, got {count}\n"
+    assert built == []
+    assert main(argv + ["0.1:10:3"]) == 1  # the spies do see a grid and a config built
+    assert capsys.readouterr().err == "error: config built\n"
+    assert built == ["grid", "config"]
+
+
 def test_null_means_absent_for_every_key(tmp_path):
     # null is the key's absence: its flag, environment variable or default applies
     base = {"schema": 1, "spectrum": {"type": "flat", "p": 20}, "trials": 3, "beta_norm": 1}

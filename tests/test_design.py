@@ -12,8 +12,8 @@ from ridgeless import design as design_module
 from ridgeless.design import (
     DesignMatrix,
     _nonneg_sum,
+    _weighted_square,
     min_norm_fit,
-    prediction_error,
     sample_design,
     trial_rng,
 )
@@ -341,8 +341,8 @@ def test_rank_cutoff_above_the_spread_falls_back_to_svd():
 
 def test_prediction_error_diagonal_example():
     cov = CovarianceModel(Spectrum(np.array([4.0, 1.0])))
-    assert prediction_error(cov, [1.0, 1.0], [0.0, 0.0]) == pytest.approx(5.0, rel=1e-14)
-    assert prediction_error(cov, [2.0, 3.0], [2.0, 3.0]) == 0.0
+    assert _weighted_square(cov, np.array([1.0, 1.0])) == pytest.approx(5.0, rel=1e-14)
+    assert _weighted_square(cov, np.array([2.0, 3.0]) - np.array([2.0, 3.0])) == 0.0
 
 
 def test_prediction_error_rotated_matches_dense():
@@ -354,7 +354,7 @@ def test_prediction_error_rotated_matches_dense():
     for _ in range(20):
         bh, bs = rng.standard_normal(5), rng.standard_normal(5)
         d = bh - bs
-        assert prediction_error(cov, bh, bs) == pytest.approx(
+        assert _weighted_square(cov, bh - bs) == pytest.approx(
             float(d @ dense @ d), rel=1e-10, abs=1e-12
         )
 
@@ -375,7 +375,7 @@ def test_prediction_error_sum_is_bit_identical_to_per_element_fsum():
         bh, bs = rng.standard_normal(p), rng.standard_normal(p)
         d = bh - bs if q is None else q.T @ (bh - bs)
         want = _fsum_per_element(spectrum.values * d * d)
-        assert prediction_error(cov, bh, bs).hex() == want.hex()
+        assert _weighted_square(cov, bh - bs).hex() == want.hex()
     big = rng.standard_normal(1000) * 10.0 ** rng.integers(-20, 20, size=1000)
     for v in (
         np.array([1e16, 1.0, -1e16, 1e-16, -1.0]),
@@ -387,7 +387,7 @@ def test_prediction_error_sum_is_bit_identical_to_per_element_fsum():
 
 
 # ---------------------------------------------------------------------------
-# the certified extended-precision sum behind prediction_error
+# the certified extended-precision sum behind the prediction error
 
 needs_extended = pytest.mark.skipif(
     not design_module._EXTENDED, reason="the fast path needs the x87 long double"
@@ -482,7 +482,7 @@ def test_ordinary_sums_take_the_fast_path(monkeypatch):
 
 
 def test_trial_loop_kernel_has_the_bits_of_fsum():
-    # the trial loop passes Delta itself to the kernel behind prediction_error
+    # the trial loop passes Delta = beta_hat - beta* itself to the kernel
     rng = np.random.default_rng(9)
     spectrum = Spectrum(np.sort(rng.exponential(size=50))[::-1].copy())
     for rotation in (None, random_orthogonal(rng, 50)):
@@ -490,8 +490,7 @@ def test_trial_loop_kernel_has_the_bits_of_fsum():
         bh, bs = rng.standard_normal(50), rng.standard_normal(50)
         d = bh - bs if rotation is None else rotation.T @ (bh - bs)
         want = math.fsum(((spectrum.values * d) * d).tolist())
-        assert prediction_error(cov, bh, bs).hex() == want.hex()
-        assert design_module._weighted_square(cov, bh - bs).hex() == want.hex()
+        assert _weighted_square(cov, bh - bs).hex() == want.hex()
 
 
 def fixed_trial(p, n, seed, trial_index):

@@ -16,11 +16,7 @@ from ridgeless.diagnostics import (
     complexity_radius,
     diagnose,
     effective_rank_index,
-    localization_radius,
     lower_radius,
-    prediction_bounds,
-    regime_bounds,
-    snr_and_regime,
     tail_halving_index,
 )
 from ridgeless.spectra import (
@@ -100,8 +96,6 @@ def test_n_beyond_a_float_is_refused_by_name():
     for call in (
         lambda n: effective_rank_index(s, n, 1.0),
         lambda n: complexity_radius(s, n, 1.0),
-        lambda n: prediction_bounds(1.0, 1.0, 1.0, 1.0, n, 1.0),
-        lambda n: regime_bounds(s, 1.0, 1.0, n, 1, Constants()),
         lambda n: diagnose(s, n, 1.0, 1.0),
     ):
         with pytest.raises(ValueError, match=r"^n must be at most 1\.7976931348623157e\+308, got 1"):
@@ -115,14 +109,18 @@ def test_n_beyond_a_float_is_refused_by_name():
 
 
 def test_rho_examples():
-    assert localization_radius(1.0, 2.0, 16.0) == 3.0
-    assert localization_radius(0.0, 0.0, 5.0) == 0.0
-    assert localization_radius(1.0, 0.0, 123.0) == 1.0
+    # rho = ||beta*|| + 4 ||xi|| / sqrt(r_kstar); at c0 = n = 1 a flat spectrum has k* = 1
+    # and r_kstar = p
+    for p, beta, xi, rho in ((16, 1.0, 2.0, 3.0), (5, 0.0, 0.0, 0.0), (123, 1.0, 0.0, 1.0)):
+        report = diagnose(make_flat_spectrum(p, 1.0), 1, beta, xi, Constants(c0=1.0))
+        assert (report.k_star, report.r_kstar, report.rho) == (1, p, rho)
 
 
 def test_rho_rejects_degenerate_tail():
-    with pytest.raises(ValueError):
-        localization_radius(1.0, 1.0, 0.0)
+    # a finite k* has r_kstar >= c0 n lambda_k* > 0; a tail that reaches zero first leaves
+    # k* infinite, and rho undefined
+    report = diagnose(Spectrum(np.array([4.0, 1.0, 0.0, 0.0])), 10, 1.0, 1.0)
+    assert math.isinf(report.k_star) and report.rho is None and report.error is not None
 
 
 # ---------------------------------------------------------------------------
@@ -305,46 +303,72 @@ def test_kbar_at_least_kstar():
 # bounds
 
 
+def _bound_forms(report):
+    """upper and lower bounds from the report's own fields, by their defining max/min forms."""
+    floor = (report.constants.c3 * report.xi_norm) ** 2 / report.n
+    lower = floor if math.isinf(report.r_bar) else min(report.r_bar * report.r_bar, floor)
+    return max((report.rho * report.r_star) ** 2, floor), lower
+
+
 def test_prediction_bounds_examples():
-    upper, _ = prediction_bounds(3.0, 0.1, 0.0, 2.0, 100, 1.0)
-    assert upper == pytest.approx(0.09, rel=1e-14)  # max(0.09, 0.04)
-    _, lower = prediction_bounds(1.0, 1.0, 0.5, 10.0, 100, 1.0)
-    assert lower == pytest.approx(0.25, rel=1e-14)  # min(0.25, 1)
-    _, lower_zero = prediction_bounds(1.0, 1.0, 0.7, 0.0, 100, 1.0)
-    assert lower_zero == 0.0
+    s = make_flat_spectrum(1000, 1.0)
+    # (rho r*)^2 = 3140 above the noise floor 4/10, r_bar^2 = 0.002 below it
+    report = diagnose(s, 10, 1.0, 2.0)
+    assert report.upper_bound == pytest.approx((1 + 8 / math.sqrt(1000)) ** 2 * 2000, rel=1e-12)
+    assert report.lower_bound == pytest.approx(0.002, rel=1e-9)
+    # c3 = 1000 lifts the noise floor to 4e5, above (rho r*)^2
+    report = diagnose(s, 10, 1.0, 2.0, Constants(c3=1e3))
+    assert (report.upper_bound, report.lower_bound) == (4e5, pytest.approx(0.002, rel=1e-9))
+    # c3 = 1e-3 drops it to 4e-7, below r_bar^2
+    report = diagnose(s, 10, 1.0, 2.0, Constants(c3=1e-3))
+    assert report.lower_bound == pytest.approx(4e-7, rel=1e-14)
+    # p <= eta n: r* = 0, so the noise floor ||xi||^2 / n is the upper bound
+    assert diagnose(s, 1000, 1.0, 2.0, Constants(c0=1.0, eta=1.0)).upper_bound == 0.004
+    # gamma ||xi||^2 >= trace rho^2: r_bar = inf leaves the noise floor as the lower bound
+    report = diagnose(make_flat_spectrum(3, 1.0), 1, 0.0, 1.0, Constants(c0=1.0, gamma=20.0))
+    assert math.isinf(report.r_bar) and report.lower_bound == 1.0
+    assert diagnose(make_flat_spectrum(100, 1.0), 10, 1.0, 0.0).lower_bound == 0.0
+    for cons in (Constants(), Constants(c3=1e3), Constants(c3=1e-3)):
+        report = diagnose(s, 10, 1.0, 2.0, cons)
+        assert (report.upper_bound, report.lower_bound) == _bound_forms(report)
 
 
 def test_prediction_bounds_refuse_a_square_that_overflows():
     root = math.sqrt(1.7976931348623157e308)  # the largest float with a finite square
-    assert prediction_bounds(1.0, root, 0.0, root, 1, 1.0)[0] == root * root
-    with pytest.raises(ValueError, match=r"^rho \* r_star must be at most .* got inf$"):
-        prediction_bounds(1e200, 1e200, 0.0, 1.0, 1, 1.0)
+    report = diagnose(make_flat_spectrum(1000, 1.0), 1, 1.0, 1.0, Constants(c0=1.0, c3=root))
+    assert report.upper_bound == root * root
+    # rho = 1e150 and r* = sqrt(2e303) are each in range, their product is not
+    with pytest.raises(ValueError, match=r"^rho \* r_star must be at most 1\.3407807929942596e"
+                       r"\+154 \(its square overflows\), got 4\.47213595499958e\+301$"):
+        diagnose(make_flat_spectrum(1000, 1e300), 10, 1e150, 0.0)
+    # r* = 0 (p <= eta n), so only c3 * xi_norm = 2e154 overflows
     with pytest.raises(ValueError, match=r"^c3 \* xi_norm must be at most .* got 2e\+154$"):
-        prediction_bounds(1.0, 1.0, 0.0, 1e154, 1, 2.0)
+        diagnose(make_flat_spectrum(1000, 1.0), 1000, 1.0, 1e154,
+                 Constants(c0=1.0, eta=1.0, c3=2.0))
 
 
 def test_regime_bounds_examples():
     s = make_flat_spectrum(1000, 1.0)
-    cons = Constants()
-    upper, lower = regime_bounds(s, 1.0, 0.0, 100, 751, cons)
-    assert upper == pytest.approx(9.51, rel=1e-14)  # r_50 = 951, over n=100
-    assert lower == 0.0
-    upper_noise, _ = regime_bounds(s, 0.0, 2.0, 100, 751, cons)
+    report = diagnose(s, 100, 1.0, 0.0)
+    assert report.corollary_upper == pytest.approx(9.51, rel=1e-14)  # r_50 = 951, over n=100
+    assert report.corollary_lower == 0.0
+    upper_noise = diagnose(s, 100, 0.0, 2.0).corollary_upper
     assert upper_noise == pytest.approx(0.04, rel=1e-14)  # ||xi||^2/n exactly
 
 
 def test_regime_bounds_lower_bracket():
-    s = make_flat_spectrum(50, 1.0)
-    cons = Constants()
+    cons = Constants(c0=0.5)
     xi = 3.0
-    _, lower = regime_bounds(s, 1.0, xi, 50, 17, cons)
-    assert cons.c3 * xi**2 / 50 <= lower <= cons.c3 * xi**2
+    report = diagnose(make_flat_spectrum(50, 1.0), 50, 1.0, xi, cons)
+    assert report.k_bar == 39  # r_39 = 12 <= r_1 / 4 = 12.5
+    assert report.corollary_lower == cons.c3 * xi**2 / 39
+    assert cons.c3 * xi**2 / 50 <= report.corollary_lower <= cons.c3 * xi**2
 
 
 def test_regime_bounds_cn_clamped_to_p():
     # floor(c_frac*n) beyond p must clamp to the last tail sum, not error
     s = make_flat_spectrum(4, 1.0)
-    upper, _ = regime_bounds(s, 1.0, 0.0, 100, 5, Constants())
+    upper = diagnose(s, 100, 1.0, 0.0, Constants(c0=0.01)).corollary_upper
     assert upper == pytest.approx(s.tail_sum(4) / 100, rel=1e-14)
 
 
@@ -352,30 +376,36 @@ def test_regime_bounds_cn_clamped_to_p():
 # SNR and regime
 
 
+def _snr(beta_star_norm, xi_norm, p=4):
+    """(snr, threshold, regime) of a flat spectrum at n = c0 = 1, where k* = 1 and r_1 = p."""
+    report = diagnose(make_flat_spectrum(p, 1.0), 1, beta_star_norm, xi_norm, Constants(c0=1.0))
+    return report.snr, report.snr_threshold, report.regime
+
+
 def test_snr_examples():
-    s = make_flat_spectrum(4, 1.0)  # r_1 = 4
-    snr, threshold, regime = snr_and_regime(1.0, 1.0, s, 1)
-    assert (snr, threshold, regime) == (1.0, 0.25, REGIME_HIGH)
+    assert _snr(1.0, 1.0) == (1.0, 0.25, REGIME_HIGH)
 
 
 def test_snr_zero_noise_infinite():
-    snr, _, regime = snr_and_regime(1.0, 0.0, make_flat_spectrum(4, 1.0), 1)
+    snr, _, regime = _snr(1.0, 0.0)
     assert math.isinf(snr) and regime == REGIME_HIGH
 
 
 def test_snr_zero_signal_low():
-    snr, _, regime = snr_and_regime(0.0, 2.0, make_flat_spectrum(4, 1.0), 1)
+    snr, _, regime = _snr(0.0, 2.0)
     assert snr == 0.0 and regime == REGIME_LOW
 
 
 def test_snr_is_infinite_when_the_ratio_squared_overflows():
-    snr, _, regime = snr_and_regime(1e100, 1e-100, make_flat_spectrum(4, 1.0), 1)
+    snr, _, regime = _snr(1e100, 1e-100)
     assert math.isinf(snr) and regime == REGIME_HIGH
 
 
 def test_snr_rejects_infinite_kstar():
-    with pytest.raises(ValueError):
-        snr_and_regime(1.0, 1.0, make_flat_spectrum(4, 1.0), math.inf)
+    # r_k / lambda_k = 5 - k never reaches c0 n = 10: no regime without k*
+    report = diagnose(make_flat_spectrum(4, 1.0), 1, 1.0, 1.0)
+    assert math.isinf(report.k_star)
+    assert (report.snr, report.snr_threshold, report.regime) == (None, None, None)
 
 
 # ---------------------------------------------------------------------------

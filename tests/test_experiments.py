@@ -27,7 +27,6 @@ from ridgeless.experiments import (
     ExperimentConfig,
     ExperimentError,
     certificate_study,
-    resolve_beta_star,
     run_experiment,
     run_trial,
     snr_scan,
@@ -115,13 +114,13 @@ def test_config_refuses_magnitudes_whose_squares_overflow():
 
 def test_resolve_beta_star_directions():
     cfg = flat_config(beta_norm=2.0)
-    assert np.array_equal(resolve_beta_star(cfg)[:2], [2.0, 0.0])
-    rand = resolve_beta_star(flat_config(beta_norm=2.0, beta_direction="random"))
+    assert np.array_equal(cfg._beta_star[:2], [2.0, 0.0])
+    rand = flat_config(beta_norm=2.0, beta_direction="random")._beta_star
     assert np.linalg.norm(rand) == pytest.approx(2.0, rel=1e-12)
     assert np.array_equal(
-        rand, resolve_beta_star(flat_config(beta_norm=2.0, beta_direction="random"))
+        rand, flat_config(beta_norm=2.0, beta_direction="random")._beta_star
     )
-    explicit = resolve_beta_star(flat_config(beta_values=np.arange(50.0)))
+    explicit = flat_config(beta_values=np.arange(50.0))._beta_star
     assert np.array_equal(explicit, np.arange(50.0))
 
 
@@ -134,7 +133,7 @@ def test_resolve_beta_star_top_uses_rotation():
         covariance=cov, n=2, noise_model=ZeroNoise(), trials=1, seed=0,
         beta_norm=3.0, beta_direction="top",
     )
-    assert resolve_beta_star(cfg) == pytest.approx(3.0 * q[:, 0], rel=1e-12)
+    assert cfg._beta_star == pytest.approx(3.0 * q[:, 0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
-"""Every exported name resolves, so no deletion leaves a stale export behind."""
+"""Every exported name resolves, so no deletion leaves a stale export behind, and every
+exported function or class has a use outside the tests."""
 
 import ast
 import importlib
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,9 @@ import pytest
 import ridgeless
 
 MODULES = ["cli", "design", "diagnostics", "experiments", "noise", "serialize", "spectra"]
+SRC = Path(ridgeless.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = ("README.md", "pyproject.toml")  # a mention in either is a use
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -29,3 +35,46 @@ def test_package_reexports_resolve():
         for alias in node.names:
             assert alias.name in module.__all__, (node.module, alias.name)
             assert getattr(ridgeless, alias.name) is getattr(module, alias.name)
+
+
+def _refers_to(tree: ast.AST, name: str) -> bool:
+    """Whether tree reads name, bare or as an attribute, outside name's own def or class."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            continue
+        if isinstance(node, ast.Name) and node.id == name:
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def _perfbench_imports() -> set:
+    """The names that perfbench/ imports from the package (from ridgeless... import NAME)."""
+    names = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ridgeless"):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exported_functions_and_classes_are_used_outside_the_tests(name):
+    # a use is a reference in src/ (not the definition, not an __all__ entry or a
+    # re-export), a mention in README.md or pyproject.toml, or a perfbench/ import
+    module = importlib.import_module(f"ridgeless.{name}")
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    docs = "".join((ROOT / doc).read_text(encoding="utf-8") for doc in DOCS)
+    imported = _perfbench_imports()
+    unused = [
+        attr for attr in module.__all__
+        if (inspect.isfunction(getattr(module, attr)) or inspect.isclass(getattr(module, attr)))
+        and attr not in imported
+        and not re.search(rf"\b{attr}\b", docs)
+        and not any(_refers_to(tree, attr) for tree in trees)
+    ]
+    assert unused == []
