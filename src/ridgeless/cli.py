@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import json
 import math
 import operator
@@ -39,7 +40,7 @@ from .experiments import (
     snr_scan,
 )
 from .noise import NOISE_TYPES, WORST_SINGULAR, ZeroNoise
-from .serialize import csv_line, format_float, format_floats, to_json, write_text
+from .serialize import csv_line, format_float, format_floats, json_pieces, write_text
 from .spectra import (
     CovarianceModel,
     Spectrum,
@@ -583,7 +584,7 @@ def _output_base(out) -> str | None:
     return base
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text) -> None:
     try:
         write_text(path, text)
     except OSError as exc:
@@ -594,14 +595,14 @@ def _write_outputs(ns, payload, csv_pieces) -> None:
     """Write BASE.json and/or BASE.csv, as ns.format selects, when ns.out is a BASE.
 
     payload() gives the JSON object and csv_pieces() the CSV text in
-    pieces; each is built only when written.
+    pieces; each is built only when written, and rendered as it is written.
     """
     if ns.out is None:
         return
     if ns.format in ("json", "both"):
-        _write(ns.out + ".json", to_json(payload()))
+        _write(ns.out + ".json", json_pieces(payload()))
     if ns.format in ("csv", "both"):
-        _write(ns.out + ".csv", "".join(csv_pieces()))
+        _write(ns.out + ".csv", csv_pieces())
 
 
 def _fields(obj, *drop) -> dict:
@@ -615,6 +616,11 @@ _RECORD_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 _record_values = operator.attrgetter(*_RECORD_COLUMNS)
 
 
+def _csv(header, rows):
+    """The CSV lines of header and then of each row, made as they are written."""
+    return map(csv_line, itertools.chain([header], rows))
+
+
 def _run_view(result) -> dict:
     """A run's diagnostics, aggregates, rates and skipped checks: each scan point's view."""
     return {"diagnostics": asdict(result.diagnostics), "aggregates": result.aggregates,
@@ -622,9 +628,10 @@ def _run_view(result) -> dict:
 
 
 def _run_payload(result, spectrum_echo: dict) -> dict:
-    """simulate's JSON payload: the config echo, the run's view and every record."""
+    """simulate's JSON payload: the config echo, the run's view and every record, each
+    rendered from its TrialRecord as the dict of its fields."""
     return {"config": _config_echo(result.config, spectrum_echo), **_run_view(result),
-            "records": [dict(zip(_RECORD_COLUMNS, _record_values(r))) for r in result.records]}
+            "records": result.records}
 
 
 def _fmt(x) -> str:
@@ -667,7 +674,6 @@ def _cmd_diagnose(ns) -> int:
     report_dict = asdict(report)
 
     def rows():
-        yield ("key", "value")
         for key, value in report_dict.items():
             if key == "constants":
                 yield from ((f"constants.{k}", v) for k, v in value.items())
@@ -675,7 +681,7 @@ def _cmd_diagnose(ns) -> int:
                 yield (key, value)
 
     payload = {"schema": 1, "spectrum": spec_echo, **report_dict}
-    _write_outputs(ns, lambda: payload, lambda: map(csv_line, rows()))
+    _write_outputs(ns, lambda: payload, lambda: _csv(("key", "value"), rows()))
     if not ns.quiet:
         for key, value in report_dict.items():
             if key == "constants":
@@ -692,7 +698,7 @@ def _cmd_simulate(ns) -> int:
     _write_outputs(
         ns,
         lambda: _run_payload(result, ns.spectrum[1]),
-        lambda: map(csv_line, [_RECORD_COLUMNS, *map(_record_values, result.records)]),
+        lambda: _csv(_RECORD_COLUMNS, map(_record_values, result.records)),
     )
 
     if not ns.quiet:
@@ -718,14 +724,11 @@ def _cmd_scan(ns) -> int:
         return {
             "config": _config_echo(points[0].result.config, ns.spectrum[1]),
             "snr_grid": [pt.snr_target for pt in points],
-            "points": [{**_fields(pt, "result"), **_run_view(pt.result)} for pt in points],
+            "points": ({**_fields(pt, "result"), **_run_view(pt.result)} for pt in points),
         }
 
-    def rows():
-        yield ("snr", "regime", *_RECORD_COLUMNS)
-        for pt in points:
-            for r in pt.result.records:
-                yield (pt.snr_target, pt.regime, *_record_values(r))
+    rows = ((pt.snr_target, pt.regime, *_record_values(r))
+            for pt in points for r in pt.result.records)
 
     def plot_row(pt):  # one value per _PLOT_COLUMNS entry
         diag, agg = pt.result.diagnostics, pt.result.aggregates["pred_error"]
@@ -735,10 +738,9 @@ def _cmd_scan(ns) -> int:
             pt.snr_threshold_cn,
         )
 
-    _write_outputs(ns, payload, lambda: map(csv_line, rows()))
+    _write_outputs(ns, payload, lambda: _csv(("snr", "regime", *_RECORD_COLUMNS), rows))
     if ns.out is not None:
-        plot = map(csv_line, [_PLOT_COLUMNS, *map(plot_row, points)])
-        _write(ns.out + ".plot.csv", "".join(plot))
+        _write(ns.out + ".plot.csv", _csv(_PLOT_COLUMNS, map(plot_row, points)))
 
     if not ns.quiet:
         for pt in points:
@@ -748,7 +750,7 @@ def _cmd_scan(ns) -> int:
             )
         switches = sum(a.regime != b.regime for a, b in zip(points, points[1:]))
         print(f"regime switches: {switches}")
-    return _identity_status(config, [r for pt in points for r in pt.result.records])
+    return _identity_status(config, (r for pt in points for r in pt.result.records))
 
 
 def _cmd_certify(ns) -> int:
@@ -759,7 +761,7 @@ def _cmd_certify(ns) -> int:
     _write_outputs(
         ns,
         lambda: {"schema": 1, "spectrum": spec_echo, **_fields(study)},
-        lambda: map(csv_line, [header, *zip(edges, edges[1:], study.hist_counts)]),
+        lambda: _csv(header, zip(edges, edges[1:], study.hist_counts)),
     )
 
     if not ns.quiet:
@@ -777,7 +779,7 @@ def _cmd_spectrum(ns) -> int:
         ns,
         lambda: {**payload, "values": spectrum.values},
         # one value per line, headerless: loadable back through --spectrum-file
-        lambda: [*format_floats(spectrum.values, "\n"), "\n"],
+        lambda: itertools.chain(format_floats(spectrum.values, "\n"), ["\n"]),
     )
     if not ns.quiet:
         print(f"p {spectrum.p}")

@@ -201,7 +201,7 @@ class ExperimentConfig:
                            else self.covariance.spectrum.tail_sum(k_star))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     """Realized quantities and check outcomes for one trial.
 

@@ -5,7 +5,8 @@ module renders output itself: floats with 17 significant digits (enough
 to round-trip float64 exactly), non-finite floats as the strings "inf",
 "-inf", "nan", dict keys in insertion order, "\n" line endings, and no
 timestamps.  Identical inputs therefore produce byte-identical files,
-which the determinism checks rely on.
+which the determinism checks rely on.  The text is rendered in pieces as
+it is written, so a file's text is never held whole.
 
 Every float is rendered as Python's correctly rounded "%.17g" renders it.
 Long float arrays and lists take a certified numpy kernel (_format_chunk)
@@ -17,15 +18,18 @@ and the oracle.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
+import os
+from collections.abc import Iterator
 
 import numpy as np
 
 from . import design
 
-__all__ = ["format_float", "format_floats", "to_json", "csv_line", "write_text"]
+__all__ = ["format_float", "format_floats", "json_pieces", "csv_line", "write_text"]
 
 
 def format_float(x: float) -> str:
@@ -181,26 +185,25 @@ def _kernel_pays(chunk, sep: str) -> bool:
     return 4 * sum(_LOW <= abs(v) < _HIGH for v in sample) >= 3 * len(sample)
 
 
-def format_floats(values, sep: str) -> list:
+def format_floats(values, sep: str):
     """Finite floats (a list, tuple or 1-d float64 array) rendered as format_float
     does and joined by sep.
 
-    The text comes in pieces of at most _CHUNK items; "".join gives it whole.
-    A chunk takes the certified kernel (_format_chunk) where it pays
-    (_kernel_pays), else one "%.17g" % chunk; the bytes are the same.
+    The text comes in pieces of at most _CHUNK items, each made as it is
+    consumed; "".join gives it whole.  A chunk takes the certified kernel
+    (_format_chunk) where it pays (_kernel_pays), else one "%.17g" % chunk;
+    the bytes are the same.
     """
-    pieces = []
     for i in range(0, len(values), _CHUNK):
         chunk = values[i : i + _CHUNK]
         if i:
-            pieces.append(sep)
+            yield sep
         if _kernel_pays(chunk, sep):
-            pieces.append(_format_chunk(np.asarray(chunk, dtype=np.float64), sep))
+            yield _format_chunk(np.asarray(chunk, dtype=np.float64), sep)
         else:
             chunk = tuple(chunk.tolist() if isinstance(chunk, np.ndarray) else chunk)
             # "%.17g" % x renders a finite float exactly as format_float does
-            pieces.append(sep.join(["%.17g"] * len(chunk)) % chunk)
-    return pieces
+            yield sep.join(["%.17g"] * len(chunk)) % chunk
 
 
 def _finite_floats(items) -> bool:
@@ -215,61 +218,88 @@ def _float_vector(obj) -> bool:
     return isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64
 
 
-def _emit(obj, parts: list, indent: int, level: int) -> None:
+def _scalar(obj) -> str | None:
+    """The JSON text of None, a bool, an int, a float or a str; None for anything else."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return format_float(obj)
+        return json.dumps(format_float(obj))  # "inf" as a JSON string
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    return None
+
+
+@functools.cache
+def _record_layout(cls, indent: int, level: int) -> tuple:
+    """A dataclass's field names and a %-template, one %s per field, of the text its
+    fields would give as a dict at level: the key text is built once per class."""
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    pad_in = " " * (indent * (level + 1))
+    keys = ",\n".join(pad_in + json.dumps(name) + ": %s" for name in names)
+    return names, ("{\n" + keys + "\n" + " " * (indent * level) + "}") if names else "{}"
+
+
+def _emit(obj, indent: int, level: int):
+    """The JSON text of obj in pieces; "".join gives it whole."""
+    text = _scalar(obj)
+    if text is not None:
+        yield text
+        return
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
-    if obj is None:
-        parts.append("null")
-    elif isinstance(obj, bool):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        if math.isfinite(obj):
-            parts.append(format_float(obj))
-        else:
-            parts.append(json.dumps(format_float(obj)))  # "inf" as a JSON string
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
+    if isinstance(obj, dict):
         if not obj:
-            parts.append("{}")
+            yield "{}"
             return
-        parts.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
+        sep = "{\n"
+        for k, v in obj.items():
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            parts.append(pad_in + json.dumps(k) + ": ")
-            _emit(v, parts, indent, level + 1)
-            parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(pad + "}")
+            yield sep + pad_in + json.dumps(k) + ": "
+            yield from _emit(v, indent, level + 1)
+            sep = ",\n"
+        yield "\n" + pad + "}"
     elif isinstance(obj, (list, tuple, np.ndarray)) and _finite_floats(obj):
         # the generic branch's bytes, without an _emit call per item
-        parts.append("[\n" + pad_in)
-        parts.extend(format_floats(obj, ",\n" + pad_in))
-        parts.append("\n" + pad + "]")
+        yield "[\n" + pad_in
+        yield from format_floats(obj, ",\n" + pad_in)
+        yield "\n" + pad + "]"
     elif _float_vector(obj):  # empty, or holding a non-finite value
-        _emit(obj.tolist(), parts, indent, level)
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for i, v in enumerate(obj):
-            parts.append(pad_in)
-            _emit(v, parts, indent, level + 1)
-            parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(pad + "]")
+        yield from _emit(obj.tolist(), indent, level)
+    elif isinstance(obj, (list, tuple, Iterator)):
+        sep = "[\n"
+        for item in obj:
+            yield sep + pad_in
+            sep = ",\n"
+            if dataclasses.is_dataclass(item) and not isinstance(item, type):
+                # a record: the bytes of the dict of its fields (no scalar's text is empty)
+                names, template = _record_layout(type(item), indent, level + 1)
+                values = (getattr(item, name) for name in names)
+                yield template % tuple(_scalar(v) or "".join(_emit(v, indent, level + 2))
+                                       for v in values)
+            else:
+                yield from _emit(item, indent, level + 1)
+        yield "[]" if sep == "[\n" else "\n" + pad + "]"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def to_json(obj, indent: int = 2) -> str:
-    """Deterministic JSON text (trailing newline included)."""
-    parts: list = []
-    _emit(obj, parts, indent, 0)
-    parts.append("\n")
-    return "".join(parts)
+def json_pieces(obj, indent: int = 2):
+    """Deterministic JSON text of obj (trailing newline included), rendered as it is
+    consumed; "".join gives it whole.
+
+    An array may be a list, a tuple, a 1-d float64 array or an iterator, drawn
+    one item at a time.  An array item that is a dataclass instance, such as a
+    trial record, renders as the dict of its fields would.
+    """
+    yield from _emit(obj, indent, 0)
+    yield "\n"
 
 
 def _csv_cell(v) -> str:
@@ -291,7 +321,22 @@ def csv_line(cells) -> str:
     return ",".join(_csv_cell(c) for c in cells) + "\n"
 
 
-def write_text(path, text: str) -> None:
-    """Write with '\n' line endings regardless of platform."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def write_text(path, text) -> None:
+    """Write text, a str or an iterable of str pieces drawn one at a time, to path
+    with '\n' line endings regardless of platform.
+
+    The text goes to a temporary sibling that replaces path only once all of it
+    is written, so an error or interrupt while it is rendered or written leaves
+    an earlier file at path intact, and a symlink at path is replaced, not
+    written through.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

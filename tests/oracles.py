@@ -110,6 +110,12 @@ def smallest_singular_value(x: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(x, dtype=float), compute_uv=False)[-1])
 
 
+def bai_yin_sigma_min(value: float, p: int, n: int) -> float:
+    """sqrt(value) (sqrt(p) - sqrt(n)): where the smallest singular value of an n x p
+    design with i.i.d. N(0, value) entries concentrates for p > n (Bai & Yin, 1993)."""
+    return math.sqrt(value) * (math.sqrt(p) - math.sqrt(n))
+
+
 def log_uniform_spectrum(rng: np.random.Generator, p: int, lo: float = -6.0, hi: float = 3.0):
     """Sorted positive eigenvalues spanning lo..hi decades."""
     vals = 10.0 ** rng.uniform(lo, hi, size=p)

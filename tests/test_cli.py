@@ -1,12 +1,14 @@
 """Command-line interface: precedence, exit codes, file outputs."""
 
 import contextlib
+import errno
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ridgeless
+from ridgeless import cli, serialize
 from ridgeless.cli import main
 from ridgeless.experiments import ALL_CHECKS
 from ridgeless.serialize import format_float
@@ -987,6 +990,55 @@ def test_unwritable_output_file_exits_1(tmp_path, capsys):
     (tmp_path / "run.json").mkdir()  # BASE.json cannot be opened for writing
     assert main(SIM_ARGS + ["--out", str(tmp_path / "run")]) == 1
     _one_error(capsys, "cannot write", "run.json")
+
+
+def test_a_write_that_fails_midway_keeps_the_earlier_file(tmp_path, capsys, monkeypatch):
+    # a disk that fills after the first piece: BASE.json keeps its earlier bytes
+    base = str(tmp_path / "run")
+    assert main(SIM_ARGS + ["--out", base]) == 0
+    earlier = (tmp_path / "run.json").read_bytes()
+
+    def full_disk_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        written = []
+
+        def write(text):
+            if written:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            written.append(text)
+            return real_write(text)
+
+        real_write, fh.write = fh.write, write
+        return fh
+
+    monkeypatch.setattr(serialize, "open", full_disk_open, raising=False)
+    capsys.readouterr()
+    assert main(SIM_ARGS + ["--seed", "10", "--out", base]) == 1
+    _one_error(capsys, "cannot write", "run.json", os.strerror(errno.ENOSPC))
+    assert (tmp_path / "run.json").read_bytes() == earlier
+    assert os.listdir(tmp_path) == ["run.json"]  # no temporary file left behind
+
+
+def test_writing_outputs_holds_no_whole_payload(tmp_path, monkeypatch):
+    # records are rendered as they are written, so the write's own peak stays flat in
+    # --trials (about 39 MB at 20000 trials when the whole payload was built first)
+    peaks = []
+    write_outputs = cli._write_outputs
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            write_outputs(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_write_outputs", traced)
+    argv = ["simulate", "--flat", "200", "--n", "10", "--noise", "gaussian:1", "--trials", "20000",
+            "--format", "both", "--out", str(tmp_path / "run"), "-q"]
+    assert main(argv) == 0
+    assert len(peaks) == 1 and peaks[0] < 2e6, peaks
+    assert sorted(os.listdir(tmp_path)) == ["run.csv", "run.json"]
 
 
 def test_diagnose_out_from_env_and_csv_format(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Monte Carlo harness: trials, aggregation, scans, studies."""
 
+import json
 import math
 import os
 import platform
@@ -40,7 +41,7 @@ from ridgeless.noise import (
     StudentTNoise,
     ZeroNoise,
 )
-from ridgeless.serialize import to_json
+from ridgeless.serialize import json_pieces
 from ridgeless.spectra import CovarianceModel, Spectrum, make_flat_spectrum
 
 
@@ -279,7 +280,7 @@ def test_result_to_dict_shape():
     cfg = flat_config(trials=3)
     result = run_experiment(cfg)
     assert result.config is cfg
-    payload = _run_payload(result, FLAT_ECHO)
+    payload = json.loads("".join(json_pieces(_run_payload(result, FLAT_ECHO))))
     assert list(payload) == ["config", "diagnostics", "aggregates", "rates", "skipped", "records"]
     assert payload["config"] == _config_echo(cfg, FLAT_ECHO)
     assert len(payload["records"]) == 3
@@ -386,7 +387,8 @@ def test_snr_scan_points_equal_separate_runs(noise, threads):
     for pt in points:
         alone = run_experiment(replace(cfg, beta_norm=pt.beta_norm, beta_values=None))
         # the whole payload: config echo, diagnostics, aggregates, rates, skipped, records
-        assert to_json(_run_payload(pt.result, FLAT_ECHO)) == to_json(_run_payload(alone, FLAT_ECHO))
+        assert "".join(json_pieces(_run_payload(pt.result, FLAT_ECHO))) == "".join(
+            json_pieces(_run_payload(alone, FLAT_ECHO)))
 
 
 class _FactorCounter:
@@ -619,6 +621,13 @@ def test_certificate_study_wide_flat():
     assert study.pass_rate == 1.0
     assert sum(study.hist_counts) == 50
     assert len(study.hist_edges) == len(study.hist_counts) + 1
+
+
+@pytest.mark.parametrize("p, n, value", [(2000, 20, 1.0), (2000, 100, 1.0), (500, 50, 4.0)])
+def test_certificate_study_median_sigma_min_is_bai_yin(p, n, value):
+    study = certificate_study(make_flat_spectrum(p, value), n, 1.0, 200, seed=0)
+    ratio = float(np.median(study.sigma_min)) / oracles.bai_yin_sigma_min(value, p, n)
+    assert ratio == pytest.approx(1.0, abs=0.03)
 
 
 def test_certificate_study_single_sample_rate():

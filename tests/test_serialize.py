@@ -1,7 +1,10 @@
 """Byte-deterministic JSON/CSV emission."""
 
+import dataclasses
+import errno
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,8 +12,14 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ridgeless import design, serialize
-from ridgeless.serialize import csv_line, format_float, to_json, write_text
+from ridgeless.experiments import TrialRecord
+from ridgeless.serialize import csv_line, format_float, json_pieces, write_text
 from ridgeless.spectra import make_exp_floor_spectrum
+
+
+def to_json(obj) -> str:
+    """The whole JSON text of obj."""
+    return "".join(json_pieces(obj))
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -99,6 +108,36 @@ def test_write_text_no_crlf(tmp_path):
     path = tmp_path / "out.txt"
     write_text(path, "a\nb\n")
     assert path.read_bytes() == b"a\nb\n"
+    write_text(path, (piece for piece in ["x\n", "", "y", "\n"]))  # pieces, drawn lazily
+    assert path.read_bytes() == b"x\ny\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def failing_pieces(error):
+    yield "new text\n"
+    raise error
+
+
+@pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
+                                   KeyboardInterrupt(), TypeError("cannot serialize")])
+def test_a_failed_write_leaves_the_earlier_file(tmp_path, error):
+    # rendered and written to a temporary sibling: path changes only once all is written
+    path = tmp_path / "out.json"
+    path.write_bytes(b"earlier\n")
+    with pytest.raises(type(error)):
+        write_text(path, failing_pieces(error))
+    assert path.read_bytes() == b"earlier\n"
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_write_text_replaces_a_symlink_rather_than_writing_through_it(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"kept\n")
+    link = tmp_path / "out.txt"
+    link.symlink_to(target)
+    write_text(link, "new\n")
+    assert not link.is_symlink() and link.read_bytes() == b"new\n"
+    assert target.read_bytes() == b"kept\n"
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +201,7 @@ def test_float_list_fast_path_falls_back(items):
 def test_float_list_fast_path_matches_generic_on_drawn_lists(values):
     assert to_json({"x": values}) == generic_json({"x": values})
     assert json.loads(to_json(values)) == values
+    assert to_json(iter(values)) == to_json(values)  # an iterator takes the generic branch
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +358,62 @@ def test_float_array_fast_path_matches_generic_bytes(length, kind, spy):
     csv_text = "".join([*serialize.format_floats(values, "\n"), "\n"])
     assert csv_text == "".join(csv_line([v]) for v in values.tolist())
     assert (len(spy["kernel"]) > 0) == (design._EXTENDED and kind == "exp-floor")
+
+
+@pytest.mark.parametrize("length", [1, 3, 70000])
+def test_a_long_array_with_non_finite_floats_matches_generic_bytes(length):
+    values = make_exp_floor_spectrum(length, 20.0, 1e-4).values.copy()
+    values[[0, length // 2, -1]] = [math.nan, math.inf, -math.inf]
+    for obj in (values, values.tolist(), {"a": [values]}):
+        assert to_json(obj) == generic_json(obj)
+    assert to_json(iter(values.tolist())) == generic_json(values)
+    assert json.loads(to_json(values)) == [format_float(v) if not math.isfinite(v) else v
+                                           for v in values.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# arrays of records: each renders as the dict of its fields
+
+
+SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 0.1, 1e300]
+
+
+def trial_records(count: int) -> list:
+    rng = np.random.default_rng(count)
+    records = []
+    for i in range(count):
+        floats = (rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6)).tolist()
+        floats[i % 6] = SPECIAL_FLOATS[i % len(SPECIAL_FLOATS)]
+        records.append(TrialRecord(i, *floats, [True, False, None][i % 3], [None, True][i % 2]))
+    return records
+
+
+@dataclasses.dataclass(frozen=True)
+class Nested:
+    name: str
+    values: list
+    inner: dict
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 700])  # 700 records are about 240 KB of text
+def test_record_arrays_match_the_bytes_of_their_dicts(count):
+    records = trial_records(count)
+    dicts = [dataclasses.asdict(r) for r in records]
+    want = to_json(dicts)
+    assert (len(want) > 3 * 65536) == (count == 700)
+    for rows in (list, tuple, iter, lambda rs: (r for r in rs)):  # lazily produced rows too
+        assert to_json(rows(records)) == want
+        assert to_json({"records": rows(records), "after": [records[:1], []]}) == to_json(
+            {"records": dicts, "after": [dicts[:1], []]})
+    assert [r["trial_index"] for r in json.loads(want)] == list(range(count))
+
+
+def test_record_fields_that_are_containers_match_the_bytes_of_their_dicts():
+    long = make_exp_floor_spectrum(3000, 20.0, 1e-4).values
+    records = [Nested("a", [1.0, math.inf, None], {"v": long, "e": {}}), Nested("b", [], {}),
+               TrialRecord(0, *[1.5] * 6, True, None)]
+    want = to_json([dataclasses.asdict(r) for r in records])
+    assert to_json(records) == want == generic_json(records)
 
 
 @pytest.mark.parametrize(
