@@ -7,8 +7,9 @@ separated, e.g. RIDGELESS_EXP_FLOOR="300 20 1e-4", and --quiet takes 1 or
 0.  Values from every source are converted and checked alike, and every
 error is reported before any work runs.
 
-Exit codes, all set in main: 0 success, 1 usage, config or runtime error,
-2 degenerate mathematics (infinite effective-rank index), 3 hard-check failure.
+Exit codes, all set in main: 0 success, 1 usage, config or runtime error
+(a closed stdout too), 2 degenerate mathematics (infinite effective-rank
+index), 3 hard-check failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -822,6 +823,20 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at interpreter exit
+        return code
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: stdout's pending bytes go to devnull at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _dispatch(argv) -> int:
     try:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:

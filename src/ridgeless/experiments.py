@@ -3,9 +3,11 @@
 Each trial is a pure function of (seed, trial_index): the design and
 then the noise are drawn, in that order, from the generator derived
 from that pair, so a run's records are bit-identical at any worker
-count and in any execution order.  The true coefficient vector is fixed
-across a run; when its direction is random it is drawn once from a
-dedicated stream (index 2^32, above any trial index).
+count and in any execution order.  Serial and pooled runs share one
+trial loop, in which the calling thread is a worker and any others are
+plain helper threads.  The true coefficient vector is fixed across a
+run; when its direction is random it is drawn once from a dedicated
+stream (index 2^32, above any trial index).
 
 Per-trial checks use the trial's own realized noise norm; the run-level
 diagnostics use the median realized noise norm across trials (for
@@ -23,7 +25,6 @@ import functools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -334,9 +335,19 @@ def _pass_rate(flags) -> float | None:
     return sum(known) / len(known)
 
 
+# The thread-count getters of numpy's bundled OpenBLAS (scipy_openblas, 64-bit
+# or 32-bit integers) and of plain builds, e.g. a distro's; each has a set_ twin.
+_OPENBLAS_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
 @functools.cache
 def _openblas_thread_calls():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
+    """(get, set) of the thread count of the loaded OpenBLAS, or None.
 
     Looked up at the first trial loop, not at import.
     """
@@ -348,13 +359,17 @@ def _openblas_thread_calls():
     for lib in libs:
         try:
             handle = ctypes.CDLL(lib)
-            get = handle.scipy_openblas_get_num_threads64_
-            set_ = handle.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
+        except OSError:
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        for name in _OPENBLAS_GETTERS:
+            try:
+                get = getattr(handle, name)
+                set_ = getattr(handle, name.replace("_get_", "_set_"))
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 
@@ -420,40 +435,57 @@ _trial_runtime = _TrialRuntime()
 
 
 def _map_trials(task, trials: int, threads: int) -> list:
-    """[task(i) for i in range(trials)], in a worker pool when threads > 1.
+    """[task(i) for i in range(trials)] on min(threads, usable CPUs, trials) workers.
 
-    Both run under _trial_runtime, and each task in the caller's context
-    (numpy's error state among it); the pool has min(threads, cores, trials)
-    workers.  When a task raises, ExperimentError names the lowest failing
-    index and keeps the results that completed: those before it when
-    serial, every other one when pooled.
+    The calling thread is worker 0; the others are helper threads, each in a
+    copy of the caller's context (numpy's error state among it).  Workers take
+    indices in order from one shared iterator, all under _trial_runtime.  When
+    a task raises, ExperimentError names the lowest failing index and keeps the
+    results that completed: those before it with one worker, every other one
+    with more.  A BaseException (Ctrl-C, SystemExit) stops every worker before
+    its next trial and is re-raised once the helpers have joined.
     """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, cpus or 1, trials)
     results: list = [None] * trials
-    if threads <= 1:
-        with _trial_runtime:
-            for i in range(trials):
-                try:
-                    results[i] = task(i)
-                except Exception as exc:  # preserve completed work
-                    raise ExperimentError(i, [r for r in results if r is not None], exc)
-        return results
-    failed = None
-    workers = min(threads, os.cpu_count() or 1, trials)
-    with _trial_runtime, ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, task, i) for i in range(trials)]
-        for i, fut in enumerate(futures):
+    failed: dict = {}  # trial index -> what its task raised
+    pending, lock, stop = iter(range(trials)), threading.Lock(), threading.Event()
+
+    def work():
+        while not stop.is_set():
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
             try:
-                results[i] = fut.result()
-            except Exception as exc:
-                if failed is None:
-                    failed = (i, exc)
-    if failed is not None:
-        raise ExperimentError(failed[0], [r for r in results if r is not None], failed[1])
+                results[i] = task(i)
+            except BaseException as exc:  # reported below, once every worker has stopped
+                failed[i] = exc
+                if workers < 2 or not isinstance(exc, Exception):
+                    stop.set()
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
+               for _ in range(workers - 1)]
+    with _trial_runtime:
+        for helper in helpers:
+            helper.start()
+        try:
+            work()
+        finally:  # also on Ctrl-C between two of the caller's trials
+            stop.set()
+            for helper in helpers:
+                helper.join()
+    for exc in failed.values():
+        if not isinstance(exc, Exception):
+            raise exc
+    if failed:
+        first = min(failed)
+        raise ExperimentError(first, [r for r in results if r is not None], failed[first])
     return results
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Run all trials (optionally in a thread pool) and aggregate.
+    """Run all trials (on up to `threads` workers, the caller among them) and aggregate.
 
     Results are ordered by trial index and identical at any worker count.
     A failing trial raises ExperimentError with the completed records

@@ -126,6 +126,57 @@ def test_certify_infinite_index_exits_2(capsys):
 
 
 # ---------------------------------------------------------------------------
+# interrupted (exit 130) and a closed stdout (exit 1)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ctrl_c_exits_130_with_one_line(monkeypatch, capsys, threads):
+    def interrupted(config, trial_index):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ridgeless.experiments, "run_trial", interrupted)
+    code = main(["simulate", "--flat", "50", "--n", "5", "--trials", "4", "--threads", threads,
+                 "--beta-norm", "1", "--noise", "gaussian:1"])
+    assert code == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+
+
+def _child_env():
+    """os.environ without RIDGELESS_ keys, with this package first on PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("RIDGELESS_")}
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(ridgeless.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [e for e in env.get("PYTHONPATH", "").split(os.pathsep) if e]
+    )
+    return env
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # As `ridgeless scan ... | head -1` once the reader is gone: the pipe is
+    # closed before the child writes anything.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ridgeless", "scan", "--flat", "50", "--n", "5", "--trials", "2",
+         "--snr-grid", "0.1:10:3", "--noise", "gaussian:1", "--threads", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(), cwd=tmp_path,
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+    finally:
+        proc.stderr.close()
+        proc.wait(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
+
+
+def test_the_cli_imports_no_executor_or_logging():
+    code = ("import sys, ridgeless.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+# ---------------------------------------------------------------------------
 # hard-check failure (exit 3)
 
 
@@ -866,11 +917,7 @@ def _limited_address_space():
 def test_trial_count_beyond_memory_exits_1(argv, message, tmp_path):
     # The child's address space is capped before it starts, so the count's
     # arrays cannot be allocated: the run must stop there, before any trial.
-    env = {k: v for k, v in os.environ.items() if not k.startswith("RIDGELESS_")}
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(ridgeless.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [package_root] + [e for e in env.get("PYTHONPATH", "").split(os.pathsep) if e]
-    )
+    env = _child_env()
     env["OPENBLAS_NUM_THREADS"] = "1"  # per-thread buffers count against the cap
     proc = subprocess.run(
         [sys.executable, "-m", "ridgeless", *argv], capture_output=True, text=True, env=env,

@@ -1,12 +1,15 @@
 """Monte Carlo harness: trials, aggregation, scans, studies."""
 
+import io
 import json
 import math
 import os
 import platform
 import subprocess
 import sys
-from concurrent.futures import Future
+import threading
+import time
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -474,41 +477,115 @@ def test_failure_reports_trial_and_partial_count(monkeypatch, threads, kept, sca
     assert all(r == reference.records[r.trial_index] for r in err.partial)
 
 
-class _InlinePool:
-    """Stands in for ThreadPoolExecutor: records max_workers, runs tasks inline."""
+class _InlineThread:
+    """Stands in for threading.Thread: records each helper and runs it inline."""
 
-    sizes: list = []
+    started: list = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    def __init__(self, target, args):
+        self.target, self.args = target, args
 
-    def __enter__(self):
-        return self
+    def start(self):
+        self.started.append(self)
+        self.target(*self.args)
 
-    def __exit__(self, *exc_info):
-        return False
-
-    def submit(self, fn, *args):
-        fut = Future()
-        try:
-            fut.set_result(fn(*args))
-        except Exception as exc:
-            fut.set_exception(exc)
-        return fut
+    def join(self):
+        pass
 
 
 @pytest.mark.parametrize(
     "cpus,threads,trials,workers",
-    [(3, 10**6, 8, 3), (3, 2, 8, 2), (64, 10**6, 5, 5), (None, 4, 8, 1), (2, 4, 1, 1)],
+    [(3, 10**6, 8, 3), (3, 2, 8, 2), (64, 10**6, 5, 5), (None, 4, 8, 1), (2, 4, 1, 1),
+     (1, 2, 8, 1)],
 )
 def test_pool_is_clamped_to_cores_and_trials(monkeypatch, cpus, threads, trials, workers):
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
+    # cpus: the CPUs this process may run on, fewer than the machine's 64;
+    # None: a platform without the affinity call, whose CPU count is unknown.
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64 if cpus else None)
+    if cpus:
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+    else:
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(experiments.threading, "Thread", _InlineThread)
+    monkeypatch.setattr(_InlineThread, "started", [])
     cfg = flat_config(trials=trials)
     assert run_experiment(cfg, threads=threads).records == run_experiment(cfg).records
     snr_scan(cfg, [0.1, 10.0], threads=threads)
-    assert _InlinePool.sizes == [workers, workers]
+    assert len(_InlineThread.started) == 2 * (workers - 1)  # the caller is the other worker
+
+
+def test_pool_without_an_affinity_call_is_clamped_to_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(experiments.threading, "Thread", _InlineThread)
+    monkeypatch.setattr(_InlineThread, "started", [])
+    assert experiments._map_trials(lambda i: i, 8, 10**6) == list(range(8))
+    assert len(_InlineThread.started) == 2
+
+
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_every_index_runs_once_under_contention(monkeypatch):
+    # More workers than cores, switching threads as often as possible: an index
+    # taken twice or skipped by the shared iterator shows in the counts.
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    calls = [0] * 2000
+
+    def task(i):
+        calls[i] += 1
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert experiments._map_trials(task, 2000, threads=8) == list(range(2000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == [1] * 2000
+
+
+def test_an_interrupt_in_the_callers_trial_stops_every_worker(monkeypatch):
+    _two_cpus(monkeypatch)
+    helper_busy = threading.Event()
+    starts, seen = [], []
+
+    def task(i):
+        starts.append(i)
+        if threading.current_thread() is threading.main_thread():
+            assert helper_busy.wait(timeout=30)
+            seen.append(len(starts))
+            raise KeyboardInterrupt
+        helper_busy.set()
+        time.sleep(0.05)
+        return i
+
+    with pytest.raises(KeyboardInterrupt):
+        experiments._map_trials(task, 200, threads=2)
+    assert len(starts) - seen[0] <= 1  # the helper starts at most one more trial
+
+
+def test_a_base_exception_in_a_helper_reaches_the_caller(monkeypatch):
+    _two_cpus(monkeypatch)
+    helper_failed = threading.Event()
+    callers = []
+
+    def task(i):
+        if threading.current_thread() is threading.main_thread():
+            callers.append(i)
+            assert helper_failed.wait(timeout=30)
+            time.sleep(0.005)
+            return i
+        helper_failed.set()
+        raise SystemExit(4)
+
+    with pytest.raises(SystemExit) as info:
+        experiments._map_trials(task, 200, threads=2)
+    assert info.value.code == 4
+    assert len(callers) < 10  # the caller stops too, not after all 199 other trials
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -516,6 +593,34 @@ def test_trials_run_in_the_callers_numpy_error_state(threads):
     with np.errstate(over="raise", invalid="ignore"):
         states = experiments._map_trials(lambda i: np.geterr(), 3, threads)
     assert [(s["over"], s["invalid"]) for s in states] == [("raise", "ignore")] * 3
+
+
+def test_plain_openblas_thread_symbols_are_found(monkeypatch):
+    # A distro or conda OpenBLAS exports only the unprefixed names.
+    threads = [4]
+
+    def get():
+        return threads[0]
+
+    def set_(count):
+        threads[0] = count
+
+    experiments._hold_heap()  # before CDLL is faked; it is set once per process
+    maps = "7f0000000000-7f0000001000 r-xp 00000000 00:00 0 /usr/lib/libopenblas.so.0\n"
+    monkeypatch.setattr(experiments, "open", lambda *args, **kwargs: io.StringIO(maps),
+                        raising=False)
+    loaded = []
+    monkeypatch.setattr(experiments.ctypes, "CDLL", lambda name: loaded.append(name) or
+                        types.SimpleNamespace(openblas_get_num_threads=get,
+                                              openblas_set_num_threads=set_))
+    experiments._openblas_thread_calls.cache_clear()
+    try:
+        assert experiments._openblas_thread_calls() == (get, set_)
+        assert experiments._map_trials(lambda i: get(), 3, 1) == [1, 1, 1]
+    finally:
+        experiments._openblas_thread_calls.cache_clear()
+    assert loaded == ["/usr/lib/libopenblas.so.0"]
+    assert threads == [4]
 
 
 def _blas_get():
