@@ -437,18 +437,14 @@ _trial_runtime = _TrialRuntime()
 def _map_trials(task, trials: int, threads: int) -> list:
     """[task(i) for i in range(trials)] on min(threads, usable CPUs, trials) workers.
 
-    The calling thread is worker 0; the others are helper threads, each in a
-    copy of the caller's context (numpy's error state among it).  Workers take
-    indices in order from one shared iterator, all under _trial_runtime.  When
-    a task raises, ExperimentError names the lowest failing index and keeps the
-    results that completed: those before it with one worker, every other one
-    with more.  A BaseException (Ctrl-C, SystemExit) stops every worker before
-    its next trial and is re-raised once the helpers have joined.
+    The caller is worker 0 and the helpers run in copies of its context, all
+    under _trial_runtime, taking indices in order from one shared iterator.  A
+    failing task raises ExperimentError with the lowest failing index and the
+    completed results: those before it when threads < 2, all others otherwise.
+    A BaseException (Ctrl-C) stops every worker and is re-raised after the join.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, cpus or 1, trials)
-    results: list = [None] * trials
-    failed: dict = {}  # trial index -> what its task raised
+    results, failed = [None] * trials, {}  # failed: trial index -> what its task raised
     pending, lock, stop = iter(range(trials)), threading.Lock(), threading.Event()
 
     def work():
@@ -461,26 +457,25 @@ def _map_trials(task, trials: int, threads: int) -> list:
                 results[i] = task(i)
             except BaseException as exc:  # reported below, once every worker has stopped
                 failed[i] = exc
-                if workers < 2 or not isinstance(exc, Exception):
+                if threads < 2 or not isinstance(exc, Exception):
                     stop.set()
 
     helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
-               for _ in range(workers - 1)]
+               for _ in range(min(threads, cpus or 1, trials) - 1)]
     with _trial_runtime:
-        for helper in helpers:
-            helper.start()
         try:
-            work()
-        finally:  # also on Ctrl-C between two of the caller's trials
-            stop.set()
             for helper in helpers:
+                helper.start()
+            work()
+        finally:  # a helper not yet running when stop is set runs no trial
+            stop.set()
+            for helper in filter(threading.Thread.is_alive, helpers):
                 helper.join()
-    for exc in failed.values():
-        if not isinstance(exc, Exception):
-            raise exc
     if failed:
         first = min(failed)
-        raise ExperimentError(first, [r for r in results if r is not None], failed[first])
+        interrupt = next((e for e in failed.values() if not isinstance(e, Exception)), None)
+        partial = [r for r in results if r is not None]
+        raise interrupt or ExperimentError(first, partial, failed[first])
     return results
 
 

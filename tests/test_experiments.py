@@ -477,6 +477,14 @@ def test_failure_reports_trial_and_partial_count(monkeypatch, threads, kept, sca
     assert all(r == reference.records[r.trial_index] for r in err.partial)
 
 
+@pytest.mark.parametrize("scan", [False, True], ids=["run", "scan"])
+def test_a_one_cpu_pool_still_finishes_the_other_trials(monkeypatch, scan):
+    # The requested thread count, not the CPUs the pool gets, decides whether a
+    # run stops at its first failure: one usable CPU runs every trial on the caller.
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    test_failure_reports_trial_and_partial_count(monkeypatch, threads=2, kept=5, scan=scan)
+
+
 class _InlineThread:
     """Stands in for threading.Thread: records each helper and runs it inline."""
 
@@ -489,22 +497,28 @@ class _InlineThread:
         self.started.append(self)
         self.target(*self.args)
 
-    def join(self):
-        pass
+    def is_alive(self):
+        return False
 
 
 @pytest.mark.parametrize(
-    "cpus,threads,trials,workers",
-    [(3, 10**6, 8, 3), (3, 2, 8, 2), (64, 10**6, 5, 5), (None, 4, 8, 1), (2, 4, 1, 1),
-     (1, 2, 8, 1)],
+    "affinity,cpu_count,threads,trials,workers",
+    [pytest.param(3, 64, 10**6, 8, 3, id="3-1000000-8-3"),
+     pytest.param(3, 64, 2, 8, 2, id="3-2-8-2"),
+     pytest.param(64, 64, 10**6, 5, 5, id="64-1000000-5-5"),
+     pytest.param(None, None, 4, 8, 1, id="None-4-8-1"),
+     pytest.param(2, 64, 4, 1, 1, id="2-4-1-1"),
+     pytest.param(1, 64, 2, 8, 1, id="1-2-8-1"),
+     pytest.param(None, 3, 10**6, 8, 3, id="no-affinity-3-1000000-8-3")],
 )
-def test_pool_is_clamped_to_cores_and_trials(monkeypatch, cpus, threads, trials, workers):
-    # cpus: the CPUs this process may run on, fewer than the machine's 64;
-    # None: a platform without the affinity call, whose CPU count is unknown.
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64 if cpus else None)
-    if cpus:
-        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
+def test_pool_is_clamped_to_cores_and_trials(monkeypatch, affinity, cpu_count, threads, trials,
+                                              workers):
+    # affinity: the CPUs this process may run on (None: no such call on the
+    # platform), which wins over the machine's cpu_count (None: unknown).
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpu_count)
+    if affinity:
+        monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                            lambda pid: set(range(affinity)), raising=False)
     else:
         monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(experiments.threading, "Thread", _InlineThread)
@@ -515,13 +529,31 @@ def test_pool_is_clamped_to_cores_and_trials(monkeypatch, cpus, threads, trials,
     assert len(_InlineThread.started) == 2 * (workers - 1)  # the caller is the other worker
 
 
-def test_pool_without_an_affinity_call_is_clamped_to_the_cpu_count(monkeypatch):
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
-    monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(experiments.threading, "Thread", _InlineThread)
-    monkeypatch.setattr(_InlineThread, "started", [])
-    assert experiments._map_trials(lambda i: i, 8, 10**6) == list(range(8))
-    assert len(_InlineThread.started) == 2
+def test_a_helper_that_cannot_start_stops_the_started_ones(monkeypatch):
+    # As under a process limit: the error reaches the caller only once the
+    # helper already running has stopped, so no trial runs after the return.
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    real, started, done = threading.Thread, [], []
+
+    class Thread(real):
+        def start(self):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(self)
+            super().start()
+
+    def task(i):
+        time.sleep(0.001)
+        done.append(i)
+        return i
+
+    monkeypatch.setattr(experiments.threading, "Thread", Thread)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        experiments._map_trials(task, 10**4, threads=3)
+    count = len(done)
+    time.sleep(0.05)
+    assert not started[0].is_alive() and len(done) == count < 10**4
 
 
 def _two_cpus(monkeypatch):
