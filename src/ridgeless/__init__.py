@@ -44,7 +44,6 @@ from .noise import (
     ScaledDirectionNoise,
     StudentTNoise,
     ZeroNoise,
-    realize_noise,
 )
 from .spectra import (
     CovarianceModel,

@@ -147,6 +147,13 @@ class DesignMatrix:
         return u if u[np.argmax(np.abs(u))] > 0 else -u
 
 
+def _check_rank(cov: CovarianceModel, n: int) -> None:
+    """Interpolation needs a covariance of rank at least n."""
+    rank = cov.spectrum.rank()
+    if rank < n:
+        raise ValueError(f"covariance rank {rank} is below the sample count n={n}")
+
+
 def sample_design(cov: CovarianceModel, n: int, rng: np.random.Generator) -> DesignMatrix:
     """n i.i.d. Gaussian rows with covariance cov.
 
@@ -160,12 +167,7 @@ def sample_design(cov: CovarianceModel, n: int, rng: np.random.Generator) -> Des
     """
     if not n >= 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    rank = cov.spectrum.rank()
-    if rank < n:
-        raise ValueError(
-            f"covariance rank {rank} is below the sample count n={n}: "
-            "interpolation is impossible"
-        )
+    _check_rank(cov, n)
     x = rng.standard_normal((n, cov.p))
     x *= np.sqrt(cov.spectrum.values)
     if cov.rotation is not None:

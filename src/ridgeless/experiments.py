@@ -3,11 +3,14 @@
 Each trial is a pure function of (seed, trial_index): the design and
 then the noise are drawn, in that order, from the generator derived
 from that pair, so a run's records are bit-identical at any worker
-count and in any execution order.  Serial and pooled runs share one
-trial loop, in which the calling thread is a worker and any others are
-plain helper threads.  The true coefficient vector is fixed across a
-run; when its direction is random it is drawn once from a dedicated
-stream (index 2^32, above any trial index).
+count and in any execution order.  One trial function, run_trial,
+serves run_experiment and snr_scan alike: it draws a trial once and
+evaluates it at one or more configs that differ only in beta* (a
+scan's grid), and run_experiment is its one-config case.  Serial and
+pooled runs share one trial loop, in which the calling thread is a
+worker and any others are plain helper threads.  The true coefficient
+vector is fixed across a run; when its direction is random it is
+drawn once from a dedicated stream (index 2^32, above any trial index).
 
 Per-trial checks use the trial's own realized noise norm; the run-level
 diagnostics use the median realized noise norm across trials (for
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .design import _weighted_square, min_norm_fit, sample_design, trial_rng
+from .design import _check_rank, _weighted_square, min_norm_fit, sample_design, trial_rng
 from .diagnostics import (
     Constants,
     DiagnosticsReport,
@@ -38,7 +41,7 @@ from .diagnostics import (
     diagnose,
     effective_rank_index,
 )
-from .noise import NoiseModel, realize_noise
+from .noise import NoiseModel
 from .spectra import CovarianceModel
 
 __all__ = [
@@ -169,11 +172,7 @@ class ExperimentConfig:
         if not finite:
             raise ValueError(f"{self.noise_model.type_name} noise is too large: "
                              f"E||xi||^2 at n={self.n} overflows")
-        rank = self.covariance.spectrum.rank()
-        if rank < self.n:
-            raise ValueError(
-                f"covariance rank {rank} is below the sample count n={self.n}"
-            )
+        _check_rank(self.covariance, self.n)
         # beta*, fixed across all trials: beta_values, else beta_norm times a unit direction
         p = self.covariance.p
         if self.beta_values is not None:
@@ -234,19 +233,23 @@ class ExperimentError(RuntimeError):
         self.cause = cause
 
 
-def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
-    """One trial: sample the design and noise, fit at the config's beta*,
-    compute all metrics."""
-    design, xi = _draw(config, trial_index, config._beta_star)
-    return _evaluate(config, trial_index, design, xi)
+def run_trial(configs: list[ExperimentConfig], trial_index: int) -> list[TrialRecord]:
+    """One trial, evaluated at each of `configs`, which differ only in beta*.
 
-
-def _draw(config: ExperimentConfig, trial_index: int, beta_star: np.ndarray):
-    """The trial's design, then its noise, from the trial's own stream."""
-    rng = trial_rng(config.seed, trial_index)
-    design = sample_design(config.covariance, config.n, rng)
-    xi = realize_noise(config.noise_model, design, beta_star, rng)
-    return design, xi
+    The design and then the noise, at the first config's beta*, are drawn
+    once from the trial's own stream and fitted at every config's beta*.
+    Raises ValueError on no configs, or on configs whose seed, n,
+    covariance or noise model differ (the last two compared by identity).
+    """
+    shared = {(c.seed, c.n, id(c.covariance), id(c.noise_model)) for c in configs}
+    if len(shared) != 1:
+        raise ValueError("run_trial needs one or more configs that share seed, n, "
+                         "covariance and noise model")
+    first = configs[0]
+    rng = trial_rng(first.seed, trial_index)
+    design = sample_design(first.covariance, first.n, rng)
+    xi = first.noise_model.realize(design, first._beta_star, rng)
+    return [_evaluate(cfg, trial_index, design, xi) for cfg in configs]
 
 
 def _evaluate(config, trial_index, design, xi) -> TrialRecord:
@@ -486,8 +489,22 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     A failing trial raises ExperimentError with the completed records
     preserved on the exception.
     """
-    records = _map_trials(lambda i: run_trial(config, i), config.trials, threads)
-    return _summarize(config, tuple(records))
+    return _run([config], threads)[0]
+
+
+def _run(configs: list[ExperimentConfig], threads: int) -> list[ExperimentResult]:
+    """run_trial(configs, i) for every trial, then each config's summary.
+
+    A failing trial raises ExperimentError with the first config's
+    completed records.
+    """
+    try:
+        by_trial = _map_trials(lambda i: run_trial(configs, i), configs[0].trials, threads)
+    except ExperimentError as exc:
+        raise ExperimentError(
+            exc.trial_index, [recs[0] for recs in exc.partial], exc.cause
+        ) from exc.cause
+    return [_summarize(cfg, tuple(recs[j] for recs in by_trial)) for j, cfg in enumerate(configs)]
 
 
 def _summarize(config: ExperimentConfig, records: tuple) -> ExperimentResult:
@@ -513,8 +530,7 @@ def _summarize(config: ExperimentConfig, records: tuple) -> ExperimentResult:
         )
 
     median_pred = aggregates["pred_error"]["median"]
-    upper_ratio = None
-    lower_ratio = None
+    upper_ratio = lower_ratio = None
     if CHECK_UPPER in config.checks and CHECK_UPPER not in skipped:
         if diag.upper_bound is not None and diag.upper_bound > 0:
             upper_ratio = median_pred / diag.upper_bound
@@ -527,14 +543,8 @@ def _summarize(config: ExperimentConfig, records: tuple) -> ExperimentResult:
         "upper_ratio": upper_ratio,
         "lower_ratio": lower_ratio,
     }
-    return ExperimentResult(
-        config=config,
-        diagnostics=diag,
-        records=records,
-        aggregates=aggregates,
-        rates=rates,
-        skipped=skipped,
-    )
+    return ExperimentResult(config=config, diagnostics=diag, records=records,
+                            aggregates=aggregates, rates=rates, skipped=skipped)
 
 
 @dataclass(frozen=True, eq=False)
@@ -559,11 +569,12 @@ def snr_scan(
     regime label comes from each run's diagnostics.  Each point's result
     equals run_experiment at its rescaled config.
 
-    The draws depend only on (seed, trial), so each trial's design and
-    noise are drawn and factored once and fitted at every grid point.  A
-    failing trial raises ExperimentError with the first grid point's
-    completed records, as run_experiment would at that point.  An infinite
-    effective-rank index raises InfiniteIndexError before any other check.
+    The grid's configs share one run_trial per trial, so each trial's
+    design and noise are drawn and factored once and fitted at every grid
+    point.  A failing trial raises ExperimentError with the first grid
+    point's completed records, as run_experiment would at that point.  An
+    infinite effective-rank index raises InfiniteIndexError before any
+    other check.
     """
     if math.isinf(base_config._k_star):
         raise InfiniteIndexError("effective-rank index is infinite for this spectrum and c0; "
@@ -587,35 +598,13 @@ def snr_scan(
 
     r_cn = _r_cn(base_config.covariance.spectrum, base_config.n, base_config.constants)
 
-    beta_norms = [math.sqrt(target * noise_norm_sq) for target in grid]
-    configs = [replace(base_config, beta_norm=b, beta_values=None) for b in beta_norms]
-
-    def trial(i):
-        design, xi = _draw(base_config, i, configs[0]._beta_star)
-        return [_evaluate(cfg, i, design, xi) for cfg in configs]
-
-    try:
-        by_trial = _map_trials(trial, base_config.trials, threads)
-    except ExperimentError as exc:
-        raise ExperimentError(
-            exc.trial_index, [recs[0] for recs in exc.partial], exc.cause
-        ) from exc.cause
-
-    points = []
-    for j, (target, beta_norm, cfg) in enumerate(zip(grid, beta_norms, configs)):
-        result = _summarize(cfg, tuple(recs[j] for recs in by_trial))
-        diag = result.diagnostics
-        points.append(
-            ScanPoint(
-                snr_target=target,
-                beta_norm=beta_norm,
-                regime=diag.regime,
-                snr_threshold=diag.snr_threshold,
-                snr_threshold_cn=1.0 / r_cn,
-                result=result,
-            )
-        )
-    return points
+    configs = [replace(base_config, beta_norm=math.sqrt(target * noise_norm_sq), beta_values=None)
+               for target in grid]
+    return [ScanPoint(snr_target=target, beta_norm=result.config.beta_norm,
+                      regime=result.diagnostics.regime,
+                      snr_threshold=result.diagnostics.snr_threshold,
+                      snr_threshold_cn=1.0 / r_cn, result=result)
+            for target, result in zip(grid, _run(configs, threads))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -641,8 +630,8 @@ def certificate_study(
 ) -> CertificateStudy:
     """Monte Carlo frequency of the smallest-singular-value certificate; a failing
     trial raises ExperimentError with the earlier sigma_min values preserved.
-    n is checked first, then k* (InfiniteIndexError), then trials and bins
-    (at most _MAX_BINS)."""
+    n is checked first, then k* (InfiniteIndexError), then trials, bins
+    (at most _MAX_BINS) and the covariance rank."""
     _check_count("n", n)
     cov = spectrum if isinstance(spectrum, CovarianceModel) else CovarianceModel(spectrum)
     ks = effective_rank_index(cov.spectrum, n, c0)
@@ -654,6 +643,7 @@ def certificate_study(
     _check_count("bins", bins)
     if bins > _MAX_BINS:
         raise ValueError(f"bins must be at most {_MAX_BINS}, got {bins}")
+    _check_rank(cov, n)
     r_kstar = cov.spectrum.tail_sum(ks)
     sqrt_rk = math.sqrt(r_kstar)
     threshold = _CERT_FACTOR * sqrt_rk

@@ -38,7 +38,6 @@ __all__ = [
     "WORST_SINGULAR",
     "FIRST_COORDINATE",
     "UNIFORM",
-    "realize_noise",
 ]
 
 WORST_SINGULAR = "worst_singular"
@@ -241,12 +240,3 @@ NoiseModel = Union[
 # Every noise model by its serialized type name.
 NOISE_TYPES = {cls.type_name: cls for cls in get_args(NoiseModel)}
 
-
-def realize_noise(
-    model: NoiseModel,
-    design: DesignMatrix,
-    beta_star,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """The length-n noise vector for one trial."""
-    return model.realize(design, beta_star, rng)

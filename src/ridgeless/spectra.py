@@ -36,6 +36,9 @@ __all__ = [
     "load_spectrum",
 ]
 
+# Eigenvalues at or below this fraction of the largest count as zero in a rank.
+_RANK_TOL = 1e-12
+
 
 @np.errstate(over="ignore", invalid="ignore")  # silent inf/nan, as with Python floats
 def _suffix_sums(vals: np.ndarray) -> np.ndarray:
@@ -116,9 +119,9 @@ class Spectrum:
             raise ValueError(f"tail rank must be in [1, {self.p + 1}], got {k}")
         return float(self._tails[k])
 
-    def rank(self, rel_tol: float = 1e-12) -> int:
-        """Number of eigenvalues above rel_tol times the largest."""
-        return int(np.count_nonzero(self.values > rel_tol * float(self.values[0])))
+    def rank(self) -> int:
+        """Number of eigenvalues above _RANK_TOL times the largest."""
+        return int(np.count_nonzero(self.values > _RANK_TOL * float(self.values[0])))
 
 
 def make_flat_spectrum(p: int, value: float = 1.0) -> Spectrum:

@@ -38,7 +38,6 @@ from ridgeless.noise import (
     ScaledDirectionNoise,
     StudentTNoise,
     ZeroNoise,
-    realize_noise,
 )
 from ridgeless.spectra import (
     CovarianceModel,
@@ -107,7 +106,7 @@ def test_criterion_1_interpolation_identity():
             beta_norm=float(rng.uniform(0.0, 5.0)),
             beta_direction="random" if i % 2 else "e1",
         )
-        worst = max(worst, run_trial(cfg, 0).identity_residual)
+        worst = max(worst, run_trial([cfg], 0)[0].identity_residual)
     elapsed = time.perf_counter() - start
     report(
         1,
@@ -334,9 +333,7 @@ def test_criterion_8_zero_noise_and_saturation():
     for t in range(5):
         rng = trial_rng(50, t)
         design = sample_design(cov, 8, rng)
-        xi = realize_noise(
-            ScaledDirectionNoise(target_norm=2.0), design, None, rng
-        )
+        xi = ScaledDirectionNoise(target_norm=2.0).realize(design, None, rng)
         lhs = float(np.linalg.norm(np.linalg.pinv(design.entries) @ xi))
         rhs = float(np.linalg.norm(xi)) / oracles.smallest_singular_value(design.entries)
         saturated &= math.isclose(lhs, rhs, rel_tol=1e-8)

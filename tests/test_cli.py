@@ -131,7 +131,7 @@ def test_certify_infinite_index_exits_2(capsys):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_ctrl_c_exits_130_with_one_line(monkeypatch, capsys, threads):
-    def interrupted(config, trial_index):
+    def interrupted(configs, trial_index):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(ridgeless.experiments, "run_trial", interrupted)
@@ -614,6 +614,16 @@ def test_certify_refuses_bins_past_the_cap_before_any_design(monkeypatch, capsys
     argv = ["certify", "--flat", "50", "--n", "2", "--trials", "2", "--bins", "1000000000000"]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: bins must be at most 1000000, got 1000000000000\n"
+    assert drawn == []
+
+
+def test_certify_refuses_a_covariance_of_too_low_rank_before_any_design(
+        tmp_path, monkeypatch, capsys):
+    # once "error: trial 0 failed: covariance rank 3 ...", after drawing the first design
+    drawn = _no_design_drawn(monkeypatch)
+    path = _write(tmp_path / "z.txt", "1\n1\n1\n0\n0\n0\n0\n0\n")
+    assert main(["certify", "--spectrum-file", path, "--n", "5", "--c0", "0.01"]) == 1
+    assert capsys.readouterr().err == "error: covariance rank 3 is below the sample count n=5\n"
     assert drawn == []
 
 

@@ -506,7 +506,7 @@ def fixed_trial(p, n, seed, trial_index):
         seed=seed,
         beta_values=beta_star,
     )
-    return run_trial(config, trial_index), beta_star, xi
+    return run_trial([config], trial_index)[0], beta_star, xi
 
 
 @pytest.mark.parametrize("seed", range(10))

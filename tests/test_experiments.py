@@ -146,14 +146,14 @@ def test_resolve_beta_star_top_uses_rotation():
 
 def test_run_trial_deterministic():
     cfg = flat_config()
-    a = run_trial(cfg, 3)
-    b = run_trial(cfg, 3)
+    [a] = run_trial([cfg], 3)
+    [b] = run_trial([cfg], 3)
     assert a == b
-    assert a != run_trial(cfg, 4)
+    assert [a] != run_trial([cfg], 4)
 
 
 def test_run_trial_fields():
-    rec = run_trial(flat_config(), 0)
+    [rec] = run_trial([flat_config()], 0)
     assert rec.trial_index == 0
     assert rec.pred_error >= 0 and rec.est_error >= 0
     assert rec.sigma_min > 0
@@ -163,9 +163,23 @@ def test_run_trial_fields():
 
 
 def test_run_trial_checks_disabled():
-    rec = run_trial(flat_config(checks=frozenset({"identity"})), 0)
+    [rec] = run_trial([flat_config(checks=frozenset({"identity"}))], 0)
     assert rec.certificate_pass is None
     assert rec.est_bound_pass is None
+
+
+def test_run_trial_refuses_configs_that_differ_beyond_beta():
+    cfg = flat_config()
+    with pytest.raises(ValueError, match="seed, n, covariance and noise model"):
+        run_trial([], 0)
+    for other in (replace(cfg, seed=8), replace(cfg, n=6),
+                  replace(cfg, noise_model=GaussianNoise(sigma=2.0)),
+                  replace(cfg, covariance=CovarianceModel(make_flat_spectrum(50, 1.0)))):
+        with pytest.raises(ValueError, match="seed, n, covariance and noise model"):
+            run_trial([cfg, other], 0)
+    # a second beta* is fitted on the first config's draw
+    second = replace(cfg, beta_norm=2.0)
+    assert run_trial([cfg, second], 0) == run_trial([cfg], 0) + run_trial([second], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +263,10 @@ def test_run_experiment_infinite_index_skips_bound_checks():
 def test_run_experiment_preserves_partial_on_failure(monkeypatch):
     real = experiments.run_trial
 
-    def explode_at_three(config, trial_index):
+    def explode_at_three(configs, trial_index):
         if trial_index == 3:
             raise RuntimeError("synthetic failure")
-        return real(config, trial_index)
+        return real(configs, trial_index)
 
     monkeypatch.setattr(experiments, "run_trial", explode_at_three)
     with pytest.raises(ExperimentError) as info:
@@ -668,11 +682,11 @@ def test_pool_runs_with_one_blas_thread(monkeypatch):
     seen = []
     real = experiments.run_trial
 
-    def spy(config, trial_index):
+    def spy(configs, trial_index):
         seen.append(get())
         if trial_index == 5:
             raise RuntimeError("synthetic failure")
-        return real(config, trial_index)
+        return real(configs, trial_index)
 
     monkeypatch.setattr(experiments, "run_trial", spy)
     run_experiment(flat_config(trials=4), threads=2)
@@ -693,9 +707,9 @@ def test_blas_pin_without_symbols_is_a_no_op(monkeypatch):
     seen = []
     real = experiments.run_trial
 
-    def spy(config, trial_index):
+    def spy(configs, trial_index):
         seen.append(get())
-        return real(config, trial_index)
+        return real(configs, trial_index)
 
     monkeypatch.setattr(experiments, "_openblas_thread_calls", lambda: None)
     monkeypatch.setattr(experiments, "run_trial", spy)

@@ -1,5 +1,6 @@
-"""Every exported name resolves, so no deletion leaves a stale export behind, and every
-exported function or class has a use outside the tests."""
+"""Every exported name resolves, so no deletion leaves a stale export behind, every
+exported function or class has a use outside the tests, and every module-level private
+name has a use in the package."""
 
 import ast
 import importlib
@@ -44,7 +45,7 @@ def _refers_to(tree: ast.AST, name: str) -> bool:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
             continue
-        if isinstance(node, ast.Name) and node.id == name:
+        if isinstance(node, ast.Name) and node.id == name and not isinstance(node.ctx, ast.Store):
             return True
         if isinstance(node, ast.Attribute) and node.attr == name:
             return True
@@ -77,4 +78,26 @@ def test_exported_functions_and_classes_are_used_outside_the_tests(name):
         and not re.search(rf"\b{attr}\b", docs)
         and not any(_refers_to(tree, attr) for tree in trees)
     ]
+    assert unused == []
+
+
+def _private_names(tree: ast.Module) -> list:
+    """The functions, classes and constants a module defines at top level under a _name."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_private_names_are_used_in_the_package(name):
+    # a use is a read in src/ outside the name's own definition, so a helper
+    # that only the tests still call fails here
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    unused = [n for n in _private_names(tree) if not any(_refers_to(t, n) for t in trees)]
     assert unused == []

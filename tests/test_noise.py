@@ -20,7 +20,6 @@ from ridgeless.noise import (
     ScaledDirectionNoise,
     StudentTNoise,
     ZeroNoise,
-    realize_noise,
 )
 from ridgeless.spectra import CovarianceModel, make_flat_spectrum
 
@@ -41,34 +40,32 @@ def tall_placeholder(n):
 
 
 def test_zero_noise():
-    xi = realize_noise(ZeroNoise(), small_design(), None, trial_rng(0, 0))
+    xi = ZeroNoise().realize(small_design(), None, trial_rng(0, 0))
     assert np.all(xi == 0.0) and xi.shape == (4,)
 
 
 def test_gaussian_scales_exactly():
     x = small_design()
-    a = realize_noise(GaussianNoise(sigma=1.0), x, None, trial_rng(5, 1))
-    b = realize_noise(GaussianNoise(sigma=2.5), x, None, trial_rng(5, 1))
+    a = GaussianNoise(sigma=1.0).realize(x, None, trial_rng(5, 1))
+    b = GaussianNoise(sigma=2.5).realize(x, None, trial_rng(5, 1))
     assert np.array_equal(b, 2.5 * a)
 
 
 def test_gaussian_moment():
-    xi = realize_noise(
-        GaussianNoise(sigma=1.0), tall_placeholder(100_000), None, trial_rng(11, 0)
-    )
+    xi = GaussianNoise(sigma=1.0).realize(tall_placeholder(100_000), None, trial_rng(11, 0))
     assert float(xi @ xi) / 100_000 == pytest.approx(1.0, rel=0.03)
 
 
 def test_student_scales_exactly():
     x = small_design()
-    a = realize_noise(StudentTNoise(df=2.0, scale=1.0), x, None, trial_rng(6, 2))
-    b = realize_noise(StudentTNoise(df=2.0, scale=3.0), x, None, trial_rng(6, 2))
+    a = StudentTNoise(df=2.0, scale=1.0).realize(x, None, trial_rng(6, 2))
+    b = StudentTNoise(df=2.0, scale=3.0).realize(x, None, trial_rng(6, 2))
     assert np.array_equal(b, 3.0 * a)
 
 
 def test_deterministic_copies_values():
     model = DeterministicNoise(values=np.array([1.0, -2.0, 3.0, 0.0]))
-    xi = realize_noise(model, small_design(), None, trial_rng(0, 0))
+    xi = model.realize(small_design(), None, trial_rng(0, 0))
     assert np.array_equal(xi, [1.0, -2.0, 3.0, 0.0])
     xi[0] = 99.0  # returned vector is a private copy
     assert model.values[0] == 1.0
@@ -76,27 +73,25 @@ def test_deterministic_copies_values():
 
 def test_deterministic_length_mismatch():
     with pytest.raises(ValueError):
-        realize_noise(
-            DeterministicNoise(values=np.ones(3)), small_design(), None, trial_rng(0, 0)
-        )
+        DeterministicNoise(values=np.ones(3)).realize(small_design(), None, trial_rng(0, 0))
 
 
 @pytest.mark.parametrize("direction", [WORST_SINGULAR, FIRST_COORDINATE, UNIFORM])
 def test_scaled_direction_norm(direction):
     model = ScaledDirectionNoise(target_norm=2.5, direction=direction)
-    xi = realize_noise(model, small_design(), None, trial_rng(0, 0))
+    xi = model.realize(small_design(), None, trial_rng(0, 0))
     assert np.linalg.norm(xi) == pytest.approx(2.5, rel=1e-12)
 
 
 def test_first_coordinate_direction():
     model = ScaledDirectionNoise(target_norm=3.0, direction=FIRST_COORDINATE)
-    xi = realize_noise(model, small_design(), None, trial_rng(0, 0))
+    xi = model.realize(small_design(), None, trial_rng(0, 0))
     assert np.array_equal(xi, [3.0, 0.0, 0.0, 0.0])
 
 
 def test_uniform_direction():
     model = ScaledDirectionNoise(target_norm=4.0, direction=UNIFORM)
-    xi = realize_noise(model, small_design(), None, trial_rng(0, 0))
+    xi = model.realize(small_design(), None, trial_rng(0, 0))
     assert xi == pytest.approx(np.full(4, 2.0), rel=1e-14)
 
 
@@ -106,10 +101,8 @@ def test_worst_singular_saturates_pseudo_inverse(seed):
     # weakest right singular vector over sigma_n
     x = small_design(seed=seed)
     target = 1.75
-    xi = realize_noise(
-        ScaledDirectionNoise(target_norm=target, direction=WORST_SINGULAR),
-        x, None, trial_rng(0, 0),
-    )
+    model = ScaledDirectionNoise(target_norm=target, direction=WORST_SINGULAR)
+    xi = model.realize(x, None, trial_rng(0, 0))
     sv = np.linalg.svd(x.entries, compute_uv=False)
     want = target / sv[-1]
     assert np.linalg.norm(np.linalg.pinv(x.entries) @ xi) == pytest.approx(want, rel=1e-8)
@@ -119,7 +112,7 @@ def test_worst_singular_saturates_pseudo_inverse(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_worst_singular_sign_is_canonical(seed, n, p):
     # the largest-magnitude entry is positive, whatever sign the solver returns
-    xi = realize_noise(ScaledDirectionNoise(target_norm=2.0), small_design(seed, n, p), None, None)
+    xi = ScaledDirectionNoise(target_norm=2.0).realize(small_design(seed, n, p), None, None)
     assert xi[np.argmax(np.abs(xi))] > 0
     assert np.linalg.norm(xi) == pytest.approx(2.0, rel=1e-12)
 
@@ -128,7 +121,7 @@ def test_model_residual():
     x = small_design()
     beta = np.arange(9.0) / 10.0
     f = np.array([1.0, 2.0, 3.0, 4.0])
-    xi = realize_noise(ModelResidualNoise(f_values=f), x, beta, trial_rng(0, 0))
+    xi = ModelResidualNoise(f_values=f).realize(x, beta, trial_rng(0, 0))
     assert xi == pytest.approx(f - x.entries @ beta, rel=1e-14)
     # and targets X beta + xi recover f exactly
     assert x.entries @ beta + xi == pytest.approx(f, rel=1e-12)
@@ -137,9 +130,9 @@ def test_model_residual():
 def test_model_residual_shape_checks():
     x = small_design()
     with pytest.raises(ValueError):
-        realize_noise(ModelResidualNoise(f_values=np.ones(3)), x, np.zeros(9), trial_rng(0, 0))
+        ModelResidualNoise(f_values=np.ones(3)).realize(x, np.zeros(9), trial_rng(0, 0))
     with pytest.raises(ValueError):
-        realize_noise(ModelResidualNoise(f_values=np.ones(4)), x, np.zeros(2), trial_rng(0, 0))
+        ModelResidualNoise(f_values=np.ones(4)).realize(x, np.zeros(2), trial_rng(0, 0))
 
 
 # ---------------------------------------------------------------------------
