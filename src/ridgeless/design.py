@@ -10,15 +10,17 @@ The fit is the minimum Euclidean-norm solution of X beta = Y, from the
 eigenpairs of the Gram matrix X X^T on a well-conditioned design at full
 rank, else from a thin SVD (singular values below rel_tol times the
 largest count as zero).  A design computes each factorization once, so
-the fit, sigma_min and design-dependent noise share it, as do repeated
-fits of one design to different targets.  The high-dimensional regime
+the fit, sigma_min and design-dependent noise share it.  A (k, n) stack
+of targets is fitted in one pass, each product taken as k matrix-vector
+products (never one matrix-matrix product, which rounds differently), so
+every row has the bits of its own fit.  The high-dimensional regime
 p >= n is enforced on construction; sample_design builds its designs in
 place and hands them over without a copy or a finiteness scan.
 
 The prediction error is the correctly rounded sum of its non-negative
-terms, the bits of math.fsum: an extended-precision (x87 long double)
-sum in blocks is returned when its error bound certifies the rounding,
-else math.fsum decides.
+terms, the bits of math.fsum, for each row of a stack: an
+extended-precision (x87 long double) sum in blocks is returned when its
+error bound certifies the rounding, else math.fsum decides.
 """
 
 from __future__ import annotations
@@ -175,70 +177,82 @@ def sample_design(cov: CovarianceModel, n: int, rng: np.random.Generator) -> Des
     return DesignMatrix._trusted(x)
 
 
+def _gemv(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """a @ row for each row of a (k, m) stack, as k matrix-vector products: each
+    row has the bits of a @ row alone, which one matrix-matrix product would not."""
+    return np.matmul(a, rows[:, :, None])[:, :, 0]
+
+
 def min_norm_fit(design: DesignMatrix, targets, rel_tol: float = 1e-10) -> np.ndarray:
     """Minimum Euclidean-norm least-squares solution beta_hat of X beta = Y, at cost ~ n^2 p.
 
-    beta = X^T V diag(1/w) V^T Y from the Gram eigenpairs (DesignMatrix.gram)
-    when they exist and sqrt(w_min / w_max) > rel_tol; else from the thin
-    SVD, with singular values below rel_tol * sigma_max treated as zero.
+    Targets of shape (n,) give beta_hat of shape (p,); a (k, n) stack gives
+    (k, p), each row with the bits of its own fit.  beta = X^T V diag(1/w)
+    V^T Y from the Gram eigenpairs (DesignMatrix.gram) when they exist and
+    sqrt(w_min / w_max) > rel_tol; else from the thin SVD, with singular
+    values below rel_tol * sigma_max treated as zero.
     """
     if not 0 < rel_tol < 1:  # at 1 or above every singular value is cut
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     y = np.asarray(targets, dtype=float)
-    if y.shape != (design.n,):
-        raise ValueError(f"targets must have shape ({design.n},), got {y.shape}")
+    if y.shape[-1:] != (design.n,) or y.ndim > 2:
+        raise ValueError(f"targets must have shape (n,) or (k, n), n = {design.n}; got {y.shape}")
+    c = y.reshape(-1, design.n, 1)  # a stack of columns, as in _gemv
     g = design.gram()
     if g and math.sqrt(g[0][0] / g[0][-1]) > rel_tol:
         w, v = g
-        return design.entries.T @ (v @ ((v.T @ y) / w))
-    u, sv, vt = design.svd()
-    rank = int(np.count_nonzero(sv > rel_tol * float(sv[0])))
-    return vt[:rank].T @ ((u[:, :rank].T @ y) / sv[:rank])  # zeros at rank 0
+        fit = np.matmul(design.entries.T, np.matmul(v, np.matmul(v.T, c) / w[:, None]))
+    else:
+        u, sv, vt = design.svd()
+        rank = int(np.count_nonzero(sv > rel_tol * float(sv[0])))
+        fit = np.matmul(vt[:rank].T, np.matmul(u[:, :rank].T, c) / sv[:rank, None])  # 0 at rank 0
+    return fit.reshape(*y.shape[:-1], design.p)
 
 
-def _weighted_square(cov: CovarianceModel, d: np.ndarray) -> float:
-    """The squared prediction gap d^T Sigma d at a fresh Gaussian point, for a float vector d
-    of length p (d = beta_hat - beta*).
+def _weighted_square(cov: CovarianceModel, d: np.ndarray) -> list[float]:
+    """The squared prediction gap d^T Sigma d at a fresh Gaussian point, for each row d
+    of a (k, p) float stack (d = beta_hat - beta*).
 
     Evaluated in the eigenbasis as sum_i (lambda_i d_i) d_i, a sum of
     non-negative terms, correctly rounded: the bits of math.fsum over the
     terms (see _nonneg_sum).
     """
     if cov.rotation is not None:
-        d = cov.rotation.T @ d
+        d = _gemv(cov.rotation.T, d)
     t = cov.spectrum.values * d
     t *= d
     return _nonneg_sum(t)
 
 
-def _nonneg_sum(t: np.ndarray) -> float:
-    """math.fsum(t.tolist()) for a non-empty 1-d float array of terms >= 0.
+def _nonneg_sum(t: np.ndarray) -> list[float]:
+    """math.fsum(row.tolist()) for each row of a 2-d float array of terms >= 0, rows non-empty.
 
-    The terms are summed in long double in b blocks of b (zero-padded), so
-    each passes through at most h = 2b additions, and the computed s is
+    A row's terms are summed in long double in b blocks of b (zero-padded),
+    so each passes through at most h = 2b additions, and the computed s is
     within h u s (1 + o(1)) of the exact sum (Higham, "Accuracy and
     Stability of Numerical Algorithms", 2nd ed., sec. 4.2; the terms are
     non-negative, so their absolute sum is the sum).  s is rounded to the
-    double m and returned only if that bound keeps the exact sum strictly
+    double m and kept only if that bound keeps the exact sum strictly
     inside the half-gaps to m's neighbours, where rounding to nearest gives
     m whatever the tie rule.  Zero, non-finite, overflowing and near-tie
     sums, and platforms without the x87 long double, take math.fsum
-    (Shewchuk's exact summation), which also raises on overflow.  The
-    block buffer takes 16 b^2 bytes, below the tolist() of the fallback.
+    (Shewchuk's exact summation), which also raises on overflow.  The block
+    buffer takes 16 b^2 bytes a row, below the tolist() of the fallback.
     """
+    sums = [None] * len(t)
     if _EXTENDED:
-        b = math.isqrt(t.size - 1) + 1
-        blocks = np.zeros(b * b, np.longdouble)
-        blocks[: t.size] = t
-        s = blocks.reshape(b, b).sum(axis=1).sum()
+        b = math.isqrt(t.shape[1] - 1) + 1
+        blocks = np.zeros((len(t), b * b), np.longdouble)
+        blocks[:, : t.shape[1]] = t
+        block_sums = blocks.reshape(-1, b, b).sum(axis=2).sum(axis=1)
         del blocks  # freed before any fallback's tolist()
-        m = float(s)
-        up = math.nextafter(m, math.inf)
-        if m > 0 and up < math.inf:
-            bound = s * (2 * b * _INFLATED_U)
-            r = s - m  # exact (Sterbenz), as is each half-gap in long double
-            if (bound < np.longdouble(up - m) / 2 - r
-                    and bound < np.longdouble(m - math.nextafter(m, 0.0)) / 2 + r):
-                return m
-    return math.fsum(t.tolist())
-
+        for j, s in enumerate(block_sums):
+            m = float(s)
+            up = math.nextafter(m, math.inf)
+            if m > 0 and up < math.inf:
+                bound = s * (2 * b * _INFLATED_U)
+                r = s - m  # exact (Sterbenz), as is each half-gap in long double
+                if (bound < np.longdouble(up - m) / 2 - r
+                        and bound < np.longdouble(m - math.nextafter(m, 0.0)) / 2 + r):
+                    sums[j] = m
+    return [math.fsum(row.tolist()) if m is None else m for row, m in zip(t, sums)]

@@ -6,7 +6,9 @@ from that pair, so a run's records are bit-identical at any worker
 count and in any execution order.  One trial function, run_trial,
 serves run_experiment and snr_scan alike: it draws a trial once and
 evaluates it at one or more configs that differ only in beta* (a
-scan's grid), and run_experiment is its one-config case.  Serial and
+scan's grid) in one stacked fit, and run_experiment is its one-config
+case.  The summary sorts each metric once for all configs and reads the
+quantiles off the sorted rows with numpy's own arithmetic.  Serial and
 pooled runs share one trial loop, in which the calling thread is a
 worker and any others are plain helper threads.  The true coefficient
 vector is fixed across a run; when its direction is random it is
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .design import _check_rank, _weighted_square, min_norm_fit, sample_design, trial_rng
+from .design import _check_rank, _gemv, _weighted_square, min_norm_fit, sample_design, trial_rng
 from .diagnostics import (
     Constants,
     DiagnosticsReport,
@@ -237,65 +239,61 @@ def run_trial(configs: list[ExperimentConfig], trial_index: int) -> list[TrialRe
     """One trial, evaluated at each of `configs`, which differ only in beta*.
 
     The design and then the noise, at the first config's beta*, are drawn
-    once from the trial's own stream and fitted at every config's beta*.
-    Raises ValueError on no configs, or on configs whose seed, n,
-    covariance or noise model differ (the last two compared by identity).
+    once from the trial's own stream and fitted at every config's beta* in
+    one stacked pass.  Raises ValueError on no configs, or on configs whose
+    seed, n, covariance, noise model or rel_tol differ (covariance and
+    noise model compared by identity).
     """
-    shared = {(c.seed, c.n, id(c.covariance), id(c.noise_model)) for c in configs}
+    shared = {(c.seed, c.n, id(c.covariance), id(c.noise_model), c.rel_tol) for c in configs}
     if len(shared) != 1:
         raise ValueError("run_trial needs one or more configs that share seed, n, "
-                         "covariance and noise model")
+                         "covariance, noise model and rel_tol")
     first = configs[0]
     rng = trial_rng(first.seed, trial_index)
     design = sample_design(first.covariance, first.n, rng)
     xi = first.noise_model.realize(design, first._beta_star, rng)
-    return [_evaluate(cfg, trial_index, design, xi) for cfg in configs]
+    return _evaluate(configs, trial_index, design, xi)
 
 
-def _evaluate(config, trial_index, design, xi) -> TrialRecord:
-    """Fit one drawn trial at the config's beta* and compute all metrics."""
-    y = design.entries @ config._beta_star + xi
-    beta_hat = min_norm_fit(design, y, config.rel_tol)
+def _dots(rows: np.ndarray) -> list[float]:
+    """row @ row for each row of a (k, m) stack, each with the bits of that product alone."""
+    return np.matmul(rows[:, None, :], rows[:, :, None]).ravel().tolist()
 
-    n = config.n
-    delta = beta_hat - config._beta_star
-    pred = _weighted_square(config.covariance, delta)
-    est = float(delta @ delta)
-    xd = design.entries @ delta
-    deviation = float(xd @ xd) / n - pred
+
+def _evaluate(configs, trial_index, design, xi) -> list[TrialRecord]:
+    """Fit one drawn trial at every config's beta* at once and compute all metrics; row j
+    of each stack belongs to configs[j], with the bits of a fit at it alone (design._gemv)."""
+    first, n = configs[0], configs[0].n
+    betas = np.array([c._beta_star for c in configs])
+    y = _gemv(design.entries, betas) + xi
+    delta = min_norm_fit(design, y, first.rel_tol)
+    delta -= betas
+    preds = _weighted_square(first.covariance, delta)
     xi_norm_sq = float(xi @ xi)
-
-    # Interpolation identity: pred + deviation = ||xi||^2 / n, exact algebra
-    # whenever the fit interpolates.  Relative to max(||xi||^2, ||Y||^2)/n so
-    # the zero-noise case stays well defined.
-    scale = max(xi_norm_sq, float(y @ y), 1e-30) / n
-    identity_residual = abs(pred + deviation - xi_norm_sq / n) / scale
-
     sigma_min = design.sigma_min()  # sigma_n, also when the fit is rank-deficient
 
-    certificate_pass = None
-    est_bound_pass = None
-    if config._r_kstar is not None:
-        sqrt_rk = math.sqrt(config._r_kstar)
-        if CHECK_CERTIFICATE in config.checks:
-            certificate_pass = bool(sigma_min >= _CERT_FACTOR * sqrt_rk)
-        if CHECK_ESTIMATION in config.checks:
-            rho_realized = config._beta_norm + 4.0 * math.sqrt(xi_norm_sq) / sqrt_rk
-            est_bound_pass = bool(
-                math.sqrt(est) <= rho_realized * (1.0 + _BOUND_SLACK) + _BOUND_SLACK
-            )
+    records = []
+    for config, pred, est, xd_sq, y_sq in zip(configs, preds, _dots(delta),
+                                             _dots(_gemv(design.entries, delta)), _dots(y)):
+        deviation = xd_sq / n - pred
+        # Interpolation identity: pred + deviation = ||xi||^2 / n, exact algebra
+        # whenever the fit interpolates.  Relative to max(||xi||^2, ||Y||^2)/n so
+        # the zero-noise case stays well defined.
+        scale = max(xi_norm_sq, y_sq, 1e-30) / n
+        identity_residual = abs(pred + deviation - xi_norm_sq / n) / scale
 
-    return TrialRecord(
-        trial_index=trial_index,
-        xi_norm_sq=xi_norm_sq,
-        pred_error=pred,
-        est_error=est,
-        sigma_min=sigma_min,
-        deviation=deviation,
-        identity_residual=identity_residual,
-        certificate_pass=certificate_pass,
-        est_bound_pass=est_bound_pass,
-    )
+        certificate_pass = est_bound_pass = None
+        if config._r_kstar is not None:
+            sqrt_rk = math.sqrt(config._r_kstar)
+            if CHECK_CERTIFICATE in config.checks:
+                certificate_pass = bool(sigma_min >= _CERT_FACTOR * sqrt_rk)
+            if CHECK_ESTIMATION in config.checks:
+                rho_realized = config._beta_norm + 4.0 * math.sqrt(xi_norm_sq) / sqrt_rk
+                est_bound_pass = (math.sqrt(est)
+                                  <= rho_realized * (1.0 + _BOUND_SLACK) + _BOUND_SLACK)
+        records.append(TrialRecord(trial_index, xi_norm_sq, pred, est, sigma_min, deviation,
+                                   identity_residual, certificate_pass, est_bound_pass))
+    return records
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,25 +308,39 @@ class ExperimentResult:
     skipped: dict
 
 
-_METRICS = (
-    "xi_norm_sq",
-    "pred_error",
-    "est_error",
-    "sigma_min",
-    "deviation",
-    "identity_residual",
-)
+_STATS = ("min", "q05", "median", "q95", "max", "mean")
+
+_METRICS = ("xi_norm_sq", "pred_error", "est_error", "sigma_min", "deviation",
+            "identity_residual")
 
 
 def _aggregate(values: np.ndarray) -> dict:
-    return {
-        "min": float(np.min(values)),
-        "q05": float(np.quantile(values, 0.05)),
-        "median": float(np.median(values)),
-        "q95": float(np.quantile(values, 0.95)),
-        "max": float(np.max(values)),
-        "mean": float(np.mean(values)),
-    }
+    return dict(zip(_STATS, map(float, (
+        np.min(values), np.quantile(values, 0.05), np.median(values),
+        np.quantile(values, 0.95), np.max(values), np.mean(values)))))
+
+
+def _quantile_rows(s: np.ndarray, q: float) -> np.ndarray:
+    """np.quantile(row, q) for each row of the row-sorted s, by numpy's own 'linear' rule."""
+    g = (s.shape[1] - 1) * q
+    i = math.floor(g)
+    a, b, t = s[:, i], s[:, min(i + 1, s.shape[1] - 1)], g - i
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
+def _aggregate_rows(rows: np.ndarray) -> list[dict]:
+    """_aggregate of each row of a (k, trials) array, from one sort of all rows: the order
+    statistics come from the sorted rows by the arithmetic of np.quantile and np.median, so
+    each has their bits.  A row with a NaN or a -0.0 (which numpy's partition may place
+    apart from +0.0) takes _aggregate itself."""
+    s = np.sort(rows, axis=1)
+    h = s.shape[1] // 2
+    median = s[:, h] if s.shape[1] % 2 else (s[:, h - 1] + s[:, h]) / 2
+    stats = np.stack([s[:, 0], _quantile_rows(s, 0.05), median, _quantile_rows(s, 0.95),
+                      s[:, -1], np.mean(rows, axis=1)], axis=1).tolist()
+    odd = np.isnan(s[:, -1]) | (np.signbit(s) & (s == 0)).any(axis=1)
+    return [_aggregate(row) if bad else dict(zip(_STATS, st))
+            for row, bad, st in zip(rows, odd.tolist(), stats)]
 
 
 def _pass_rate(flags) -> float | None:
@@ -498,53 +510,56 @@ def _run(configs: list[ExperimentConfig], threads: int) -> list[ExperimentResult
     A failing trial raises ExperimentError with the first config's
     completed records.
     """
-    try:
-        by_trial = _map_trials(lambda i: run_trial(configs, i), configs[0].trials, threads)
+    try:  # each config's records; the per-trial lists go before the summaries
+        runs = list(zip(*_map_trials(lambda i: run_trial(configs, i), configs[0].trials, threads)))
     except ExperimentError as exc:
         raise ExperimentError(
             exc.trial_index, [recs[0] for recs in exc.partial], exc.cause
         ) from exc.cause
-    return [_summarize(cfg, tuple(recs[j] for recs in by_trial)) for j, cfg in enumerate(configs)]
+    return _summarize(configs, runs)
 
 
-def _summarize(config: ExperimentConfig, records: tuple) -> ExperimentResult:
-    """Aggregates, diagnostics, skipped checks and rates of one run's records."""
-    aggregates = {
-        m: _aggregate(np.array([getattr(r, m) for r in records])) for m in _METRICS
-    }
-    xi_median = float(np.median([math.sqrt(r.xi_norm_sq) for r in records]))
-    diag = diagnose(
-        config.covariance.spectrum, config.n, config._beta_norm, xi_median, config.constants
-    )
+def _summarize(configs: list[ExperimentConfig], runs: list[tuple]) -> list[ExperimentResult]:
+    """Aggregates, diagnostics, skipped checks and rates of each config's records;
+    each metric is sorted once for all configs (see _aggregate_rows)."""
+    columns = {m: np.array([[getattr(r, m) for r in recs] for recs in runs]) for m in _METRICS}
+    by_metric = {m: _aggregate_rows(rows) for m, rows in columns.items()}
+    xi_medians = [a["median"] for a in _aggregate_rows(np.sqrt(columns["xi_norm_sq"]))]
+    results = []
+    for j, (config, records) in enumerate(zip(configs, runs)):
+        aggregates = {m: by_metric[m][j] for m in _METRICS}
+        diag = diagnose(config.covariance.spectrum, config.n, config._beta_norm, xi_medians[j],
+                        config.constants)
 
-    skipped: dict = {}
-    if math.isinf(config._k_star):
-        reason = "effective-rank index is infinite"
-        for check in (CHECK_CERTIFICATE, CHECK_ESTIMATION, CHECK_UPPER, CHECK_LOWER):
-            if check in config.checks:
-                skipped[check] = f"skipped: {reason}"
-    if CHECK_LOWER in config.checks and not config.noise_model.design_independent:
-        skipped[CHECK_LOWER] = (
-            "skipped: hypothesis violated (noise depends on the design, so rows "
-            "conditionally on the noise are not i.i.d. Gaussian)"
-        )
+        skipped: dict = {}
+        if math.isinf(config._k_star):
+            reason = "effective-rank index is infinite"
+            for check in (CHECK_CERTIFICATE, CHECK_ESTIMATION, CHECK_UPPER, CHECK_LOWER):
+                if check in config.checks:
+                    skipped[check] = f"skipped: {reason}"
+        if CHECK_LOWER in config.checks and not config.noise_model.design_independent:
+            skipped[CHECK_LOWER] = (
+                "skipped: hypothesis violated (noise depends on the design, so rows "
+                "conditionally on the noise are not i.i.d. Gaussian)"
+            )
 
-    median_pred = aggregates["pred_error"]["median"]
-    upper_ratio = lower_ratio = None
-    if CHECK_UPPER in config.checks and CHECK_UPPER not in skipped:
-        if diag.upper_bound is not None and diag.upper_bound > 0:
-            upper_ratio = median_pred / diag.upper_bound
-    if CHECK_LOWER in config.checks and CHECK_LOWER not in skipped:
-        if diag.lower_bound is not None and diag.lower_bound > 0:
-            lower_ratio = median_pred / diag.lower_bound
-    rates = {
-        "certificate_pass_rate": _pass_rate([r.certificate_pass for r in records]),
-        "est_bound_pass_rate": _pass_rate([r.est_bound_pass for r in records]),
-        "upper_ratio": upper_ratio,
-        "lower_ratio": lower_ratio,
-    }
-    return ExperimentResult(config=config, diagnostics=diag, records=records,
-                            aggregates=aggregates, rates=rates, skipped=skipped)
+        median_pred = aggregates["pred_error"]["median"]
+        upper_ratio = lower_ratio = None
+        if CHECK_UPPER in config.checks and CHECK_UPPER not in skipped:
+            if diag.upper_bound is not None and diag.upper_bound > 0:
+                upper_ratio = median_pred / diag.upper_bound
+        if CHECK_LOWER in config.checks and CHECK_LOWER not in skipped:
+            if diag.lower_bound is not None and diag.lower_bound > 0:
+                lower_ratio = median_pred / diag.lower_bound
+        rates = {
+            "certificate_pass_rate": _pass_rate([r.certificate_pass for r in records]),
+            "est_bound_pass_rate": _pass_rate([r.est_bound_pass for r in records]),
+            "upper_ratio": upper_ratio,
+            "lower_ratio": lower_ratio,
+        }
+        results.append(ExperimentResult(config=config, diagnostics=diag, records=records,
+                                        aggregates=aggregates, rates=rates, skipped=skipped))
+    return results
 
 
 @dataclass(frozen=True, eq=False)

@@ -339,10 +339,20 @@ def test_rank_cutoff_above_the_spread_falls_back_to_svd():
 # error functionals
 
 
+def _one_gap(cov, d) -> float:
+    """_weighted_square of a one-row stack."""
+    return _weighted_square(cov, d[None])[0]
+
+
+def _one_sum(t) -> float:
+    """_nonneg_sum of a one-row stack."""
+    return _nonneg_sum(t[None])[0]
+
+
 def test_prediction_error_diagonal_example():
     cov = CovarianceModel(Spectrum(np.array([4.0, 1.0])))
-    assert _weighted_square(cov, np.array([1.0, 1.0])) == pytest.approx(5.0, rel=1e-14)
-    assert _weighted_square(cov, np.array([2.0, 3.0]) - np.array([2.0, 3.0])) == 0.0
+    assert _one_gap(cov, np.array([1.0, 1.0])) == pytest.approx(5.0, rel=1e-14)
+    assert _one_gap(cov, np.array([2.0, 3.0]) - np.array([2.0, 3.0])) == 0.0
 
 
 def test_prediction_error_rotated_matches_dense():
@@ -354,7 +364,7 @@ def test_prediction_error_rotated_matches_dense():
     for _ in range(20):
         bh, bs = rng.standard_normal(5), rng.standard_normal(5)
         d = bh - bs
-        assert _weighted_square(cov, bh - bs) == pytest.approx(
+        assert _one_gap(cov, bh - bs) == pytest.approx(
             float(d @ dense @ d), rel=1e-10, abs=1e-12
         )
 
@@ -375,7 +385,7 @@ def test_prediction_error_sum_is_bit_identical_to_per_element_fsum():
         bh, bs = rng.standard_normal(p), rng.standard_normal(p)
         d = bh - bs if q is None else q.T @ (bh - bs)
         want = _fsum_per_element(spectrum.values * d * d)
-        assert _weighted_square(cov, bh - bs).hex() == want.hex()
+        assert _one_gap(cov, bh - bs).hex() == want.hex()
     big = rng.standard_normal(1000) * 10.0 ** rng.integers(-20, 20, size=1000)
     for v in (
         np.array([1e16, 1.0, -1e16, 1e-16, -1.0]),
@@ -421,7 +431,7 @@ def test_nonneg_sum_has_the_bits_of_fsum(p, seed, low, spread, zeros, special):
     t[rng.random(p) < zeros] = 0.0
     if special is not None:
         t[rng.integers(p)] = special
-    assert _outcome(_nonneg_sum, t) == _outcome(lambda v: math.fsum(v.tolist()), t)
+    assert _outcome(_one_sum, t) == _outcome(lambda v: math.fsum(v.tolist()), t)
 
 
 def test_nonneg_sum_overflow_raises_on_both_paths(monkeypatch):
@@ -429,10 +439,10 @@ def test_nonneg_sum_overflow_raises_on_both_paths(monkeypatch):
     with pytest.raises(OverflowError):
         math.fsum(big.tolist())
     with pytest.raises(OverflowError):
-        _nonneg_sum(big)
+        _one_sum(big)
     monkeypatch.setattr(design_module, "_EXTENDED", False)
     with pytest.raises(OverflowError):
-        _nonneg_sum(big)
+        _one_sum(big)
 
 
 def _counting_fsum(monkeypatch):
@@ -463,7 +473,7 @@ def _counting_fsum(monkeypatch):
 def test_near_ties_take_the_fsum_fallback(terms, want, monkeypatch):
     t = np.array(terms)
     calls = _counting_fsum(monkeypatch)
-    assert _nonneg_sum(t).hex() == want.hex()
+    assert _one_sum(t).hex() == want.hex()
     assert calls == [t.size]
 
 
@@ -475,9 +485,9 @@ def test_ordinary_sums_take_the_fast_path(monkeypatch):
     drawn = [rng.standard_normal(2000) ** 2 for _ in range(200)]
     want = [math.fsum(t.tolist()).hex() for t in exact + drawn]
     calls = _counting_fsum(monkeypatch)
-    assert [_nonneg_sum(t).hex() for t in exact] == want[: len(exact)]
+    assert [_one_sum(t).hex() for t in exact] == want[: len(exact)]
     assert calls == []
-    assert [_nonneg_sum(t).hex() for t in drawn] == want[len(exact):]
+    assert [_one_sum(t).hex() for t in drawn] == want[len(exact):]
     assert len(calls) < 40  # 14 of 200 fall back: where s lies within 2b u s of a tie
 
 
@@ -490,7 +500,21 @@ def test_trial_loop_kernel_has_the_bits_of_fsum():
         bh, bs = rng.standard_normal(50), rng.standard_normal(50)
         d = bh - bs if rotation is None else rotation.T @ (bh - bs)
         want = math.fsum(((spectrum.values * d) * d).tolist())
-        assert _weighted_square(cov, bh - bs).hex() == want.hex()
+        assert _one_gap(cov, bh - bs).hex() == want.hex()
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_each_row_of_a_stack_has_the_bits_of_its_own_sum(rotated):
+    # one long-double pass over a stack: each row is certified (or falls back) alone
+    rng = np.random.default_rng(12)
+    spectrum = Spectrum(np.sort(rng.exponential(size=300))[::-1].copy())
+    cov = CovarianceModel(spectrum, rotation=random_orthogonal(rng, 300) if rotated else None)
+    d = rng.standard_normal((25, 300)) * 10.0 ** rng.integers(-160, 150, size=(25, 1))
+    d[3] = 0.0  # a zero sum, which takes math.fsum
+    stacked = _weighted_square(cov, d)
+    assert [v.hex() for v in stacked] == [_one_gap(cov, row).hex() for row in d]
+    t = rng.random((40, 257)) * 2.0 ** rng.integers(-1074, 1000, size=(40, 1))
+    assert [v.hex() for v in _nonneg_sum(t)] == [math.fsum(row.tolist()).hex() for row in t]
 
 
 def fixed_trial(p, n, seed, trial_index):

@@ -14,6 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import ridgeless
@@ -45,7 +47,12 @@ from ridgeless.noise import (
     ZeroNoise,
 )
 from ridgeless.serialize import json_pieces
-from ridgeless.spectra import CovarianceModel, Spectrum, make_flat_spectrum
+from ridgeless.spectra import (
+    CovarianceModel,
+    Spectrum,
+    make_exp_floor_spectrum,
+    make_flat_spectrum,
+)
 
 
 def flat_config(**kwargs):
@@ -170,16 +177,50 @@ def test_run_trial_checks_disabled():
 
 def test_run_trial_refuses_configs_that_differ_beyond_beta():
     cfg = flat_config()
-    with pytest.raises(ValueError, match="seed, n, covariance and noise model"):
+    with pytest.raises(ValueError, match="seed, n, covariance, noise model and rel_tol"):
         run_trial([], 0)
+    # one stacked fit serves every config, so rel_tol must be shared too
     for other in (replace(cfg, seed=8), replace(cfg, n=6),
                   replace(cfg, noise_model=GaussianNoise(sigma=2.0)),
-                  replace(cfg, covariance=CovarianceModel(make_flat_spectrum(50, 1.0)))):
-        with pytest.raises(ValueError, match="seed, n, covariance and noise model"):
+                  replace(cfg, covariance=CovarianceModel(make_flat_spectrum(50, 1.0))),
+                  replace(cfg, rel_tol=0.5)):
+        with pytest.raises(ValueError, match="seed, n, covariance, noise model and rel_tol"):
             run_trial([cfg, other], 0)
     # a second beta* is fitted on the first config's draw
     second = replace(cfg, beta_norm=2.0)
     assert run_trial([cfg, second], 0) == run_trial([cfg], 0) + run_trial([second], 0)
+
+
+_PROPERTY_NOISES = {
+    "gaussian": GaussianNoise(sigma=1.0),
+    "student": StudentTNoise(df=3.0, scale=1.0),
+    "worst": ScaledDirectionNoise(target_norm=1.0),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    extra=st.integers(0, 60),
+    spread=st.floats(0.0, 6.0),
+    c0=st.floats(0.05, 4.0),
+    noise=st.sampled_from(list(_PROPERTY_NOISES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_passing_certificate_implies_the_estimation_bound(n, extra, spread, c0, noise, seed):
+    # ||beta_hat - beta*|| <= ||beta*|| + ||xi|| / sigma_n for any interpolating
+    # fit, so on the certificate's event sigma_n >= sqrt(r_k*) / 4 the estimation
+    # bound holds in every trial, at every config of a stacked fit.
+    rng = np.random.default_rng(seed)
+    values = np.sort(10.0 ** rng.uniform(-spread, 0.0, n + extra))[::-1].copy()
+    base = ExperimentConfig(
+        covariance=CovarianceModel(Spectrum(values)), n=n, noise_model=_PROPERTY_NOISES[noise],
+        trials=4, seed=seed, constants=Constants(c0=c0), beta_direction="random",
+    )
+    configs = [replace(base, beta_norm=b) for b in (0.0, 0.3, 1.0, 30.0)]
+    for i in range(base.trials):
+        for rec in run_trial(configs, i):
+            assert rec.est_bound_pass or not rec.certificate_pass, (i, rec)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +257,64 @@ def test_run_experiment_aggregates_match_numpy():
     assert agg["min"] == float(np.min(preds))
     assert agg["max"] == float(np.max(preds))
     assert agg["mean"] == float(np.mean(preds))
+
+
+# Few distinct values, so that rows tie; both zeros, subnormals and values
+# whose differences and sums overflow.
+_AGG_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 1.5, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(k=st.integers(1, 4), trials=st.integers(1, 9), data=st.data())
+def test_sorted_column_aggregates_have_the_bits_of_numpy(k, trials, data):
+    rows = np.array([data.draw(st.lists(_AGG_VALUES, min_size=trials, max_size=trials))
+                     for _ in range(k)])
+    with np.errstate(all="ignore"):  # overflowing differences: the same inf on both sides
+        got = experiments._aggregate_rows(rows)
+        for row, agg in zip(rows, got):
+            want = [np.min(row), np.quantile(row, 0.05), np.median(row),
+                    np.quantile(row, 0.95), np.max(row), np.mean(row)]
+            assert list(agg) == ["min", "q05", "median", "q95", "max", "mean"]
+            assert [v.hex() for v in agg.values()] == [float(v).hex() for v in want]
+
+
+def test_sorted_column_aggregates_fall_back_only_on_a_negative_zero_or_nan(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "_aggregate", lambda row: calls.append(row) or {})
+    rows = np.array([[0.0, 1.0, 1.0], [2.0, -0.0, 0.0], [np.nan, 1.0, 0.0]])
+    assert experiments._aggregate_rows(rows)[1:] == [{}, {}]
+    assert len(calls) == 2
+    for got, want in zip(calls, rows[1:]):
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+_MA_PROBE = """
+import contextlib, io, sys
+from ridgeless.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["simulate", "--flat", "50", "--n", "5", "--trials", "9", "--noise", "gaussian:1",
+          "--beta-norm", "1"])
+    main(["scan", "--flat", "50", "--n", "5", "--trials", "4", "--noise", "gaussian:1",
+          "--snr-grid", "1e-2:1:3", "--threads", "2"])
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_simulate_and_scan_do_not_import_numpy_ma():
+    # np.median and np.quantile import numpy.ma on first use (about 14 ms and
+    # 0.5 MB in a fresh process); the sorted-column summary needs neither.
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(ridgeless.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [e for e in env.get("PYTHONPATH", "").split(os.pathsep) if e]
+    )
+    proc = subprocess.run([sys.executable, "-c", _MA_PROBE], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_run_experiment_identity_and_rates():
@@ -383,23 +482,35 @@ def test_snr_scan_overrides_explicit_beta():
     assert points[0].result.config.beta_values is None
 
 
-SCAN_NOISES = [
-    GaussianNoise(sigma=1.0),
-    StudentTNoise(df=3.0, scale=1.0),
-    ScaledDirectionNoise(target_norm=1.0),
-    ScaledDirectionNoise(target_norm=1.0, direction=UNIFORM),
-    DeterministicNoise(values=np.array([0.5, -1.0, 2.0, 0.25, -0.75])),
-]
+def _rotated_covariance():
+    """A decaying spectrum of 200 values in a random eigenbasis."""
+    q, r = np.linalg.qr(np.random.default_rng(3).standard_normal((200, 200)))
+    return CovarianceModel(Spectrum(np.linspace(2.0, 1.0, 200)), rotation=q * np.sign(np.diag(r)))
+
+
+# Each case overrides flat_config; the noises run on the flat 50/5 design.
+SCAN_CASES = {
+    "gaussian": dict(noise_model=GaussianNoise(sigma=1.0)),
+    "student": dict(noise_model=StudentTNoise(df=3.0, scale=1.0)),
+    "worst": dict(noise_model=ScaledDirectionNoise(target_norm=1.0)),
+    "uniform": dict(noise_model=ScaledDirectionNoise(target_norm=1.0, direction=UNIFORM)),
+    "deterministic": dict(
+        noise_model=DeterministicNoise(values=np.array([0.5, -1.0, 2.0, 0.25, -0.75]))),
+    # the benchmark's family: exp-floor 300/100 at c0 = 0.2
+    "exp-floor-300-100": dict(covariance=CovarianceModel(make_exp_floor_spectrum(300, 20.0, 1e-4)),
+                              n=100, constants=Constants(c0=0.2)),
+    "rotated": dict(covariance=_rotated_covariance()),
+    # rel_tol 0.9 cuts genuine singular values: every fit takes the truncated SVD
+    "svd": dict(rel_tol=0.9),
+}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize(
-    "noise", SCAN_NOISES, ids=["gaussian", "student", "worst", "uniform", "deterministic"]
-)
-def test_snr_scan_points_equal_separate_runs(noise, threads):
-    # One draw and factorization per trial for the whole grid gives the
-    # bytes of a separate run at each rescaled config.
-    cfg = flat_config(noise_model=noise, trials=6, beta_direction="random")
+@pytest.mark.parametrize("case", list(SCAN_CASES))
+def test_snr_scan_points_equal_separate_runs(case, threads):
+    # One draw and factorization per trial and one stacked fit for the whole
+    # grid give the bytes of a separate run at each rescaled config.
+    cfg = flat_config(**{"trials": 6, "beta_direction": "random", **SCAN_CASES[case]})
     points = snr_scan(cfg, [0.001, 0.1, 10.0], threads=threads)
     for pt in points:
         alone = run_experiment(replace(cfg, beta_norm=pt.beta_norm, beta_values=None))
