@@ -221,38 +221,37 @@ def _weighted_square(cov: CovarianceModel, d: np.ndarray) -> list[float]:
         d = _gemv(cov.rotation.T, d)
     t = cov.spectrum.values * d
     t *= d
-    return _nonneg_sum(t)
+    return [_nonneg_sum(row) for row in t]
 
 
-def _nonneg_sum(t: np.ndarray) -> list[float]:
-    """math.fsum(row.tolist()) for each row of a 2-d float array of terms >= 0, rows non-empty.
+def _nonneg_sum(t: np.ndarray) -> float:
+    """math.fsum(t.tolist()) for a non-empty 1-d float array of terms >= 0.
 
-    A row's terms are summed in long double in b blocks of b (zero-padded),
-    so each passes through at most h = 2b additions, and the computed s is
+    The terms are summed in long double in b blocks of b (zero-padded), so
+    each passes through at most h = 2b additions, and the computed s is
     within h u s (1 + o(1)) of the exact sum (Higham, "Accuracy and
     Stability of Numerical Algorithms", 2nd ed., sec. 4.2; the terms are
     non-negative, so their absolute sum is the sum).  s is rounded to the
-    double m and kept only if that bound keeps the exact sum strictly
+    double m and returned only if that bound keeps the exact sum strictly
     inside the half-gaps to m's neighbours, where rounding to nearest gives
     m whatever the tie rule.  Zero, non-finite, overflowing and near-tie
     sums, and platforms without the x87 long double, take math.fsum
-    (Shewchuk's exact summation), which also raises on overflow.  The block
-    buffer takes 16 b^2 bytes a row, below the tolist() of the fallback.
+    (Shewchuk's exact summation), which also raises on overflow.  The
+    block buffer takes 16 b^2 bytes, below the tolist() of the fallback.
     """
-    sums = [None] * len(t)
     if _EXTENDED:
-        b = math.isqrt(t.shape[1] - 1) + 1
-        blocks = np.zeros((len(t), b * b), np.longdouble)
-        blocks[:, : t.shape[1]] = t
-        block_sums = blocks.reshape(-1, b, b).sum(axis=2).sum(axis=1)
+        b = math.isqrt(t.size - 1) + 1
+        blocks = np.zeros(b * b, np.longdouble)
+        blocks[: t.size] = t
+        s = blocks.reshape(b, b).sum(axis=1).sum()
         del blocks  # freed before any fallback's tolist()
-        for j, s in enumerate(block_sums):
-            m = float(s)
-            up = math.nextafter(m, math.inf)
-            if m > 0 and up < math.inf:
-                bound = s * (2 * b * _INFLATED_U)
-                r = s - m  # exact (Sterbenz), as is each half-gap in long double
-                if (bound < np.longdouble(up - m) / 2 - r
-                        and bound < np.longdouble(m - math.nextafter(m, 0.0)) / 2 + r):
-                    sums[j] = m
-    return [math.fsum(row.tolist()) if m is None else m for row, m in zip(t, sums)]
+        m = float(s)
+        up = math.nextafter(m, math.inf)
+        if m > 0 and up < math.inf:
+            bound = s * (2 * b * _INFLATED_U)
+            r = s - m  # exact (Sterbenz), as is each half-gap in long double
+            if (bound < np.longdouble(up - m) / 2 - r
+                    and bound < np.longdouble(m - math.nextafter(m, 0.0)) / 2 + r):
+                return m
+    return math.fsum(t.tolist())
+

@@ -6,9 +6,9 @@ from that pair, so a run's records are bit-identical at any worker
 count and in any execution order.  One trial function, run_trial,
 serves run_experiment and snr_scan alike: it draws a trial once and
 evaluates it at one or more configs that differ only in beta* (a
-scan's grid) in one stacked fit, and run_experiment is its one-config
-case.  The summary sorts each metric once for all configs and reads the
-quantiles off the sorted rows with numpy's own arithmetic.  Serial and
+scan's grid), up to n/4 configs a stacked fit, and run_experiment is
+its one-config case.  The summary sorts each metric once for all
+configs and reads the quantiles off the sorted rows.  Serial and
 pooled runs share one trial loop, in which the calling thread is a
 worker and any others are plain helper threads.  The true coefficient
 vector is fixed across a run; when its direction is random it is
@@ -239,10 +239,11 @@ def run_trial(configs: list[ExperimentConfig], trial_index: int) -> list[TrialRe
     """One trial, evaluated at each of `configs`, which differ only in beta*.
 
     The design and then the noise, at the first config's beta*, are drawn
-    once from the trial's own stream and fitted at every config's beta* in
-    one stacked pass.  Raises ValueError on no configs, or on configs whose
-    seed, n, covariance, noise model or rel_tol differ (covariance and
-    noise model compared by identity).
+    once from the trial's own stream and fitted at every config's beta*, in
+    stacked passes of up to n/4 configs, whose temporaries (24 to 32 bytes a
+    coefficient) stay within the design's 8 n p bytes.  Raises ValueError on
+    no configs, or on configs whose seed, n, covariance, noise model or
+    rel_tol differ (covariance and noise model compared by identity).
     """
     shared = {(c.seed, c.n, id(c.covariance), id(c.noise_model), c.rel_tol) for c in configs}
     if len(shared) != 1:
@@ -252,7 +253,9 @@ def run_trial(configs: list[ExperimentConfig], trial_index: int) -> list[TrialRe
     rng = trial_rng(first.seed, trial_index)
     design = sample_design(first.covariance, first.n, rng)
     xi = first.noise_model.realize(design, first._beta_star, rng)
-    return _evaluate(configs, trial_index, design, xi)
+    step = max(1, first.n // 4)
+    return [rec for j in range(0, len(configs), step)
+            for rec in _evaluate(configs[j : j + step], trial_index, design, xi)]
 
 
 def _dots(rows: np.ndarray) -> list[float]:
@@ -282,17 +285,29 @@ def _evaluate(configs, trial_index, design, xi) -> list[TrialRecord]:
         scale = max(xi_norm_sq, y_sq, 1e-30) / n
         identity_residual = abs(pred + deviation - xi_norm_sq / n) / scale
 
-        certificate_pass = est_bound_pass = None
+        certificate_pass = None
+        est_bound_pass = None
         if config._r_kstar is not None:
             sqrt_rk = math.sqrt(config._r_kstar)
             if CHECK_CERTIFICATE in config.checks:
                 certificate_pass = bool(sigma_min >= _CERT_FACTOR * sqrt_rk)
             if CHECK_ESTIMATION in config.checks:
                 rho_realized = config._beta_norm + 4.0 * math.sqrt(xi_norm_sq) / sqrt_rk
-                est_bound_pass = (math.sqrt(est)
-                                  <= rho_realized * (1.0 + _BOUND_SLACK) + _BOUND_SLACK)
-        records.append(TrialRecord(trial_index, xi_norm_sq, pred, est, sigma_min, deviation,
-                                   identity_residual, certificate_pass, est_bound_pass))
+                est_bound_pass = bool(
+                    math.sqrt(est) <= rho_realized * (1.0 + _BOUND_SLACK) + _BOUND_SLACK
+                )
+
+        records.append(TrialRecord(
+            trial_index=trial_index,
+            xi_norm_sq=xi_norm_sq,
+            pred_error=pred,
+            est_error=est,
+            sigma_min=sigma_min,
+            deviation=deviation,
+            identity_residual=identity_residual,
+            certificate_pass=certificate_pass,
+            est_bound_pass=est_bound_pass,
+        ))
     return records
 
 
@@ -309,15 +324,14 @@ class ExperimentResult:
 
 
 _STATS = ("min", "q05", "median", "q95", "max", "mean")
-
-_METRICS = ("xi_norm_sq", "pred_error", "est_error", "sigma_min", "deviation",
-            "identity_residual")
-
-
-def _aggregate(values: np.ndarray) -> dict:
-    return dict(zip(_STATS, map(float, (
-        np.min(values), np.quantile(values, 0.05), np.median(values),
-        np.quantile(values, 0.95), np.max(values), np.mean(values)))))
+_METRICS = (
+    "xi_norm_sq",
+    "pred_error",
+    "est_error",
+    "sigma_min",
+    "deviation",
+    "identity_residual",
+)
 
 
 def _quantile_rows(s: np.ndarray, q: float) -> np.ndarray:
@@ -329,18 +343,16 @@ def _quantile_rows(s: np.ndarray, q: float) -> np.ndarray:
 
 
 def _aggregate_rows(rows: np.ndarray) -> list[dict]:
-    """_aggregate of each row of a (k, trials) array, from one sort of all rows: the order
-    statistics come from the sorted rows by the arithmetic of np.quantile and np.median, so
-    each has their bits.  A row with a NaN or a -0.0 (which numpy's partition may place
-    apart from +0.0) takes _aggregate itself."""
+    """min, q05, median, q95, max and mean of each row of a (k, trials) array, from one
+    sort of all rows, each with the bits of np.min, np.quantile, np.median, np.max and
+    np.mean of that row.  A row holding a NaN gets NaN for all six, as numpy gives."""
     s = np.sort(rows, axis=1)
     h = s.shape[1] // 2
     median = s[:, h] if s.shape[1] % 2 else (s[:, h - 1] + s[:, h]) / 2
     stats = np.stack([s[:, 0], _quantile_rows(s, 0.05), median, _quantile_rows(s, 0.95),
-                      s[:, -1], np.mean(rows, axis=1)], axis=1).tolist()
-    odd = np.isnan(s[:, -1]) | (np.signbit(s) & (s == 0)).any(axis=1)
-    return [_aggregate(row) if bad else dict(zip(_STATS, st))
-            for row, bad, st in zip(rows, odd.tolist(), stats)]
+                      s[:, -1], np.mean(rows, axis=1)], axis=1)
+    stats[np.isnan(s[:, -1])] = np.nan  # sort puts NaN last
+    return [dict(zip(_STATS, st)) for st in stats.tolist()]
 
 
 def _pass_rate(flags) -> float | None:
@@ -520,15 +532,15 @@ def _run(configs: list[ExperimentConfig], threads: int) -> list[ExperimentResult
 
 
 def _summarize(configs: list[ExperimentConfig], runs: list[tuple]) -> list[ExperimentResult]:
-    """Aggregates, diagnostics, skipped checks and rates of each config's records;
-    each metric is sorted once for all configs (see _aggregate_rows)."""
+    """Aggregates, diagnostics, skipped checks and rates of each config's records; each
+    metric is sorted once for all configs, even xi_norm_sq's and sigma_min's equal rows."""
     columns = {m: np.array([[getattr(r, m) for r in recs] for recs in runs]) for m in _METRICS}
     by_metric = {m: _aggregate_rows(rows) for m, rows in columns.items()}
-    xi_medians = [a["median"] for a in _aggregate_rows(np.sqrt(columns["xi_norm_sq"]))]
+    xi_median = _aggregate_rows(np.sqrt(columns["xi_norm_sq"][:1]))[0]["median"]
     results = []
     for j, (config, records) in enumerate(zip(configs, runs)):
         aggregates = {m: by_metric[m][j] for m in _METRICS}
-        diag = diagnose(config.covariance.spectrum, config.n, config._beta_norm, xi_medians[j],
+        diag = diagnose(config.covariance.spectrum, config.n, config._beta_norm, xi_median,
                         config.constants)
 
         skipped: dict = {}

@@ -344,11 +344,6 @@ def _one_gap(cov, d) -> float:
     return _weighted_square(cov, d[None])[0]
 
 
-def _one_sum(t) -> float:
-    """_nonneg_sum of a one-row stack."""
-    return _nonneg_sum(t[None])[0]
-
-
 def test_prediction_error_diagonal_example():
     cov = CovarianceModel(Spectrum(np.array([4.0, 1.0])))
     assert _one_gap(cov, np.array([1.0, 1.0])) == pytest.approx(5.0, rel=1e-14)
@@ -431,7 +426,7 @@ def test_nonneg_sum_has_the_bits_of_fsum(p, seed, low, spread, zeros, special):
     t[rng.random(p) < zeros] = 0.0
     if special is not None:
         t[rng.integers(p)] = special
-    assert _outcome(_one_sum, t) == _outcome(lambda v: math.fsum(v.tolist()), t)
+    assert _outcome(_nonneg_sum, t) == _outcome(lambda v: math.fsum(v.tolist()), t)
 
 
 def test_nonneg_sum_overflow_raises_on_both_paths(monkeypatch):
@@ -439,10 +434,10 @@ def test_nonneg_sum_overflow_raises_on_both_paths(monkeypatch):
     with pytest.raises(OverflowError):
         math.fsum(big.tolist())
     with pytest.raises(OverflowError):
-        _one_sum(big)
+        _nonneg_sum(big)
     monkeypatch.setattr(design_module, "_EXTENDED", False)
     with pytest.raises(OverflowError):
-        _one_sum(big)
+        _nonneg_sum(big)
 
 
 def _counting_fsum(monkeypatch):
@@ -473,7 +468,7 @@ def _counting_fsum(monkeypatch):
 def test_near_ties_take_the_fsum_fallback(terms, want, monkeypatch):
     t = np.array(terms)
     calls = _counting_fsum(monkeypatch)
-    assert _one_sum(t).hex() == want.hex()
+    assert _nonneg_sum(t).hex() == want.hex()
     assert calls == [t.size]
 
 
@@ -485,9 +480,9 @@ def test_ordinary_sums_take_the_fast_path(monkeypatch):
     drawn = [rng.standard_normal(2000) ** 2 for _ in range(200)]
     want = [math.fsum(t.tolist()).hex() for t in exact + drawn]
     calls = _counting_fsum(monkeypatch)
-    assert [_one_sum(t).hex() for t in exact] == want[: len(exact)]
+    assert [_nonneg_sum(t).hex() for t in exact] == want[: len(exact)]
     assert calls == []
-    assert [_one_sum(t).hex() for t in drawn] == want[len(exact):]
+    assert [_nonneg_sum(t).hex() for t in drawn] == want[len(exact):]
     assert len(calls) < 40  # 14 of 200 fall back: where s lies within 2b u s of a tie
 
 
@@ -505,16 +500,19 @@ def test_trial_loop_kernel_has_the_bits_of_fsum():
 
 @pytest.mark.parametrize("rotated", [False, True])
 def test_each_row_of_a_stack_has_the_bits_of_its_own_sum(rotated):
-    # one long-double pass over a stack: each row is certified (or falls back) alone
+    # a stack's rows are rotated together and summed one by one, each certified (or
+    # falling back) alone
     rng = np.random.default_rng(12)
     spectrum = Spectrum(np.sort(rng.exponential(size=300))[::-1].copy())
-    cov = CovarianceModel(spectrum, rotation=random_orthogonal(rng, 300) if rotated else None)
+    rotation = random_orthogonal(rng, 300) if rotated else None
+    cov = CovarianceModel(spectrum, rotation=rotation)
     d = rng.standard_normal((25, 300)) * 10.0 ** rng.integers(-160, 150, size=(25, 1))
     d[3] = 0.0  # a zero sum, which takes math.fsum
     stacked = _weighted_square(cov, d)
     assert [v.hex() for v in stacked] == [_one_gap(cov, row).hex() for row in d]
-    t = rng.random((40, 257)) * 2.0 ** rng.integers(-1074, 1000, size=(40, 1))
-    assert [v.hex() for v in _nonneg_sum(t)] == [math.fsum(row.tolist()).hex() for row in t]
+    rows = d if rotation is None else [rotation.T @ row for row in d]
+    assert [v.hex() for v in stacked] == [
+        math.fsum(((spectrum.values * r) * r).tolist()).hex() for r in rows]
 
 
 def fixed_trial(p, n, seed, trial_index):

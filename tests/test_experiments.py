@@ -191,6 +191,22 @@ def test_run_trial_refuses_configs_that_differ_beyond_beta():
     assert run_trial([cfg, second], 0) == run_trial([cfg], 0) + run_trial([second], 0)
 
 
+def test_run_trial_fits_at_most_a_quarter_of_n_configs_a_pass(monkeypatch):
+    # A pass holds three or four (configs, p) arrays; capped at n/4 configs,
+    # they stay within the design's own n x p size however long the grid is.
+    sizes = []
+    real = experiments._evaluate
+    monkeypatch.setattr(experiments, "_evaluate",
+                        lambda configs, *rest: sizes.append(len(configs)) or real(configs, *rest))
+    cfg = flat_config(covariance=CovarianceModel(make_flat_spectrum(400, 1.0)), n=8)
+    configs = [replace(cfg, beta_norm=b) for b in (0.5, 1.0, 2.0, 4.0, 8.0)]
+    assert [r.trial_index for r in run_trial(configs, 3)] == [3] * 5
+    assert sizes == [2, 2, 1]
+    sizes.clear()
+    run_trial([flat_config()] * 3, 0)  # n = 5: one config a pass
+    assert sizes == [1, 1, 1]
+
+
 _PROPERTY_NOISES = {
     "gaussian": GaussianNoise(sigma=1.0),
     "student": StudentTNoise(df=3.0, scale=1.0),
@@ -259,12 +275,23 @@ def test_run_experiment_aggregates_match_numpy():
     assert agg["mean"] == float(np.mean(preds))
 
 
-# Few distinct values, so that rows tie; both zeros, subnormals and values
-# whose differences and sums overflow.
+# Values a trial's metrics can take, few of them distinct so that rows tie:
+# subnormals, NaN, values whose differences and sums overflow, and no -0.0
+# (every metric is a square, a sum of squares, an abs, a sqrt or an x - y,
+# none of which gives -0.0; v + 0.0 turns a drawn -0.0 into +0.0).
 _AGG_VALUES = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 1.5, 1.7e308, -1.7e308]),
-    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 1.5, 1.7e308, -1.7e308,
+                     math.nan]),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: v + 0.0),
 )
+
+
+def _assert_numpy_bits(rows, got):
+    for row, agg in zip(rows, got, strict=True):
+        want = [np.min(row), np.quantile(row, 0.05), np.median(row),
+                np.quantile(row, 0.95), np.max(row), np.mean(row)]
+        assert list(agg) == ["min", "q05", "median", "q95", "max", "mean"]
+        assert [v.hex() for v in agg.values()] == [float(v).hex() for v in want]
 
 
 @settings(max_examples=400, deadline=None)
@@ -273,22 +300,19 @@ def test_sorted_column_aggregates_have_the_bits_of_numpy(k, trials, data):
     rows = np.array([data.draw(st.lists(_AGG_VALUES, min_size=trials, max_size=trials))
                      for _ in range(k)])
     with np.errstate(all="ignore"):  # overflowing differences: the same inf on both sides
-        got = experiments._aggregate_rows(rows)
-        for row, agg in zip(rows, got):
-            want = [np.min(row), np.quantile(row, 0.05), np.median(row),
-                    np.quantile(row, 0.95), np.max(row), np.mean(row)]
-            assert list(agg) == ["min", "q05", "median", "q95", "max", "mean"]
-            assert [v.hex() for v in agg.values()] == [float(v).hex() for v in want]
+        _assert_numpy_bits(rows, experiments._aggregate_rows(rows))
 
 
-def test_sorted_column_aggregates_fall_back_only_on_a_negative_zero_or_nan(monkeypatch):
-    calls = []
-    monkeypatch.setattr(experiments, "_aggregate", lambda row: calls.append(row) or {})
-    rows = np.array([[0.0, 1.0, 1.0], [2.0, -0.0, 0.0], [np.nan, 1.0, 0.0]])
-    assert experiments._aggregate_rows(rows)[1:] == [{}, {}]
-    assert len(calls) == 2
-    for got, want in zip(calls, rows[1:]):
-        assert np.array_equal(got, want, equal_nan=True)
+@pytest.mark.parametrize("trials", [300, 10_000])
+def test_sorted_column_aggregates_have_the_bits_of_numpy_on_long_rows(trials):
+    # Past 128 values np.mean sums pairwise in blocks; each row of the stack
+    # must still get the bits of np.mean of that row alone.
+    rng = np.random.default_rng(trials)
+    rows = rng.standard_normal((4, trials)) ** 2 * np.array([[1.0], [1e-300], [1e300], [3.0]])
+    rows[1] -= 1e-300  # negative values too, as a deviation has
+    rows[3, trials // 3] = math.inf
+    with np.errstate(all="ignore"):  # q95 of the inf row is inf - inf
+        _assert_numpy_bits(rows, experiments._aggregate_rows(rows))
 
 
 _MA_PROBE = """
@@ -502,14 +526,16 @@ SCAN_CASES = {
     "rotated": dict(covariance=_rotated_covariance()),
     # rel_tol 0.9 cuts genuine singular values: every fit takes the truncated SVD
     "svd": dict(rel_tol=0.9),
+    # n/4 = 2 configs a stacked fit: the grid takes a full pass and a short one
+    "two-passes": dict(covariance=CovarianceModel(make_flat_spectrum(400, 1.0)), n=8),
 }
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("case", list(SCAN_CASES))
 def test_snr_scan_points_equal_separate_runs(case, threads):
-    # One draw and factorization per trial and one stacked fit for the whole
-    # grid give the bytes of a separate run at each rescaled config.
+    # One draw and factorization per trial and stacked fits over the grid
+    # give the bytes of a separate run at each rescaled config.
     cfg = flat_config(**{"trials": 6, "beta_direction": "random", **SCAN_CASES[case]})
     points = snr_scan(cfg, [0.001, 0.1, 10.0], threads=threads)
     for pt in points:
