@@ -44,7 +44,7 @@ from .diagnostics import (
     effective_rank_index,
 )
 from .noise import NoiseModel
-from .spectra import CovarianceModel
+from .spectra import CovarianceModel, Spectrum
 
 __all__ = [
     "CHECK_IDENTITY",
@@ -466,9 +466,9 @@ def _map_trials(task, trials: int, threads: int) -> list:
 
     The caller is worker 0 and the helpers run in copies of its context, all
     under _trial_runtime, taking indices in order from one shared iterator.  A
-    failing task raises ExperimentError with the lowest failing index and the
-    completed results: those before it when threads < 2, all others otherwise.
-    A BaseException (Ctrl-C) stops every worker and is re-raised after the join.
+    failing task stops every worker after the index it holds, so at any worker
+    count ExperimentError carries the lowest failing index and the results of
+    all indices before it.  A BaseException (Ctrl-C) is re-raised after the join.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     results, failed = [None] * trials, {}  # failed: trial index -> what its task raised
@@ -484,8 +484,7 @@ def _map_trials(task, trials: int, threads: int) -> list:
                 results[i] = task(i)
             except BaseException as exc:  # reported below, once every worker has stopped
                 failed[i] = exc
-                if threads < 2 or not isinstance(exc, Exception):
-                    stop.set()
+                stop.set()
 
     helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
                for _ in range(min(threads, cpus or 1, trials) - 1)]
@@ -501,8 +500,7 @@ def _map_trials(task, trials: int, threads: int) -> list:
     if failed:
         first = min(failed)
         interrupt = next((e for e in failed.values() if not isinstance(e, Exception)), None)
-        partial = [r for r in results if r is not None]
-        raise interrupt or ExperimentError(first, partial, failed[first])
+        raise interrupt or ExperimentError(first, results[:first], failed[first])
     return results
 
 
@@ -653,15 +651,15 @@ class CertificateStudy:
 
 
 def certificate_study(
-    spectrum, n: int, c0: float, trials: int, seed: int, bins: int = 20
+    spectrum: Spectrum, n: int, c0: float, trials: int, seed: int, bins: int = 20
 ) -> CertificateStudy:
-    """Monte Carlo frequency of the smallest-singular-value certificate; a failing
-    trial raises ExperimentError with the earlier sigma_min values preserved.
-    n is checked first, then k* (InfiniteIndexError), then trials, bins
-    (at most _MAX_BINS) and the covariance rank."""
+    """Monte Carlo frequency of the smallest-singular-value certificate at covariance
+    diag(spectrum), a Spectrum only: X Q^T has X's sigma_min for any rotation Q.  A failing
+    trial raises ExperimentError with the earlier sigma_min values preserved.  n is checked
+    first, then k* (InfiniteIndexError), then trials, bins (at most _MAX_BINS) and the rank."""
     _check_count("n", n)
-    cov = spectrum if isinstance(spectrum, CovarianceModel) else CovarianceModel(spectrum)
-    ks = effective_rank_index(cov.spectrum, n, c0)
+    cov = CovarianceModel(spectrum)
+    ks = effective_rank_index(spectrum, n, c0)
     if math.isinf(ks):
         raise InfiniteIndexError(
             "effective-rank index is infinite; the certificate threshold is undefined"

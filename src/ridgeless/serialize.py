@@ -47,6 +47,7 @@ _CHUNK = 65536
 # Fewest values in a chunk for which the kernel beats "%.17g" (its fixed cost
 # is about 0.1 ms, the break-even near 400 values).
 _KERNEL_MIN = 1024
+_PAD = "  "  # the indent of one JSON nesting level
 
 # The kernel forms p = |x| 10^k with k = 16 - floor(log10 |x|) in the x87
 # long double.  10^k is exact there for |k| <= _K_MAX (5^27 < 2^64), so p
@@ -236,23 +237,23 @@ def _scalar(obj) -> str | None:
 
 
 @functools.cache
-def _record_layout(cls, indent: int, level: int) -> tuple:
+def _record_layout(cls, level: int) -> tuple:
     """A dataclass's field names and a %-template, one %s per field, of the text its
     fields would give as a dict at level: the key text is built once per class."""
     names = tuple(f.name for f in dataclasses.fields(cls))
-    pad_in = " " * (indent * (level + 1))
+    pad_in = _PAD * (level + 1)
     keys = ",\n".join(pad_in + json.dumps(name) + ": %s" for name in names)
-    return names, ("{\n" + keys + "\n" + " " * (indent * level) + "}") if names else "{}"
+    return names, ("{\n" + keys + "\n" + _PAD * level + "}") if names else "{}"
 
 
-def _emit(obj, indent: int, level: int):
+def _emit(obj, level: int):
     """The JSON text of obj in pieces; "".join gives it whole."""
     text = _scalar(obj)
     if text is not None:
         yield text
         return
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+    pad = _PAD * level
+    pad_in = _PAD * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             yield "{}"
@@ -262,7 +263,7 @@ def _emit(obj, indent: int, level: int):
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
             yield sep + pad_in + json.dumps(k) + ": "
-            yield from _emit(v, indent, level + 1)
+            yield from _emit(v, level + 1)
             sep = ",\n"
         yield "\n" + pad + "}"
     elif isinstance(obj, (list, tuple, np.ndarray)) and _finite_floats(obj):
@@ -271,7 +272,7 @@ def _emit(obj, indent: int, level: int):
         yield from format_floats(obj, ",\n" + pad_in)
         yield "\n" + pad + "]"
     elif _float_vector(obj):  # empty, or holding a non-finite value
-        yield from _emit(obj.tolist(), indent, level)
+        yield from _emit(obj.tolist(), level)
     elif isinstance(obj, (list, tuple, Iterator)):
         sep = "[\n"
         for item in obj:
@@ -279,18 +280,18 @@ def _emit(obj, indent: int, level: int):
             sep = ",\n"
             if dataclasses.is_dataclass(item) and not isinstance(item, type):
                 # a record: the bytes of the dict of its fields (no scalar's text is empty)
-                names, template = _record_layout(type(item), indent, level + 1)
+                names, template = _record_layout(type(item), level + 1)
                 values = (getattr(item, name) for name in names)
-                yield template % tuple(_scalar(v) or "".join(_emit(v, indent, level + 2))
+                yield template % tuple(_scalar(v) or "".join(_emit(v, level + 2))
                                        for v in values)
             else:
-                yield from _emit(item, indent, level + 1)
+                yield from _emit(item, level + 1)
         yield "[]" if sep == "[\n" else "\n" + pad + "]"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def json_pieces(obj, indent: int = 2):
+def json_pieces(obj):
     """Deterministic JSON text of obj (trailing newline included), rendered as it is
     consumed; "".join gives it whole.
 
@@ -298,7 +299,7 @@ def json_pieces(obj, indent: int = 2):
     one item at a time.  An array item that is a dataclass instance, such as a
     trial record, renders as the dict of its fields would.
     """
-    yield from _emit(obj, indent, 0)
+    yield from _emit(obj, 0)
     yield "\n"
 
 

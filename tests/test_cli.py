@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1216,6 +1217,21 @@ def test_overflow_inside_a_trial_exits_1_without_a_warning(threads):
     assert err[0].startswith("error: trial 0 failed: overflow encountered in "), err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--flat", "50", "--n", "5", "--beta-norm", "5e153"],
+    ["scan", "--flat", "50", "--n", "5", "--snr-grid", "1e306:5e306:2"],
+], ids=["simulate", "scan"])
+def test_a_later_failing_trial_gives_one_message_at_any_threads(argv, capsys):
+    # trials 0 to 2 fit, trial 3 overflows: every pool stops there, as one thread does
+    errs = []
+    for threads in ("1", "2", "8"):
+        assert main(argv + ["--noise", "gaussian:1", "--trials", "8", "--threads", threads]) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs == errs[:1] * 3, errs
+    assert re.fullmatch(r"error: trial 3 failed: overflow encountered in \w+ "
+                        r"\(3 earlier trial\(s\) preserved\)\n", errs[0]), errs[0]
+
+
 # as flag text: a float from 1e-300 to 1e300, log-uniform, or an edge value
 _MAGNITUDE = st.one_of(
     st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 299)),
@@ -1264,6 +1280,11 @@ def test_extreme_magnitudes_never_escape_main(argv):
     assert code in (0, 1, 2, 3) and caught == [], (code, caught)
     assert all(line.startswith("error: ") for line in err), err
     assert bool(err) == (code in (1, 2)), (code, err)
+    if "--threads" in argv:  # simulate and scan: the same outcome at the other count
+        at = argv.index("--threads") + 1
+        other = argv[:at] + [{"1": "2", "2": "1"}[argv[at]]] + argv[at + 1:]
+        other_code, _, other_err = _run_unfiltered(other + ["-q"])
+        assert (other_code, other_err) == (code, err), other
 
 
 # random config files: wrong types, nesting, unknown keys, null, +-10^400, random spectrum

@@ -608,11 +608,16 @@ def _failing_trial_rng(monkeypatch, bad=3):
     monkeypatch.setattr(experiments, "trial_rng", trial_rng)
 
 
-@pytest.mark.parametrize("threads,kept", [(1, 3), (2, 5)])
+@pytest.mark.parametrize("threads,cpus", [(1, None), (2, None), (2, 1)],
+                         ids=["1", "2", "2-on-one-cpu"])
 @pytest.mark.parametrize("scan", [False, True], ids=["run", "scan"])
-def test_failure_reports_trial_and_partial_count(monkeypatch, threads, kept, scan):
-    # Serial runs stop at the failure; pooled runs finish the other trials.
-    # A scan reports the first grid point's records, as a run there would.
+def test_failure_reports_trial_and_partial_count(monkeypatch, threads, cpus, scan):
+    # At any worker count, however many CPUs the pool gets, a run stops at its
+    # first failure with the trials before it.  A scan reports the first grid
+    # point's records, as a run there would.
+    if cpus:
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
     cfg = flat_config(trials=6, beta_norm=math.sqrt(0.1 * 5.0))  # the scan's first point
     reference = run_experiment(cfg)
     _failing_trial_rng(monkeypatch)
@@ -623,17 +628,8 @@ def test_failure_reports_trial_and_partial_count(monkeypatch, threads, kept, sca
             run_experiment(cfg, threads=threads)
     err = info.value
     assert err.trial_index == 3
-    assert len(err.partial) == kept
-    assert str(err) == f"trial 3 failed: synthetic failure ({kept} earlier trial(s) preserved)"
-    assert all(r == reference.records[r.trial_index] for r in err.partial)
-
-
-@pytest.mark.parametrize("scan", [False, True], ids=["run", "scan"])
-def test_a_one_cpu_pool_still_finishes_the_other_trials(monkeypatch, scan):
-    # The requested thread count, not the CPUs the pool gets, decides whether a
-    # run stops at its first failure: one usable CPU runs every trial on the caller.
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    test_failure_reports_trial_and_partial_count(monkeypatch, threads=2, kept=5, scan=scan)
+    assert str(err) == "trial 3 failed: synthetic failure (3 earlier trial(s) preserved)"
+    assert err.partial == reference.records[:3]
 
 
 class _InlineThread:
@@ -678,6 +674,27 @@ def test_pool_is_clamped_to_cores_and_trials(monkeypatch, affinity, cpu_count, t
     assert run_experiment(cfg, threads=threads).records == run_experiment(cfg).records
     snr_scan(cfg, [0.1, 10.0], threads=threads)
     assert len(_InlineThread.started) == 2 * (workers - 1)  # the caller is the other worker
+
+
+def test_a_failing_task_stops_a_pooled_run(monkeypatch):
+    # The helper runs inline, so it meets the failure alone: it stops there, and
+    # the caller, finding the stop set, starts no task either.
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(experiments.threading, "Thread", _InlineThread)
+    monkeypatch.setattr(_InlineThread, "started", [])
+    calls = []
+
+    def task(i):
+        calls.append(i)
+        if i == 3:
+            raise RuntimeError("synthetic failure")
+        return i
+
+    with pytest.raises(ExperimentError) as info:
+        experiments._map_trials(task, 1000, threads=2)
+    assert len(_InlineThread.started) == 1
+    assert calls == [0, 1, 2, 3]
+    assert (info.value.trial_index, info.value.partial) == (3, (0, 1, 2))
 
 
 def test_a_helper_that_cannot_start_stops_the_started_ones(monkeypatch):
@@ -729,6 +746,27 @@ def test_every_index_runs_once_under_contention(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert calls == [1] * 2000
+
+
+def test_a_failure_under_contention_keeps_exactly_the_earlier_trials(monkeypatch):
+    # Every index below the failing one was taken before it, and its worker
+    # finishes it before the join, however the threads interleave.
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+
+    def task(i):
+        if i == 500:
+            raise RuntimeError("synthetic failure")
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.raises(ExperimentError) as info:
+            experiments._map_trials(task, 2000, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (info.value.trial_index, info.value.partial) == (500, tuple(range(500)))
 
 
 def test_an_interrupt_in_the_callers_trial_stops_every_worker(monkeypatch):
