@@ -105,25 +105,20 @@ def _path(value, what: str, text: bool = False) -> str:
     return value
 
 
-def _numbers(value, what: str, text: bool = False, depth: int = 1) -> np.ndarray:
+def _numbers(value, what: str, text: bool = False) -> np.ndarray:
     """A number array: a file of numbers (see _path; text is always one), or a JSON list of
-    numbers, of such lists at depth 2, with no bool and no string.  A refusal names the first
-    bad entry, never the whole list."""
+    numbers, with no bool and no string.  A refusal names the first bad entry, never the
+    whole list."""
     if text or isinstance(value, str):
         return parse_numbers(Path(_path(value, what, text)).read_text(encoding="utf-8-sig"),
                              "vector")
-    rows = value if depth == 2 and isinstance(value, list) else [value]
-    for i, row in enumerate(rows):
-        at = f"{what}[{i}]" if rows is value else what
-        if not isinstance(row, list):
-            raise _CliError(f"{at}: expected a list of numbers, got {_brief(row)}")
-        if len(row) != len(rows[0]):
-            raise _CliError(f"{at}: expected {len(rows[0])} entries, as row 0 has, got {len(row)}")
-        if not set(map(type, row)) <= {float}:  # an int only as large as a float holds
-            bad = next((j for j, v in enumerate(row) if type(v) is not float and not (
-                type(v) is int and abs(v) <= sys.float_info.max)), None)
-            if bad is not None:
-                raise _CliError(f"{at}[{bad}]: expected a number, got {_brief(row[bad])}")
+    if not isinstance(value, list):
+        raise _CliError(f"{what}: expected a list of numbers, got {_brief(value)}")
+    if not set(map(type, value)) <= {float}:  # an int only as large as a float holds
+        bad = next((j for j, v in enumerate(value) if type(v) is not float and not (
+            type(v) is int and abs(v) <= sys.float_info.max)), None)
+        if bad is not None:
+            raise _CliError(f"{what}[{bad}]: expected a number, got {_brief(value[bad])}")
     return np.array(value, dtype=float)
 
 
@@ -338,7 +333,7 @@ _OPTIONS = {row.name: row for row in (
 _CONSTANTS = tuple(f.name for f in fields(Constants))
 # the config keys of the rows, and those with a resolver of their own
 _CONFIG_KEYS = {row.key.partition(".")[0] for row in _OPTIONS.values() if row.key} | {
-    "schema", "spectrum", "beta_values", "rotation"}
+    "schema", "spectrum", "beta_values"}
 
 
 def _config_value(conf: dict, key):
@@ -374,10 +369,10 @@ def _value(row: _Opt, ns, conf: dict):
 def _resolve(ns) -> None:
     """Resolve every option of ns.subcommand into ns, converted and checked.
 
-    The spectrum, constants, beta_values and rotation follow their own rules
-    after the rows.  All errors are raised together, before any work runs; a
-    config file that cannot be read, or breaks the schema, at once, since
-    nothing read from it could be trusted.
+    The spectrum, constants and beta_values follow their own rules after the
+    rows.  All errors are raised together, before any work runs; a config
+    file that cannot be read, or breaks the schema, at once, since nothing
+    read from it could be trusted.
     """
     cmd = ns.subcommand
     conf = _load_config_file(_value(_OPTIONS["config"], ns, {}))
@@ -389,8 +384,7 @@ def _resolve(ns) -> None:
     if cmd in _BOUNDS:
         ns.constants = _collect(errors, _resolve_constants, ns, conf.get("constants"))
     if cmd in _RUNS:
-        ns.beta_values = _collect(errors, _config_array, conf, "beta_values", 1)
-        ns.rotation = _collect(errors, _config_array, conf, "rotation", 2)
+        ns.beta_values = _collect(errors, _config_array, conf, "beta_values")
     if errors:
         raise _CliError(errors)
 
@@ -520,12 +514,12 @@ def _resolve_constants(ns, section) -> Constants | None:
         raise _CliError(f"constants: {exc}")
 
 
-def _config_array(conf: dict, key: str, depth: int):
+def _config_array(conf: dict, key: str):
     """The number array the config file gives under key (see _numbers); None when absent."""
     if conf.get(key) is None:
         return None
     try:
-        return _numbers(conf[key], "config " + key, depth=depth)
+        return _numbers(conf[key], "config " + key)
     except (OSError, ValueError) as exc:  # a file that cannot be read or parsed
         raise _CliError(f"config {key}: {exc}")
 
@@ -534,7 +528,7 @@ def _experiment_config(ns) -> ExperimentConfig:
     same = ("n", "trials", "seed", "constants", "beta_norm", "beta_direction", "beta_values",
             "checks", "rel_tol")  # resolved under ExperimentConfig's own field names
     return ExperimentConfig(
-        covariance=CovarianceModel(ns.spectrum[0], ns.rotation), noise_model=ns.noise,
+        covariance=CovarianceModel(ns.spectrum[0]), noise_model=ns.noise,
         **{name: getattr(ns, name) for name in same},
     )
 
@@ -557,8 +551,6 @@ def _config_echo(config: ExperimentConfig, spectrum_echo: dict) -> dict:
     }
     if config.beta_values is not None:
         echo["beta_values"] = [float(v) for v in config.beta_values]
-    if config.covariance.rotation is not None:
-        echo["rotation"] = [[float(v) for v in row] for row in config.covariance.rotation]
     return echo
 
 

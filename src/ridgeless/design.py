@@ -1,7 +1,7 @@
 """Gaussian design sampling and the minimum-norm interpolating fit.
 
-Designs have i.i.d. centered Gaussian rows with covariance given by a
-CovarianceModel.  Sampling is reproducible by construction: the
+Designs have i.i.d. centered Gaussian rows with the diagonal covariance
+diag(spectrum) of a Spectrum.  Sampling is reproducible by construction: the
 generator for trial t of a seeded run is a pure function of (seed, t)
 (numpy SeedSequence with spawn_key), so results do not depend on
 execution order or worker count.
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import CovarianceModel
+from .spectra import Spectrum
 
 __all__ = [
     "DesignMatrix",
@@ -149,31 +149,27 @@ class DesignMatrix:
         return u if u[np.argmax(np.abs(u))] > 0 else -u
 
 
-def _check_rank(cov: CovarianceModel, n: int) -> None:
+def _check_rank(spectrum: Spectrum, n: int) -> None:
     """Interpolation needs a covariance of rank at least n."""
-    rank = cov.spectrum.rank()
+    rank = spectrum.rank()
     if rank < n:
         raise ValueError(f"covariance rank {rank} is below the sample count n={n}")
 
 
-def sample_design(cov: CovarianceModel, n: int, rng: np.random.Generator) -> DesignMatrix:
-    """n i.i.d. Gaussian rows with covariance cov.
+def sample_design(spectrum: Spectrum, n: int, rng: np.random.Generator) -> DesignMatrix:
+    """n i.i.d. Gaussian rows with covariance diag(spectrum).
 
-    Drawn as G diag(sqrt(lambda)) (then rotated into the eigenbasis when
-    one is supplied) with G standard Gaussian, scaled in place.  The
-    covariance must have rank at least n so that an interpolating fit
-    exists almost surely.  The entries need no finiteness scan: numpy's
-    Gaussian sampler returns |g| < 14, so every entry is at most
-    14 sqrt(sum lambda) in size (Cauchy-Schwarz over a row of Q when
-    rotated), and the spectrum's sum is finite.
+    Drawn as G diag(sqrt(lambda)) with G standard Gaussian, scaled in
+    place.  The spectrum must have rank at least n so that an
+    interpolating fit exists almost surely.  The entries need no
+    finiteness scan: numpy's Gaussian sampler returns |g| < 14, so every
+    entry is at most 14 sqrt(lambda_1) in size, and the spectrum is finite.
     """
     if not n >= 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    _check_rank(cov, n)
-    x = rng.standard_normal((n, cov.p))
-    x *= np.sqrt(cov.spectrum.values)
-    if cov.rotation is not None:
-        x = x @ cov.rotation.T
+    _check_rank(spectrum, n)
+    x = rng.standard_normal((n, spectrum.p))
+    x *= np.sqrt(spectrum.values)
     return DesignMatrix._trusted(x)
 
 
@@ -209,17 +205,14 @@ def min_norm_fit(design: DesignMatrix, targets, rel_tol: float = 1e-10) -> np.nd
     return fit.reshape(*y.shape[:-1], design.p)
 
 
-def _weighted_square(cov: CovarianceModel, d: np.ndarray) -> list[float]:
+def _weighted_square(spectrum: Spectrum, d: np.ndarray) -> list[float]:
     """The squared prediction gap d^T Sigma d at a fresh Gaussian point, for each row d
-    of a (k, p) float stack (d = beta_hat - beta*).
+    of a (k, p) float stack (d = beta_hat - beta*), Sigma = diag(spectrum).
 
-    Evaluated in the eigenbasis as sum_i (lambda_i d_i) d_i, a sum of
-    non-negative terms, correctly rounded: the bits of math.fsum over the
-    terms (see _nonneg_sum).
+    Evaluated as sum_i (lambda_i d_i) d_i, a sum of non-negative terms,
+    correctly rounded: the bits of math.fsum over the terms (see _nonneg_sum).
     """
-    if cov.rotation is not None:
-        d = _gemv(cov.rotation.T, d)
-    t = cov.spectrum.values * d
+    t = spectrum.values * d
     t *= d
     return [_nonneg_sum(row) for row in t]
 

@@ -148,12 +148,11 @@ class ExperimentConfig:
         object.__setattr__(self, "checks", frozenset(self.checks))
         if not 0 < self.rel_tol < 1:  # at 1 or above every singular value is cut
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol!r}")
+        p = self.covariance.spectrum.p
         if self.beta_values is not None:
             v = np.asarray(self.beta_values, dtype=float)
-            if v.shape != (self.covariance.p,):
-                raise ValueError(
-                    f"beta_values must have shape ({self.covariance.p},), got {v.shape}"
-                )
+            if v.shape != (p,):
+                raise ValueError(f"beta_values must have shape ({p},), got {v.shape}")
             if not np.all(np.isfinite(v)):
                 raise ValueError("beta_values must be finite")
             v = v.copy()
@@ -174,22 +173,17 @@ class ExperimentConfig:
         if not finite:
             raise ValueError(f"{self.noise_model.type_name} noise is too large: "
                              f"E||xi||^2 at n={self.n} overflows")
-        _check_rank(self.covariance, self.n)
+        _check_rank(self.covariance.spectrum, self.n)
         # beta*, fixed across all trials: beta_values, else beta_norm times a unit direction
-        p = self.covariance.p
         if self.beta_values is not None:
             beta_star = np.array(self.beta_values)
         else:
             if self.beta_direction == "random":
                 g = trial_rng(self.seed, _BETA_STREAM).standard_normal(p)
                 direction = g / np.linalg.norm(g)
-            else:
-                # e1: first standard basis vector.  top: the direction of the largest
-                # eigenvalue, which is the first eigenbasis column (or e1 when diagonal).
+            else:  # e1, which is also top: Sigma = diag(spectrum) is non-increasing
                 direction = np.zeros(p)
                 direction[0] = 1.0
-                if self.beta_direction == "top" and self.covariance.rotation is not None:
-                    direction = np.array(self.covariance.rotation[:, 0])
             beta_star = self.beta_norm * direction
         with np.errstate(over="ignore"):  # a norm that overflows is refused just below
             beta_norm = float(np.linalg.norm(beta_star))
@@ -251,7 +245,7 @@ def run_trial(configs: list[ExperimentConfig], trial_index: int) -> list[TrialRe
                          "covariance, noise model and rel_tol")
     first = configs[0]
     rng = trial_rng(first.seed, trial_index)
-    design = sample_design(first.covariance, first.n, rng)
+    design = sample_design(first.covariance.spectrum, first.n, rng)
     xi = first.noise_model.realize(design, first._beta_star, rng)
     step = max(1, first.n // 4)
     return [rec for j in range(0, len(configs), step)
@@ -271,7 +265,7 @@ def _evaluate(configs, trial_index, design, xi) -> list[TrialRecord]:
     y = _gemv(design.entries, betas) + xi
     delta = min_norm_fit(design, y, first.rel_tol)
     delta -= betas
-    preds = _weighted_square(first.covariance, delta)
+    preds = _weighted_square(first.covariance.spectrum, delta)
     xi_norm_sq = float(xi @ xi)
     sigma_min = design.sigma_min()  # sigma_n, also when the fit is rank-deficient
 
@@ -654,11 +648,10 @@ def certificate_study(
     spectrum: Spectrum, n: int, c0: float, trials: int, seed: int, bins: int = 20
 ) -> CertificateStudy:
     """Monte Carlo frequency of the smallest-singular-value certificate at covariance
-    diag(spectrum), a Spectrum only: X Q^T has X's sigma_min for any rotation Q.  A failing
-    trial raises ExperimentError with the earlier sigma_min values preserved.  n is checked
-    first, then k* (InfiniteIndexError), then trials, bins (at most _MAX_BINS) and the rank."""
+    diag(spectrum).  A failing trial raises ExperimentError with the earlier sigma_min values
+    preserved.  n is checked first, then k* (InfiniteIndexError), then trials, bins (at most
+    _MAX_BINS) and the rank."""
     _check_count("n", n)
-    cov = CovarianceModel(spectrum)
     ks = effective_rank_index(spectrum, n, c0)
     if math.isinf(ks):
         raise InfiniteIndexError(
@@ -668,13 +661,13 @@ def certificate_study(
     _check_count("bins", bins)
     if bins > _MAX_BINS:
         raise ValueError(f"bins must be at most {_MAX_BINS}, got {bins}")
-    _check_rank(cov, n)
-    r_kstar = cov.spectrum.tail_sum(ks)
+    _check_rank(spectrum, n)
+    r_kstar = spectrum.tail_sum(ks)
     sqrt_rk = math.sqrt(r_kstar)
     threshold = _CERT_FACTOR * sqrt_rk
     sigma_mins = np.empty(trials)  # first: a count too large to hold fails here, with its size
-    sigma_mins[:] = _map_trials(lambda t: sample_design(cov, n, trial_rng(seed, t)).sigma_min(),
-                                trials, threads=1)
+    sigma_mins[:] = _map_trials(
+        lambda t: sample_design(spectrum, n, trial_rng(seed, t)).sigma_min(), trials, threads=1)
     rate = float(np.mean(sigma_mins >= threshold))
     ratios = sigma_mins / sqrt_rk
     hi = max(1.0, float(np.max(ratios)))

@@ -222,33 +222,7 @@ def load_spectrum(path) -> LoadedSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class CovarianceModel:
-    """Covariance given by its spectrum and an optional eigenbasis.
-
-    Without a rotation the covariance is diagonal with the spectrum on the
-    diagonal; with one it is Q diag(spectrum) Q^T.  Q must be finite and orthogonal to
-    within 1e-10 (max absolute entry of Q^T Q - I).
-    """
+    """The diagonal covariance diag(spectrum), the only one a run needs: with Gaussian
+    rows, a run at Q diag(spectrum) Q^T and beta* is the run here at Q^T beta*."""
 
     spectrum: Spectrum
-    rotation: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.rotation is not None:
-            q = np.asarray(self.rotation, dtype=float)
-            p = self.spectrum.p
-            if q.shape != (p, p):
-                raise ValueError(f"rotation must be {p}x{p}, got {q.shape}")
-            if not np.all(np.isfinite(q)):  # NaN would slip past the check below
-                raise ValueError("rotation entries must be finite")
-            deviation = float(np.max(np.abs(q.T @ q - np.eye(p))))
-            if deviation > 1e-10:
-                raise ValueError(
-                    f"rotation is not orthogonal (max |Q^T Q - I| = {deviation:.3e})"
-                )
-            q = q.copy()
-            q.setflags(write=False)
-            object.__setattr__(self, "rotation", q)
-
-    @property
-    def p(self) -> int:
-        return self.spectrum.p

@@ -122,12 +122,9 @@ def log_uniform_spectrum(rng: np.random.Generator, p: int, lo: float = -6.0, hi:
     return np.sort(vals)[::-1].copy()
 
 
-def covariance_matrix(cov) -> np.ndarray:
-    """Dense covariance Q diag(spectrum) Q^T of a CovarianceModel (diag without Q)."""
-    lam = cov.spectrum.values
-    if cov.rotation is None:
-        return np.diag(lam)
-    return (cov.rotation * lam) @ cov.rotation.T
+def covariance_matrix(spectrum, q) -> np.ndarray:
+    """Dense covariance Q diag(spectrum) Q^T for an orthogonal p x p matrix Q."""
+    return (q * spectrum.values) @ q.T
 
 
 # ---------------------------------------------------------------------------

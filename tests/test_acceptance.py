@@ -329,10 +329,9 @@ def test_criterion_8_zero_noise_and_saturation():
     max_pred = max(r.pred_error for r in result.records)
 
     saturated = True
-    cov = CovarianceModel(make_flat_spectrum(40, 1.0))
     for t in range(5):
         rng = trial_rng(50, t)
-        design = sample_design(cov, 8, rng)
+        design = sample_design(make_flat_spectrum(40, 1.0), 8, rng)
         xi = ScaledDirectionNoise(target_norm=2.0).realize(design, None, rng)
         lhs = float(np.linalg.norm(np.linalg.pinv(design.entries) @ xi))
         rhs = float(np.linalg.norm(xi)) / oracles.smallest_singular_value(design.entries)

@@ -675,18 +675,12 @@ def test_missing_input_files_exit_1(tmp_path, capsys):
          "config spectrum values[0]: expected a number, got '3'"),
         ({"spectrum": {"type": "flat", "p": 4}, "beta_values": ["1", "0", "0", "0"]},
          "config beta_values[0]: expected a number, got '1'"),
-        ({"spectrum": {"type": "flat", "p": 2}, "n": 1, "rotation": [["1", 0], [0, True]]},
-         "config rotation[0][0]: expected a number, got '1'"),
         ({"noise": {"type": "deterministic", "values": [True, "2"]}},
          "config noise: values[0]: expected a number, got True"),
-        ({"spectrum": {"type": "flat", "p": 2}, "n": 1, "rotation": [[1, 0], [0]]},
-         "config rotation[1]: expected 2 entries, as row 0 has, got 1"),
         ({"spectrum": {"type": "flat", "p": 4}, "beta_values": [[1, 0, 0, 0]]},
          "config beta_values[0]: expected a number, got a list"),
         ({"spectrum": {"type": "flat", "p": 3}, "beta_values": [1, 0.5, "x"]},
          "config beta_values[2]: expected a number, got 'x'"),
-        ({"spectrum": {"type": "flat", "p": 2}, "n": 1, "rotation": [1, 0]},
-         "config rotation[0]: expected a list of numbers, got 1"),
         ({"beta_values": {"values": [1]}},
          "config beta_values: expected a list of numbers, got an object"),
         # integers beyond a float are named, and the other errors still reported
@@ -705,10 +699,9 @@ def test_missing_input_files_exit_1(tmp_path, capsys):
     ],
     ids=["p-float", "p-bool", "seed-bool", "trials-bool", "c0-bool", "beta_norm-str",
          "sigma-bool", "sigma-str", "direction-int", "schema-bool", "values-str",
-         "beta_values-str", "rotation-str-bool", "noise-values-bool-str", "rotation-ragged",
-         "beta_values-nested", "beta_values-third", "rotation-flat", "beta_values-object",
-         "beta_norm-huge-and-seed", "value-huge", "c0-huge", "df-huge", "beta_values-huge",
-         "int-5000-digits"],
+         "beta_values-str", "noise-values-bool-str", "beta_values-nested", "beta_values-third",
+         "beta_values-object", "beta_norm-huge-and-seed", "value-huge", "c0-huge", "df-huge",
+         "beta_values-huge", "int-5000-digits"],
 )
 def test_config_values_are_checked_not_coerced(conf, message, tmp_path, monkeypatch, capsys):
     # each bad value is one line that names it, before any trial and with no file written
@@ -734,13 +727,12 @@ def test_config_values_are_checked_not_coerced(conf, message, tmp_path, monkeypa
     "argv,conf,message",
     [
         ([], {"beta_values": ""}, "config beta_values: empty path"),
-        ([], {"rotation": ""}, "config rotation: empty path"),
         ([], {"noise": {"type": "deterministic", "values": ""}},
          "config noise: values: empty path"),
         ([], {"spectrum": {"type": "values", "file": ""}}, "config spectrum file: empty path"),
         (["--spectrum-file", ""], {}, "--spectrum-file PATH: empty path"),
     ],
-    ids=["beta_values", "rotation", "noise-values", "spectrum-file-config", "spectrum-file-flag"],
+    ids=["beta_values", "noise-values", "spectrum-file-config", "spectrum-file-flag"],
 )
 def test_empty_paths_are_refused_by_key(argv, conf, message, tmp_path, monkeypatch, capsys):
     # refused before any file is read: the empty path would read the working directory
@@ -837,8 +829,8 @@ def test_snr_grid_count_is_capped_before_any_grid_or_config(count, monkeypatch, 
 def test_null_means_absent_for_every_key(tmp_path):
     # null is the key's absence: its flag, environment variable or default applies
     base = {"schema": 1, "spectrum": {"type": "flat", "p": 20}, "trials": 3, "beta_norm": 1}
-    nulls = dict.fromkeys(["noise", "checks", "beta_values", "rotation", "seed", "n",
-                           "rel_tol", "beta_direction"])
+    nulls = dict.fromkeys(["noise", "checks", "beta_values", "seed", "n", "rel_tol",
+                           "beta_direction"])
     for name, conf in (("plain", base), ("nulls", {**base, **nulls})):
         path = _write(tmp_path / f"{name}-conf.json", json.dumps(conf))
         assert main(["simulate", "--config", path, "--n", "3", "-q",
@@ -945,13 +937,11 @@ def test_trial_count_beyond_memory_exits_1(argv, message, tmp_path):
 
 
 def _rerun_inline_config(tmp_path):
-    rng = np.random.default_rng(3)
-    rotation, _ = np.linalg.qr(rng.standard_normal((20, 20)))
     beta = _write(tmp_path / "beta.txt", "".join(f"{0.1 * i * (-1) ** i}\n" for i in range(20)))
     xi = _write(tmp_path / "xi.txt", "0.5 -0.25 1.0 2.0 -1.5\n")
     conf = _write(tmp_path / "base.json", json.dumps({
         "schema": 1, "spectrum": {"type": "values", "values": [3.0] * 5 + [1.0] * 15},
-        "rotation": rotation.tolist(), "beta_values": beta,
+        "beta_values": beta,
         "noise": {"type": "deterministic", "values": xi}, "n": 5, "trials": 10,
         "checks": ["identity", "upper_bound"], "constants": {"c0": 1.0},
     }))
@@ -1166,15 +1156,14 @@ def test_overflowing_input_is_refused_before_any_trial(argv, message, tmp_path, 
         ({"RIDGELESS_REL_TOL": "1"}, {}, "rel_tol must be in (0, 1), got 1.0"),
         ({"RIDGELESS_REL_TOL": "inf"}, {}, "rel_tol must be in (0, 1), got inf"),
         ({}, {"rel_tol": 2}, "rel_tol must be in (0, 1), got 2.0"),
-        ({}, {"rotation": [[math.nan, 0, 0], [0, 1, 0], [0, 0, 1]]},
-         "rotation entries must be finite"),
+        ({}, {"rotation": [[1.0]]}, "config file {path}: unknown key 'rotation'"),
     ],
-    ids=["rel_tol-1", "rel_tol-inf", "rel_tol-config", "rotation-nan"],
+    ids=["rel_tol-1", "rel_tol-inf", "rel_tol-config", "rotation-unknown"],
 )
 def test_run_settings_are_refused_before_any_trial(env, conf, message, tmp_path, monkeypatch,
                                                    capsys):
-    # a cutoff of 1 or more once dropped every singular value and exited 3;
-    # a NaN rotation once passed its orthogonality check and failed in trial 0
+    # a cutoff of 1 or more once dropped every singular value and exited 3; Sigma
+    # is diagonal, so a rotation is an unknown key (its run is at beta_values = Q^T beta*)
     import ridgeless.experiments as experiments
 
     drawn = []
@@ -1185,7 +1174,7 @@ def test_run_settings_are_refused_before_any_trial(env, conf, message, tmp_path,
     argv = ["simulate", "--flat", "3", "--n", "2", "--trials", "2", "--beta-norm", "1",
             "--config", path, "-q", "--out", str(tmp_path / "run")]
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
     assert drawn == [] and sorted(tmp_path.iterdir()) == [tmp_path / "conf.json"]
 
 
@@ -1330,7 +1319,7 @@ _CONFIG = st.fixed_dictionaries(
     optional={
         "spectrum": _SPECTRUM, "n": _COUNT, "trials": _COUNT, "seed": _mostly(st.integers(0, 3)),
         "beta_norm": _NUMBER, "beta_direction": _mostly(st.sampled_from(["e1", "random", "top"])),
-        "noise": _NOISE, "beta_values": _ARRAY, "rotation": _ARRAY, "rel_tol": _NUMBER,
+        "noise": _NOISE, "beta_values": _ARRAY, "rel_tol": _NUMBER,
         "checks": _mostly(st.lists(st.sampled_from(sorted(ALL_CHECKS)), max_size=3)),
         "constants": _mostly(st.dictionaries(st.sampled_from(["c0", "eta", "c3"]), _NUMBER,
                                              max_size=2)),

@@ -28,11 +28,6 @@ from ridgeless.spectra import (
 )
 
 
-def random_orthogonal(rng, p):
-    q, r = np.linalg.qr(rng.standard_normal((p, p)))
-    return q * np.sign(np.diag(r))
-
-
 # ---------------------------------------------------------------------------
 # per-trial generator
 
@@ -87,8 +82,7 @@ def test_design_entries_read_only():
 
 
 def test_sample_design_zero_eigenvalue_kills_column():
-    cov = CovarianceModel(Spectrum(np.array([1.0, 0.0])))
-    x = sample_design(cov, 1, trial_rng(0, 0))
+    x = sample_design(Spectrum(np.array([1.0, 0.0])), 1, trial_rng(0, 0))
     assert np.all(x.entries[:, 1] == 0.0)
     assert x.entries[0, 0] != 0.0
 
@@ -96,9 +90,9 @@ def test_sample_design_zero_eigenvalue_kills_column():
 def test_sample_design_column_variances():
     # rank(diag(2,1)) = 2 caps each draw at n = 2, so pool 50k independent
     # draws into 1e5 i.i.d. rows for the moment check
-    cov = CovarianceModel(Spectrum(np.array([2.0, 1.0])))
+    spectrum = Spectrum(np.array([2.0, 1.0]))
     rng = trial_rng(42, 0)
-    x = np.vstack([sample_design(cov, 2, rng).entries for _ in range(50_000)])
+    x = np.vstack([sample_design(spectrum, 2, rng).entries for _ in range(50_000)])
     assert np.var(x[:, 0]) == pytest.approx(2.0, rel=0.03)
     assert np.var(x[:, 1]) == pytest.approx(1.0, rel=0.03)
     assert abs(np.mean(x[:, 0] * x[:, 1])) < 0.03
@@ -115,45 +109,28 @@ class _StubRng:
         return self.block.copy()
 
 
-def test_sample_design_rotation_construction():
-    # rotated draw is (G sqrt(Lambda)) Q^T for the same Gaussian block G, bit for bit
-    # (scaled in place, then rotated), and read-only as a copied design is
+def test_sample_design_construction():
+    # the draw is G sqrt(Lambda) for the Gaussian block G, bit for bit (scaled in
+    # place), and read-only as a copied design is
     rng = np.random.default_rng(5)
-    q = random_orthogonal(rng, 3)
     spectrum = Spectrum(np.array([3.0, 1.0, 0.5]))
     g = rng.standard_normal((3, 3))
-    plain = sample_design(CovarianceModel(spectrum), 3, _StubRng(g)).entries
-    rotated = sample_design(CovarianceModel(spectrum, rotation=q), 3, _StubRng(g)).entries
-    assert plain.tobytes() == (g * np.sqrt(spectrum.values)).tobytes()
-    assert rotated.tobytes() == (plain @ q.T).tobytes()
-    for entries in (plain, rotated):
-        with pytest.raises(ValueError):
-            entries[0, 0] = 5.0
-
-
-def test_sample_design_rotation_covariance():
-    rng = np.random.default_rng(5)
-    q = random_orthogonal(rng, 3)
-    spectrum = Spectrum(np.array([3.0, 1.0, 0.5]))
-    cov = CovarianceModel(spectrum, rotation=q)
-    gen = trial_rng(7, 0)
-    x = np.vstack([sample_design(cov, 3, gen).entries for _ in range(30_000)])
-    sample_cov = x.T @ x / x.shape[0]
-    dense = q @ np.diag(spectrum.values) @ q.T
-    assert np.max(np.abs(sample_cov - dense)) < 0.05
+    entries = sample_design(spectrum, 3, _StubRng(g)).entries
+    assert entries.tobytes() == (g * np.sqrt(spectrum.values)).tobytes()
+    with pytest.raises(ValueError):
+        entries[0, 0] = 5.0
 
 
 def test_sample_design_deterministic():
-    cov = CovarianceModel(make_flat_spectrum(6, 1.0))
-    a = sample_design(cov, 4, trial_rng(9, 3)).entries
-    b = sample_design(cov, 4, trial_rng(9, 3)).entries
+    spectrum = make_flat_spectrum(6, 1.0)
+    a = sample_design(spectrum, 4, trial_rng(9, 3)).entries
+    b = sample_design(spectrum, 4, trial_rng(9, 3)).entries
     assert np.array_equal(a, b)
 
 
 def test_sample_design_rank_below_n():
-    cov = CovarianceModel(Spectrum(np.array([1.0, 0.0])))
     with pytest.raises(ValueError):
-        sample_design(cov, 2, trial_rng(0, 0))
+        sample_design(Spectrum(np.array([1.0, 0.0])), 2, trial_rng(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +256,7 @@ def _rel(a, b) -> float:
 def test_gram_fit_matches_svd_fit_and_normal_equations(name, seed):
     spectrum, n = GRAM_DESIGNS[name]
     rng = trial_rng(seed, 0)
-    design = sample_design(CovarianceModel(spectrum), n, rng)
+    design = sample_design(spectrum, n, rng)
     y = rng.standard_normal(n)
     w = design.gram()[0]
     svd_only = _SvdOnly(design.entries)
@@ -300,7 +277,7 @@ def test_ill_conditioned_square_design_falls_back_to_svd():
     # at p = n the smallest singular value is often tiny: trial 15 of seed 0
     # has w_min / w_max near 1e-7, below the Gram cutoff of 1e-6
     rng = trial_rng(0, 15)
-    design = sample_design(CovarianceModel(make_flat_spectrum(60, 1.0)), 60, rng)
+    design = sample_design(make_flat_spectrum(60, 1.0), 60, rng)
     y = rng.standard_normal(60)
     sv = np.linalg.svd(design.entries, compute_uv=False)
     assert (sv[-1] / sv[0]) ** 2 < 1e-6
@@ -314,7 +291,7 @@ def test_ill_conditioned_square_design_falls_back_to_svd():
 
 def test_rank_cutoff_must_lie_between_zero_and_one():
     # at 1 or above every singular value is cut, and the fit would be silently zero
-    design = sample_design(CovarianceModel(make_flat_spectrum(20, 1.0)), 5, trial_rng(5, 0))
+    design = sample_design(make_flat_spectrum(20, 1.0), 5, trial_rng(5, 0))
     for bad in (0.0, -0.5, 1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match=r"^rel_tol must be in \(0, 1\), got "):
             min_norm_fit(design, np.ones(5), bad)
@@ -324,7 +301,7 @@ def test_rank_cutoff_above_the_spread_falls_back_to_svd():
     # rel_tol 0.9 cuts genuine singular values of a well-conditioned design:
     # the fit is the truncated SVD one, and no longer interpolates
     rng = trial_rng(5, 0)
-    design = sample_design(CovarianceModel(make_flat_spectrum(200, 1.0)), 5, rng)
+    design = sample_design(make_flat_spectrum(200, 1.0), 5, rng)
     y = rng.standard_normal(5)
     assert design.gram() is not None
     sv = np.linalg.svd(design.entries, compute_uv=False)
@@ -339,29 +316,15 @@ def test_rank_cutoff_above_the_spread_falls_back_to_svd():
 # error functionals
 
 
-def _one_gap(cov, d) -> float:
+def _one_gap(spectrum, d) -> float:
     """_weighted_square of a one-row stack."""
-    return _weighted_square(cov, d[None])[0]
+    return _weighted_square(spectrum, d[None])[0]
 
 
 def test_prediction_error_diagonal_example():
-    cov = CovarianceModel(Spectrum(np.array([4.0, 1.0])))
-    assert _one_gap(cov, np.array([1.0, 1.0])) == pytest.approx(5.0, rel=1e-14)
-    assert _one_gap(cov, np.array([2.0, 3.0]) - np.array([2.0, 3.0])) == 0.0
-
-
-def test_prediction_error_rotated_matches_dense():
-    rng = np.random.default_rng(11)
-    q = random_orthogonal(rng, 5)
-    spectrum = Spectrum(np.sort(rng.uniform(0.1, 4.0, size=5))[::-1].copy())
-    cov = CovarianceModel(spectrum, rotation=q)
-    dense = q @ np.diag(spectrum.values) @ q.T
-    for _ in range(20):
-        bh, bs = rng.standard_normal(5), rng.standard_normal(5)
-        d = bh - bs
-        assert _one_gap(cov, bh - bs) == pytest.approx(
-            float(d @ dense @ d), rel=1e-10, abs=1e-12
-        )
+    spectrum = Spectrum(np.array([4.0, 1.0]))
+    assert _one_gap(spectrum, np.array([1.0, 1.0])) == pytest.approx(5.0, rel=1e-14)
+    assert _one_gap(spectrum, np.array([2.0, 3.0]) - np.array([2.0, 3.0])) == 0.0
 
 
 def _fsum_per_element(v) -> float:
@@ -373,14 +336,12 @@ def test_prediction_error_sum_is_bit_identical_to_per_element_fsum():
     # fsum is correctly rounded, so converting the terms in one tolist()
     # call cannot change the sum, even when the terms cancel.
     rng = np.random.default_rng(5)
-    for p, rotated in ((1, False), (7, False), (7, True), (2000, False)):
+    for p in (1, 7, 2000):
         spectrum = Spectrum(np.sort(rng.exponential(size=p))[::-1].copy())
-        q = random_orthogonal(rng, p) if rotated else None
-        cov = CovarianceModel(spectrum, rotation=q)
         bh, bs = rng.standard_normal(p), rng.standard_normal(p)
-        d = bh - bs if q is None else q.T @ (bh - bs)
+        d = bh - bs
         want = _fsum_per_element(spectrum.values * d * d)
-        assert _one_gap(cov, bh - bs).hex() == want.hex()
+        assert _one_gap(spectrum, bh - bs).hex() == want.hex()
     big = rng.standard_normal(1000) * 10.0 ** rng.integers(-20, 20, size=1000)
     for v in (
         np.array([1e16, 1.0, -1e16, 1e-16, -1.0]),
@@ -490,29 +451,23 @@ def test_trial_loop_kernel_has_the_bits_of_fsum():
     # the trial loop passes Delta = beta_hat - beta* itself to the kernel
     rng = np.random.default_rng(9)
     spectrum = Spectrum(np.sort(rng.exponential(size=50))[::-1].copy())
-    for rotation in (None, random_orthogonal(rng, 50)):
-        cov = CovarianceModel(spectrum, rotation=rotation)
-        bh, bs = rng.standard_normal(50), rng.standard_normal(50)
-        d = bh - bs if rotation is None else rotation.T @ (bh - bs)
-        want = math.fsum(((spectrum.values * d) * d).tolist())
-        assert _one_gap(cov, bh - bs).hex() == want.hex()
+    bh, bs = rng.standard_normal(50), rng.standard_normal(50)
+    d = bh - bs
+    want = math.fsum(((spectrum.values * d) * d).tolist())
+    assert _one_gap(spectrum, bh - bs).hex() == want.hex()
 
 
-@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("rotated", [False])
 def test_each_row_of_a_stack_has_the_bits_of_its_own_sum(rotated):
-    # a stack's rows are rotated together and summed one by one, each certified (or
-    # falling back) alone
+    # a stack's rows are summed one by one, each certified (or falling back) alone
     rng = np.random.default_rng(12)
     spectrum = Spectrum(np.sort(rng.exponential(size=300))[::-1].copy())
-    rotation = random_orthogonal(rng, 300) if rotated else None
-    cov = CovarianceModel(spectrum, rotation=rotation)
     d = rng.standard_normal((25, 300)) * 10.0 ** rng.integers(-160, 150, size=(25, 1))
     d[3] = 0.0  # a zero sum, which takes math.fsum
-    stacked = _weighted_square(cov, d)
-    assert [v.hex() for v in stacked] == [_one_gap(cov, row).hex() for row in d]
-    rows = d if rotation is None else [rotation.T @ row for row in d]
+    stacked = _weighted_square(spectrum, d)
+    assert [v.hex() for v in stacked] == [_one_gap(spectrum, row).hex() for row in d]
     assert [v.hex() for v in stacked] == [
-        math.fsum(((spectrum.values * r) * r).tolist()).hex() for r in rows]
+        math.fsum(((spectrum.values * r) * r).tolist()).hex() for r in d]
 
 
 def fixed_trial(p, n, seed, trial_index):

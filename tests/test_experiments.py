@@ -133,18 +133,9 @@ def test_resolve_beta_star_directions():
     )
     explicit = flat_config(beta_values=np.arange(50.0))._beta_star
     assert np.array_equal(explicit, np.arange(50.0))
-
-
-def test_resolve_beta_star_top_uses_rotation():
-    rng = np.random.default_rng(0)
-    q, r = np.linalg.qr(rng.standard_normal((6, 6)))
-    q = q * np.sign(np.diag(r))
-    cov = CovarianceModel(make_flat_spectrum(6, 1.0), rotation=q)
-    cfg = ExperimentConfig(
-        covariance=cov, n=2, noise_model=ZeroNoise(), trials=1, seed=0,
-        beta_norm=3.0, beta_direction="top",
-    )
-    assert cfg._beta_star == pytest.approx(3.0 * q[:, 0], rel=1e-12)
+    # the top eigenvalue's direction of a diagonal, non-increasing Sigma is e1
+    assert np.array_equal(flat_config(beta_norm=2.0, beta_direction="top")._beta_star,
+                          cfg._beta_star)
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +497,6 @@ def test_snr_scan_overrides_explicit_beta():
     assert points[0].result.config.beta_values is None
 
 
-def _rotated_covariance():
-    """A decaying spectrum of 200 values in a random eigenbasis."""
-    q, r = np.linalg.qr(np.random.default_rng(3).standard_normal((200, 200)))
-    return CovarianceModel(Spectrum(np.linspace(2.0, 1.0, 200)), rotation=q * np.sign(np.diag(r)))
-
-
 # Each case overrides flat_config; the noises run on the flat 50/5 design.
 SCAN_CASES = {
     "gaussian": dict(noise_model=GaussianNoise(sigma=1.0)),
@@ -523,7 +508,9 @@ SCAN_CASES = {
     # the benchmark's family: exp-floor 300/100 at c0 = 0.2
     "exp-floor-300-100": dict(covariance=CovarianceModel(make_exp_floor_spectrum(300, 20.0, 1e-4)),
                               n=100, constants=Constants(c0=0.2)),
-    "rotated": dict(covariance=_rotated_covariance()),
+    # a decaying 200-value spectrum; a run in a rotated eigenbasis Q is this one at
+    # Q^T beta* (tests/test_fold.py)
+    "rotated": dict(covariance=CovarianceModel(Spectrum(np.linspace(2.0, 1.0, 200)))),
     # rel_tol 0.9 cuts genuine singular values: every fit takes the truncated SVD
     "svd": dict(rel_tol=0.9),
     # n/4 = 2 configs a stacked fit: the grid takes a full pass and a short one
@@ -591,7 +578,8 @@ def test_rank_deficient_fit_reads_sigma_min_from_its_factors(monkeypatch):
     assert sorted(factors.calls) == ["eigh"] * 6 + ["svd"] * 6
     monkeypatch.undo()
     for r in records:
-        x = sample_design(cfg.covariance, cfg.n, trial_rng(cfg.seed, r.trial_index)).entries
+        rng = trial_rng(cfg.seed, r.trial_index)
+        x = sample_design(cfg.covariance.spectrum, cfg.n, rng).entries
         sv = np.linalg.svd(x, compute_uv=False)
         assert sv[-1] < cfg.rel_tol * sv[0]
         assert r.sigma_min == pytest.approx(sv[-1], rel=1e-12)

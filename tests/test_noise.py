@@ -21,12 +21,11 @@ from ridgeless.noise import (
     StudentTNoise,
     ZeroNoise,
 )
-from ridgeless.spectra import CovarianceModel, make_flat_spectrum
+from ridgeless.spectra import make_flat_spectrum
 
 
 def small_design(seed=0, n=4, p=9):
-    cov = CovarianceModel(make_flat_spectrum(p, 1.0))
-    return sample_design(cov, n, trial_rng(seed, 0))
+    return sample_design(make_flat_spectrum(p, 1.0), n, trial_rng(seed, 0))
 
 
 def tall_placeholder(n):

@@ -237,27 +237,5 @@ def test_load_spectrum_roundtrip(tmp_path):
 def test_covariance_diagonal_matrix():
     s = Spectrum(np.array([2.0, 1.0]))
     cov = CovarianceModel(s)
-    assert np.array_equal(oracles.covariance_matrix(cov), np.diag([2.0, 1.0]))
-
-
-def test_covariance_rotation_matrix(rng):
-    s = Spectrum(np.sort(rng.uniform(0.5, 3.0, 6))[::-1].copy())
-    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    cov = CovarianceModel(s, q)
-    sigma = oracles.covariance_matrix(cov)
-    assert np.allclose(sigma, sigma.T, atol=1e-12)
-    eigs = np.sort(np.linalg.eigvalsh(sigma))[::-1]
-    assert np.allclose(eigs, s.values, rtol=1e-10, atol=1e-12)
-
-
-def test_covariance_rejects_non_orthogonal():
-    s = make_flat_spectrum(3, 1.0)
-    for bad in (math.nan, math.inf):  # NaN once passed, since NaN > 1e-10 is False
-        q = np.eye(3)
-        q[0, 0] = bad
-        with pytest.raises(ValueError, match="^rotation entries must be finite$"):
-            CovarianceModel(s, q)
-    with pytest.raises(ValueError):
-        CovarianceModel(s, np.eye(3) * 1.5)
-    with pytest.raises(ValueError):
-        CovarianceModel(s, np.eye(2))
+    assert cov.spectrum is s
+    assert np.array_equal(oracles.covariance_matrix(cov.spectrum, np.eye(2)), np.diag([2.0, 1.0]))
