@@ -52,7 +52,7 @@ from .spectra import (
     parse_numbers,
 )
 
-__all__ = ["main", "entry"]
+__all__ = ["main"]
 
 ENV_PREFIX = "RIDGELESS_"
 
@@ -852,11 +852,3 @@ def _dispatch(argv) -> int:
     except MemoryError as exc:  # e.g. a --trials count too large to allocate
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
-
-
-def entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    sys.exit(main())

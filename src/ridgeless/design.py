@@ -59,9 +59,9 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     PCG64.  Identical inputs give bit-identical streams on every platform,
     thread count, and execution order.
     """
-    if not (isinstance(seed, int) and 0 <= seed < 2**64):
+    if not (type(seed) is int and 0 <= seed < 2**64):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    if not (isinstance(trial_index, int) and trial_index >= 0):
+    if not (type(trial_index) is int and trial_index >= 0):
         raise ValueError(f"trial_index must be a non-negative integer, got {trial_index!r}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,))
     return np.random.Generator(np.random.PCG64(ss))
@@ -165,7 +165,7 @@ def sample_design(spectrum: Spectrum, n: int, rng: np.random.Generator) -> Desig
     finiteness scan: numpy's Gaussian sampler returns |g| < 14, so every
     entry is at most 14 sqrt(lambda_1) in size, and the spectrum is finite.
     """
-    if not n >= 1:
+    if isinstance(n, bool) or not n >= 1:  # a bool is an int instance, but no count
         raise ValueError(f"n must be >= 1, got {n!r}")
     _check_rank(spectrum, n)
     x = rng.standard_normal((n, spectrum.p))

@@ -63,7 +63,7 @@ def _check_squarable(name: str, value: float) -> None:
 
 def _check_n(n) -> None:
     """n is at least 1, and no larger than a float holds: the bounds scale floats by it."""
-    if not n >= 1:
+    if isinstance(n, bool) or not n >= 1:  # a bool is an int instance, but no count
         raise ValueError(f"n must be >= 1, got {n!r}")
     if not n <= sys.float_info.max:
         raise ValueError(f"n must be at most {sys.float_info.max!r}, got {n!r}")
@@ -194,7 +194,7 @@ def lower_radius(s: Spectrum, rho: float, xi_norm: float, gamma: float) -> float
 
 def tail_halving_index(s: Spectrum, k_star: int, gamma: float) -> int:
     """First k >= k_star with r_k <= (gamma/2) r_{k_star}; p + 1 when none."""
-    if not (isinstance(k_star, int) and 1 <= k_star <= s.p):
+    if not (type(k_star) is int and 1 <= k_star <= s.p):
         raise ValueError(f"k_star must be an integer in [1, {s.p}], got {k_star!r}")
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")

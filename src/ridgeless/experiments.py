@@ -164,7 +164,7 @@ class ExperimentConfig:
                 raise ValueError(f"{self.noise_model.type_name} noise {f.name} has length "
                                  f"{v.size}, expected n={self.n}")
         try:  # E||xi||^2 must be finite where the model defines it
-            with np.errstate(over="raise"):
+            with _trial_runtime, np.errstate(over="raise"):
                 finite = math.isfinite(self.noise_model.expected_norm_sq(self.n))
         except ArithmeticError:  # OverflowError, or numpy's FloatingPointError
             finite = False
@@ -174,18 +174,19 @@ class ExperimentConfig:
             raise ValueError(f"{self.noise_model.type_name} noise is too large: "
                              f"E||xi||^2 at n={self.n} overflows")
         _check_rank(self.covariance.spectrum, self.n)
-        # beta*, fixed across all trials: beta_values, else beta_norm times a unit direction
-        if self.beta_values is not None:
-            beta_star = np.array(self.beta_values)
-        else:
-            if self.beta_direction == "random":
-                g = trial_rng(self.seed, _BETA_STREAM).standard_normal(p)
-                direction = g / np.linalg.norm(g)
-            else:  # e1, which is also top: Sigma = diag(spectrum) is non-increasing
-                direction = np.zeros(p)
-                direction[0] = 1.0
-            beta_star = self.beta_norm * direction
-        with np.errstate(over="ignore"):  # a norm that overflows is refused just below
+        # beta*, fixed across all trials: beta_values, else beta_norm times a unit direction.
+        # Norms are BLAS dots, threaded at large sizes, so they run at the trials' one thread.
+        with _trial_runtime, np.errstate(over="ignore"):  # an overflow is refused just below
+            if self.beta_values is not None:
+                beta_star = np.array(self.beta_values)
+            else:
+                if self.beta_direction == "random":
+                    g = trial_rng(self.seed, _BETA_STREAM).standard_normal(p)
+                    direction = g / np.linalg.norm(g)
+                else:  # e1, which is also top: Sigma = diag(spectrum) is non-increasing
+                    direction = np.zeros(p)
+                    direction[0] = 1.0
+                beta_star = self.beta_norm * direction
             beta_norm = float(np.linalg.norm(beta_star))
         if not math.isfinite(beta_norm):
             raise ValueError("beta_norm or beta_values is too large: the norm of beta* overflows")
@@ -420,7 +421,9 @@ def _hold_heap() -> None:
 
 
 class _TrialRuntime:
-    """Context manager every trial loop runs under, serial or pooled.
+    """Context manager every trial loop runs under, serial or pooled, as do the BLAS dots
+    that derive a run's beta* and noise norm, whose bits would otherwise depend on the
+    BLAS thread count.
 
     It holds OpenBLAS at one thread: trial-sized factorizations gain less
     from BLAS threads than they cost, and pool workers already occupy the
@@ -607,7 +610,8 @@ def snr_scan(
     # only one whose noise depends on beta* (model_residual); every other
     # model's noise is the same at every grid point.
     noise = base_config.noise_model
-    noise_norm_sq = noise.expected_norm_sq(base_config.n)
+    with _trial_runtime:  # a fixed vector's norm is a BLAS dot, at the trials' one thread
+        noise_norm_sq = noise.expected_norm_sq(base_config.n)
     for t in grid:  # a NaN target passes the order check above
         if not 0 < t < math.inf:
             raise ValueError(f"SNR target {t!r} must be a positive finite number")

@@ -115,8 +115,8 @@ class Spectrum:
 
     def tail_sum(self, k: int) -> float:
         """r_k = sum_{i=k}^p lambda_i for 1 <= k <= p; r_{p+1} = 0 is also allowed."""
-        if not 1 <= k <= self.p + 1:
-            raise ValueError(f"tail rank must be in [1, {self.p + 1}], got {k}")
+        if not (type(k) is int and 1 <= k <= self.p + 1):
+            raise ValueError(f"tail rank must be in [1, {self.p + 1}], got {k!r}")
         return float(self._tails[k])
 
     def rank(self) -> int:
@@ -126,7 +126,7 @@ class Spectrum:
 
 def make_flat_spectrum(p: int, value: float = 1.0) -> Spectrum:
     """p copies of a single positive eigenvalue (identity covariance when value = 1)."""
-    if not (isinstance(p, int) and p >= 1):
+    if not (type(p) is int and p >= 1):
         raise ValueError(f"p must be a positive integer, got {p!r}")
     if not value > 0:
         raise ValueError(f"value must be positive, got {value!r}")
@@ -136,7 +136,7 @@ def make_flat_spectrum(p: int, value: float = 1.0) -> Spectrum:
 @np.errstate(over="ignore")  # exp(-k/tau) is 0 once k/tau overflows
 def make_exp_floor_spectrum(p: int, tau: float, eps: float) -> Spectrum:
     """Exponential decay over a positive floor: lambda_k = exp(-k/tau) + eps, k = 1..p."""
-    if not (isinstance(p, int) and p >= 1):
+    if not (type(p) is int and p >= 1):
         raise ValueError(f"p must be a positive integer, got {p!r}")
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau!r}")
@@ -154,9 +154,9 @@ def make_three_level_spectrum(
     The middle plateau has width c_times_n + 1, i.e. k2 = k1 + c_times_n + 1.
     Requires 1 >= eps1 >= eps2 > 0 and p >= k2.
     """
-    if not (isinstance(k1, int) and k1 >= 1):
+    if not (type(k1) is int and k1 >= 1):
         raise ValueError(f"k1 must be a positive integer, got {k1!r}")
-    if not (isinstance(c_times_n, int) and c_times_n >= 1):
+    if not (type(c_times_n) is int and c_times_n >= 1):
         raise ValueError(f"c_times_n must be a positive integer, got {c_times_n!r}")
     if not eps2 > 0:
         raise ValueError(f"eps2 must be positive, got {eps2!r}")
@@ -165,7 +165,7 @@ def make_three_level_spectrum(
     if eps1 > 1:
         raise ValueError(f"levels must be non-increasing: eps1={eps1!r} > 1")
     k2 = k1 + c_times_n + 1
-    if not (isinstance(p, int) and p >= k2):
+    if not (type(p) is int and p >= k2):
         raise ValueError(f"p must be an integer >= k1 + c_times_n + 1 = {k2}, got {p!r}")
     vals = np.empty(p)
     vals[: k1 - 1] = 1.0

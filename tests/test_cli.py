@@ -178,6 +178,87 @@ def test_the_cli_imports_no_executor_or_logging():
 
 
 # ---------------------------------------------------------------------------
+# BLAS threads: the entry starts OpenBLAS at one thread unless the user sized it,
+# and no output depends on the BLAS thread count
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# `python -m ridgeless` with a stand-in cli.main that reports the BLAS variable and
+# the thread count OpenBLAS started with
+_ENTRY_PROBE = """
+import os, runpy, sys, types
+def main():
+    from ridgeless.experiments import _openblas_thread_calls
+    calls = _openblas_thread_calls()
+    print(os.environ.get("OPENBLAS_NUM_THREADS"), calls and calls[0]())
+    return 4
+cli = types.ModuleType("ridgeless.cli")
+cli.main = main
+sys.modules["ridgeless.cli"] = cli
+runpy.run_module("ridgeless", run_name="__main__", alter_sys=True)
+"""
+
+
+def _blas_env(**blas):
+    """_child_env() with only the given BLAS thread variables set."""
+    return {**{k: v for k, v in _child_env().items() if k not in _BLAS_VARS}, **blas}
+
+
+@pytest.mark.parametrize("blas,variable", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"GOTO_NUM_THREADS": "2"}, "None"),
+    ({"OMP_NUM_THREADS": "2"}, "None"),
+], ids=["unset", "openblas", "goto", "omp"])
+def test_the_entry_starts_openblas_at_one_thread_unless_sized(blas, variable):
+    proc = subprocess.run([sys.executable, "-c", _ENTRY_PROBE], capture_output=True,
+                          text=True, env=_blas_env(**blas), timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    set_to, threads = proc.stdout.split()
+    assert set_to == variable
+    if not blas:
+        assert threads in ("1", "None")  # None: numpy's BLAS is not OpenBLAS
+
+
+def _run_bytes(argv, env, cwd):
+    """Exit code, stdout, stderr and every file that `python -m ridgeless argv` writes in cwd."""
+    cwd.mkdir()
+    proc = subprocess.run([sys.executable, "-m", "ridgeless", *argv], capture_output=True,
+                          env=env, cwd=cwd, timeout=120)
+    files = {path.name: path.read_bytes() for path in sorted(cwd.iterdir())}
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--flat", "200", "--n", "5", "--trials", "20", "--noise", "gaussian:1",
+     "--beta-norm", "1", "--seed", "5", "--out", "run", "--format", "both"],
+    ["scan", "--flat", "300", "--n", "10", "--trials", "10", "--snr-grid", "0.1:10:4",
+     "--noise", "gaussian:1", "--threads", "2", "--out", "sweep", "--format", "both"],
+], ids=["simulate", "scan"])
+def test_output_is_the_same_with_the_blas_variables_unset_and_at_two(argv, tmp_path):
+    unset = _run_bytes(argv, _blas_env(), tmp_path / "unset")
+    two = _run_bytes(argv, _blas_env(OPENBLAS_NUM_THREADS="2"), tmp_path / "two")
+    assert unset[0] == 0 and unset[3], unset[2]
+    assert unset == two
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--flat", "100000", "--n", "5", "--beta-direction", "random",
+     "--beta-norm", "1", "--trials", "3", "--noise", "gaussian:1", "--seed", "3",
+     "--out", "B", "--format", "json"],
+    ["scan", "--flat", "100000", "--n", "5", "--beta-direction", "random", "--trials", "2",
+     "--snr-grid", "0.1:10:3", "--noise", "gaussian:1", "--seed", "3", "--out", "S"],
+], ids=["simulate", "scan"])
+def test_a_wide_random_beta_is_the_same_at_one_and_two_blas_threads(argv, tmp_path):
+    # beta*'s direction and norm are dots over p = 10^5 entries, which OpenBLAS runs
+    # threaded outside a trial loop; "beta_star_norm" once read 0.99999999999999989 at two
+    one = _run_bytes(argv, _blas_env(OPENBLAS_NUM_THREADS="1"), tmp_path / "one")
+    two = _run_bytes(argv, _blas_env(OPENBLAS_NUM_THREADS="2"), tmp_path / "two")
+    assert one[0] == 0, one[2]
+    assert one == two
+
+
+# ---------------------------------------------------------------------------
 # hard-check failure (exit 3)
 
 

@@ -47,7 +47,8 @@ def test_trial_rng_streams_differ():
 
 
 def test_trial_rng_validation():
-    for seed, idx in ((-1, 0), (2**64, 0), (1.5, 0), (0, -1), (0, 2.5)):
+    # a bool is an int instance, but no seed or index: True once drew seed 1's stream
+    for seed, idx in ((-1, 0), (2**64, 0), (1.5, 0), (0, -1), (0, 2.5), (True, 0), (0, False)):
         with pytest.raises(ValueError):
             trial_rng(seed, idx)
 
@@ -131,6 +132,13 @@ def test_sample_design_deterministic():
 def test_sample_design_rank_below_n():
     with pytest.raises(ValueError):
         sample_design(Spectrum(np.array([1.0, 0.0])), 2, trial_rng(0, 0))
+
+
+@pytest.mark.parametrize("n", [0, True])
+def test_sample_design_refuses_n(n):
+    # True once reached numpy as a shape and failed there with a TypeError
+    with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+        sample_design(make_flat_spectrum(6, 1.0), n, trial_rng(0, 0))
 
 
 # ---------------------------------------------------------------------------

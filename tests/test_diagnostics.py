@@ -102,6 +102,8 @@ def test_n_beyond_a_float_is_refused_by_name():
             call(10**400)
         with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
             call(0)
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got True$"):
+            call(True)  # a bool is an int instance, but no count
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +265,14 @@ def test_kbar_sentinel():
     # gamma so small the tail never halves enough: sentinel p+1
     s = make_flat_spectrum(10, 1.0)
     assert tail_halving_index(s, 1, 1e-9) == 11
+
+
+@pytest.mark.parametrize("k_star", [0, 11, 1.0, True])
+def test_kbar_refuses_k_star(k_star):
+    # a bool is an int instance, but no index: True once passed as k* = 1
+    s = make_flat_spectrum(10, 1.0)
+    with pytest.raises(ValueError, match=rf"^k_star must be an integer in \[1, 10\], got {k_star}$"):
+        tail_halving_index(s, k_star, 0.5)
 
 
 def test_kbar_three_level_paper_bound():

@@ -1,11 +1,15 @@
 """Every exported name resolves, so no deletion leaves a stale export behind, every
 exported function or class has a use outside the tests, and every module-level private
-name has a use in the package."""
+name has a use in the package.  Each public name has one import path, its module's, and
+the CLI one entry, ridgeless.__main__.run."""
 
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,16 +30,28 @@ def test_module_all_resolves(name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
-def test_package_reexports_resolve():
-    # each name ridgeless/__init__.py imports is public in its module and bound
-    tree = ast.parse(Path(ridgeless.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"ridgeless.{node.module}")
-        for alias in node.names:
-            assert alias.name in module.__all__, (node.module, alias.name)
-            assert getattr(ridgeless, alias.name) is getattr(module, alias.name)
+def test_the_package_loads_no_numpy():
+    # __init__ re-exports nothing, so `import ridgeless`, which `python -m ridgeless` runs
+    # before its entry, leaves numpy (and OpenBLAS's thread pool) unloaded
+    paths = [str(SRC.parent)] + [e for e in os.environ.get("PYTHONPATH", "").split(os.pathsep) if e]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    code = "import sys, ridgeless; print('numpy' in sys.modules, ridgeless.__version__)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False 0.1.0\n"), proc.stderr
+
+
+def test_the_console_script_is_the_module_entry():
+    # pyproject's script target is ridgeless.__main__.run, and the module's main guard
+    # calls that run() and nothing else, so both entries run one function
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^ridgeless = "([\w.]+):(\w+)"$', text, re.M)
+    main_module = importlib.import_module("ridgeless.__main__")
+    assert getattr(importlib.import_module(target[1]), target[2]) is main_module.run
+    tree = ast.parse(Path(main_module.__file__).read_text(encoding="utf-8"))
+    guard = tree.body[-1]
+    assert ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert [ast.unparse(node) for node in guard.body] == ["run()"]
 
 
 def _refers_to(tree: ast.AST, name: str) -> bool:
@@ -65,8 +81,8 @@ def _perfbench_imports() -> set:
 
 @pytest.mark.parametrize("name", MODULES)
 def test_exported_functions_and_classes_are_used_outside_the_tests(name):
-    # a use is a reference in src/ (not the definition, not an __all__ entry or a
-    # re-export), a mention in README.md or pyproject.toml, or a perfbench/ import
+    # a use is a reference in src/ (not the definition, not an __all__ entry), a
+    # mention in README.md or pyproject.toml, or a perfbench/ import
     module = importlib.import_module(f"ridgeless.{name}")
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
     docs = "".join((ROOT / doc).read_text(encoding="utf-8") for doc in DOCS)

@@ -35,7 +35,7 @@ def test_flat_examples():
     assert make_flat_spectrum(10, 1.0).tail_sum(3) == 8.0
 
 
-@pytest.mark.parametrize("p,value", [(0, 1.0), (3, 0.0), (3, -1.0)])
+@pytest.mark.parametrize("p,value", [(0, 1.0), (3, 0.0), (3, -1.0), (True, 1.0)])
 def test_flat_rejects(p, value):
     with pytest.raises(ValueError):
         make_flat_spectrum(p, value)
@@ -54,6 +54,8 @@ def test_exp_floor_rejects_zero_eps():
         make_exp_floor_spectrum(1, 10.0, 0.0)
     with pytest.raises(ValueError):
         make_exp_floor_spectrum(5, 0.0, 0.1)
+    with pytest.raises(ValueError, match="^p must be a positive integer, got True$"):
+        make_exp_floor_spectrum(True, 1.0, 1.0)  # once built p = 1
 
 
 def test_exp_floor_at_a_subnormal_tau_is_its_floor():
@@ -96,6 +98,13 @@ def test_three_level_rejects():
         make_three_level_spectrum(2, 1, 5, 0.1, 0.5)  # eps2 > eps1
     with pytest.raises(ValueError):
         make_three_level_spectrum(2, 1, 5, 1.5, 0.1)  # eps1 > 1
+    # a bool is an int instance, but no count: (True, True, 3, ...) was once accepted
+    with pytest.raises(ValueError, match="^k1 must be a positive integer, got True$"):
+        make_three_level_spectrum(True, True, 3, 0.5, 0.1)
+    with pytest.raises(ValueError, match="^c_times_n must be a positive integer, got True$"):
+        make_three_level_spectrum(1, True, 3, 0.5, 0.1)
+    with pytest.raises(ValueError, match=r"^p must be an integer >= .* = 3, got True$"):
+        make_three_level_spectrum(1, 1, True, 0.5, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +125,10 @@ def test_tail_sum_range():
     assert s.tail_sum(5) == 0.0
     with pytest.raises(ValueError):
         s.tail_sum(6)
+    # a bool or a float once reached numpy's indexing (TypeError, IndexError)
+    for k in (True, 2.0):
+        with pytest.raises(ValueError, match=rf"^tail rank must be in \[1, 5\], got {k}$"):
+            s.tail_sum(k)
 
 
 def test_tail_sum_matches_naive_example():
