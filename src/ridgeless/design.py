@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import Spectrum
+from .spectra import _SEED_MAX, Spectrum, _check_count, _check_rank
 
 __all__ = [
     "DesignMatrix",
@@ -59,10 +59,8 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     PCG64.  Identical inputs give bit-identical streams on every platform,
     thread count, and execution order.
     """
-    if not (type(seed) is int and 0 <= seed < 2**64):
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    if not (type(trial_index) is int and trial_index >= 0):
-        raise ValueError(f"trial_index must be a non-negative integer, got {trial_index!r}")
+    _check_count("seed", seed, 0, _SEED_MAX)
+    _check_count("trial_index", trial_index, 0)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -149,13 +147,6 @@ class DesignMatrix:
         return u if u[np.argmax(np.abs(u))] > 0 else -u
 
 
-def _check_rank(spectrum: Spectrum, n: int) -> None:
-    """Interpolation needs a covariance of rank at least n."""
-    rank = spectrum.rank()
-    if rank < n:
-        raise ValueError(f"covariance rank {rank} is below the sample count n={n}")
-
-
 def sample_design(spectrum: Spectrum, n: int, rng: np.random.Generator) -> DesignMatrix:
     """n i.i.d. Gaussian rows with covariance diag(spectrum).
 
@@ -165,8 +156,7 @@ def sample_design(spectrum: Spectrum, n: int, rng: np.random.Generator) -> Desig
     finiteness scan: numpy's Gaussian sampler returns |g| < 14, so every
     entry is at most 14 sqrt(lambda_1) in size, and the spectrum is finite.
     """
-    if isinstance(n, bool) or not n >= 1:  # a bool is an int instance, but no count
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    _check_count("n", n)
     _check_rank(spectrum, n)
     x = rng.standard_normal((n, spectrum.p))
     x *= np.sqrt(spectrum.values)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import Spectrum
+from .spectra import Spectrum, _check_count, _check_number
 
 __all__ = [
     "Constants",
@@ -62,9 +62,8 @@ def _check_squarable(name: str, value: float) -> None:
 
 
 def _check_n(n) -> None:
-    """n is at least 1, and no larger than a float holds: the bounds scale floats by it."""
-    if isinstance(n, bool) or not n >= 1:  # a bool is an int instance, but no count
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    """n is a count no larger than a float holds: the bounds scale floats by it."""
+    _check_count("n", n)
     if not n <= sys.float_info.max:
         raise ValueError(f"n must be at most {sys.float_info.max!r}, got {n!r}")
 
@@ -88,16 +87,18 @@ class Constants:
 
     def __post_init__(self):
         for name in ("c0", "eta", "gamma", "c3", "c_frac"):
-            v = getattr(self, name)
-            ok = isinstance(v, (int, float)) and not isinstance(v, bool)
-            if not (ok and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+            _check_number(name, getattr(self, name))
         if self.c_frac > 1:
             raise ValueError(f"c_frac must be in (0, 1], got {self.c_frac!r}")
 
     def cn(self, n: int) -> int:
         """Tail index used by the upper rate bound: floor(c_frac * n), minimum 1."""
         return max(1, math.floor(self.c_frac * n))
+
+
+def _rho(beta_norm: float, xi_norm: float, r_kstar: float) -> float:
+    """The localization radius ||beta*|| + 4 ||xi|| / sqrt(r_kstar)."""
+    return beta_norm + 4.0 * xi_norm / math.sqrt(r_kstar)
 
 
 def _r_cn(s: Spectrum, n: int, constants: Constants) -> float:
@@ -114,8 +115,7 @@ def effective_rank_index(s: Spectrum, n: int, c0: float) -> int | float:
     can stop.
     """
     _check_n(n)
-    if not c0 > 0:
-        raise ValueError(f"c0 must be positive, got {c0!r}")
+    _check_number("c0", c0)
     vals = s.values[: np.count_nonzero(s.values)]  # up to the first zero
     hits = s._tails[1 : vals.size + 1] >= (c0 * n) * vals
     k = int(np.argmax(hits))
@@ -132,8 +132,7 @@ def complexity_radius(s: Spectrum, n: int, eta: float) -> float:
     j < eta n.  The result is the smallest accepted candidate.
     """
     _check_n(n)
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta!r}")
+    _check_number("eta", eta)
     p = s.p
     en = eta * n
     if p <= en:
@@ -164,12 +163,9 @@ def lower_radius(s: Spectrum, rho: float, xi_norm: float, gamma: float) -> float
     convention).  Same segment structure as complexity_radius with
     mu_i = lambda_i rho^2.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho!r}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
-    if xi_norm < 0:
-        raise ValueError(f"xi_norm must be non-negative, got {xi_norm!r}")
+    _check_number("rho", rho)
+    _check_number("gamma", gamma)
+    _check_number("xi_norm", xi_norm, zero=True)
     if xi_norm == 0.0:
         return 0.0
     budget = gamma * xi_norm * xi_norm
@@ -194,10 +190,8 @@ def lower_radius(s: Spectrum, rho: float, xi_norm: float, gamma: float) -> float
 
 def tail_halving_index(s: Spectrum, k_star: int, gamma: float) -> int:
     """First k >= k_star with r_k <= (gamma/2) r_{k_star}; p + 1 when none."""
-    if not (type(k_star) is int and 1 <= k_star <= s.p):
-        raise ValueError(f"k_star must be an integer in [1, {s.p}], got {k_star!r}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    _check_count("k_star", k_star, 1, s.p)
+    _check_number("gamma", gamma)
     target = 0.5 * gamma * s.tail_sum(k_star)
     hits = s._tails[k_star : s.p + 1] <= target
     k = int(np.argmax(hits))
@@ -261,8 +255,7 @@ def diagnose(
     set; callers surface that as degenerate rather than raising.
     """
     for name, v in (("beta_star_norm", beta_star_norm), ("xi_norm", xi_norm)):
-        if not 0 <= v < math.inf:
-            raise ValueError(f"{name} must be a non-negative finite number, got {v!r}")
+        _check_number(name, v, zero=True)
         _check_squarable(name, v)
     ks = effective_rank_index(s, n, constants.c0)
     r_star_val = complexity_radius(s, n, constants.eta)
@@ -285,7 +278,7 @@ def diagnose(
             **base,
         )
     r_kstar = s.tail_sum(ks)
-    rho = beta_star_norm + 4.0 * xi_norm / math.sqrt(r_kstar)
+    rho = _rho(beta_star_norm, xi_norm, r_kstar)
     _check_squarable("rho", rho)  # lower_radius and the bounds square it
     if xi_norm == 0.0:
         r_bar_val = 0.0  # supremum of the empty constraint set, by convention

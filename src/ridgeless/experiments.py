@@ -34,17 +34,19 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .design import _check_rank, _gemv, _weighted_square, min_norm_fit, sample_design, trial_rng
+from .design import _gemv, _weighted_square, min_norm_fit, sample_design, trial_rng
 from .diagnostics import (
     Constants,
     DiagnosticsReport,
     InfiniteIndexError,
     _r_cn,
+    _rho,
     diagnose,
     effective_rank_index,
 )
 from .noise import NoiseModel
-from .spectra import CovarianceModel, Spectrum
+from .spectra import (_SEED_MAX, CovarianceModel, Spectrum, _check_count, _check_number,
+                      _check_rank, _frozen_vector)
 
 __all__ = [
     "CHECK_IDENTITY",
@@ -96,13 +98,6 @@ _MAX_BINS = 10**6
 _DIRECTIONS = ("e1", "random", "top")
 
 
-def _check_count(name: str, value, most: float = math.inf) -> None:
-    """A count is an int from 1 to `most`; a bool is an int instance, but no count."""
-    if not (type(value) is int and 1 <= value <= most):
-        bound = "a positive integer" if most == math.inf else f"an integer in [1, {most}]"
-        raise ValueError(f"{name} must be {bound}, got {value!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Everything needed to reproduce a run bit-for-bit.
@@ -130,18 +125,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_count("n", self.n)
-        _check_count("trials", self.trials, _BETA_STREAM)
-        # type(...) is int: a bool is an int instance, but no seed
-        if not (type(self.seed) is int and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        _check_count("trials", self.trials, most=_BETA_STREAM)
+        _check_count("seed", self.seed, 0, _SEED_MAX)
         if self.beta_direction not in _DIRECTIONS:
             raise ValueError(
                 f"beta_direction must be one of {_DIRECTIONS}, got {self.beta_direction!r}"
             )
-        if not 0 <= self.beta_norm < math.inf:
-            raise ValueError(
-                f"beta_norm must be a non-negative finite number, got {self.beta_norm!r}"
-            )
+        _check_number("beta_norm", self.beta_norm, zero=True)
         unknown = set(self.checks) - ALL_CHECKS
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
@@ -150,14 +140,10 @@ class ExperimentConfig:
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol!r}")
         p = self.covariance.spectrum.p
         if self.beta_values is not None:
-            v = np.asarray(self.beta_values, dtype=float)
-            if v.shape != (p,):
-                raise ValueError(f"beta_values must have shape ({p},), got {v.shape}")
-            if not np.all(np.isfinite(v)):
-                raise ValueError("beta_values must be finite")
-            v = v.copy()
-            v.setflags(write=False)
-            object.__setattr__(self, "beta_values", v)
+            _frozen_vector(self, "beta_values")
+            shape = self.beta_values.shape
+            if shape != (p,):
+                raise ValueError(f"beta_values must have shape ({p},), got {shape}")
         for f in fields(self.noise_model):  # a noise vector has one entry per sample
             v = getattr(self.noise_model, f.name)
             if isinstance(v, np.ndarray) and v.size != self.n:
@@ -287,7 +273,7 @@ def _evaluate(configs, trial_index, design, xi) -> list[TrialRecord]:
             if CHECK_CERTIFICATE in config.checks:
                 certificate_pass = bool(sigma_min >= _CERT_FACTOR * sqrt_rk)
             if CHECK_ESTIMATION in config.checks:
-                rho_realized = config._beta_norm + 4.0 * math.sqrt(xi_norm_sq) / sqrt_rk
+                rho_realized = _rho(config._beta_norm, math.sqrt(xi_norm_sq), config._r_kstar)
                 est_bound_pass = bool(
                     math.sqrt(est) <= rho_realized * (1.0 + _BOUND_SLACK) + _BOUND_SLACK
                 )
@@ -653,15 +639,16 @@ def certificate_study(
 ) -> CertificateStudy:
     """Monte Carlo frequency of the smallest-singular-value certificate at covariance
     diag(spectrum).  A failing trial raises ExperimentError with the earlier sigma_min values
-    preserved.  n is checked first, then k* (InfiniteIndexError), then trials, bins (at most
-    _MAX_BINS) and the rank."""
+    preserved.  n is checked first, then k* (InfiniteIndexError), then trials, the seed, bins
+    (at most _MAX_BINS) and the rank, all before the first design."""
     _check_count("n", n)
     ks = effective_rank_index(spectrum, n, c0)
     if math.isinf(ks):
         raise InfiniteIndexError(
             "effective-rank index is infinite; the certificate threshold is undefined"
         )
-    _check_count("trials", trials, _BETA_STREAM)
+    _check_count("trials", trials, most=_BETA_STREAM)
+    _check_count("seed", seed, 0, _SEED_MAX)
     _check_count("bins", bins)
     if bins > _MAX_BINS:
         raise ValueError(f"bins must be at most {_MAX_BINS}, got {bins}")

@@ -18,13 +18,13 @@ rather than silently misapplied.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union, get_args
 
 import numpy as np
 
 from .design import DesignMatrix
+from .spectra import _check_number, _frozen_vector
 
 __all__ = [
     "ZeroNoise",
@@ -46,23 +46,6 @@ UNIFORM = "uniform"
 _DIRECTIONS = (WORST_SINGULAR, FIRST_COORDINATE, UNIFORM)
 
 _ZERO_SNR = "SNR undefined for zero noise"
-
-
-def _check_positive(name: str, value) -> None:
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-
-
-def _frozen_vector(model, name: str) -> None:
-    """Validate a 1-d finite vector field and store it as a read-only float array."""
-    v = np.asarray(getattr(model, name), dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite")
-    v = v.copy()
-    v.setflags(write=False)
-    object.__setattr__(model, name, v)
 
 
 def _check_length(what: str, size: int, n: int) -> None:
@@ -94,7 +77,7 @@ class GaussianNoise:
     design_independent = True
 
     def __post_init__(self):
-        _check_positive("sigma", self.sigma)
+        _check_number("sigma", self.sigma)
 
     def realize(self, design: DesignMatrix, beta_star, rng) -> np.ndarray:
         return self.sigma * rng.standard_normal(design.n)
@@ -118,8 +101,8 @@ class StudentTNoise:
     design_independent = True
 
     def __post_init__(self):
-        _check_positive("df", self.df)
-        _check_positive("scale", self.scale)
+        _check_number("df", self.df)
+        _check_number("scale", self.scale)
 
     def realize(self, design: DesignMatrix, beta_star, rng) -> np.ndarray:
         return self.scale * rng.standard_t(self.df, size=design.n)
@@ -173,10 +156,7 @@ class ScaledDirectionNoise:
     type_name = "scaled_direction"
 
     def __post_init__(self):
-        if not 0 <= self.target_norm < math.inf:
-            raise ValueError(
-                f"target_norm must be a non-negative finite number, got {self.target_norm!r}"
-            )
+        _check_number("target_norm", self.target_norm, zero=True)
         if self.direction not in _DIRECTIONS:
             raise ValueError(
                 f"direction must be one of {_DIRECTIONS}, got {self.direction!r}"

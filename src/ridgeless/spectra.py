@@ -15,10 +15,17 @@ reference): np.cumsum (add.accumulate) adds a 1-d array strictly in
 order, so the running sum and the running compensation are the same
 sequences of IEEE additions, and each step's compensation term is the
 same elementwise expression.
+
+Every module imports this one, so it also holds the package's one rule
+for each kind of input value: a count, index or seed (_check_count), a
+magnitude (_check_number) and a vector (_frozen_vector).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,6 +45,49 @@ __all__ = [
 
 # Eigenvalues at or below this fraction of the largest count as zero in a rank.
 _RANK_TOL = 1e-12
+
+_SEED_MAX = 2**64 - 1  # a seed is an unsigned 64-bit integer
+
+# The wording of the usual count ranges, by (least, most).
+_RANGES = {(1, math.inf): "a positive integer", (0, math.inf): "a non-negative integer",
+           (0, _SEED_MAX): "an unsigned 64-bit integer"}
+
+
+def _check_count(name: str, value, least: int = 1, most: float = math.inf) -> None:
+    """A count, index or seed is an int from `least` to `most`; a bool is an int
+    instance, but no count."""
+    if not (type(value) is int and least <= value <= most):
+        bound = _RANGES.get((least, most)) or (
+            f"an integer >= {least}" if most == math.inf else f"an integer in [{least}, {most}]")
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+def _check_number(name: str, value, zero: bool = False) -> None:
+    """A magnitude is a real number above 0, or at least 0 when `zero` is set, and finite
+    as a float (an int beyond the float range is not); a bool is a Real instance, but no
+    magnitude."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (0 <= value if zero else 0 < value) and value <= sys.float_info.max):
+        sign = "non-negative" if zero else "positive"
+        raise ValueError(f"{name} must be a {sign} finite number, got {value!r}")
+
+
+def _frozen_vector(obj, name: str) -> None:
+    """Validate a 1-d finite vector field and store it as a read-only float array."""
+    v = np.asarray(getattr(obj, name), dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-d vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    v = v.copy()
+    v.setflags(write=False)
+    object.__setattr__(obj, name, v)
+
+
+def _check_rank(spectrum: Spectrum, n: int) -> None:
+    """Interpolation needs a covariance of rank at least n."""
+    if spectrum.rank() < n:
+        raise ValueError(f"covariance rank {spectrum.rank()} is below the sample count n={n}")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # silent inf/nan, as with Python floats
@@ -83,6 +133,7 @@ class Spectrum:
 
     values: np.ndarray
     _tails: np.ndarray = field(init=False, repr=False)
+    _rank: int = field(init=False, repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -104,6 +155,7 @@ class Spectrum:
         tails.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_tails", tails)
+        object.__setattr__(self, "_rank", int(np.count_nonzero(vals > _RANK_TOL * vals[0])))
 
     @property
     def p(self) -> int:
@@ -115,33 +167,27 @@ class Spectrum:
 
     def tail_sum(self, k: int) -> float:
         """r_k = sum_{i=k}^p lambda_i for 1 <= k <= p; r_{p+1} = 0 is also allowed."""
-        if not (type(k) is int and 1 <= k <= self.p + 1):
-            raise ValueError(f"tail rank must be in [1, {self.p + 1}], got {k!r}")
+        _check_count("tail rank", k, 1, self.p + 1)
         return float(self._tails[k])
 
     def rank(self) -> int:
-        """Number of eigenvalues above _RANK_TOL times the largest."""
-        return int(np.count_nonzero(self.values > _RANK_TOL * float(self.values[0])))
+        """Number of eigenvalues above _RANK_TOL times the largest, counted once, at build."""
+        return self._rank
 
 
 def make_flat_spectrum(p: int, value: float = 1.0) -> Spectrum:
     """p copies of a single positive eigenvalue (identity covariance when value = 1)."""
-    if not (type(p) is int and p >= 1):
-        raise ValueError(f"p must be a positive integer, got {p!r}")
-    if not value > 0:
-        raise ValueError(f"value must be positive, got {value!r}")
+    _check_count("p", p)
+    _check_number("value", value)
     return Spectrum(np.full(p, float(value)))
 
 
 @np.errstate(over="ignore")  # exp(-k/tau) is 0 once k/tau overflows
 def make_exp_floor_spectrum(p: int, tau: float, eps: float) -> Spectrum:
     """Exponential decay over a positive floor: lambda_k = exp(-k/tau) + eps, k = 1..p."""
-    if not (type(p) is int and p >= 1):
-        raise ValueError(f"p must be a positive integer, got {p!r}")
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau!r}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    _check_count("p", p)
+    _check_number("tau", tau)
+    _check_number("eps", eps)
     k = np.arange(1, p + 1, dtype=float)
     return Spectrum(np.exp(-k / tau) + eps)
 
@@ -154,19 +200,16 @@ def make_three_level_spectrum(
     The middle plateau has width c_times_n + 1, i.e. k2 = k1 + c_times_n + 1.
     Requires 1 >= eps1 >= eps2 > 0 and p >= k2.
     """
-    if not (type(k1) is int and k1 >= 1):
-        raise ValueError(f"k1 must be a positive integer, got {k1!r}")
-    if not (type(c_times_n) is int and c_times_n >= 1):
-        raise ValueError(f"c_times_n must be a positive integer, got {c_times_n!r}")
-    if not eps2 > 0:
-        raise ValueError(f"eps2 must be positive, got {eps2!r}")
+    _check_count("k1", k1)
+    _check_count("c_times_n", c_times_n)
+    _check_number("eps1", eps1)
+    _check_number("eps2", eps2)
     if eps2 > eps1:
         raise ValueError(f"levels must be non-increasing: eps2={eps2!r} > eps1={eps1!r}")
     if eps1 > 1:
         raise ValueError(f"levels must be non-increasing: eps1={eps1!r} > 1")
     k2 = k1 + c_times_n + 1
-    if not (type(p) is int and p >= k2):
-        raise ValueError(f"p must be an integer >= k1 + c_times_n + 1 = {k2}, got {p!r}")
+    _check_count("p", p, k2)
     vals = np.empty(p)
     vals[: k1 - 1] = 1.0
     vals[k1 - 1 : k2 - 1] = float(eps1)

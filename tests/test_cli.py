@@ -699,6 +699,16 @@ def test_certify_refuses_bins_past_the_cap_before_any_design(monkeypatch, capsys
     assert drawn == []
 
 
+def test_certify_refuses_a_bad_seed_before_any_design_as_simulate_does(monkeypatch, capsys):
+    # once "error: trial 0 failed: seed must be ...", from inside the trial loop
+    drawn = _no_design_drawn(monkeypatch)
+    line = "error: seed must be an unsigned 64-bit integer, got -1\n"
+    for cmd in ("certify", "simulate"):
+        assert main([cmd, "--flat", "50", "--n", "5", "--trials", "3", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == line
+    assert drawn == []
+
+
 def test_certify_refuses_a_covariance_of_too_low_rank_before_any_design(
         tmp_path, monkeypatch, capsys):
     # once "error: trial 0 failed: covariance rank 3 ...", after drawing the first design

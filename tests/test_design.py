@@ -137,7 +137,7 @@ def test_sample_design_rank_below_n():
 @pytest.mark.parametrize("n", [0, True])
 def test_sample_design_refuses_n(n):
     # True once reached numpy as a shape and failed there with a TypeError
-    with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+    with pytest.raises(ValueError, match=f"^n must be a positive integer, got {n}$"):
         sample_design(make_flat_spectrum(6, 1.0), n, trial_rng(0, 0))
 
 

@@ -88,6 +88,11 @@ def test_kstar_validation():
         effective_rank_index(s, 0, 1.0)
     with pytest.raises(ValueError):
         effective_rank_index(s, 3, 0.0)
+    # c0 and eta are magnitudes: finite real numbers, never bools
+    with pytest.raises(ValueError, match="^c0 must be a positive finite number, got True$"):
+        effective_rank_index(s, 3, True)
+    with pytest.raises(ValueError, match="^eta must be a positive finite number, got inf$"):
+        complexity_radius(s, 3, math.inf)
 
 
 def test_n_beyond_a_float_is_refused_by_name():
@@ -100,10 +105,12 @@ def test_n_beyond_a_float_is_refused_by_name():
     ):
         with pytest.raises(ValueError, match=r"^n must be at most 1\.7976931348623157e\+308, got 1"):
             call(10**400)
-        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match=r"^n must be a positive integer, got 0$"):
             call(0)
-        with pytest.raises(ValueError, match=r"^n must be >= 1, got True$"):
+        with pytest.raises(ValueError, match=r"^n must be a positive integer, got True$"):
             call(True)  # a bool is an int instance, but no count
+        with pytest.raises(ValueError, match=r"^n must be a positive integer, got 2\.5$"):
+            call(2.5)  # once accepted: the bounds took n = 2.5 samples
 
 
 # ---------------------------------------------------------------------------

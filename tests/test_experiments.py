@@ -81,7 +81,7 @@ def test_config_validation():
         flat_config(checks=frozenset({"identity", "vibes"}))
     with pytest.raises(ValueError):
         flat_config(beta_direction="down")
-    for bad in (-1.0, math.nan, math.inf):
+    for bad in (-1.0, math.nan, math.inf, 10**400):  # 10**400 once escaped as an OverflowError
         with pytest.raises(ValueError):
             flat_config(beta_norm=bad)
     with pytest.raises(ValueError):
@@ -94,7 +94,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match=r"^rel_tol must be in \(0, 1\), got "):
             flat_config(rel_tol=bad)
     flat_config(rel_tol=0.9)
-    for key in ("n", "trials", "seed"):  # bool is an int subclass
+    for key in ("n", "trials", "seed", "beta_norm"):  # bool is an int subclass
         with pytest.raises(ValueError, match=key):
             flat_config(**{key: True})
     for model, name in ((DeterministicNoise, "values"), (ModelResidualNoise, "f_values")):
@@ -996,6 +996,14 @@ def test_certificate_study_refuses_bins_past_the_cap_before_any_design(monkeypat
     monkeypatch.setattr(experiments, "sample_design", lambda *a: pytest.fail("design drawn"))
     with pytest.raises(ValueError, match=r"^bins must be at most 1000000, got 1000001$"):
         certificate_study(make_flat_spectrum(50, 1.0), 5, 10.0, 2, seed=0, bins=10**6 + 1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True])
+def test_certificate_study_checks_the_seed_before_any_design(monkeypatch, seed):
+    # once "trial 0 failed: seed must be ...", raised from inside the trial loop
+    monkeypatch.setattr(experiments, "sample_design", lambda *a: pytest.fail("design drawn"))
+    with pytest.raises(ValueError, match=f"^seed must be an unsigned 64-bit integer, got {seed}$"):
+        certificate_study(make_flat_spectrum(50, 1.0), 5, 1.0, 3, seed)
 
 
 @pytest.mark.parametrize("bins", [0, -3])

@@ -1,7 +1,8 @@
 """Every exported name resolves, so no deletion leaves a stale export behind, every
 exported function or class has a use outside the tests, and every module-level private
 name has a use in the package.  Each public name has one import path, its module's, and
-the CLI one entry, ridgeless.__main__.run."""
+the CLI one entry, ridgeless.__main__.run.  The count rule is written once, in
+spectra._check_count."""
 
 import ast
 import importlib
@@ -117,3 +118,25 @@ def test_private_names_are_used_in_the_package(name):
     tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
     unused = [n for n in _private_names(tree) if not any(_refers_to(t, n) for t in trees)]
     assert unused == []
+
+
+def _count_rules(tree: ast.AST) -> list:
+    """The enclosing function (None at module level) of each `type(x) is int` test in tree."""
+    found, stack = [], [(tree, None)]
+    while stack:
+        node, where = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Compare) and re.fullmatch(r"type\(.+\) is int", ast.unparse(node)):
+            found.append(where)
+        stack.extend((child, where) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_the_count_rule_is_written_once():
+    # an int, never a bool: every library count, index and seed goes through
+    # spectra._check_count, so a change to the rule is one edit; cli.py is left out,
+    # its strict reader checks JSON types, not counts
+    sites = [(path.name, where) for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"
+             for where in _count_rules(ast.parse(path.read_text(encoding="utf-8")))]
+    assert sites == [("spectra.py", "_check_count")]

@@ -150,6 +150,11 @@ def test_parameter_validation():
             ScaledDirectionNoise(target_norm=bad)
     with pytest.raises(ValueError):
         GaussianNoise(sigma=math.inf)
+    # a bool is a Real instance, but no magnitude
+    for make, name in ((GaussianNoise, "sigma"), (ScaledDirectionNoise, "target_norm"),
+                       (lambda v: StudentTNoise(df=v, scale=1.0), "df")):
+        with pytest.raises(ValueError, match=f"^{name} must be a .* finite number, got True$"):
+            make(True)
     with pytest.raises(ValueError):
         ScaledDirectionNoise(target_norm=1.0, direction="sideways")
     with pytest.raises(ValueError):

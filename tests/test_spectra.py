@@ -35,7 +35,8 @@ def test_flat_examples():
     assert make_flat_spectrum(10, 1.0).tail_sum(3) == 8.0
 
 
-@pytest.mark.parametrize("p,value", [(0, 1.0), (3, 0.0), (3, -1.0), (True, 1.0)])
+@pytest.mark.parametrize("p,value", [(0, 1.0), (3, 0.0), (3, -1.0), (True, 1.0), (5, True),
+                                     pytest.param(3, 10**400, id="3-10**400")])
 def test_flat_rejects(p, value):
     with pytest.raises(ValueError):
         make_flat_spectrum(p, value)
@@ -56,6 +57,8 @@ def test_exp_floor_rejects_zero_eps():
         make_exp_floor_spectrum(5, 0.0, 0.1)
     with pytest.raises(ValueError, match="^p must be a positive integer, got True$"):
         make_exp_floor_spectrum(True, 1.0, 1.0)  # once built p = 1
+    with pytest.raises(ValueError, match="^tau must be a positive finite number, got inf$"):
+        make_exp_floor_spectrum(5, math.inf, 0.1)  # once built the flat floor
 
 
 def test_exp_floor_at_a_subnormal_tau_is_its_floor():
@@ -103,8 +106,13 @@ def test_three_level_rejects():
         make_three_level_spectrum(True, True, 3, 0.5, 0.1)
     with pytest.raises(ValueError, match="^c_times_n must be a positive integer, got True$"):
         make_three_level_spectrum(1, True, 3, 0.5, 0.1)
-    with pytest.raises(ValueError, match=r"^p must be an integer >= .* = 3, got True$"):
+    with pytest.raises(ValueError, match=r"^p must be an integer >= 3, got True$"):
         make_three_level_spectrum(1, 1, True, 0.5, 0.1)
+    # a level is a magnitude: a finite real number, never a bool
+    with pytest.raises(ValueError, match="^eps2 must be a positive finite number, got True$"):
+        make_three_level_spectrum(1, 1, 3, 1.0, True)
+    with pytest.raises(ValueError, match="^eps1 must be a positive finite number, got True$"):
+        make_three_level_spectrum(1, 1, 3, True, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +135,8 @@ def test_tail_sum_range():
         s.tail_sum(6)
     # a bool or a float once reached numpy's indexing (TypeError, IndexError)
     for k in (True, 2.0):
-        with pytest.raises(ValueError, match=rf"^tail rank must be in \[1, 5\], got {k}$"):
+        message = rf"^tail rank must be an integer in \[1, 5\], got {k}$"
+        with pytest.raises(ValueError, match=message):
             s.tail_sum(k)
 
 
