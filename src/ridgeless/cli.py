@@ -45,6 +45,8 @@ from .serialize import csv_line, format_float, format_floats, json_pieces, write
 from .spectra import (
     CovarianceModel,
     Spectrum,
+    _brief,
+    _float_array,
     load_spectrum,
     make_exp_floor_spectrum,
     make_flat_spectrum,
@@ -93,11 +95,6 @@ def _collect(errors: list, resolve, *args):
 # conversion: the one reader of text and of the config file's values
 
 
-def _brief(value) -> str:
-    """repr(value), or its kind for a list or an object, whose repr could be huge."""
-    return {list: "a list", dict: "an object"}.get(type(value)) or repr(value)
-
-
 def _path(value, what: str, text: bool = False) -> str:
     """A string, refused when empty: the empty path would read the working directory."""
     if not strict_value(str, value, what, text):
@@ -107,19 +104,14 @@ def _path(value, what: str, text: bool = False) -> str:
 
 def _numbers(value, what: str, text: bool = False) -> np.ndarray:
     """A number array: a file of numbers (see _path; text is always one), or a JSON list of
-    numbers, with no bool and no string.  A refusal names the first bad entry, never the
-    whole list."""
+    numbers as spectra._float_array takes it, whose refusal names the first bad entry."""
     if text or isinstance(value, str):
         return parse_numbers(Path(_path(value, what, text)).read_text(encoding="utf-8-sig"),
                              "vector")
-    if not isinstance(value, list):
-        raise _CliError(f"{what}: expected a list of numbers, got {_brief(value)}")
-    if not set(map(type, value)) <= {float}:  # an int only as large as a float holds
-        bad = next((j for j, v in enumerate(value) if type(v) is not float and not (
-            type(v) is int and abs(v) <= sys.float_info.max)), None)
-        if bad is not None:
-            raise _CliError(f"{what}[{bad}]: expected a number, got {_brief(value[bad])}")
-    return np.array(value, dtype=float)
+    try:
+        return _float_array(what, value)
+    except ValueError as exc:  # its message names `what`, so no caller prefixes it again
+        raise _CliError(str(exc))
 
 
 _EXPECTED = {int: "an integer", float: "a number", str: "a string", bool: "1 or 0"}

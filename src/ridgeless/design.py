@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import _SEED_MAX, Spectrum, _check_count, _check_rank
+from .spectra import _SEED_MAX, Spectrum, _check_count, _check_rank, _float_array
 
 __all__ = [
     "DesignMatrix",
@@ -74,19 +74,9 @@ class DesignMatrix:
     _gram: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2:
-            raise ValueError(f"entries must be a 2-d array, got shape {a.shape}")
-        n, p = a.shape
-        if n < 1 or p < 1:
-            raise ValueError(f"design must be non-empty, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("design entries must be finite")
-        if p < n:
-            raise ValueError(f"low-dimensional design (p={p} < n={n}) is not supported")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "entries", _float_array("design entries", self.entries, 2))
+        if self.p < self.n:
+            raise ValueError(f"low-dimensional design (p={self.p} < n={self.n}) is not supported")
 
     @classmethod
     def _trusted(cls, a: np.ndarray) -> DesignMatrix:

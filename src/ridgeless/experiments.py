@@ -46,7 +46,7 @@ from .diagnostics import (
 )
 from .noise import NoiseModel
 from .spectra import (_SEED_MAX, CovarianceModel, Spectrum, _check_count, _check_number,
-                      _check_rank, _frozen_vector)
+                      _check_rank, _float_array)
 
 __all__ = [
     "CHECK_IDENTITY",
@@ -140,7 +140,7 @@ class ExperimentConfig:
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol!r}")
         p = self.covariance.spectrum.p
         if self.beta_values is not None:
-            _frozen_vector(self, "beta_values")
+            object.__setattr__(self, "beta_values", _float_array("beta_values", self.beta_values))
             shape = self.beta_values.shape
             if shape != (p,):
                 raise ValueError(f"beta_values must have shape ({p},), got {shape}")

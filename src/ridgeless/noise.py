@@ -24,7 +24,7 @@ from typing import Union, get_args
 import numpy as np
 
 from .design import DesignMatrix
-from .spectra import _check_number, _frozen_vector
+from .spectra import _check_number, _float_array
 
 __all__ = [
     "ZeroNoise",
@@ -126,7 +126,7 @@ class DeterministicNoise:
     design_independent = True
 
     def __post_init__(self):
-        _frozen_vector(self, "values")
+        object.__setattr__(self, "values", _float_array("values", self.values))
 
     def realize(self, design: DesignMatrix, beta_star, rng) -> np.ndarray:
         _check_length("deterministic noise", self.values.size, design.n)
@@ -192,7 +192,7 @@ class ModelResidualNoise:
     design_independent = False
 
     def __post_init__(self):
-        _frozen_vector(self, "f_values")
+        object.__setattr__(self, "f_values", _float_array("f_values", self.f_values))
 
     def realize(self, design: DesignMatrix, beta_star, rng) -> np.ndarray:
         _check_length("residual noise targets", self.f_values.size, design.n)

@@ -18,7 +18,7 @@ same elementwise expression.
 
 Every module imports this one, so it also holds the package's one rule
 for each kind of input value: a count, index or seed (_check_count), a
-magnitude (_check_number) and a vector (_frozen_vector).
+magnitude (_check_number) and a number array (_float_array).
 """
 
 from __future__ import annotations
@@ -72,16 +72,39 @@ def _check_number(name: str, value, zero: bool = False) -> None:
         raise ValueError(f"{name} must be a {sign} finite number, got {value!r}")
 
 
-def _frozen_vector(obj, name: str) -> None:
-    """Validate a 1-d finite vector field and store it as a read-only float array."""
-    v = np.asarray(getattr(obj, name), dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(v)):
+def _brief(value) -> str:
+    """repr(value), or its kind for a list or an object, whose repr could be huge."""
+    return {list: "a list", dict: "an object"}.get(type(value)) or repr(value)
+
+
+def _check_entries(name: str, value, depth: int) -> None:
+    """Refuse the first entry, depth lists or tuples into value, that is no number (a float,
+    or a real within the float range, never a bool); a numpy int or float array passes whole."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        return
+    value = value.tolist() if isinstance(value, np.ndarray) else value
+    if depth == 0:
+        if not (isinstance(value, (float, np.floating)) or isinstance(value, numbers.Real)
+                and not isinstance(value, bool) and abs(value) <= sys.float_info.max):
+            raise ValueError(f"{name}: expected a number, got {_brief(value)}")
+    elif not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name}: expected a list of numbers, got {_brief(value)}")
+    elif depth > 1 or not set(map(type, value)) <= {float}:  # a list of floats passes at once
+        for i, entry in enumerate(value):
+            _check_entries(f"{name}[{i}]", entry, depth - 1)
+
+
+def _float_array(name: str, value, ndim: int = 1) -> np.ndarray:
+    """The one conversion of outside input to a float array: entries as _check_entries
+    takes them, ndim axes, non-empty and finite; a read-only float64 copy."""
+    _check_entries(name, value, ndim)
+    a = np.array(value, dtype=float)  # rows of unequal length raise numpy's ValueError
+    if a.ndim != ndim or a.size == 0:
+        raise ValueError(f"{name} must be a non-empty {ndim}-d array")
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
-    v = v.copy()
-    v.setflags(write=False)
-    object.__setattr__(obj, name, v)
+    a.setflags(write=False)
+    return a
 
 
 def _check_rank(spectrum: Spectrum, n: int) -> None:
@@ -136,19 +159,13 @@ class Spectrum:
     _rank: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("spectrum must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("spectrum values must be finite")
+        vals = _float_array("spectrum values", self.values)
         if np.any(vals < 0):
             raise ValueError("spectrum values must be non-negative")
         if np.any(np.diff(vals) > 0):
             raise ValueError("spectrum values must be non-increasing")
         if vals[0] <= 0:
             raise ValueError("spectrum must contain at least one positive value")
-        vals = vals.copy()
-        vals.setflags(write=False)
         tails = _suffix_sums(vals)
         if not np.isfinite(tails[1]):
             raise ValueError("spectrum values must have a finite sum")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import BAD_ENTRIES, entry_refusal, same_floats
 from ridgeless import design as design_module
 from ridgeless.design import (
     DesignMatrix,
@@ -63,10 +64,20 @@ def test_design_rejects_p_below_n():
 
 
 def test_design_rejects_non_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^design entries must be finite$"):
         DesignMatrix(np.array([[1.0, math.nan]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^design entries must be finite$"):
         DesignMatrix(np.array([[1.0, math.inf]]))
+    # an entry that is no number is named by its row and column, never coerced
+    for bad in BAD_ENTRIES:
+        with pytest.raises(ValueError, match=entry_refusal("design entries[1][0]", bad)):
+            DesignMatrix([[1.0, 2.0, 3.0], [bad, 5.0, 6.0]])
+    for bad in (np.ones(3), [[]], np.ones((1, 1, 1))):  # 1-d, empty or 3-d
+        with pytest.raises(ValueError, match="^design entries must be a non-empty 2-d array$"):
+            DesignMatrix(bad)
+    # ints, integer arrays and float arrays keep their bits
+    for good in ([[1, 2, 3]], np.arange(6).reshape(2, 3), np.ones((2, 3))):
+        assert same_floats(DesignMatrix(good).entries, good)
 
 
 def test_design_entries_read_only():

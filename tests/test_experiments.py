@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import oracles
 import ridgeless
 import ridgeless.experiments as experiments
+from conftest import BAD_ENTRIES, entry_refusal, same_floats
 from ridgeless.cli import _config_echo, _run_payload
 from ridgeless.design import DesignMatrix, sample_design, trial_rng
 from ridgeless.diagnostics import REGIME_HIGH, REGIME_LOW, Constants, InfiniteIndexError
@@ -86,8 +87,14 @@ def test_config_validation():
             flat_config(beta_norm=bad)
     with pytest.raises(ValueError):
         flat_config(beta_values=np.ones(3))
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^beta_values must be finite$"):
         flat_config(beta_values=np.r_[math.nan, np.zeros(49)])
+    # an entry that is no number is named, never coerced
+    for bad in BAD_ENTRIES:
+        with pytest.raises(ValueError, match=entry_refusal("beta_values[3]", bad)):
+            flat_config(beta_values=[0.0, 0.0, 0.0, bad] + [0.0] * 46)
+    for good in ([1] + [0] * 49, np.arange(50), np.linspace(0.0, 1.0, 50)):  # ints keep bits
+        assert same_floats(flat_config(beta_values=good).beta_values, good)
     with pytest.raises(ValueError):
         flat_config(n=51)  # covariance rank 50 below n
     for bad in (0.0, -1e-10, 1.0, math.inf, math.nan):  # at 1 every singular value is cut

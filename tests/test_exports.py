@@ -2,7 +2,8 @@
 exported function or class has a use outside the tests, and every module-level private
 name has a use in the package.  Each public name has one import path, its module's, and
 the CLI one entry, ridgeless.__main__.run.  The count rule is written once, in
-spectra._check_count."""
+spectra._check_count, and outside input becomes a float array once, in
+spectra._float_array."""
 
 import ast
 import importlib
@@ -120,17 +121,32 @@ def test_private_names_are_used_in_the_package(name):
     assert unused == []
 
 
-def _count_rules(tree: ast.AST) -> list:
-    """The enclosing function (None at module level) of each `type(x) is int` test in tree."""
+def _sites(tree: ast.AST, hit) -> list:
+    """The enclosing function, as Class.function (None at module level), of each node of
+    tree for which hit(node) holds."""
     found, stack = [], [(tree, None)]
     while stack:
         node, where = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, ast.Compare) and re.fullmatch(r"type\(.+\) is int", ast.unparse(node)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if hit(node):
             found.append(where)
         stack.extend((child, where) for child in ast.iter_child_nodes(node))
     return found
+
+
+def _count_rule(node) -> bool:
+    """A `type(x) is int` test."""
+    return isinstance(node, ast.Compare) and bool(
+        re.fullmatch(r"type\(.+\) is int", ast.unparse(node)))
+
+
+def _float_conversion(node) -> bool:
+    """np.array or np.asarray with a float64 dtype, by keyword or by position."""
+    if not (isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.array", "np.asarray")):
+        return False
+    dtypes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "dtype"]
+    return any(ast.unparse(d) in ("float", "np.float64") for d in dtypes)
 
 
 def test_the_count_rule_is_written_once():
@@ -138,5 +154,17 @@ def test_the_count_rule_is_written_once():
     # spectra._check_count, so a change to the rule is one edit; cli.py is left out,
     # its strict reader checks JSON types, not counts
     sites = [(path.name, where) for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"
-             for where in _count_rules(ast.parse(path.read_text(encoding="utf-8")))]
+             for where in _sites(ast.parse(path.read_text(encoding="utf-8")), _count_rule)]
     assert sites == [("spectra.py", "_check_count")]
+
+
+def test_outside_number_arrays_are_converted_once():
+    # a spectrum, a design, a noise vector and beta* become float arrays in
+    # spectra._float_array alone, so a new private conversion fails here.  The other
+    # sites take arrays the package builds itself: min_norm_fit's targets and
+    # ModelResidualNoise.realize's beta* in every trial, format_floats the output floats
+    sites = [(path.name, where) for path in sorted(SRC.glob("*.py"))
+             for where in _sites(ast.parse(path.read_text(encoding="utf-8")), _float_conversion)]
+    assert sorted(sites) == [("design.py", "min_norm_fit"),
+                             ("noise.py", "ModelResidualNoise.realize"),
+                             ("serialize.py", "format_floats"), ("spectra.py", "_float_array")]

@@ -3,11 +3,13 @@ which the CLI alone reads and writes."""
 
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import BAD_ENTRIES, entry_refusal, same_floats
 from ridgeless.cli import noise_from_dict, noise_to_dict
 from ridgeless.design import sample_design, trial_rng
 from ridgeless.noise import (
@@ -159,8 +161,15 @@ def test_parameter_validation():
         ScaledDirectionNoise(target_norm=1.0, direction="sideways")
     with pytest.raises(ValueError):
         DeterministicNoise(values=np.array([1.0, math.nan]))
-    with pytest.raises(ValueError, match="must be a non-empty 1-d vector"):
+    with pytest.raises(ValueError, match="^f_values must be a non-empty 1-d array$"):
         ModelResidualNoise(f_values=np.ones((2, 2)))
+    # an entry that is no number is named, never coerced
+    for model, name in ((DeterministicNoise, "values"), (ModelResidualNoise, "f_values")):
+        for bad in BAD_ENTRIES:
+            with pytest.raises(ValueError, match=entry_refusal(f"{name}[2]", bad)):
+                model([1.0, 2.0, bad])
+        for good in ([1, 2, 3], np.arange(3), np.ones(3)):  # ints keep their bits
+            assert same_floats(getattr(model(good), name), good)
     StudentTNoise(df=2.0, scale=1.0)  # infinite variance is allowed
     ScaledDirectionNoise(target_norm=0.0)  # zero norm is allowed
 
@@ -193,7 +202,9 @@ def test_models_take_arrays_not_paths(tmp_path):
     path = tmp_path / "xi.txt"
     path.write_text("1.0 2.0\n", encoding="utf-8")
     for cls in (DeterministicNoise, ModelResidualNoise):
-        with pytest.raises(ValueError, match="could not convert string to float"):
+        name = "values" if cls is DeterministicNoise else "f_values"
+        message = f"^{name}: expected a list of numbers, got {re.escape(repr(str(path)))}$"
+        with pytest.raises(ValueError, match=message):
             cls(str(path))
     assert np.array_equal(DeterministicNoise([1, 2]).values, [1.0, 2.0])
 

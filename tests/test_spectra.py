@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import BAD_ENTRIES, entry_refusal, same_floats
 from ridgeless.spectra import (
     CovarianceModel,
     Spectrum,
@@ -188,6 +189,16 @@ def test_spectrum_rejects_bad_input():
     for bad in ([], [0.0, 0.0], [1.0, 2.0], [1.0, -0.5], [np.nan], [np.inf]):
         with pytest.raises(ValueError):
             Spectrum(np.asarray(bad, dtype=float))
+    # an entry that is no number is named, never coerced, in a list or an object array
+    for bad in BAD_ENTRIES:
+        for values in ([4.0, bad, 0.5], np.array([4.0, bad, 0.5], dtype=object)):
+            with pytest.raises(ValueError, match=entry_refusal("spectrum values[1]", bad)):
+                Spectrum(values)
+    with pytest.raises(ValueError, match=r"^spectrum values\[0\]: expected a number, got True$"):
+        Spectrum(np.array([True, False]))
+    # ints within the float range, integer arrays and float arrays keep their bits
+    for good in ([3, 2, 1], [2**1000, 1], np.arange(5, 0, -1), np.array([2.5, 1.0, 0.0])):
+        assert same_floats(Spectrum(good).values, good)
 
 
 def test_spectrum_allows_trailing_zeros():
