@@ -30,6 +30,7 @@ import numpy as np
 
 from .diagnostics import Constants, InfiniteIndexError, diagnose
 from .experiments import (
+    _DIRECTIONS,
     ALL_CHECKS,
     CHECK_IDENTITY,
     IDENTITY_TOL,
@@ -46,6 +47,8 @@ from .spectra import (
     CovarianceModel,
     Spectrum,
     _brief,
+    _check_at_most,
+    _check_choice,
     _float_array,
     load_spectrum,
     make_exp_floor_spectrum,
@@ -202,8 +205,7 @@ def _snr_grid(raw: str, where: str, text: bool) -> list:
     count = strict_value(int, parts[2], "--snr-grid N", text=True)
     if not (0 < lo < hi < math.inf and count >= 2):
         raise _CliError("--snr-grid needs 0 < LO < HI < inf and N >= 2")
-    if count > _MAX_GRID:  # before the grid, and the one config per point, are built
-        raise _CliError(f"--snr-grid N must be at most {_MAX_GRID}, got {count}")
+    _check_at_most("--snr-grid N", count, _MAX_GRID)  # before the grid and its configs
     return [float(v) for v in np.geomspace(lo, hi, count)]
 
 
@@ -305,7 +307,7 @@ _OPTIONS = {row.name: row for row in (
          "true coefficient norm (default {})", "beta_norm"),
     _Opt("xi_norm", float, {"diagnose": 0.0}, "noise norm (default {})"),
     _Opt("beta_direction", str, _on(_RUNS, "e1"), "true coefficient direction (default {})",
-         "beta_direction", choices=("e1", "random", "top")),
+         "beta_direction", choices=_DIRECTIONS),
     _Opt("noise", _noise, _on(_RUNS, ZeroNoise()), _NOISE_USAGE, "noise", metavar="SPEC"),
     _Opt("trials", int, {"simulate": 100, "scan": 100, "certify": 200}, {
         **_on(_RUNS, "number of Monte Carlo trials (default {})"),
@@ -350,9 +352,8 @@ def _value(row: _Opt, ns, conf: dict):
     else:
         return row.defaults[ns.subcommand]
     value = strict_value(row.conv, raw, where, text)
-    if row.choices and value not in row.choices:
-        *head, last = row.choices
-        raise _CliError(f"{row.flag} must be {', '.join(head)}, or {last}, got {value!r}")
+    if row.choices:
+        _check_choice(row.flag, value, row.choices)
     if row.least is not None and value < row.least:
         raise _CliError(f"{row.flag} must be at least {row.least}, got {value}")
     return value
@@ -800,8 +801,9 @@ def _build_parser() -> _Parser:
             if row.conv is bool:  # the flag alone means 1
                 sub.add_argument("-" + row.name[0], row.flag, action="store_const", const="1",
                                  help=text)
-            else:
-                sub.add_argument(row.flag, metavar=row.metavar, choices=row.choices, help=text)
+            else:  # choices are checked with every other value, so argparse only shows them
+                metavar = "{%s}" % ",".join(row.choices) if row.choices else row.metavar
+                sub.add_argument(row.flag, metavar=metavar, help=text)
         sub.set_defaults(func=func)
     return parser
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import _SEED_MAX, Spectrum, _check_count, _check_rank, _float_array
+from .spectra import (_SEED_MAX, Spectrum, _check_count, _check_length, _check_number,
+                      _check_rank, _float_array)
 
 __all__ = [
     "DesignMatrix",
@@ -162,17 +163,18 @@ def _gemv(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def min_norm_fit(design: DesignMatrix, targets, rel_tol: float = 1e-10) -> np.ndarray:
     """Minimum Euclidean-norm least-squares solution beta_hat of X beta = Y, at cost ~ n^2 p.
 
-    Targets of shape (n,) give beta_hat of shape (p,); a (k, n) stack gives
-    (k, p), each row with the bits of its own fit.  beta = X^T V diag(1/w)
+    Targets of shape (n,) give beta_hat of shape (p,); a (k, n) stack, an array or a list
+    of rows, gives (k, p), each row with the bits of its own fit.  beta = X^T V diag(1/w)
     V^T Y from the Gram eigenpairs (DesignMatrix.gram) when they exist and
     sqrt(w_min / w_max) > rel_tol; else from the thin SVD, with singular
     values below rel_tol * sigma_max treated as zero.
     """
-    if not 0 < rel_tol < 1:  # at 1 or above every singular value is cut
-        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
-    y = np.asarray(targets, dtype=float)
-    if y.shape[-1:] != (design.n,) or y.ndim > 2:
-        raise ValueError(f"targets must have shape (n,) or (k, n), n = {design.n}; got {y.shape}")
+    _check_number("rel_tol", rel_tol, most=1, below=True)  # at 1 every singular value is cut
+    head = targets[0] if isinstance(targets, (list, tuple)) and targets else None
+    stacked = (isinstance(targets, np.ndarray) and targets.ndim > 1
+               or isinstance(head, (list, tuple, np.ndarray)))
+    y = _float_array("targets", targets, 2 if stacked else 1)
+    _check_length("targets", y, design.n)
     c = y.reshape(-1, design.n, 1)  # a stack of columns, as in _gemv
     g = design.gram()
     if g and math.sqrt(g[0][0] / g[0][-1]) > rel_tol:

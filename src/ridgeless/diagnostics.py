@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import Spectrum, _check_count, _check_number
+from .spectra import Spectrum, _check_at_most, _check_count, _check_number
 
 __all__ = [
     "Constants",
@@ -49,23 +49,11 @@ _SEGMENT_SLACK = 1e-12
 
 # The largest float whose square is finite: x * x overflows exactly when x > _ROOT_MAX.
 _ROOT_MAX = math.sqrt(sys.float_info.max)
+_SQUARES = " (its square overflows)"
 
 
 class InfiniteIndexError(ValueError):
     """The effective-rank index is infinite, so what rests on it is undefined."""
-
-
-def _check_squarable(name: str, value: float) -> None:
-    if value > _ROOT_MAX:
-        raise ValueError(f"{name} must be at most {_ROOT_MAX!r} (its square overflows), "
-                         f"got {value!r}")
-
-
-def _check_n(n) -> None:
-    """n is a count no larger than a float holds: the bounds scale floats by it."""
-    _check_count("n", n)
-    if not n <= sys.float_info.max:
-        raise ValueError(f"n must be at most {sys.float_info.max!r}, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -86,10 +74,9 @@ class Constants:
     c_frac: float = 0.5
 
     def __post_init__(self):
-        for name in ("c0", "eta", "gamma", "c3", "c_frac"):
+        for name in ("c0", "eta", "gamma", "c3"):
             _check_number(name, getattr(self, name))
-        if self.c_frac > 1:
-            raise ValueError(f"c_frac must be in (0, 1], got {self.c_frac!r}")
+        _check_number("c_frac", self.c_frac, most=1)
 
     def cn(self, n: int) -> int:
         """Tail index used by the upper rate bound: floor(c_frac * n), minimum 1."""
@@ -114,7 +101,7 @@ def effective_rank_index(s: Spectrum, n: int, c0: float) -> int | float:
     (the sequence is non-increasing), so the ratio is 0/0 and the scan
     can stop.
     """
-    _check_n(n)
+    _check_count("n", n)
     _check_number("c0", c0)
     vals = s.values[: np.count_nonzero(s.values)]  # up to the first zero
     hits = s._tails[1 : vals.size + 1] >= (c0 * n) * vals
@@ -131,7 +118,7 @@ def complexity_radius(s: Spectrum, n: int, eta: float) -> float:
     so the candidate is r^2 = r_{j+1} / (eta n - j), valid only for
     j < eta n.  The result is the smallest accepted candidate.
     """
-    _check_n(n)
+    _check_count("n", n)
     _check_number("eta", eta)
     p = s.p
     en = eta * n
@@ -256,7 +243,7 @@ def diagnose(
     """
     for name, v in (("beta_star_norm", beta_star_norm), ("xi_norm", xi_norm)):
         _check_number(name, v, zero=True)
-        _check_squarable(name, v)
+        _check_at_most(name, v, _ROOT_MAX, _SQUARES)
     ks = effective_rank_index(s, n, constants.c0)
     r_star_val = complexity_radius(s, n, constants.eta)
     base = dict(
@@ -279,14 +266,14 @@ def diagnose(
         )
     r_kstar = s.tail_sum(ks)
     rho = _rho(beta_star_norm, xi_norm, r_kstar)
-    _check_squarable("rho", rho)  # lower_radius and the bounds square it
+    _check_at_most("rho", rho, _ROOT_MAX, _SQUARES)  # lower_radius and the bounds square it
     if xi_norm == 0.0:
         r_bar_val = 0.0  # supremum of the empty constraint set, by convention
     else:
         r_bar_val = lower_radius(s, rho, xi_norm, constants.gamma)
     k_bar_val = tail_halving_index(s, ks, constants.gamma)
-    _check_squarable("rho * r_star", rho * r_star_val)
-    _check_squarable("c3 * xi_norm", constants.c3 * xi_norm)
+    _check_at_most("rho * r_star", rho * r_star_val, _ROOT_MAX, _SQUARES)
+    _check_at_most("c3 * xi_norm", constants.c3 * xi_norm, _ROOT_MAX, _SQUARES)
     noise_floor = (constants.c3 * xi_norm) ** 2 / n
     lower = noise_floor if math.isinf(r_bar_val) else min(r_bar_val * r_bar_val, noise_floor)
     threshold = 1.0 / r_kstar

@@ -30,7 +30,7 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,8 +45,9 @@ from .diagnostics import (
     effective_rank_index,
 )
 from .noise import NoiseModel
-from .spectra import (_SEED_MAX, CovarianceModel, Spectrum, _check_count, _check_number,
-                      _check_rank, _float_array)
+from .spectra import (_SEED_MAX, CovarianceModel, Spectrum, _check_at_most, _check_choice,
+                      _check_count, _check_entries, _check_length, _check_number, _check_rank,
+                      _float_array)
 
 __all__ = [
     "CHECK_IDENTITY",
@@ -127,28 +128,18 @@ class ExperimentConfig:
         _check_count("n", self.n)
         _check_count("trials", self.trials, most=_BETA_STREAM)
         _check_count("seed", self.seed, 0, _SEED_MAX)
-        if self.beta_direction not in _DIRECTIONS:
-            raise ValueError(
-                f"beta_direction must be one of {_DIRECTIONS}, got {self.beta_direction!r}"
-            )
+        _check_choice("beta_direction", self.beta_direction, _DIRECTIONS)
         _check_number("beta_norm", self.beta_norm, zero=True)
-        unknown = set(self.checks) - ALL_CHECKS
-        if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}")
+        _check_choice("checks", self.checks, sorted(ALL_CHECKS), many=True)
         object.__setattr__(self, "checks", frozenset(self.checks))
-        if not 0 < self.rel_tol < 1:  # at 1 or above every singular value is cut
-            raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol!r}")
+        _check_number("rel_tol", self.rel_tol, most=1, below=True)  # at 1 every value is cut
         p = self.covariance.spectrum.p
         if self.beta_values is not None:
             object.__setattr__(self, "beta_values", _float_array("beta_values", self.beta_values))
-            shape = self.beta_values.shape
-            if shape != (p,):
-                raise ValueError(f"beta_values must have shape ({p},), got {shape}")
-        for f in fields(self.noise_model):  # a noise vector has one entry per sample
-            v = getattr(self.noise_model, f.name)
-            if isinstance(v, np.ndarray) and v.size != self.n:
-                raise ValueError(f"{self.noise_model.type_name} noise {f.name} has length "
-                                 f"{v.size}, expected n={self.n}")
+            _check_length("beta_values", self.beta_values, p, "p")
+        for name, v in vars(self.noise_model).items():  # a noise vector: one entry per sample
+            if isinstance(v, np.ndarray):
+                _check_length(f"{self.noise_model.type_name} noise {name}", v, self.n)
         try:  # E||xi||^2 must be finite where the model defines it
             with _trial_runtime, np.errstate(over="raise"):
                 finite = math.isfinite(self.noise_model.expected_norm_sq(self.n))
@@ -494,6 +485,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     A failing trial raises ExperimentError with the completed records
     preserved on the exception.
     """
+    _check_count("threads", threads)
     return _run([config], threads)[0]
 
 
@@ -587,6 +579,8 @@ def snr_scan(
     if math.isinf(base_config._k_star):
         raise InfiniteIndexError("effective-rank index is infinite for this spectrum and c0; "
                                  "the scan's regime split is undefined")
+    _check_count("threads", threads)  # before a config per grid point is built
+    _check_entries("snr_grid", snr_grid, 1)
     grid = [float(t) for t in snr_grid]
     if not grid:
         raise ValueError("SNR grid must be non-empty")
@@ -639,9 +633,8 @@ def certificate_study(
 ) -> CertificateStudy:
     """Monte Carlo frequency of the smallest-singular-value certificate at covariance
     diag(spectrum).  A failing trial raises ExperimentError with the earlier sigma_min values
-    preserved.  n is checked first, then k* (InfiniteIndexError), then trials, the seed, bins
-    (at most _MAX_BINS) and the rank, all before the first design."""
-    _check_count("n", n)
+    preserved.  n and c0 are checked first, in effective_rank_index, then k*
+    (InfiniteIndexError), trials, the seed, bins and the rank, all before the first design."""
     ks = effective_rank_index(spectrum, n, c0)
     if math.isinf(ks):
         raise InfiniteIndexError(
@@ -650,8 +643,7 @@ def certificate_study(
     _check_count("trials", trials, most=_BETA_STREAM)
     _check_count("seed", seed, 0, _SEED_MAX)
     _check_count("bins", bins)
-    if bins > _MAX_BINS:
-        raise ValueError(f"bins must be at most {_MAX_BINS}, got {bins}")
+    _check_at_most("bins", bins, _MAX_BINS)
     _check_rank(spectrum, n)
     r_kstar = spectrum.tail_sum(ks)
     sqrt_rk = math.sqrt(r_kstar)

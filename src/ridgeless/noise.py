@@ -24,7 +24,7 @@ from typing import Union, get_args
 import numpy as np
 
 from .design import DesignMatrix
-from .spectra import _check_number, _float_array
+from .spectra import _check_choice, _check_length, _check_number, _float_array
 
 __all__ = [
     "ZeroNoise",
@@ -43,14 +43,8 @@ __all__ = [
 WORST_SINGULAR = "worst_singular"
 FIRST_COORDINATE = "first_coordinate"
 UNIFORM = "uniform"
-_DIRECTIONS = (WORST_SINGULAR, FIRST_COORDINATE, UNIFORM)
 
 _ZERO_SNR = "SNR undefined for zero noise"
-
-
-def _check_length(what: str, size: int, n: int) -> None:
-    if size != n:
-        raise ValueError(f"{what} has length {size}, expected n={n}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +123,7 @@ class DeterministicNoise:
         object.__setattr__(self, "values", _float_array("values", self.values))
 
     def realize(self, design: DesignMatrix, beta_star, rng) -> np.ndarray:
-        _check_length("deterministic noise", self.values.size, design.n)
+        _check_length("deterministic noise", self.values, design.n)
         return self.values.copy()
 
     def expected_norm_sq(self, n: int) -> float:
@@ -157,10 +151,7 @@ class ScaledDirectionNoise:
 
     def __post_init__(self):
         _check_number("target_norm", self.target_norm, zero=True)
-        if self.direction not in _DIRECTIONS:
-            raise ValueError(
-                f"direction must be one of {_DIRECTIONS}, got {self.direction!r}"
-            )
+        _check_choice("direction", self.direction, (WORST_SINGULAR, FIRST_COORDINATE, UNIFORM))
 
     @property
     def design_independent(self) -> bool:
@@ -195,10 +186,9 @@ class ModelResidualNoise:
         object.__setattr__(self, "f_values", _float_array("f_values", self.f_values))
 
     def realize(self, design: DesignMatrix, beta_star, rng) -> np.ndarray:
-        _check_length("residual noise targets", self.f_values.size, design.n)
-        b = np.asarray(beta_star, dtype=float)
-        if b.shape != (design.p,):
-            raise ValueError(f"beta_star must have shape ({design.p},), got {b.shape}")
+        _check_length("residual noise targets", self.f_values, design.n)
+        b = _float_array("beta_star", beta_star)
+        _check_length("beta_star", b, design.p, "p")
         return self.f_values - design.entries @ b
 
     def expected_norm_sq(self, n: int) -> float:

@@ -16,9 +16,9 @@ order, so the running sum and the running compensation are the same
 sequences of IEEE additions, and each step's compensation term is the
 same elementwise expression.
 
-Every module imports this one, so it also holds the package's one rule
-for each kind of input value: a count, index or seed (_check_count), a
-magnitude (_check_number) and a number array (_float_array).
+Every module imports this one, so it holds the package's one rule for each kind
+of input value: a count (_check_count), a magnitude or range (_check_number), a cap
+(_check_at_most), a choice (_check_choice) and an array (_float_array, _check_length).
 """
 
 from __future__ import annotations
@@ -54,22 +54,43 @@ _RANGES = {(1, math.inf): "a positive integer", (0, math.inf): "a non-negative i
 
 
 def _check_count(name: str, value, least: int = 1, most: float = math.inf) -> None:
-    """A count, index or seed is an int from `least` to `most`; a bool is an int
-    instance, but no count."""
+    """A count, index or seed is an int from `least` to `most` that a float holds (the bounds
+    scale floats by n); a bool is an int instance, but no count."""
     if not (type(value) is int and least <= value <= most):
         bound = _RANGES.get((least, most)) or (
             f"an integer >= {least}" if most == math.inf else f"an integer in [{least}, {most}]")
         raise ValueError(f"{name} must be {bound}, got {value!r}")
+    _check_at_most(name, value, sys.float_info.max)
 
 
-def _check_number(name: str, value, zero: bool = False) -> None:
+def _check_number(name: str, value, zero: bool = False, most: float = math.inf,
+                  below: bool = False) -> None:
     """A magnitude is a real number above 0, or at least 0 when `zero` is set, and finite
     as a float (an int beyond the float range is not); a bool is a Real instance, but no
-    magnitude."""
+    magnitude.  One in a range is at most `most`, or below it when `below` is set."""
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (0 <= value if zero else 0 < value) and value <= sys.float_info.max):
-        sign = "non-negative" if zero else "positive"
-        raise ValueError(f"{name} must be a {sign} finite number, got {value!r}")
+            and (0 <= value if zero else 0 < value) and value <= sys.float_info.max
+            and (value < most if below else value <= most)):
+        bound = (f"a {'non-negative' if zero else 'positive'} finite number" if most == math.inf
+                 else f"in {'[' if zero else '('}0, {most}{')' if below else ']'}")
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+def _check_at_most(name: str, value, most, why: str = "") -> None:
+    """A cap on a checked count or magnitude: the largest float, its root, or a run's limit."""
+    if value > most:
+        raise ValueError(f"{name} must be at most {most!r}{why}, got {value!r}")
+
+
+def _check_choice(name: str, value, choices: tuple | list, many: bool = False) -> None:
+    """A choice is a str in `choices`; with `many`, a list, tuple or set of them, never a str."""
+    if many and not isinstance(value, (list, tuple, set, frozenset)):
+        raise ValueError(f"{name} must be a list of names, got {value!r}")
+    for v in value if many else [value]:
+        if not (isinstance(v, str) and v in choices):
+            *head, last = choices
+            raise ValueError(f"{name}{' entries' if many else ''} must be {', '.join(head)}, "
+                             f"or {last}, got {v!r}")
 
 
 def _brief(value) -> str:
@@ -98,13 +119,22 @@ def _float_array(name: str, value, ndim: int = 1) -> np.ndarray:
     """The one conversion of outside input to a float array: entries as _check_entries
     takes them, ndim axes, non-empty and finite; a read-only float64 copy."""
     _check_entries(name, value, ndim)
-    a = np.array(value, dtype=float)  # rows of unequal length raise numpy's ValueError
-    if a.ndim != ndim or a.size == 0:
+    try:
+        a = np.array(value, dtype=float)
+    except ValueError:  # rows of unequal length
+        a = None
+    if a is None or a.ndim != ndim or a.size == 0:
         raise ValueError(f"{name} must be a non-empty {ndim}-d array")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     a.setflags(write=False)
     return a
+
+
+def _check_length(name: str, a: np.ndarray, size: int, of: str = "n") -> None:
+    """An array holds one entry per sample (of n) or per coordinate (of p) on its last axis."""
+    if a.shape[-1] != size:
+        raise ValueError(f"{name} has length {a.shape[-1]}, expected {of}={size}")
 
 
 def _check_rank(spectrum: Spectrum, n: int) -> None:
@@ -219,12 +249,8 @@ def make_three_level_spectrum(
     """
     _check_count("k1", k1)
     _check_count("c_times_n", c_times_n)
-    _check_number("eps1", eps1)
-    _check_number("eps2", eps2)
-    if eps2 > eps1:
-        raise ValueError(f"levels must be non-increasing: eps2={eps2!r} > eps1={eps1!r}")
-    if eps1 > 1:
-        raise ValueError(f"levels must be non-increasing: eps1={eps1!r} > 1")
+    _check_number("eps1", eps1, most=1)  # the levels are non-increasing
+    _check_number("eps2", eps2, most=eps1)
     k2 = k1 + c_times_n + 1
     _check_count("p", p, k2)
     vals = np.empty(p)

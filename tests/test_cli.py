@@ -79,6 +79,35 @@ def test_config_file_errors_are_exhaustive(tmp_path, capsys):
     assert "'bogus'" in err and "'extra'" in err  # every unknown key is listed
 
 
+@pytest.mark.parametrize(
+    "argv,files,message",
+    [
+        (["--config", "c.json"], {"c.json": {"schema": 1, "constants": {"c9": 1}}},
+         "config constants: unknown constants keys: ['c9']"),
+        (["--config", "c.json"], {"c.json": {"schema": 1, "constants": [1]}},
+         "config constants: expected an object, got [1]"),
+        (["--c-frac", "2"], {}, "constants: c_frac must be in (0, 1], got 2.0"),
+        (["--snr-grid", "1:2"], {}, "--snr-grid takes LO:HI:N, got '1:2'"),
+        (["--config", "c.json"], {"c.json": {"schema": 1, "checks": ["nope"]}},
+         "unknown check 'nope'"),
+        (["--config", "c2.json"], {"c2.json": [1]}, "config file c2.json: expected a JSON object"),
+        (["--config", "missing.json"], {},
+         "config file: [Errno 2] No such file or directory: 'missing.json'"),
+    ],
+    ids=["constants-key", "constants-list", "c_frac", "snr-grid", "check", "config-list",
+         "config-missing"],
+)
+def test_config_and_flag_refusals(argv, files, message, tmp_path, monkeypatch, capsys):
+    # each is the one error of a scan that would otherwise run
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        _write(tmp_path / name, json.dumps(data))
+    scan = ["scan", "--flat", "20", "--n", "2", "--noise", "gaussian:1", "--trials", "2"]
+    grid = [] if "--snr-grid" in argv else ["--snr-grid", "1:2:3"]
+    assert main(scan + grid + argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_scan_zero_noise_rejected(capsys):
     code = main([
         "scan", "--flat", "50", "--n", "5", "--trials", "2",
@@ -934,7 +963,7 @@ def test_null_means_absent_for_every_key(tmp_path):
 NO_SPECTRUM = "no spectrum given: use --flat/--exp-floor/--three-level/--spectrum-file or a config file"
 
 
-@pytest.mark.parametrize(
+EVERY_ERROR = pytest.mark.parametrize(
     "argv,messages",
     [
         (["diagnose", "--n", "x", "--c0", "y"],
@@ -943,12 +972,15 @@ NO_SPECTRUM = "no spectrum given: use --flat/--exp-floor/--three-level/--spectru
          ["--trials: expected an integer, got '1.5'", "--bins: expected an integer, got 'b'",
           NO_SPECTRUM]),
         (["spectrum", "--flat", "x"], ["--flat P: expected an integer, got 'x'"]),
+        (["simulate", "--flat", "10", "--n", "5", "--beta-direction", "up", "--trials", "x"],
+         ["--beta-direction must be e1, random, or top, got 'up'",
+          "--trials: expected an integer, got 'x'"]),
     ],
-    ids=["diagnose", "certify", "spectrum"],
+    ids=["diagnose", "certify", "spectrum", "simulate"],
 )
-def test_every_subcommand_reports_every_error(argv, messages, monkeypatch, capsys):
-    monkeypatch.setenv("RIDGELESS_FORMAT", "yaml")
-    monkeypatch.setenv("RIDGELESS_QUIET", "yes")
+
+
+def _every_error(argv, messages, capsys):
     assert main(argv + ["--out", "/nonexistent/x"]) == 1
     err = capsys.readouterr().err
     messages = messages + [
@@ -959,6 +991,21 @@ def test_every_subcommand_reports_every_error(argv, messages, monkeypatch, capsy
     for message in messages:
         assert f"error: {message}\n" in err
     assert "--out" not in err  # checked only once every option is valid
+
+
+@EVERY_ERROR
+def test_every_subcommand_reports_every_error(argv, messages, monkeypatch, capsys):
+    monkeypatch.setenv("RIDGELESS_FORMAT", "yaml")
+    monkeypatch.setenv("RIDGELESS_QUIET", "yes")
+    _every_error(argv, messages, capsys)
+
+
+@EVERY_ERROR
+def test_every_subcommand_reports_every_error_with_a_bad_choice_flag(argv, messages,
+                                                                    monkeypatch, capsys):
+    # a choice given as a flag is checked with every other value, not by argparse alone
+    monkeypatch.setenv("RIDGELESS_QUIET", "yes")
+    _every_error(argv + ["--format", "yaml"], messages, capsys)
 
 
 def test_quiet_from_env(monkeypatch, capsys):

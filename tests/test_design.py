@@ -72,7 +72,8 @@ def test_design_rejects_non_finite():
     for bad in BAD_ENTRIES:
         with pytest.raises(ValueError, match=entry_refusal("design entries[1][0]", bad)):
             DesignMatrix([[1.0, 2.0, 3.0], [bad, 5.0, 6.0]])
-    for bad in (np.ones(3), [[]], np.ones((1, 1, 1))):  # 1-d, empty or 3-d
+    # 1-d, empty, 3-d, or rows of unequal length (once numpy's "inhomogeneous shape" text)
+    for bad in (np.ones(3), [[]], np.ones((1, 1, 1)), [[1.0, 2.0], [3.0]]):
         with pytest.raises(ValueError, match="^design entries must be a non-empty 2-d array$"):
             DesignMatrix(bad)
     # ints, integer arrays and float arrays keep their bits
@@ -152,6 +153,15 @@ def test_sample_design_refuses_n(n):
         sample_design(make_flat_spectrum(6, 1.0), n, trial_rng(0, 0))
 
 
+def test_a_count_beyond_a_float_is_refused_by_name():
+    # the count rule holds counts to what a float holds, as the magnitude rule does: p = 10**400
+    # once reached numpy ("Maximum allowed dimension exceeded"), a trial index ran
+    for call, name in ((make_flat_spectrum, "p"), (lambda v: trial_rng(0, v), "trial_index"),
+                       (lambda v: sample_design(make_flat_spectrum(6), v, None), "n")):
+        with pytest.raises(ValueError, match=rf"^{name} must be at most 1\.797693134862315"):
+            call(10**400)
+
+
 # ---------------------------------------------------------------------------
 # minimum-norm fit
 
@@ -219,8 +229,23 @@ def test_fit_zero_design():
 
 
 def test_fit_target_shape_checked():
-    with pytest.raises(ValueError):
-        min_norm_fit(DesignMatrix(np.ones((2, 3))), [1.0])
+    design = DesignMatrix(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="^targets has length 1, expected n=2$"):
+        min_norm_fit(design, [1.0])
+    with pytest.raises(ValueError, match="^targets has length 3, expected n=2$"):
+        min_norm_fit(design, np.ones((4, 3)))
+    for bad in (np.ones((1, 1, 2)), [[1.0, 2.0], [3.0]], np.ones((0, 2))):
+        with pytest.raises(ValueError, match="^targets must be a non-empty 2-d array$"):
+            min_norm_fit(design, bad)
+    # targets from a library caller are checked as a number array, never coerced
+    for bad in BAD_ENTRIES:
+        with pytest.raises(ValueError, match=entry_refusal("targets[1]", bad)):
+            min_norm_fit(design, [1.0, bad])
+        with pytest.raises(ValueError, match=entry_refusal("targets[0][1]", bad)):
+            min_norm_fit(design, [[1.0, bad]])
+    for bad in (["1", "2"], [True, False]):
+        with pytest.raises(ValueError, match=entry_refusal("targets[0]", bad[0])):
+            min_norm_fit(design, bad)
 
 
 def test_fit_interpolates_exactly_at_p_equals_n():
@@ -311,7 +336,7 @@ def test_ill_conditioned_square_design_falls_back_to_svd():
 def test_rank_cutoff_must_lie_between_zero_and_one():
     # at 1 or above every singular value is cut, and the fit would be silently zero
     design = sample_design(make_flat_spectrum(20, 1.0), 5, trial_rng(5, 0))
-    for bad in (0.0, -0.5, 1.0, math.inf, math.nan):
+    for bad in (0.0, -0.5, 1.0, math.inf, math.nan, "0.1", None, True):
         with pytest.raises(ValueError, match=r"^rel_tol must be in \(0, 1\), got "):
             min_norm_fit(design, np.ones(5), bad)
 

@@ -529,3 +529,6 @@ def test_constants_validation():
     ):
         with pytest.raises(ValueError):
             Constants(**kwargs)
+    for bad in (1.5, 1 + 1e-15, 0.0, math.nan, True):  # a range: (0, 1], closed at 1
+        with pytest.raises(ValueError, match=rf"^c_frac must be in \(0, 1\], got {bad!r}$"):
+            Constants(c_frac=bad)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import threading
@@ -78,14 +79,22 @@ def test_config_validation():
         flat_config(trials=0)
     with pytest.raises(ValueError):
         flat_config(seed=-1)
-    with pytest.raises(ValueError):
+    names = "certificate, estimation_bound, identity, lower_bound, or upper_bound"
+    with pytest.raises(ValueError, match=f"^checks entries must be {names}, got 'vibes'$"):
         flat_config(checks=frozenset({"identity", "vibes"}))
-    with pytest.raises(ValueError):
+    # a str is no collection of names: "" once ran no checks, "identity" named its letters
+    for bad in ("", "identity", None, {"identity": 1}):
+        message = f"^checks must be a list of names, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            flat_config(checks=bad)
+    assert flat_config(checks=[]).checks == frozenset()
+    assert flat_config(checks=("identity",)).checks == {"identity"}
+    with pytest.raises(ValueError, match="^beta_direction must be e1, random, or top, got 'down'$"):
         flat_config(beta_direction="down")
     for bad in (-1.0, math.nan, math.inf, 10**400):  # 10**400 once escaped as an OverflowError
         with pytest.raises(ValueError):
             flat_config(beta_norm=bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^beta_values has length 3, expected p=50$"):
         flat_config(beta_values=np.ones(3))
     with pytest.raises(ValueError, match="^beta_values must be finite$"):
         flat_config(beta_values=np.r_[math.nan, np.zeros(49)])
@@ -97,7 +106,8 @@ def test_config_validation():
         assert same_floats(flat_config(beta_values=good).beta_values, good)
     with pytest.raises(ValueError):
         flat_config(n=51)  # covariance rank 50 below n
-    for bad in (0.0, -1e-10, 1.0, math.inf, math.nan):  # at 1 every singular value is cut
+    # at 1 every singular value is cut; a str or None is no number
+    for bad in (0.0, -1e-10, 1.0, math.inf, math.nan, "0.1", None):
         with pytest.raises(ValueError, match=r"^rel_tol must be in \(0, 1\), got "):
             flat_config(rel_tol=bad)
     flat_config(rel_tol=0.9)
@@ -479,6 +489,19 @@ def test_snr_scan_rejections(monkeypatch):
     # a target that is not a positive finite number, or whose beta* norm would
     # overflow, is named before any design is drawn; the second with the noise
     monkeypatch.setattr(experiments, "sample_design", lambda *a: pytest.fail("design drawn"))
+    # an entry that is no number is named, never coerced (10**400 once raised OverflowError)
+    for bad in BAD_ENTRIES:
+        with pytest.raises(ValueError, match=entry_refusal("snr_grid[1]", bad)):
+            snr_scan(cfg, [1.0, bad])
+    with pytest.raises(ValueError, match=entry_refusal("snr_grid[0]", "1")):
+        snr_scan(cfg, ["1", "2"])
+    # a worker count is a positive int, in a scan as in a run
+    for threads in (0, -5, True, 2.5, "2"):
+        message = f"^threads must be a positive integer, got {re.escape(repr(threads))}$"
+        with pytest.raises(ValueError, match=message):
+            snr_scan(cfg, [1.0], threads=threads)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(cfg, threads=threads)
     for grid, shown in (([1.0, math.inf], "inf"), ([math.nan], "nan"), ([math.nan, 1.0], "nan"),
                         ([-1.0, 1.0], "-1.0")):
         with pytest.raises(ValueError,

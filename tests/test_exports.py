@@ -2,8 +2,8 @@
 exported function or class has a use outside the tests, and every module-level private
 name has a use in the package.  Each public name has one import path, its module's, and
 the CLI one entry, ridgeless.__main__.run.  The count rule is written once, in
-spectra._check_count, and outside input becomes a float array once, in
-spectra._float_array."""
+spectra._check_count, the choice rule once, in spectra._check_choice, and outside
+input becomes a float array once, in spectra._float_array."""
 
 import ast
 import importlib
@@ -159,12 +159,30 @@ def test_the_count_rule_is_written_once():
 
 
 def test_outside_number_arrays_are_converted_once():
-    # a spectrum, a design, a noise vector and beta* become float arrays in
-    # spectra._float_array alone, so a new private conversion fails here.  The other
-    # sites take arrays the package builds itself: min_norm_fit's targets and
-    # ModelResidualNoise.realize's beta* in every trial, format_floats the output floats
+    # a spectrum, a design, a noise vector, beta*, fit targets and a residual's beta*
+    # become float arrays in spectra._float_array alone, so a new private conversion
+    # fails here.  The other site takes the package's own output floats
     sites = [(path.name, where) for path in sorted(SRC.glob("*.py"))
              for where in _sites(ast.parse(path.read_text(encoding="utf-8")), _float_conversion)]
-    assert sorted(sites) == [("design.py", "min_norm_fit"),
-                             ("noise.py", "ModelResidualNoise.realize"),
-                             ("serialize.py", "format_floats"), ("spectra.py", "_float_array")]
+    assert sorted(sites) == [("serialize.py", "format_floats"), ("spectra.py", "_float_array")]
+
+
+def _choice_test(node) -> bool:
+    """An `if` whose test holds an `in` or `not in` comparison and whose body raises."""
+    return isinstance(node, ast.If) and any(
+        isinstance(op, (ast.In, ast.NotIn)) for c in ast.walk(node.test)
+        if isinstance(c, ast.Compare) for op in c.ops) and any(
+        isinstance(s, ast.Raise) for s in node.body)
+
+
+def test_the_choice_rule_is_written_once():
+    # a name from a fixed tuple (beta_direction, a noise direction, a CLI choice) or a
+    # collection of them (checks) is checked in spectra._check_choice alone; cli.py is
+    # left out, as in the count rule, since its other membership tests look at JSON
+    # keys, paths and short-form parameters, but its choice rows call the same rule
+    sites = [(path.name, where) for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"
+             for where in _sites(ast.parse(path.read_text(encoding="utf-8")), _choice_test)]
+    assert sites == [("spectra.py", "_check_choice")]
+    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    value = next(node for node in cli.body if getattr(node, "name", None) == "_value")
+    assert _refers_to(value, "_check_choice") and not _sites(value, _choice_test)

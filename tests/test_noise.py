@@ -130,10 +130,16 @@ def test_model_residual():
 
 def test_model_residual_shape_checks():
     x = small_design()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^residual noise targets has length 3, expected n=4$"):
         ModelResidualNoise(f_values=np.ones(3)).realize(x, np.zeros(9), trial_rng(0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^beta_star has length 2, expected p=9$"):
         ModelResidualNoise(f_values=np.ones(4)).realize(x, np.zeros(2), trial_rng(0, 0))
+    # beta* from a library caller is checked as a number array, never coerced
+    for bad in BAD_ENTRIES:
+        with pytest.raises(ValueError, match=entry_refusal("beta_star[1]", bad)):
+            ModelResidualNoise(f_values=np.ones(4)).realize(x, [1.0, bad] + [0.0] * 7, None)
+    with pytest.raises(ValueError, match=entry_refusal("beta_star[0]", "1")):
+        ModelResidualNoise(f_values=np.ones(4)).realize(x, ["1"] + ["0"] * 8, None)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +163,10 @@ def test_parameter_validation():
                        (lambda v: StudentTNoise(df=v, scale=1.0), "df")):
         with pytest.raises(ValueError, match=f"^{name} must be a .* finite number, got True$"):
             make(True)
-    with pytest.raises(ValueError):
-        ScaledDirectionNoise(target_norm=1.0, direction="sideways")
+    for bad in ("sideways", None, ["uniform"]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"direction must be worst_singular, first_coordinate, or uniform, got {bad!r}")):
+            ScaledDirectionNoise(target_norm=1.0, direction=bad)
     with pytest.raises(ValueError):
         DeterministicNoise(values=np.array([1.0, math.nan]))
     with pytest.raises(ValueError, match="^f_values must be a non-empty 1-d array$"):

@@ -98,10 +98,11 @@ def test_three_level_no_leading_plateau():
 def test_three_level_rejects():
     with pytest.raises(ValueError):
         make_three_level_spectrum(2, 2, 4, 0.5, 0.1)  # p < k1 + c_times_n + 1
-    with pytest.raises(ValueError):
-        make_three_level_spectrum(2, 1, 5, 0.1, 0.5)  # eps2 > eps1
-    with pytest.raises(ValueError):
-        make_three_level_spectrum(2, 1, 5, 1.5, 0.1)  # eps1 > 1
+    # the levels are non-increasing from 1: eps1 in (0, 1], eps2 in (0, eps1]
+    with pytest.raises(ValueError, match=r"^eps2 must be in \(0, 0\.1\], got 0\.5$"):
+        make_three_level_spectrum(2, 1, 5, 0.1, 0.5)
+    with pytest.raises(ValueError, match=r"^eps1 must be in \(0, 1\], got 1\.5$"):
+        make_three_level_spectrum(2, 1, 5, 1.5, 0.1)
     # a bool is an int instance, but no count: (True, True, 3, ...) was once accepted
     with pytest.raises(ValueError, match="^k1 must be a positive integer, got True$"):
         make_three_level_spectrum(True, True, 3, 0.5, 0.1)
@@ -110,9 +111,9 @@ def test_three_level_rejects():
     with pytest.raises(ValueError, match=r"^p must be an integer >= 3, got True$"):
         make_three_level_spectrum(1, 1, True, 0.5, 0.1)
     # a level is a magnitude: a finite real number, never a bool
-    with pytest.raises(ValueError, match="^eps2 must be a positive finite number, got True$"):
+    with pytest.raises(ValueError, match=r"^eps2 must be in \(0, 1\.0\], got True$"):
         make_three_level_spectrum(1, 1, 3, 1.0, True)
-    with pytest.raises(ValueError, match="^eps1 must be a positive finite number, got True$"):
+    with pytest.raises(ValueError, match=r"^eps1 must be in \(0, 1\], got True$"):
         make_three_level_spectrum(1, 1, 3, True, 0.5)
 
 
