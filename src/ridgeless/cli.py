@@ -31,6 +31,7 @@ import numpy as np
 from .diagnostics import Constants, InfiniteIndexError, diagnose
 from .experiments import (
     _DIRECTIONS,
+    _STATS,
     ALL_CHECKS,
     CHECK_IDENTITY,
     IDENTITY_TOL,
@@ -139,7 +140,7 @@ def strict_value(kind, value, what: str, text: bool = False):
             return kind(value)
     except (KeyError, TypeError, ValueError, OverflowError):  # OverflowError: an int beyond a float
         pass
-    raise _CliError(f"{what}: expected {_EXPECTED[kind]}, got {value!r}")
+    raise _CliError(f"{what}: expected {_EXPECTED[kind]}, got {_brief(value)}")
 
 
 def read_spec(spec, builders: dict, where: str = "") -> tuple[str, dict]:
@@ -152,8 +153,7 @@ def read_spec(spec, builders: dict, where: str = "") -> tuple[str, dict]:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError(f"expected an object with a 'type' key, got {_brief(spec)}")
     kind = spec["type"]
-    if not (isinstance(kind, str) and kind in builders):
-        raise ValueError(f"type must be one of {sorted(builders)}, got {kind!r}")
+    _check_choice("type", kind, sorted(builders))
     params = inspect.signature(builders[kind]).parameters.values()
     if unknown := sorted(set(spec) - {"type", *(p.name for p in params)}):
         raise ValueError(f"unknown keys for type {kind!r}: {unknown}")
@@ -248,10 +248,7 @@ def _noise(raw, where: str, text: bool):
 def _checks(raw, where: str, text: bool) -> frozenset:
     """Check names: comma- or space-separated as text, a JSON list of strings in a config file."""
     names = raw.replace(",", " ").split() if text else raw
-    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
-        raise _CliError(f"{where}: expected a list of check names")
-    if unknown := sorted(set(names) - ALL_CHECKS):
-        raise _CliError([f"unknown check {name!r}" for name in unknown])
+    _check_choice(where, names, sorted(ALL_CHECKS), many=True)
     return frozenset(names)
 
 
@@ -325,9 +322,14 @@ _OPTIONS = {row.name: row for row in (
     _Opt("rel_tol", float, _on(_RUNS, 1e-10), None, "rel_tol"),
 )}
 _CONSTANTS = tuple(f.name for f in fields(Constants))
-# the config keys of the rows, and those with a resolver of their own
-_CONFIG_KEYS = {row.key.partition(".")[0] for row in _OPTIONS.values() if row.key} | {
-    "schema", "spectrum", "beta_values"}
+# A run's config keys in echo order, each with its ExperimentConfig field and the writer of
+# its echo (None: the value itself); the config file takes these and those of the spectrum,
+# beta_values and the schema, which have rules of their own.
+_RUN_KEYS = (("n", "n", None), ("beta_norm", "beta_norm", None),
+             ("beta_direction", "beta_direction", None), ("noise", "noise_model", noise_to_dict),
+             ("trials", "trials", None), ("seed", "seed", None), ("constants", "constants", asdict),
+             ("checks", "checks", sorted), ("rel_tol", "rel_tol", None))
+_CONFIG_KEYS = {key for key, _, _ in _RUN_KEYS} | {"schema", "spectrum", "beta_values"}
 
 
 def _config_value(conf: dict, key):
@@ -518,30 +520,16 @@ def _config_array(conf: dict, key: str):
 
 
 def _experiment_config(ns) -> ExperimentConfig:
-    same = ("n", "trials", "seed", "constants", "beta_norm", "beta_direction", "beta_values",
-            "checks", "rel_tol")  # resolved under ExperimentConfig's own field names
-    return ExperimentConfig(
-        covariance=CovarianceModel(ns.spectrum[0]), noise_model=ns.noise,
-        **{name: getattr(ns, name) for name in same},
-    )
+    return ExperimentConfig(covariance=CovarianceModel(ns.spectrum[0]), beta_values=ns.beta_values,
+                            **{name: getattr(ns, key) for key, name, _ in _RUN_KEYS})
 
 
 def _config_echo(config: ExperimentConfig, spectrum_echo: dict) -> dict:
     """The run's config under the config file's keys, enough to re-run it bit for bit; without
     the worker count, since results and output files are the same at any thread count."""
-    echo = {
-        "schema": 1,
-        "spectrum": spectrum_echo,
-        "n": config.n,
-        "beta_norm": config.beta_norm,
-        "beta_direction": config.beta_direction,
-        "noise": noise_to_dict(config.noise_model),
-        "trials": config.trials,
-        "seed": config.seed,
-        "constants": asdict(config.constants),
-        "checks": sorted(config.checks),
-        "rel_tol": config.rel_tol,
-    }
+    echo = {"schema": 1, "spectrum": spectrum_echo}
+    for key, name, write in _RUN_KEYS:
+        echo[key] = write(getattr(config, name)) if write else getattr(config, name)
     if config.beta_values is not None:
         echo["beta_values"] = [float(v) for v in config.beta_values]
     return echo
@@ -631,11 +619,10 @@ def _fmt(x) -> str:
 
 
 def _print_aggregates(aggregates: dict) -> None:
-    cols = ("min", "q05", "median", "q95", "max", "mean")
     width = max(len(name) for name in aggregates)
-    print(f"{'metric':<{width}}  " + "  ".join(f"{c:>12}" for c in cols))
+    print(f"{'metric':<{width}}  " + "  ".join(f"{c:>12}" for c in _STATS))
     for name, stats in aggregates.items():
-        row = "  ".join(f"{_fmt(stats[c]):>12}" for c in cols)
+        row = "  ".join(f"{_fmt(stats[c]):>12}" for c in _STATS)
         print(f"{name:<{width}}  {row}")
 
 

@@ -109,6 +109,18 @@ def effective_rank_index(s: Spectrum, n: int, c0: float) -> int | float:
     return k + 1 if hits[k] else math.inf
 
 
+def _segment_root(cand: np.ndarray, ends: np.ndarray, pick, what: str) -> float:
+    """sqrt of pick (np.min or np.max) of the candidates r^2 inside their segments, cand[j]
+    in [ends[j + 1], ends[j]] up to _SEGMENT_SLACK; a NaN candidate never is."""
+    ok = cand >= ends[1:] * (1.0 - _SEGMENT_SLACK)
+    ok &= cand <= ends[:-1] * (1.0 + _SEGMENT_SLACK)
+    best = float(pick(cand[ok])) if ok.any() else math.inf
+    if not math.isfinite(best):
+        raise ArithmeticError(f"no feasible segment for the {what}")
+    return math.sqrt(best)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # silent inf/nan, as with Python floats
 def complexity_radius(s: Spectrum, n: int, eta: float) -> float:
     """Smallest r > 0 with sum_i min(lambda_i, r^2) <= eta * n * r^2; 0 if p <= eta*n.
 
@@ -120,24 +132,12 @@ def complexity_radius(s: Spectrum, n: int, eta: float) -> float:
     """
     _check_count("n", n)
     _check_number("eta", eta)
-    p = s.p
     en = eta * n
-    if p <= en:
+    if s.p <= en:
         return 0.0
-    vals = s.values
-    best = math.inf
-    for j in range(0, p + 1):
-        if j >= en:
-            break
-        cand = s.tail_sum(j + 1) / (en - j)
-        hi = math.inf if j == 0 else float(vals[j - 1])
-        lo = 0.0 if j == p else float(vals[j])
-        if cand < lo * (1.0 - _SEGMENT_SLACK) or cand > hi * (1.0 + _SEGMENT_SLACK):
-            continue
-        best = min(best, cand)
-    if not math.isfinite(best):
-        raise ArithmeticError("no feasible segment for the complexity radius")
-    return math.sqrt(best)
+    j = np.arange(math.ceil(en))  # every j < eta n, all below p
+    ends = np.append(math.inf, s.values[: j.size])
+    return _segment_root(s._tails[1 : j.size + 1] / (en - j), ends, np.min, "complexity radius")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # silent inf/nan, as with Python floats
@@ -148,7 +148,7 @@ def lower_radius(s: Spectrum, rho: float, xi_norm: float, gamma: float) -> float
     <= gamma ||xi||^2) and 0.0 when xi_norm == 0 (no positive radius
     satisfies the constraint; the supremum of the empty set is 0 by
     convention).  Same segment structure as complexity_radius with
-    mu_i = lambda_i rho^2.
+    mu_i = lambda_i rho^2, taking only positive candidates.
     """
     _check_number("rho", rho)
     _check_number("gamma", gamma)
@@ -159,20 +159,14 @@ def lower_radius(s: Spectrum, rho: float, xi_norm: float, gamma: float) -> float
     rho2 = rho * rho
     if s.trace * rho2 <= budget:
         return math.inf
-    p = s.p
-    vals = s.values
     # candidate on the segment of exactly j eigenvalues above r^2, j = 1..p
     cand = rho2 * s._tails[2:]
     np.subtract(budget, cand, out=cand)
-    cand /= np.arange(1, p + 1, dtype=float)
-    ok = cand > 0.0
-    mu = rho2 * vals  # segment j runs from mu_{j+1} (mu_{p+1} = 0) up to mu_j
-    ok &= cand <= mu * (1.0 + _SEGMENT_SLACK)
-    ok[:-1] &= cand[:-1] >= mu[1:] * (1.0 - _SEGMENT_SLACK)
-    best = float(cand[ok].max()) if ok.any() else 0.0
-    if best == 0.0:
-        raise ArithmeticError("no feasible segment for the lower radius")
-    return math.sqrt(best)
+    cand /= np.arange(1, s.p + 1, dtype=float)
+    cand[cand <= 0.0] = np.nan
+    ends = np.append(s.values, 0.0)  # segment j runs from mu_{j+1} (mu_{p+1} = 0) up to mu_j
+    ends *= rho2
+    return _segment_root(cand, ends, np.max, "lower radius")
 
 
 def tail_halving_index(s: Spectrum, k_star: int, gamma: float) -> int:

@@ -30,7 +30,7 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -296,14 +296,7 @@ class ExperimentResult:
 
 
 _STATS = ("min", "q05", "median", "q95", "max", "mean")
-_METRICS = (
-    "xi_norm_sq",
-    "pred_error",
-    "est_error",
-    "sigma_min",
-    "deviation",
-    "identity_residual",
-)
+_METRICS = tuple(f.name for f in fields(TrialRecord) if f.type == "float")
 
 
 def _quantile_rows(s: np.ndarray, q: float) -> np.ndarray:

@@ -59,7 +59,7 @@ def _check_count(name: str, value, least: int = 1, most: float = math.inf) -> No
     if not (type(value) is int and least <= value <= most):
         bound = _RANGES.get((least, most)) or (
             f"an integer >= {least}" if most == math.inf else f"an integer in [{least}, {most}]")
-        raise ValueError(f"{name} must be {bound}, got {value!r}")
+        raise ValueError(f"{name} must be {bound}, got {_brief(value)}")
     _check_at_most(name, value, sys.float_info.max)
 
 
@@ -73,28 +73,31 @@ def _check_number(name: str, value, zero: bool = False, most: float = math.inf,
             and (value < most if below else value <= most)):
         bound = (f"a {'non-negative' if zero else 'positive'} finite number" if most == math.inf
                  else f"in {'[' if zero else '('}0, {most}{')' if below else ']'}")
-        raise ValueError(f"{name} must be {bound}, got {value!r}")
+        raise ValueError(f"{name} must be {bound}, got {_brief(value)}")
 
 
 def _check_at_most(name: str, value, most, why: str = "") -> None:
     """A cap on a checked count or magnitude: the largest float, its root, or a run's limit."""
     if value > most:
-        raise ValueError(f"{name} must be at most {most!r}{why}, got {value!r}")
+        raise ValueError(f"{name} must be at most {most!r}{why}, got {_brief(value)}")
 
 
 def _check_choice(name: str, value, choices: tuple | list, many: bool = False) -> None:
     """A choice is a str in `choices`; with `many`, a list, tuple or set of them, never a str."""
     if many and not isinstance(value, (list, tuple, set, frozenset)):
-        raise ValueError(f"{name} must be a list of names, got {value!r}")
+        raise ValueError(f"{name} must be a list of names, got {_brief(value)}")
     for v in value if many else [value]:
         if not (isinstance(v, str) and v in choices):
             *head, last = choices
             raise ValueError(f"{name}{' entries' if many else ''} must be {', '.join(head)}, "
-                             f"or {last}, got {v!r}")
+                             f"or {last}, got {_brief(v)}")
 
 
 def _brief(value) -> str:
-    """repr(value), or its kind for a list or an object, whose repr could be huge."""
+    """How a refusal shows a value: its repr, or its kind for a list, an object or an int
+    beyond the float range, whose repr could be huge (or, past 4300 digits, refused)."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return "an int beyond the float range"
     return {list: "a list", dict: "an object"}.get(type(value)) or repr(value)
 
 

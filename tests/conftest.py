@@ -14,9 +14,14 @@ def rng():
 BAD_ENTRIES = ("3", True, None, 1j, [1.0], 10**400)
 
 
+# How a refusal shows an int beyond the float range, whose decimal digits could run to
+# thousands (Python refuses to write one of more than 4300).
+HUGE_INT = "an int beyond the float range"
+
+
 def entry_refusal(name: str, bad) -> str:
     """The pattern of the whole message that refuses entry `bad`, at `name`, of a number array."""
-    shown = "a list" if isinstance(bad, list) else repr(bad)
+    shown = "a list" if isinstance(bad, list) else HUGE_INT if bad == 10**400 else repr(bad)
     return "^" + re.escape(f"{name}: expected a number, got {shown}") + "$"
 
 

@@ -174,6 +174,31 @@ def effective_rank_index_loop(s, n: int, c0: float):
     return math.inf
 
 
+def complexity_radius_loop(s, n: int, eta: float) -> float:
+    if not n >= 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta!r}")
+    p = s.p
+    en = eta * n
+    if p <= en:
+        return 0.0
+    vals = s.values
+    best = math.inf
+    for j in range(0, p + 1):
+        if j >= en:
+            break
+        cand = s.tail_sum(j + 1) / (en - j)
+        hi = math.inf if j == 0 else float(vals[j - 1])
+        lo = 0.0 if j == p else float(vals[j])
+        if cand < lo * (1.0 - SEGMENT_SLACK) or cand > hi * (1.0 + SEGMENT_SLACK):
+            continue
+        best = min(best, cand)
+    if not math.isfinite(best):
+        raise ArithmeticError("no feasible segment for the complexity radius")
+    return math.sqrt(best)
+
+
 def lower_radius_loop(s, rho: float, xi_norm: float, gamma: float) -> float:
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho!r}")

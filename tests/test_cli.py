@@ -18,12 +18,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ridgeless
+from conftest import HUGE_INT
 from ridgeless import cli, serialize
 from ridgeless.cli import main
 from ridgeless.experiments import ALL_CHECKS
 from ridgeless.serialize import format_float
 
 pytestmark = pytest.mark.usefixtures("clean_env")
+
+CHECK_NAMES = "certificate, estimation_bound, identity, lower_bound, or upper_bound"
 
 
 @pytest.fixture
@@ -88,8 +91,8 @@ def test_config_file_errors_are_exhaustive(tmp_path, capsys):
          "config constants: expected an object, got [1]"),
         (["--c-frac", "2"], {}, "constants: c_frac must be in (0, 1], got 2.0"),
         (["--snr-grid", "1:2"], {}, "--snr-grid takes LO:HI:N, got '1:2'"),
-        (["--config", "c.json"], {"c.json": {"schema": 1, "checks": ["nope"]}},
-         "unknown check 'nope'"),
+        (["--config", "c.json"], {"c.json": {"schema": 1, "checks": ["identity", "nope", "x"]}},
+         f"config checks entries must be {CHECK_NAMES}, got 'nope'"),
         (["--config", "c2.json"], {"c2.json": [1]}, "config file c2.json: expected a JSON object"),
         (["--config", "missing.json"], {},
          "config file: [Errno 2] No such file or directory: 'missing.json'"),
@@ -760,7 +763,8 @@ def test_n_beyond_a_float_is_refused_by_name(cmd, source, tmp_path, monkeypatch,
         argv = [cmd, "--flat", "5", "--config",
                 _write(tmp_path / "conf.json", json.dumps({"schema": 1, "n": n}))]
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: n must be at most {sys.float_info.max!r}, got {n}\n"
+    assert capsys.readouterr().err == (
+        f"error: n must be at most {sys.float_info.max!r}, got {HUGE_INT}\n")
     assert drawn == []
 
 
@@ -803,18 +807,19 @@ def test_missing_input_files_exit_1(tmp_path, capsys):
          "config beta_values[2]: expected a number, got 'x'"),
         ({"beta_values": {"values": [1]}},
          "config beta_values: expected a list of numbers, got an object"),
-        # integers beyond a float are named, and the other errors still reported
+        # integers beyond a float are named, never written out, and the other errors
+        # still reported
         ({"beta_norm": 10**400, "seed": "x"},
-         [f"config beta_norm: expected a number, got {10**400}",
+         [f"config beta_norm: expected a number, got {HUGE_INT}\n",
           "config seed: expected an integer, got 'x'"]),
         ({"spectrum": {"type": "flat", "p": 20, "value": 10**400}},
-         f"config spectrum value: expected a number, got {10**400}"),
+         f"config spectrum value: expected a number, got {HUGE_INT}\n"),
         ({"constants": {"c0": -10**400}},
-         f"config constants c0: expected a number, got {-10**400}"),
+         f"config constants c0: expected a number, got {HUGE_INT}\n"),
         ({"noise": {"type": "student", "df": 10**400, "scale": 1}},
-         f"config noise: df: expected a number, got {10**400}"),
+         f"config noise: df: expected a number, got {HUGE_INT}\n"),
         ({"spectrum": {"type": "flat", "p": 3}, "beta_values": [1, 10**400, 0]},
-         f"config beta_values[1]: expected a number, got {10**400}"),
+         f"config beta_values[1]: expected a number, got {HUGE_INT}\n"),
         ('"seed": 1' + "0" * 5000, "invalid JSON (Exceeds the limit (4300 digits)"),
     ],
     ids=["p-float", "p-bool", "seed-bool", "trials-bool", "c0-bool", "beta_norm-str",
@@ -1074,7 +1079,7 @@ def test_trial_count_beyond_memory_exits_1(argv, message, tmp_path):
 # --config alone, reproduces BASE.json and BASE.csv byte for byte
 
 
-def _rerun_inline_config(tmp_path):
+def _rerun_inline_config(tmp_path, cmd="simulate"):
     beta = _write(tmp_path / "beta.txt", "".join(f"{0.1 * i * (-1) ** i}\n" for i in range(20)))
     xi = _write(tmp_path / "xi.txt", "0.5 -0.25 1.0 2.0 -1.5\n")
     conf = _write(tmp_path / "base.json", json.dumps({
@@ -1083,7 +1088,7 @@ def _rerun_inline_config(tmp_path):
         "noise": {"type": "deterministic", "values": xi}, "n": 5, "trials": 10,
         "checks": ["identity", "upper_bound"], "constants": {"c0": 1.0},
     }))
-    return ["simulate", "--config", conf]
+    return [cmd, "--config", conf] + (["--snr-grid", "0.1:10:3"] if cmd == "scan" else [])
 
 
 def _rerun_argv(case, tmp_path):
@@ -1101,6 +1106,8 @@ def _rerun_argv(case, tmp_path):
                 "--noise", "student:3:1", "--beta-norm", "2", "--trials", "20"]
     if case == "inline-values":
         return _rerun_inline_config(tmp_path)
+    if case == "scan-inline-values":
+        return _rerun_inline_config(tmp_path, "scan")
     return ["scan", "--exp-floor", "300", "20", "1e-4", "--n", "100", "--c0", "0.2",
             "--noise", "gaussian:1", "--snr-grid", "1e-3:3:20", "--trials", "50"]
 
@@ -1108,13 +1115,18 @@ def _rerun_argv(case, tmp_path):
 @pytest.mark.parametrize(
     "case",
     ["readme-simulate", "three-level-worst-random", "file-student", "inline-values",
-     "readme-scan"],
+     "readme-scan", "scan-inline-values"],
 )
 def test_config_echo_reruns_exactly(case, tmp_path):
     argv = _rerun_argv(case, tmp_path)
     first, again = tmp_path / "first", tmp_path / "again"
     assert main(argv + ["-q", "--out", str(first), "--format", "both"]) == 0
     echo = read_json(str(first) + ".json")["config"]
+    # every top-level key the config file takes, beta_values only when the run has one (a
+    # scan rescales beta* at each point, so its echo holds none)
+    keys = {"schema", "spectrum", "n", "beta_norm", "beta_direction", "noise", "trials", "seed",
+            "constants", "checks", "rel_tol"} | ({"beta_values"} if case == "inline-values" else set())
+    assert set(echo) == keys and keys | {"beta_values"} == cli._CONFIG_KEYS
     conf = _write(tmp_path / "echo.json", json.dumps(echo))
     grid = argv[argv.index("--snr-grid"):][:2] if "--snr-grid" in argv else []
     assert main([argv[0], "--config", conf, *grid, "-q", "--out", str(again),
@@ -1316,12 +1328,26 @@ def test_run_settings_are_refused_before_any_trial(env, conf, message, tmp_path,
     assert drawn == [] and sorted(tmp_path.iterdir()) == [tmp_path / "conf.json"]
 
 
-@pytest.mark.parametrize("checks", [[["identity"]], [1, "identity"], {"identity": 1}])
-def test_config_checks_must_be_a_list_of_names(checks, tmp_path, capsys):
-    # an unhashable or non-string entry once escaped as a TypeError traceback
+@pytest.mark.parametrize("checks,message", [
+    ([["identity"]], f"config checks entries must be {CHECK_NAMES}, got a list"),
+    ([1, "identity"], f"config checks entries must be {CHECK_NAMES}, got 1"),
+    ({"identity": 1}, "config checks must be a list of names, got an object"),
+    ("identity", "config checks must be a list of names, got 'identity'"),
+], ids=["checks0", "checks1", "checks2", "checks-str"])
+def test_config_checks_must_be_a_list_of_names(checks, message, tmp_path, capsys):
+    # an unhashable or non-string entry once escaped as a TypeError traceback; each is
+    # worded by the choice rule that ExperimentConfig and every choice flag use
     conf = _write(tmp_path / "conf.json", json.dumps({"schema": 1, "checks": checks}))
     assert main(["simulate", "--flat", "5", "--n", "2", "--config", conf]) == 1
-    assert capsys.readouterr().err == "error: config checks: expected a list of check names\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_check_names_from_the_environment(monkeypatch, capsys):
+    # text is split at commas and spaces, then checked by the same rule
+    monkeypatch.setenv("RIDGELESS_CHECKS", "identity, vibes")
+    assert main(["simulate", "--flat", "5", "--n", "2", "--trials", "1"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: environment RIDGELESS_CHECKS entries must be {CHECK_NAMES}, got 'vibes'\n")
 
 
 def _run_unfiltered(argv):

@@ -83,9 +83,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match=f"^checks entries must be {names}, got 'vibes'$"):
         flat_config(checks=frozenset({"identity", "vibes"}))
     # a str is no collection of names: "" once ran no checks, "identity" named its letters
-    for bad in ("", "identity", None, {"identity": 1}):
-        message = f"^checks must be a list of names, got {re.escape(repr(bad))}$"
-        with pytest.raises(ValueError, match=message):
+    for bad, shown in (("", "''"), ("identity", "'identity'"), (None, "None"),
+                       ({"identity": 1}, "an object")):
+        with pytest.raises(ValueError, match=f"^checks must be a list of names, got {shown}$"):
             flat_config(checks=bad)
     assert flat_config(checks=[]).checks == frozenset()
     assert flat_config(checks=("identity",)).checks == {"identity"}
@@ -154,6 +154,23 @@ def test_resolve_beta_star_directions():
     assert np.array_equal(flat_config(beta_norm=2.0, beta_direction="top")._beta_star,
                           cfg._beta_star)
 
+
+
+@pytest.mark.parametrize("huge", [10**400, 10**5000], ids=["400-digits", "5000-digits"])
+def test_ints_beyond_a_float_are_shown_by_kind(huge):
+    # a refusal never writes the digits out: 10**400 once printed all 401 of them, and
+    # 10**5000 raised Python's "Exceeds the limit (4300 digits)", naming no parameter
+    most = re.escape(repr(sys.float_info.max))
+    cases = [
+        (lambda: make_flat_spectrum(huge), f"p must be at most {most}"),  # a count
+        (lambda: make_flat_spectrum(5, huge), "value must be a positive finite number"),
+        (lambda: flat_config(trials=huge), r"trials must be an integer in \[1, 4294967296\]"),
+        (lambda: flat_config(beta_norm=huge), "beta_norm must be a non-negative finite number"),
+        (lambda: snr_scan(flat_config(), [1.0, huge]), r"snr_grid\[1\]: expected a number"),
+    ]
+    for call, head in cases:
+        with pytest.raises(ValueError, match=f"^{head}, got an int beyond the float range$"):
+            call()
 
 # ---------------------------------------------------------------------------
 # single trials

@@ -176,13 +176,17 @@ def _choice_test(node) -> bool:
 
 
 def test_the_choice_rule_is_written_once():
-    # a name from a fixed tuple (beta_direction, a noise direction, a CLI choice) or a
-    # collection of them (checks) is checked in spectra._check_choice alone; cli.py is
-    # left out, as in the count rule, since its other membership tests look at JSON
-    # keys, paths and short-form parameters, but its choice rows call the same rule
-    sites = [(path.name, where) for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"
+    # a name from a fixed tuple (beta_direction, a noise direction, a CLI choice, a config
+    # object's type) or a collection of them (checks) is checked in spectra._check_choice
+    # alone.  cli.py's other membership tests are pinned by site: they look at a path
+    # (_output_base), short-form parameters (parse_noise_spec) and JSON keys (read_spec's
+    # "type" key and its missing keys), and its three choice sites call the rule
+    sites = [(path.name, where) for path in sorted(SRC.glob("*.py"))
              for where in _sites(ast.parse(path.read_text(encoding="utf-8")), _choice_test)]
-    assert sites == [("spectra.py", "_check_choice")]
-    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
-    value = next(node for node in cli.body if getattr(node, "name", None) == "_value")
-    assert _refers_to(value, "_check_choice") and not _sites(value, _choice_test)
+    assert sorted(sites) == [("cli.py", "_output_base"), ("cli.py", "parse_noise_spec"),
+                             ("cli.py", "read_spec"), ("cli.py", "read_spec"),
+                             ("spectra.py", "_check_choice")]
+    cli = {node.name: node for node in ast.parse((SRC / "cli.py").read_text(encoding="utf-8")).body
+           if isinstance(node, ast.FunctionDef)}
+    for name in ("_value", "_checks", "read_spec"):
+        assert _refers_to(cli[name], "_check_choice"), name

@@ -163,9 +163,9 @@ def test_parameter_validation():
                        (lambda v: StudentTNoise(df=v, scale=1.0), "df")):
         with pytest.raises(ValueError, match=f"^{name} must be a .* finite number, got True$"):
             make(True)
-    for bad in ("sideways", None, ["uniform"]):
+    for bad, shown in (("sideways", "'sideways'"), (None, "None"), (["uniform"], "a list")):
         with pytest.raises(ValueError, match=re.escape(
-                f"direction must be worst_singular, first_coordinate, or uniform, got {bad!r}")):
+                f"direction must be worst_singular, first_coordinate, or uniform, got {shown}")):
             ScaledDirectionNoise(target_norm=1.0, direction=bad)
     with pytest.raises(ValueError):
         DeterministicNoise(values=np.array([1.0, math.nan]))
@@ -241,7 +241,8 @@ def test_dict_round_trip(model):
 
 
 def test_from_dict_errors():
-    with pytest.raises(ValueError, match="type must be one of"):
+    kinds = "deterministic, gaussian, model_residual, scaled_direction, student, or zero"
+    with pytest.raises(ValueError, match=f"^type must be {kinds}, got 'pink'$"):
         noise_from_dict({"type": "pink"})
     with pytest.raises(ValueError, match=r"missing keys for type 'gaussian': \['sigma'\]"):
         noise_from_dict({"type": "gaussian"})

@@ -1,4 +1,4 @@
-"""The README's quick starts run as written."""
+"""The README's quick starts and research runs run as written."""
 
 import os
 import shlex
@@ -31,12 +31,26 @@ def test_python_quick_start_runs(capsys):
     assert (k_star, regime) == ("1", "HighSNR") and float(rho) > 0
 
 
-def _cli_lines() -> list:
-    lines = _block("Quick start (CLI)", "sh").replace("\\\n", " ").splitlines()
-    return [shlex.split(line) for line in lines if line.startswith("ridgeless ")]
+def _cli_lines(heading: str) -> list:
+    """The ridgeless calls of the section's sh block; one in a `for seed in A B ...` loop
+    runs at the loop's first seed."""
+    calls, seed = [], ""
+    for line in _block(heading, "sh").replace("\\\n", " ").splitlines():
+        line = line.strip()
+        if line.startswith("for seed in "):
+            seed = line.split()[3].rstrip(";")
+        elif line.startswith("ridgeless "):
+            calls.append(shlex.split(line.replace("$seed", seed)))
+    return calls
 
 
-@pytest.mark.parametrize("argv", _cli_lines(), ids=lambda argv: argv[1])
+@pytest.mark.parametrize("argv", _cli_lines("Quick start (CLI)"), ids=lambda argv: argv[1])
 def test_cli_quick_start_exits_0(argv, capsys):
+    assert main(argv[1:]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", _cli_lines("Research runs"), ids=lambda argv: argv[1])
+def test_research_runs_exit_0(argv, capsys):
     assert main(argv[1:]) == 0
     assert capsys.readouterr().err == ""

@@ -1,6 +1,7 @@
 """The whole-array forms of the O(p) spectrum paths against the scalar loops
 they replaced (kept verbatim in oracles.py), compared bit for bit, plus a
-call-count guard that fails as soon as a per-element loop comes back."""
+call-count guard that fails as soon as a per-element loop comes back.  The two
+radii share one segment search, so both are compared on the same drawn cases."""
 
 import math
 import warnings
@@ -14,6 +15,7 @@ import oracles
 from ridgeless import spectra
 from ridgeless.diagnostics import (
     Constants,
+    complexity_radius,
     diagnose,
     effective_rank_index,
     lower_radius,
@@ -81,15 +83,17 @@ def same_outcome(fn, oracle, *args) -> None:
         assert same_bits(got, want)
 
 
-def check_spectrum(s: Spectrum, n: int, c0: float, rho: float, xi: float, gamma: float):
+def check_spectrum(s: Spectrum, n: int, c0: float, rho: float, xi: float, gamma: float,
+                   eta: float = 0.05):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the loops never warned
-        _check_spectrum(s, n, c0, rho, xi, gamma)
+        _check_spectrum(s, n, c0, rho, xi, gamma, eta)
 
 
-def _check_spectrum(s, n, c0, rho, xi, gamma):
+def _check_spectrum(s, n, c0, rho, xi, gamma, eta):
     assert same_bits(s._tails, oracles.suffix_sums_loop(s.values))
     same_outcome(effective_rank_index, oracles.effective_rank_index_loop, s, n, c0)
+    same_outcome(complexity_radius, oracles.complexity_radius_loop, s, n, eta)
     same_outcome(lower_radius, oracles.lower_radius_loop, s, rho, xi, gamma)
     for k_star in sorted({1, (s.p + 1) // 2, s.p}):
         same_outcome(tail_halving_index, oracles.tail_halving_index_loop, s, k_star, gamma)
@@ -101,6 +105,8 @@ def test_vectorised_paths_equal_the_loops(name):
     for n, c0 in ((1, 0.5), (100, 0.2), (100, 10.0), (100, 1e5)):
         for rho, xi, gamma in ((1.0, 1.0, 0.5), (0.3, 10.0, 0.05), (2.0, 0.01, 2.0)):
             check_spectrum(s, n, c0, rho, xi, gamma)
+        for eta in (0.1, 2.0):  # eta n integral at n = 100, and above p on the small spectra
+            same_outcome(complexity_radius, oracles.complexity_radius_loop, s, n, eta)
 
 
 @pytest.mark.parametrize("name", sorted(SPECTRA))
@@ -153,6 +159,32 @@ spectrum_values = st.lists(
 )
 def test_vectorised_paths_equal_the_loops_on_drawn_spectra(vals, n, c0, rho, xi, gamma):
     check_spectrum(Spectrum(vals), n, c0, rho, xi, gamma)
+
+
+# Few distinct levels, so eigenvalues repeat and candidates land on segment ends; zeros
+# give zero tails.  eta * n is integral for many of the drawn pairs, and at or above p
+# (r* = 0) for the larger ones.
+plateau_values = st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.0, 4.0]), min_size=1,
+                          max_size=40).map(lambda v: np.sort(v)[::-1].copy()).filter(
+                              lambda v: v[0] > 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    plateau_values,
+    st.integers(1, 60),
+    st.one_of(st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0, 2.0]), st.floats(1e-3, 4.0)),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.one_of(st.sampled_from([0.5, 1.0, 2.0, 4.0]), st.floats(1e-3, 1e2)),
+    st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+)
+def test_both_radii_equal_their_loops_at_segment_ends(vals, n, eta, rho, xi, gamma):
+    s = Spectrum(vals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        same_outcome(complexity_radius, oracles.complexity_radius_loop, s, n, eta)
+        same_outcome(lower_radius, oracles.lower_radius_loop, s, rho, xi, gamma)
+
 
 
 # ---------------------------------------------------------------------------
