@@ -11,8 +11,9 @@ its one-config case.  The summary sorts each metric once for all
 configs and reads the quantiles off the sorted rows.  Serial and
 pooled runs share one trial loop, in which the calling thread is a
 worker and any others are plain helper threads.  The true coefficient
-vector is fixed across a run; when its direction is random it is
-drawn once from a dedicated stream (index 2^32, above any trial index).
+vector is fixed across a run, a scale times a unit direction that all of
+a scan's configs share; a random direction is drawn once from a
+dedicated stream (index 2^32, above any trial index).
 
 Per-trial checks use the trial's own realized noise norm; the run-level
 diagnostics use the median realized noise norm across trials (for
@@ -99,13 +100,24 @@ _MAX_BINS = 10**6
 _DIRECTIONS = ("e1", "random", "top")
 
 
+@functools.lru_cache(maxsize=1)  # the one direction of a run, or of a scan's every point
+def _unit_direction(seed: int, p: int, direction: str) -> np.ndarray:
+    """beta*'s unit direction, read-only: a Gaussian draw from the seed's own stream,
+    normalised, else e1, which is also top: Sigma = diag(spectrum) is non-increasing."""
+    g = trial_rng(seed, _BETA_STREAM).standard_normal(p) if direction == "random" else (
+        np.eye(1, p)[0])
+    unit = g / np.linalg.norm(g)
+    unit.setflags(write=False)
+    return unit
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Everything needed to reproduce a run bit-for-bit.
 
     __post_init__ also derives, once, the private run state that every trial
-    reads: beta*, its norm, k* and r_{k*} (None when k* is infinite).  No
-    caller sets it.
+    reads: beta* as a (scale, vector) pair whose product it is, its norm, k*
+    and r_{k*} (None when k* is infinite).  No caller sets it.
     """
 
     covariance: CovarianceModel
@@ -119,7 +131,7 @@ class ExperimentConfig:
     beta_values: np.ndarray | None = None  # explicit vector; overrides norm + direction
     checks: frozenset = ALL_CHECKS
     rel_tol: float = 1e-10
-    _beta_star: np.ndarray = field(init=False, repr=False)
+    _beta: tuple = field(init=False, repr=False)  # (scale, unit direction or beta_values)
     _beta_norm: float = field(init=False, repr=False)
     _k_star: int | float = field(init=False, repr=False)
     _r_kstar: float | None = field(init=False, repr=False)
@@ -151,24 +163,16 @@ class ExperimentConfig:
             raise ValueError(f"{self.noise_model.type_name} noise is too large: "
                              f"E||xi||^2 at n={self.n} overflows")
         _check_rank(self.covariance.spectrum, self.n)
-        # beta*, fixed across all trials: beta_values, else beta_norm times a unit direction.
-        # Norms are BLAS dots, threaded at large sizes, so they run at the trials' one thread.
+        # beta* = beta_norm * the shared unit direction, or 1.0 * beta_values.  Its norm is a
+        # BLAS dot, threaded at large sizes, so it runs at the trials' one thread.
         with _trial_runtime, np.errstate(over="ignore"):  # an overflow is refused just below
-            if self.beta_values is not None:
-                beta_star = np.array(self.beta_values)
-            else:
-                if self.beta_direction == "random":
-                    g = trial_rng(self.seed, _BETA_STREAM).standard_normal(p)
-                    direction = g / np.linalg.norm(g)
-                else:  # e1, which is also top: Sigma = diag(spectrum) is non-increasing
-                    direction = np.zeros(p)
-                    direction[0] = 1.0
-                beta_star = self.beta_norm * direction
-            beta_norm = float(np.linalg.norm(beta_star))
+            beta = ((1.0, self.beta_values) if self.beta_values is not None else
+                    (self.beta_norm, _unit_direction(self.seed, p, self.beta_direction)))
+            beta_norm = float(np.linalg.norm(np.multiply(*beta)))
         if not math.isfinite(beta_norm):
             raise ValueError("beta_norm or beta_values is too large: the norm of beta* overflows")
         k_star = effective_rank_index(self.covariance.spectrum, self.n, self.constants.c0)
-        object.__setattr__(self, "_beta_star", beta_star)
+        object.__setattr__(self, "_beta", beta)
         object.__setattr__(self, "_beta_norm", beta_norm)
         object.__setattr__(self, "_k_star", k_star)
         object.__setattr__(self, "_r_kstar", None if math.isinf(k_star)
@@ -224,7 +228,7 @@ def run_trial(configs: list[ExperimentConfig], trial_index: int) -> list[TrialRe
     first = configs[0]
     rng = trial_rng(first.seed, trial_index)
     design = sample_design(first.covariance.spectrum, first.n, rng)
-    xi = first.noise_model.realize(design, first._beta_star, rng)
+    xi = first.noise_model.realize(design, np.multiply(*first._beta), rng)
     step = max(1, first.n // 4)
     return [rec for j in range(0, len(configs), step)
             for rec in _evaluate(configs[j : j + step], trial_index, design, xi)]
@@ -239,7 +243,9 @@ def _evaluate(configs, trial_index, design, xi) -> list[TrialRecord]:
     """Fit one drawn trial at every config's beta* at once and compute all metrics; row j
     of each stack belongs to configs[j], with the bits of a fit at it alone (design._gemv)."""
     first, n = configs[0], configs[0].n
-    betas = np.array([c._beta_star for c in configs])
+    betas = np.empty((len(configs), first.covariance.spectrum.p))
+    for c, row in zip(configs, betas):  # beta* = scale * vector, straight into its row
+        np.multiply(*c._beta, out=row)
     y = _gemv(design.entries, betas) + xi
     delta = min_norm_fit(design, y, first.rel_tol)
     delta -= betas
@@ -567,11 +573,14 @@ def snr_scan(
     point.  A failing trial raises ExperimentError with the first grid
     point's completed records, as run_experiment would at that point.  An
     infinite effective-rank index raises InfiniteIndexError before any
-    other check.
+    other check; a config with beta_values is refused next.
     """
     if math.isinf(base_config._k_star):
         raise InfiniteIndexError("effective-rank index is infinite for this spectrum and c0; "
                                  "the scan's regime split is undefined")
+    if base_config.beta_values is not None:
+        raise ValueError("a scan takes no beta_values: it sets the norm of beta* along "
+                         "beta_direction")
     _check_count("threads", threads)  # before a config per grid point is built
     _check_entries("snr_grid", snr_grid, 1)
     grid = [float(t) for t in snr_grid]
@@ -594,8 +603,7 @@ def snr_scan(
 
     r_cn = _r_cn(base_config.covariance.spectrum, base_config.n, base_config.constants)
 
-    configs = [replace(base_config, beta_norm=math.sqrt(target * noise_norm_sq), beta_values=None)
-               for target in grid]
+    configs = [replace(base_config, beta_norm=math.sqrt(target * noise_norm_sq)) for target in grid]
     return [ScanPoint(snr_target=target, beta_norm=result.config.beta_norm,
                       regime=result.diagnostics.regime,
                       snr_threshold=result.diagnostics.snr_threshold,

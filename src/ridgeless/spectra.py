@@ -95,10 +95,13 @@ def _check_choice(name: str, value, choices: tuple | list, many: bool = False) -
 
 def _brief(value) -> str:
     """How a refusal shows a value: its repr, or its kind for a list, an object or an int
-    beyond the float range, whose repr could be huge (or, past 4300 digits, refused)."""
+    beyond the float range, whose repr could be huge (or, past 4300 digits, refused).  A
+    repr of more than 60 characters is cut to 40, then its length (the value's, if any)."""
     if isinstance(value, int) and abs(value) > sys.float_info.max:
         return "an int beyond the float range"
-    return {list: "a list", dict: "an object"}.get(type(value)) or repr(value)
+    shown = {list: "a list", dict: "an object"}.get(type(value)) or repr(value)
+    return shown if len(shown) <= 60 else (
+        f"{shown[:40]}… (length {len(value) if hasattr(value, '__len__') else len(shown)})")
 
 
 def _check_entries(name: str, value, depth: int) -> None:

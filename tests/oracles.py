@@ -253,3 +253,19 @@ def parse_numbers_loop(text: str, what: str) -> np.ndarray:
     if not entries:
         raise ValueError(f"empty {what} input")
     return np.array(entries)
+
+
+def beta_star(seed: int, p: int, beta_norm: float, direction: str, values=None) -> np.ndarray:
+    """beta* as one config derived it for itself: a copy of `values`, else beta_norm times a
+    unit direction, a normalised Gaussian draw from stream 2^32 of the seed for "random",
+    e1 otherwise (top is e1: the spectrum is non-increasing)."""
+    if values is not None:
+        return np.array(values, dtype=float)
+    if direction == "random":
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(2**32,))
+        g = np.random.Generator(np.random.PCG64(ss)).standard_normal(p)
+        unit = g / np.linalg.norm(g)
+    else:
+        unit = np.zeros(p)
+        unit[0] = 1.0
+    return beta_norm * unit

@@ -977,11 +977,14 @@ EVERY_ERROR = pytest.mark.parametrize(
          ["--trials: expected an integer, got '1.5'", "--bins: expected an integer, got 'b'",
           NO_SPECTRUM]),
         (["spectrum", "--flat", "x"], ["--flat P: expected an integer, got 'x'"]),
+        # a long token is cut to 40 characters of its repr and its length, not shown whole
+        (["spectrum", "--flat", "1" + "0" * 5000],
+         [f"--flat P: expected an integer, got '1{'0' * 38}… (length 5001)"]),
         (["simulate", "--flat", "10", "--n", "5", "--beta-direction", "up", "--trials", "x"],
          ["--beta-direction must be e1, random, or top, got 'up'",
           "--trials: expected an integer, got 'x'"]),
     ],
-    ids=["diagnose", "certify", "spectrum", "simulate"],
+    ids=["diagnose", "certify", "spectrum", "spectrum-long-token", "simulate"],
 )
 
 
@@ -1079,16 +1082,19 @@ def test_trial_count_beyond_memory_exits_1(argv, message, tmp_path):
 # --config alone, reproduces BASE.json and BASE.csv byte for byte
 
 
-def _rerun_inline_config(tmp_path, cmd="simulate"):
-    beta = _write(tmp_path / "beta.txt", "".join(f"{0.1 * i * (-1) ** i}\n" for i in range(20)))
+def _rerun_inline_config(tmp_path, cmd="simulate", beta=True):
+    """A config file with a deterministic noise vector and, with `beta`, beta_values."""
     xi = _write(tmp_path / "xi.txt", "0.5 -0.25 1.0 2.0 -1.5\n")
-    conf = _write(tmp_path / "base.json", json.dumps({
+    conf = {
         "schema": 1, "spectrum": {"type": "values", "values": [3.0] * 5 + [1.0] * 15},
-        "beta_values": beta,
         "noise": {"type": "deterministic", "values": xi}, "n": 5, "trials": 10,
         "checks": ["identity", "upper_bound"], "constants": {"c0": 1.0},
-    }))
-    return [cmd, "--config", conf] + (["--snr-grid", "0.1:10:3"] if cmd == "scan" else [])
+    }
+    if beta:
+        conf["beta_values"] = _write(tmp_path / "beta.txt",
+                                     "".join(f"{0.1 * i * (-1) ** i}\n" for i in range(20)))
+    path = _write(tmp_path / f"base-{cmd}-{beta}.json", json.dumps(conf))
+    return [cmd, "--config", path] + (["--snr-grid", "0.1:10:3"] if cmd == "scan" else [])
 
 
 def _rerun_argv(case, tmp_path):
@@ -1106,8 +1112,8 @@ def _rerun_argv(case, tmp_path):
                 "--noise", "student:3:1", "--beta-norm", "2", "--trials", "20"]
     if case == "inline-values":
         return _rerun_inline_config(tmp_path)
-    if case == "scan-inline-values":
-        return _rerun_inline_config(tmp_path, "scan")
+    if case == "scan-inline-values":  # a scan takes no beta_values
+        return _rerun_inline_config(tmp_path, "scan", beta=False)
     return ["scan", "--exp-floor", "300", "20", "1e-4", "--n", "100", "--c0", "0.2",
             "--noise", "gaussian:1", "--snr-grid", "1e-3:3:20", "--trials", "50"]
 
@@ -1117,13 +1123,13 @@ def _rerun_argv(case, tmp_path):
     ["readme-simulate", "three-level-worst-random", "file-student", "inline-values",
      "readme-scan", "scan-inline-values"],
 )
-def test_config_echo_reruns_exactly(case, tmp_path):
+def test_config_echo_reruns_exactly(case, tmp_path, capsys):
     argv = _rerun_argv(case, tmp_path)
     first, again = tmp_path / "first", tmp_path / "again"
     assert main(argv + ["-q", "--out", str(first), "--format", "both"]) == 0
     echo = read_json(str(first) + ".json")["config"]
     # every top-level key the config file takes, beta_values only when the run has one (a
-    # scan rescales beta* at each point, so its echo holds none)
+    # scan sets beta*'s norm at each point and refuses it)
     keys = {"schema", "spectrum", "n", "beta_norm", "beta_direction", "noise", "trials", "seed",
             "constants", "checks", "rel_tol"} | ({"beta_values"} if case == "inline-values" else set())
     assert set(echo) == keys and keys | {"beta_values"} == cli._CONFIG_KEYS
@@ -1134,6 +1140,11 @@ def test_config_echo_reruns_exactly(case, tmp_path):
     for suffix in (".json", ".csv"):
         assert (tmp_path / f"again{suffix}").read_bytes() == (
             tmp_path / f"first{suffix}").read_bytes()
+    if case == "scan-inline-values":
+        refused = _rerun_inline_config(tmp_path, "scan")  # the same file with beta_values
+        assert main(refused + ["-q", "--out", str(tmp_path / "refused")]) == 1
+        _one_error(capsys, "error: a scan takes no beta_values: it sets the norm of beta* along "
+                           "beta_direction\n")
 
 
 # ---------------------------------------------------------------------------

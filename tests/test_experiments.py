@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import types
 from dataclasses import replace
 
@@ -142,18 +143,40 @@ def test_config_refuses_magnitudes_whose_squares_overflow():
 
 def test_resolve_beta_star_directions():
     cfg = flat_config(beta_norm=2.0)
-    assert np.array_equal(cfg._beta_star[:2], [2.0, 0.0])
-    rand = flat_config(beta_norm=2.0, beta_direction="random")._beta_star
-    assert np.linalg.norm(rand) == pytest.approx(2.0, rel=1e-12)
-    assert np.array_equal(
-        rand, flat_config(beta_norm=2.0, beta_direction="random")._beta_star
-    )
-    explicit = flat_config(beta_values=np.arange(50.0))._beta_star
-    assert np.array_equal(explicit, np.arange(50.0))
+    assert np.array_equal(np.multiply(*cfg._beta)[:2], [2.0, 0.0])
+    rand = flat_config(beta_norm=2.0, beta_direction="random")._beta
+    assert np.linalg.norm(np.multiply(*rand)) == pytest.approx(2.0, rel=1e-12)
+    # the next config of that seed and p shares the read-only direction; none keeps a copy
+    again = flat_config(beta_norm=3.0, beta_direction="random")._beta
+    assert again[1] is rand[1] and not rand[1].flags.writeable and rand[0] == 2.0
+    explicit = flat_config(beta_values=np.arange(50.0))._beta
+    assert explicit[0] == 1.0 and np.array_equal(explicit[1], np.arange(50.0))
     # the top eigenvalue's direction of a diagonal, non-increasing Sigma is e1
-    assert np.array_equal(flat_config(beta_norm=2.0, beta_direction="top")._beta_star,
-                          cfg._beta_star)
+    assert np.array_equal(np.multiply(*flat_config(beta_norm=2.0, beta_direction="top")._beta),
+                          np.multiply(*cfg._beta))
 
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.integers(1, 300),
+    seed=st.integers(0, 2**64 - 1),
+    beta_norm=st.sampled_from([0, 0.0, 1.0, 1e150, 2.5]),
+    direction=st.sampled_from(["e1", "top", "random", "values"]),
+    data=st.data(),
+)
+def test_beta_star_equals_the_inline_derivation(p, seed, beta_norm, direction, data):
+    # scale * vector and the config's norm have the bits of beta* as each config once
+    # derived it for itself, and of the norm of that vector
+    values = None
+    if direction == "values":
+        values = data.draw(st.lists(st.floats(-1e150, 1e150), min_size=p, max_size=p))
+    cfg = ExperimentConfig(
+        covariance=CovarianceModel(make_flat_spectrum(p, 1.0)), n=1, noise_model=ZeroNoise(),
+        trials=1, seed=seed, beta_norm=beta_norm,
+        beta_direction="e1" if direction == "values" else direction, beta_values=values)
+    expected = oracles.beta_star(seed, p, beta_norm, direction, values)
+    assert same_floats(np.multiply(*cfg._beta), expected)
+    assert cfg._beta_norm.hex() == float(np.linalg.norm(expected)).hex()
 
 
 @pytest.mark.parametrize("huge", [10**400, 10**5000], ids=["400-digits", "5000-digits"])
@@ -537,11 +560,28 @@ def test_snr_scan_rejections(monkeypatch):
 
 
 def test_snr_scan_overrides_explicit_beta():
-    # beta_values would pin the norm; the scan must rescale instead
-    cfg = flat_config(beta_values=np.ones(50))
-    points = snr_scan(cfg, [4.0])
-    assert points[0].beta_norm == pytest.approx(math.sqrt(20.0), rel=1e-12)
-    assert points[0].result.config.beta_values is None
+    # a scan sets beta*'s norm along beta_direction, so it refuses a pinned beta* rather
+    # than dropping it
+    with pytest.raises(ValueError, match="^a scan takes no beta_values: it sets the norm of "
+                                         "beta\\* along beta_direction$"):
+        snr_scan(flat_config(beta_values=np.ones(50)), [4.0])
+
+
+def test_a_scan_shares_one_direction_across_its_points():
+    # 100 grid points at p = 2e4: a beta* p-vector kept by each point's config would add
+    # 8p bytes a point (16 MB) to a traced peak of about 7 MB
+    cfg = ExperimentConfig(covariance=CovarianceModel(make_flat_spectrum(20_000, 1.0)), n=20,
+                           noise_model=GaussianNoise(sigma=1.0), trials=1, seed=0,
+                           beta_direction="random")
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        points = snr_scan(cfg, np.geomspace(1e-3, 1e3, 100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+    assert {id(pt.result.config._beta[1]) for pt in points} == {id(cfg._beta[1])}
 
 
 # Each case overrides flat_config; the noises run on the flat 50/5 design.
