@@ -21,6 +21,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -140,6 +141,9 @@ def strict_value(kind, value, what: str, text: bool = False):
             return kind(value)
     except (KeyError, TypeError, ValueError, OverflowError):  # OverflowError: an int beyond a float
         pass
+    if text and kind is int and re.fullmatch(r"\s*[+-]?[1-9](_?[0-9])*\s*", value):
+        raise _CliError(  # int() refuses an integer token of more than 4300 digits
+            f"{what} must be within the float range, got an int beyond the float range")
     raise _CliError(f"{what}: expected {_EXPECTED[kind]}, got {_brief(value)}")
 
 

@@ -116,8 +116,9 @@ class ExperimentConfig:
     """Everything needed to reproduce a run bit-for-bit.
 
     __post_init__ also derives, once, the private run state that every trial
-    reads: beta* as a (scale, vector) pair whose product it is, its norm, k*
-    and r_{k*} (None when k* is infinite).  No caller sets it.
+    reads: beta* as a (scale, vector) pair whose product it is, its norm, k*,
+    r_{k*} (None when k* is infinite) and the enabled checks the run skips,
+    each with its reason (_skipped).  No caller sets it.
     """
 
     covariance: CovarianceModel
@@ -135,6 +136,7 @@ class ExperimentConfig:
     _beta_norm: float = field(init=False, repr=False)
     _k_star: int | float = field(init=False, repr=False)
     _r_kstar: float | None = field(init=False, repr=False)
+    _skipped: dict = field(init=False, repr=False)  # check -> why its hypothesis fails
 
     def __post_init__(self):
         _check_count("n", self.n)
@@ -177,6 +179,18 @@ class ExperimentConfig:
         object.__setattr__(self, "_k_star", k_star)
         object.__setattr__(self, "_r_kstar", None if math.isinf(k_star)
                            else self.covariance.spectrum.tail_sum(k_star))
+        # Every bound needs a finite k*; the lower bound also needs noise independent of X.
+        bounds = (CHECK_CERTIFICATE, CHECK_ESTIMATION, CHECK_UPPER, CHECK_LOWER)
+        skipped = {c: "skipped: effective-rank index is infinite"
+                   for c in bounds if c in self.checks and math.isinf(k_star)}
+        if CHECK_LOWER in self.checks and not self.noise_model.design_independent:
+            skipped[CHECK_LOWER] = ("skipped: hypothesis violated (noise depends on the design, "
+                                    "so rows conditionally on the noise are not i.i.d. Gaussian)")
+        object.__setattr__(self, "_skipped", skipped)
+
+    def _runs(self, check: str) -> bool:
+        """Whether the run makes `check`: enabled, and not skipped."""
+        return check in self.checks and check not in self._skipped
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,7 +198,7 @@ class TrialRecord:
     """Realized quantities and check outcomes for one trial.
 
     certificate_pass and est_bound_pass are None when the corresponding
-    check is disabled or undefined (infinite effective-rank index).
+    check does not run: disabled, or skipped (see ExperimentConfig._skipped).
     """
 
     trial_index: int
@@ -263,17 +277,14 @@ def _evaluate(configs, trial_index, design, xi) -> list[TrialRecord]:
         scale = max(xi_norm_sq, y_sq, 1e-30) / n
         identity_residual = abs(pred + deviation - xi_norm_sq / n) / scale
 
-        certificate_pass = None
-        est_bound_pass = None
-        if config._r_kstar is not None:
-            sqrt_rk = math.sqrt(config._r_kstar)
-            if CHECK_CERTIFICATE in config.checks:
-                certificate_pass = bool(sigma_min >= _CERT_FACTOR * sqrt_rk)
-            if CHECK_ESTIMATION in config.checks:
-                rho_realized = _rho(config._beta_norm, math.sqrt(xi_norm_sq), config._r_kstar)
-                est_bound_pass = bool(
-                    math.sqrt(est) <= rho_realized * (1.0 + _BOUND_SLACK) + _BOUND_SLACK
-                )
+        certificate_pass = est_bound_pass = None
+        if config._runs(CHECK_CERTIFICATE):
+            certificate_pass = bool(sigma_min >= _CERT_FACTOR * math.sqrt(config._r_kstar))
+        if config._runs(CHECK_ESTIMATION):
+            rho_realized = _rho(config._beta_norm, math.sqrt(xi_norm_sq), config._r_kstar)
+            est_bound_pass = bool(
+                math.sqrt(est) <= rho_realized * (1.0 + _BOUND_SLACK) + _BOUND_SLACK
+            )
 
         records.append(TrialRecord(
             trial_index=trial_index,
@@ -514,35 +525,16 @@ def _summarize(configs: list[ExperimentConfig], runs: list[tuple]) -> list[Exper
         aggregates = {m: by_metric[m][j] for m in _METRICS}
         diag = diagnose(config.covariance.spectrum, config.n, config._beta_norm, xi_median,
                         config.constants)
-
-        skipped: dict = {}
-        if math.isinf(config._k_star):
-            reason = "effective-rank index is infinite"
-            for check in (CHECK_CERTIFICATE, CHECK_ESTIMATION, CHECK_UPPER, CHECK_LOWER):
-                if check in config.checks:
-                    skipped[check] = f"skipped: {reason}"
-        if CHECK_LOWER in config.checks and not config.noise_model.design_independent:
-            skipped[CHECK_LOWER] = (
-                "skipped: hypothesis violated (noise depends on the design, so rows "
-                "conditionally on the noise are not i.i.d. Gaussian)"
-            )
-
-        median_pred = aggregates["pred_error"]["median"]
-        upper_ratio = lower_ratio = None
-        if CHECK_UPPER in config.checks and CHECK_UPPER not in skipped:
-            if diag.upper_bound is not None and diag.upper_bound > 0:
-                upper_ratio = median_pred / diag.upper_bound
-        if CHECK_LOWER in config.checks and CHECK_LOWER not in skipped:
-            if diag.lower_bound is not None and diag.lower_bound > 0:
-                lower_ratio = median_pred / diag.lower_bound
-        rates = {
-            "certificate_pass_rate": _pass_rate([r.certificate_pass for r in records]),
-            "est_bound_pass_rate": _pass_rate([r.est_bound_pass for r in records]),
-            "upper_ratio": upper_ratio,
-            "lower_ratio": lower_ratio,
-        }
+        rates = {"certificate_pass_rate": _pass_rate([r.certificate_pass for r in records]),
+                 "est_bound_pass_rate": _pass_rate([r.est_bound_pass for r in records])}
+        # A bound is None only at an infinite k*, where its check is skipped.
+        for name, check, bound in (("upper_ratio", CHECK_UPPER, diag.upper_bound),
+                                   ("lower_ratio", CHECK_LOWER, diag.lower_bound)):
+            rates[name] = (aggregates["pred_error"]["median"] / bound
+                           if config._runs(check) and bound > 0 else None)
         results.append(ExperimentResult(config=config, diagnostics=diag, records=records,
-                                        aggregates=aggregates, rates=rates, skipped=skipped))
+                                        aggregates=aggregates, rates=rates,
+                                        skipped=dict(config._skipped)))
     return results
 
 

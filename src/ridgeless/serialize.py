@@ -33,11 +33,7 @@ __all__ = ["format_float", "format_floats", "json_pieces", "csv_line", "write_te
 
 
 def format_float(x: float) -> str:
-    """17-significant-digit rendering; 'inf'/'-inf'/'nan' for non-finite."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
+    """17-significant-digit rendering, as "%.17g": 'inf'/'-inf'/'nan' for non-finite."""
     return format(x, ".17g")
 
 

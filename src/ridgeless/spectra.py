@@ -100,8 +100,9 @@ def _brief(value) -> str:
     if isinstance(value, int) and abs(value) > sys.float_info.max:
         return "an int beyond the float range"
     shown = {list: "a list", dict: "an object"}.get(type(value)) or repr(value)
+    sized = hasattr(value, "__len__") and getattr(value, "ndim", 1)  # a 0-d array has no len()
     return shown if len(shown) <= 60 else (
-        f"{shown[:40]}… (length {len(value) if hasattr(value, '__len__') else len(shown)})")
+        f"{shown[:40]}… (length {len(value if sized else shown)})")
 
 
 def _check_entries(name: str, value, depth: int) -> None:

@@ -269,3 +269,47 @@ def beta_star(seed: int, p: int, beta_norm: float, direction: str, values=None) 
         unit = np.zeros(p)
         unit[0] = 1.0
     return beta_norm * unit
+
+
+def skip_rule(checks, k_star, design_independent: bool, median_pred: float, upper_bound,
+              lower_bound):
+    """(skipped, upper_ratio, lower_ratio) of a run: its enabled checks skipped for a failed
+    hypothesis, with their reasons in report order, and median pred_error over each bound
+    whose check runs, as the run summary once wrote them, inline, per config."""
+    skipped: dict = {}
+    if math.isinf(k_star):
+        reason = "effective-rank index is infinite"
+        for check in ("certificate", "estimation_bound", "upper_bound", "lower_bound"):
+            if check in checks:
+                skipped[check] = f"skipped: {reason}"
+    if "lower_bound" in checks and not design_independent:
+        skipped["lower_bound"] = (
+            "skipped: hypothesis violated (noise depends on the design, so rows "
+            "conditionally on the noise are not i.i.d. Gaussian)"
+        )
+
+    upper_ratio = lower_ratio = None
+    if "upper_bound" in checks and "upper_bound" not in skipped:
+        if upper_bound is not None and upper_bound > 0:
+            upper_ratio = median_pred / upper_bound
+    if "lower_bound" in checks and "lower_bound" not in skipped:
+        if lower_bound is not None and lower_bound > 0:
+            lower_ratio = median_pred / lower_bound
+    return skipped, upper_ratio, lower_ratio
+
+
+def trial_checks(checks, r_kstar, sigma_min: float, est: float, beta_norm: float,
+                 xi_norm_sq: float):
+    """(certificate_pass, est_bound_pass) of one trial, None for a check that does not run:
+    sigma_min >= sqrt(r_kstar) / 4, and ||beta_hat - beta*|| <= rho at the trial's own noise
+    norm, up to float slack."""
+    certificate_pass = None
+    est_bound_pass = None
+    if r_kstar is not None:
+        sqrt_rk = math.sqrt(r_kstar)
+        if "certificate" in checks:
+            certificate_pass = bool(sigma_min >= 0.25 * sqrt_rk)
+        if "estimation_bound" in checks:
+            rho_realized = beta_norm + 4.0 * math.sqrt(xi_norm_sq) / math.sqrt(r_kstar)
+            est_bound_pass = bool(math.sqrt(est) <= rho_realized * (1.0 + 1e-12) + 1e-12)
+    return certificate_pass, est_bound_pass

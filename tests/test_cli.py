@@ -923,6 +923,39 @@ def test_out_that_names_no_file_is_refused(argv, out, tmp_path, monkeypatch, cap
     assert drawn == [] and [p.name for p in tmp_path.rglob("*")] == ["sub"]
 
 
+def _array_conf(path: str) -> str:
+    return json.dumps({"schema": 1, "spectrum": {"type": "flat", "p": 3}, "n": 2, "trials": 1,
+                       "beta_values": path})
+
+
+@pytest.mark.parametrize(
+    "argv,env,files,message",
+    [
+        (["diagnose", "--flat", "10", "2", "3", "--n", "2"], {}, {}, "--flat takes P [V]"),
+        (["diagnose", "--n", "2"], {"RIDGELESS_EXP_FLOOR": "300 20"}, {},
+         "--exp-floor takes P TAU EPS"),
+        (["simulate", "--config", "conf.json"], {}, {"conf.json": _array_conf("nope.txt")},
+         "config beta_values: [Errno 2] No such file or directory: 'nope.txt'"),
+        (["simulate", "--config", "conf.json"], {},
+         {"conf.json": _array_conf("beta.txt"), "beta.txt": "1 2 x\n"},
+         "config beta_values: cannot parse vector entry 'x'"),
+    ],
+    ids=["flat-token-count", "exp-floor-env-token-count", "config-array-missing-file",
+         "config-array-bad-entry"],
+)
+def test_token_counts_and_config_array_files_are_refused(argv, env, files, message, tmp_path,
+                                                          monkeypatch, capsys):
+    # a short form with too many or too few tokens, and a config array file that cannot be
+    # read or parsed, are each the whole of stderr
+    monkeypatch.chdir(tmp_path)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    for name, text in files.items():
+        _write(tmp_path / name, text)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("count", [10**4 + 1, 10**23])
 def test_snr_grid_count_is_capped_before_any_grid_or_config(count, monkeypatch, capsys):
     # N = 10^23 once failed in numpy with "Maximum allowed size exceeded", naming no option
@@ -977,14 +1010,18 @@ EVERY_ERROR = pytest.mark.parametrize(
          ["--trials: expected an integer, got '1.5'", "--bins: expected an integer, got 'b'",
           NO_SPECTRUM]),
         (["spectrum", "--flat", "x"], ["--flat P: expected an integer, got 'x'"]),
-        # a long token is cut to 40 characters of its repr and its length, not shown whole
+        # an integer token past int()'s 4300 digits is an integer, too large, not malformed
         (["spectrum", "--flat", "1" + "0" * 5000],
+         ["--flat P must be within the float range, got an int beyond the float range"]),
+        # a long malformed token is cut to 40 characters of its repr and its length
+        (["spectrum", "--flat", "1" + "0" * 2500 + "x" + "0" * 2499],
          [f"--flat P: expected an integer, got '1{'0' * 38}… (length 5001)"]),
         (["simulate", "--flat", "10", "--n", "5", "--beta-direction", "up", "--trials", "x"],
          ["--beta-direction must be e1, random, or top, got 'up'",
           "--trials: expected an integer, got 'x'"]),
     ],
-    ids=["diagnose", "certify", "spectrum", "spectrum-long-token", "simulate"],
+    ids=["diagnose", "certify", "spectrum", "spectrum-long-token", "spectrum-long-malformed-token",
+         "simulate"],
 )
 
 

@@ -431,6 +431,37 @@ def test_run_experiment_infinite_index_skips_bound_checks():
     assert all(r.identity_residual <= IDENTITY_TOL for r in result.records)
 
 
+_SKIP_NOISE = {  # noise model and whether it is drawn independently of the design
+    "zero": (ZeroNoise(), True),
+    "gaussian": (GaussianNoise(sigma=1.0), True),
+    "worst": (ScaledDirectionNoise(target_norm=1.0), False),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(checks=st.frozensets(st.sampled_from(sorted(ALL_CHECKS))), finite=st.booleans(),
+       noise=st.sampled_from(sorted(_SKIP_NOISE)), beta_norm=st.sampled_from([0.0, 1.0]))
+def test_skipped_checks_and_ratios_match_the_oracle(checks, finite, noise, beta_norm):
+    # every subset of checks; finite and infinite k*; noise drawn with or without the
+    # design; zero noise with beta* = 0 makes both bounds 0, with beta* != 0 the lower one
+    values = np.ones(30) if finite else 4.0 ** -np.arange(1, 31)
+    model, independent = _SKIP_NOISE[noise]
+    result = run_experiment(ExperimentConfig(
+        covariance=CovarianceModel(Spectrum(values)), n=3, noise_model=model, trials=3, seed=2,
+        beta_norm=beta_norm, checks=checks))
+    diag = result.diagnostics
+    assert math.isinf(diag.k_star) != finite
+    skipped, upper_ratio, lower_ratio = oracles.skip_rule(
+        checks, diag.k_star, independent, result.aggregates["pred_error"]["median"],
+        diag.upper_bound, diag.lower_bound)
+    assert list(result.skipped.items()) == list(skipped.items())
+    assert (result.rates["upper_ratio"], result.rates["lower_ratio"]) == (upper_ratio,
+                                                                          lower_ratio)
+    for r in result.records:
+        assert (r.certificate_pass, r.est_bound_pass) == oracles.trial_checks(
+            checks, diag.r_kstar, r.sigma_min, r.est_error, beta_norm, r.xi_norm_sq)
+
+
 def test_run_experiment_preserves_partial_on_failure(monkeypatch):
     real = experiments.run_trial
 

@@ -2,8 +2,9 @@
 exported function or class has a use outside the tests, and every module-level private
 name has a use in the package.  Each public name has one import path, its module's, and
 the CLI one entry, ridgeless.__main__.run.  The count rule is written once, in
-spectra._check_count, the choice rule once, in spectra._check_choice, and outside
-input becomes a float array once, in spectra._float_array."""
+spectra._check_count, the choice rule once, in spectra._check_choice, outside input
+becomes a float array once, in spectra._float_array, and the checks a run skips are
+decided once, in ExperimentConfig.__post_init__."""
 
 import ast
 import importlib
@@ -190,3 +191,23 @@ def test_the_choice_rule_is_written_once():
            if isinstance(node, ast.FunctionDef)}
     for name in ("_value", "_checks", "read_spec"):
         assert _refers_to(cli[name], "_check_choice"), name
+
+
+def _check_test(node) -> bool:
+    """An `in` or `not in` comparison, or a read of a config's enabled checks."""
+    return (isinstance(node, ast.Compare) and any(isinstance(op, (ast.In, ast.NotIn))
+                                                  for op in node.ops)
+            or isinstance(node, ast.Attribute) and node.attr == "checks")
+
+
+def test_the_skip_rule_is_written_once():
+    # which checks a run skips, and why, is decided in ExperimentConfig.__post_init__; the
+    # trials and the summary ask only the config's one predicate, _runs
+    text = "".join(path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py")))
+    for reason in ("skipped: effective-rank index is infinite", "skipped: hypothesis violated ("):
+        assert text.count(reason) == 1, reason
+    tree = ast.parse((SRC / "experiments.py").read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_evaluate", "_summarize"):
+        assert _sites(funcs[name], _check_test) == [], name
+        assert _refers_to(funcs[name], "_runs"), name

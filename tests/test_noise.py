@@ -163,9 +163,12 @@ def test_parameter_validation():
                        (lambda v: StudentTNoise(df=v, scale=1.0), "df")):
         with pytest.raises(ValueError, match=f"^{name} must be a .* finite number, got True$"):
             make(True)
-    for bad, shown in (("sideways", "'sideways'"), (None, "None"), (["uniform"], "a list")):
-        with pytest.raises(ValueError, match=re.escape(
-                f"direction must be worst_singular, first_coordinate, or uniform, got {shown}")):
+    # a 0-d array has __len__ but no length: its long repr is cut with the repr's length
+    for bad, shown in (("sideways", "'sideways'"), (None, "None"), (["uniform"], "a list"),
+                       (np.array("u" * 80), f"array('{'u' * 33}… (length 109)")):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"direction must be worst_singular, first_coordinate, or uniform, got {shown}")
+                + "$"):
             ScaledDirectionNoise(target_norm=1.0, direction=bad)
     with pytest.raises(ValueError):
         DeterministicNoise(values=np.array([1.0, math.nan]))

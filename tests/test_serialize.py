@@ -39,6 +39,10 @@ def test_format_float_non_finite():
     assert format_float(math.inf) == "inf"
     assert format_float(-math.inf) == "-inf"
     assert format_float(math.nan) == "nan"
+    # the same text as "%.17g", which format_floats uses, also for a negative NaN
+    for x in (math.inf, -math.inf, math.nan, -math.nan, 0.0, -0.0, 5e-324):
+        assert format_float(x) == "%.17g" % x
+    assert format_float(-math.nan) == "nan"
 
 
 def test_json_insertion_order():
