@@ -133,15 +133,17 @@ def strict_value(kind, value, what: str, text: bool = False):
     kind = _KINDS[kind.partition(" |")[0]] if isinstance(kind, str) else kind
     if not isinstance(kind, type):
         return kind(value, what, text)
+    # int() counts leading zeros against its 4300-digit limit, so an int token drops them
+    token = re.sub(r"^(\s*[+-]?)0+(?=\d)", r"\1", value) if text and kind is int else value
     try:
         if text:
-            return {"1": True, "0": False}[value] if kind is bool else kind(value)
+            return {"1": True, "0": False}[value] if kind is bool else kind(token)
         if type(value) is kind or (kind, type(value)) == (float, int) or (
                 kind is int and type(value) is float and value.is_integer()):
             return kind(value)
     except (KeyError, TypeError, ValueError, OverflowError):  # OverflowError: an int beyond a float
         pass
-    if text and kind is int and re.fullmatch(r"\s*[+-]?[1-9](_?[0-9])*\s*", value):
+    if text and kind is int and re.fullmatch(r"\s*[+-]?[1-9](_?[0-9])*\s*", token):
         raise _CliError(  # int() refuses an integer token of more than 4300 digits
             f"{what} must be within the float range, got an int beyond the float range")
     raise _CliError(f"{what}: expected {_EXPECTED[kind]}, got {_brief(value)}")
@@ -630,11 +632,11 @@ def _print_aggregates(aggregates: dict) -> None:
         print(f"{name:<{width}}  {row}")
 
 
-def _identity_status(config, records) -> int:
-    """Print the identity check's line when it is enabled; 3 if it failed, else 0."""
-    if CHECK_IDENTITY not in config.checks:
+def _identity_status(config, results) -> int:
+    """Print the identity check's line when the runs make it; 3 if it failed, else 0."""
+    if not config._runs(CHECK_IDENTITY):
         return 0
-    worst = max(r.identity_residual for r in records)
+    worst = max(result.aggregates["identity_residual"]["max"] for result in results)
     ok = worst <= IDENTITY_TOL
     tag = "[OK]" if ok else "[FAIL]"
     print(f"{tag} identity: max residual {worst:.3e} (tolerance {IDENTITY_TOL:g})")
@@ -684,7 +686,7 @@ def _cmd_simulate(ns) -> int:
             print(f"{name} {_fmt(value)}")
         for check, reason in result.skipped.items():
             print(f"[SKIP] {check}: {reason}")
-    return _identity_status(ns.experiment, result.records)
+    return _identity_status(ns.experiment, [result])
 
 
 _PLOT_COLUMNS = (
@@ -727,7 +729,7 @@ def _cmd_scan(ns) -> int:
             )
         switches = sum(a.regime != b.regime for a, b in zip(points, points[1:]))
         print(f"regime switches: {switches}")
-    return _identity_status(config, (r for pt in points for r in pt.result.records))
+    return _identity_status(config, [pt.result for pt in points])
 
 
 def _cmd_certify(ns) -> int:

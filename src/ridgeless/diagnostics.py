@@ -269,7 +269,7 @@ def diagnose(
     _check_at_most("rho * r_star", rho * r_star_val, _ROOT_MAX, _SQUARES)
     _check_at_most("c3 * xi_norm", constants.c3 * xi_norm, _ROOT_MAX, _SQUARES)
     noise_floor = (constants.c3 * xi_norm) ** 2 / n
-    lower = noise_floor if math.isinf(r_bar_val) else min(r_bar_val * r_bar_val, noise_floor)
+    lower = min(r_bar_val * r_bar_val, noise_floor)  # an infinite r_bar gives the noise floor
     threshold = 1.0 / r_kstar
     ratio = math.inf if xi_norm == 0.0 else beta_star_norm / xi_norm
     snr = math.inf if ratio > _ROOT_MAX else ratio**2

@@ -47,8 +47,7 @@ from .diagnostics import (
 )
 from .noise import NoiseModel
 from .spectra import (_SEED_MAX, CovarianceModel, Spectrum, _check_at_most, _check_choice,
-                      _check_count, _check_entries, _check_length, _check_number, _check_rank,
-                      _float_array)
+                      _check_count, _check_length, _check_number, _check_rank, _float_array)
 
 __all__ = [
     "CHECK_IDENTITY",
@@ -337,13 +336,6 @@ def _aggregate_rows(rows: np.ndarray) -> list[dict]:
     return [dict(zip(_STATS, st)) for st in stats.tolist()]
 
 
-def _pass_rate(flags) -> float | None:
-    known = [f for f in flags if f is not None]
-    if not known:
-        return None
-    return sum(known) / len(known)
-
-
 # The thread-count getters of numpy's bundled OpenBLAS (scipy_openblas, 64-bit
 # or 32-bit integers) and of plain builds, e.g. a distro's; each has a set_ twin.
 _OPENBLAS_GETTERS = (
@@ -525,8 +517,10 @@ def _summarize(configs: list[ExperimentConfig], runs: list[tuple]) -> list[Exper
         aggregates = {m: by_metric[m][j] for m in _METRICS}
         diag = diagnose(config.covariance.spectrum, config.n, config._beta_norm, xi_median,
                         config.constants)
-        rates = {"certificate_pass_rate": _pass_rate([r.certificate_pass for r in records]),
-                 "est_bound_pass_rate": _pass_rate([r.est_bound_pass for r in records])}
+        rates = {f"{flag}_rate": sum(getattr(r, flag) for r in records) / len(records)
+                 if config._runs(check) else None
+                 for flag, check in (("certificate_pass", CHECK_CERTIFICATE),
+                                     ("est_bound_pass", CHECK_ESTIMATION))}
         # A bound is None only at an infinite k*, where its check is skipped.
         for name, check, bound in (("upper_ratio", CHECK_UPPER, diag.upper_bound),
                                    ("lower_ratio", CHECK_LOWER, diag.lower_bound)):
@@ -574,21 +568,16 @@ def snr_scan(
         raise ValueError("a scan takes no beta_values: it sets the norm of beta* along "
                          "beta_direction")
     _check_count("threads", threads)  # before a config per grid point is built
-    _check_entries("snr_grid", snr_grid, 1)
-    grid = [float(t) for t in snr_grid]
-    if not grid:
-        raise ValueError("SNR grid must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("SNR grid must be strictly increasing")
+    grid = _float_array("snr_grid", snr_grid).tolist()
+    if grid[0] <= 0 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("SNR grid must be positive and strictly increasing")
     # Raises for the models without an expected norm, which include the
     # only one whose noise depends on beta* (model_residual); every other
     # model's noise is the same at every grid point.
     noise = base_config.noise_model
     with _trial_runtime:  # a fixed vector's norm is a BLAS dot, at the trials' one thread
         noise_norm_sq = noise.expected_norm_sq(base_config.n)
-    for t in grid:  # a NaN target passes the order check above
-        if not 0 < t < math.inf:
-            raise ValueError(f"SNR target {t!r} must be a positive finite number")
+    for t in grid:
         if not math.isfinite(t * noise_norm_sq):
             raise ValueError(f"SNR target {t!r} is too large for {noise.type_name} noise: "
                              f"target * E||xi||^2 at n={base_config.n} overflows")

@@ -305,6 +305,24 @@ def test_identity_failure_exits_3(monkeypatch, capsys):
     assert "[FAIL] identity" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [["simulate", "--beta-norm", "1"],
+                                     ["scan", "--snr-grid", "0.1:10:3"]])
+@pytest.mark.parametrize("identity", [True, False])
+def test_identity_verdict_only_when_the_check_runs(command, identity, monkeypatch, capsys):
+    # the failing fit above, in a run and in a scan: with the identity check disabled the
+    # run makes no verdict, though simulate's aggregates still show the residual
+    monkeypatch.setenv("RIDGELESS_REL_TOL", "0.9")
+    if not identity:
+        monkeypatch.setenv("RIDGELESS_CHECKS", "upper_bound certificate")
+    code = main(command + ["--flat", "50", "--n", "5", "--trials", "3", "--noise", "gaussian:1"])
+    out = capsys.readouterr().out
+    assert code == (3 if identity else 0)
+    assert ("[FAIL] identity" in out) == identity
+    assert ("] identity:" in out) == identity
+    if command[0] == "simulate":
+        assert "\nidentity_residual  " in out
+
+
 def test_identity_ok_exits_0(capsys):
     code = main([
         "simulate", "--flat", "50", "--n", "5", "--trials", "3",
@@ -538,6 +556,14 @@ def test_spectrum_export_reload(tmp_path, capsys):
     ])
     assert code == 0
     assert read_json(str(out2) + ".json")["values"] == original
+
+
+def test_zero_led_integer_token_is_read_by_its_value(tmp_path, capsys):
+    # int() counts leading zeros against its 4300-digit limit; the token is still 12
+    assert main(["spectrum", "--flat", "0" * 5000 + "12", "--out", str(tmp_path / "a")]) == 0
+    assert main(["spectrum", "--flat", "12", "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1013,6 +1039,9 @@ EVERY_ERROR = pytest.mark.parametrize(
         # an integer token past int()'s 4300 digits is an integer, too large, not malformed
         (["spectrum", "--flat", "1" + "0" * 5000],
          ["--flat P must be within the float range, got an int beyond the float range"]),
+        # leading zeros count for nothing: this one's value has 5001 digits
+        (["spectrum", "--flat", "0" * 50 + "1" + "0" * 5000],
+         ["--flat P must be within the float range, got an int beyond the float range"]),
         # a long malformed token is cut to 40 characters of its repr and its length
         (["spectrum", "--flat", "1" + "0" * 2500 + "x" + "0" * 2499],
          [f"--flat P: expected an integer, got '1{'0' * 38}… (length 5001)"]),
@@ -1020,8 +1049,8 @@ EVERY_ERROR = pytest.mark.parametrize(
          ["--beta-direction must be e1, random, or top, got 'up'",
           "--trials: expected an integer, got 'x'"]),
     ],
-    ids=["diagnose", "certify", "spectrum", "spectrum-long-token", "spectrum-long-malformed-token",
-         "simulate"],
+    ids=["diagnose", "certify", "spectrum", "spectrum-long-token", "spectrum-long-zero-led-token",
+         "spectrum-long-malformed-token", "simulate"],
 )
 
 
@@ -1188,7 +1217,7 @@ def test_config_echo_reruns_exactly(case, tmp_path, capsys):
 # --out is checked before any work runs; write failures exit 1
 
 
-@pytest.mark.parametrize(
+OUT_BEFORE_WORK = pytest.mark.parametrize(
     "argv,entry",
     [
         (SIM_ARGS, "run_experiment"),
@@ -1200,15 +1229,30 @@ def test_config_echo_reruns_exactly(case, tmp_path, capsys):
           "--snr-grid", "0.1:10:2", "--noise", "gaussian:1"], "snr_scan"),
     ],
 )
-def test_missing_out_directory_fails_before_work(argv, entry, tmp_path, monkeypatch, capsys):
+def _out_fails_before_work(argv, entry, folder, fault, monkeypatch, capsys):
     import ridgeless.cli as cli
 
     def must_not_run(*args, **kwargs):
         raise AssertionError(f"{entry} ran before --out was checked")
 
     monkeypatch.setattr(cli, entry, must_not_run)
-    assert main(argv + ["--out", str(tmp_path / "missing" / "x")]) == 1
-    _one_error(capsys, "--out", "does not exist")
+    assert main(argv + ["--out", str(folder / "x")]) == 1
+    assert capsys.readouterr().err == f"error: --out: directory {str(folder)!r} {fault}\n"
+
+
+@OUT_BEFORE_WORK
+def test_missing_out_directory_fails_before_work(argv, entry, tmp_path, monkeypatch, capsys):
+    _out_fails_before_work(argv, entry, tmp_path / "missing", "does not exist", monkeypatch,
+                           capsys)
+
+
+@OUT_BEFORE_WORK
+def test_unwritable_out_directory_fails_before_work(argv, entry, tmp_path, monkeypatch, capsys):
+    import ridgeless.cli as cli
+
+    # root may write anywhere, so the access test is made to say no
+    monkeypatch.setattr(cli.os, "access", lambda *args, **kwargs: False)
+    _out_fails_before_work(argv, entry, tmp_path, "is not writable", monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("source", ["file", "config"])

@@ -4,7 +4,7 @@ name has a use in the package.  Each public name has one import path, its module
 the CLI one entry, ridgeless.__main__.run.  The count rule is written once, in
 spectra._check_count, the choice rule once, in spectra._check_choice, outside input
 becomes a float array once, in spectra._float_array, and the checks a run skips are
-decided once, in ExperimentConfig.__post_init__."""
+decided once, in ExperimentConfig.__post_init__, and only the config reads `checks`."""
 
 import ast
 import importlib
@@ -197,17 +197,29 @@ def _check_test(node) -> bool:
     """An `in` or `not in` comparison, or a read of a config's enabled checks."""
     return (isinstance(node, ast.Compare) and any(isinstance(op, (ast.In, ast.NotIn))
                                                   for op in node.ops)
-            or isinstance(node, ast.Attribute) and node.attr == "checks")
+            or _checks_read(node))
+
+
+def _checks_read(node) -> bool:
+    """A read of a config's enabled checks."""
+    return isinstance(node, ast.Attribute) and node.attr == "checks"
 
 
 def test_the_skip_rule_is_written_once():
     # which checks a run skips, and why, is decided in ExperimentConfig.__post_init__; the
-    # trials and the summary ask only the config's one predicate, _runs
+    # trials, the summary and the CLI's identity verdict ask only the config's one
+    # predicate, _runs, and no other site reads the enabled checks
     text = "".join(path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py")))
     for reason in ("skipped: effective-rank index is infinite", "skipped: hypothesis violated ("):
         assert text.count(reason) == 1, reason
-    tree = ast.parse((SRC / "experiments.py").read_text(encoding="utf-8"))
-    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("_evaluate", "_summarize"):
+    sites = {(path.name, where) for path in sorted(SRC.glob("*.py"))
+             for where in _sites(ast.parse(path.read_text(encoding="utf-8")), _checks_read)}
+    assert sites == {("experiments.py", "ExperimentConfig.__post_init__"),
+                     ("experiments.py", "ExperimentConfig._runs")}
+    funcs = {(path.name, node.name): node for path in (SRC / "experiments.py", SRC / "cli.py")
+             for node in ast.parse(path.read_text(encoding="utf-8")).body
+             if isinstance(node, ast.FunctionDef)}
+    for name in (("experiments.py", "_evaluate"), ("experiments.py", "_summarize"),
+                 ("cli.py", "_identity_status")):
         assert _sites(funcs[name], _check_test) == [], name
         assert _refers_to(funcs[name], "_runs"), name
