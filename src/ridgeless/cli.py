@@ -1,4 +1,4 @@
-"""Command-line front end: diagnostics, experiments, SNR scans, certificates.
+"""Command-line front end: diagnostics, experiments, SNR scans.
 
 Option precedence is flags > environment > config file > defaults.  Every
 long flag has an environment twin with the RIDGELESS_ prefix (dashes to
@@ -39,7 +39,6 @@ from .experiments import (
     ExperimentConfig,
     ExperimentError,
     TrialRecord,
-    certificate_study,
     run_experiment,
     snr_scan,
 )
@@ -261,9 +260,9 @@ def _checks(raw, where: str, text: bool) -> frozenset:
 # ---------------------------------------------------------------------------
 # the option table
 
-_COMMANDS = ("diagnose", "simulate", "scan", "certify", "spectrum")
-_BOUNDS = _COMMANDS[:4]  # the subcommands that take the paper's constants
+_COMMANDS = ("diagnose", "simulate", "scan", "spectrum")
 _RUNS = ("simulate", "scan")  # the subcommands that build an ExperimentConfig
+_BOUNDS = ("diagnose", *_RUNS)  # the subcommands that take the paper's constants
 _REQUIRED = object()  # the default of an option that must be given
 
 
@@ -275,14 +274,14 @@ class _Opt(NamedTuple):
     """One option, declared once: its flag --NAME (underscores as dashes), its
     environment twin RIDGELESS_NAME, its config-file `key` ("constants.c0" is
     c0 in the "constants" object) and its default per subcommand that takes
-    it (None: unset), which a "{}" in the help shows.  The help is one
-    string or one per subcommand; an option without help has no flag.
+    it (None: unset), which a "{}" in the help shows.  An option without
+    help has no flag.
     """
 
     name: str
     conv: object  # a kind of strict_value, for every source: int, float, str, bool or a reader
     defaults: dict
-    help: object
+    help: str | None
     key: str | None = None
     metavar: str | None = None
     choices: tuple | None = None
@@ -312,10 +311,8 @@ _OPTIONS = {row.name: row for row in (
     _Opt("beta_direction", str, _on(_RUNS, "e1"), "true coefficient direction (default {})",
          "beta_direction", choices=_DIRECTIONS),
     _Opt("noise", _noise, _on(_RUNS, ZeroNoise()), _NOISE_USAGE, "noise", metavar="SPEC"),
-    _Opt("trials", int, {"simulate": 100, "scan": 100, "certify": 200}, {
-        **_on(_RUNS, "number of Monte Carlo trials (default {})"),
-        "certify": "number of designs sampled (default {})"}, "trials"),
-    _Opt("seed", int, _on((*_RUNS, "certify"), 0), "base seed (default {})", "seed"),
+    _Opt("trials", int, _on(_RUNS, 100), "number of Monte Carlo trials (default {})", "trials"),
+    _Opt("seed", int, _on(_RUNS, 0), "base seed (default {})", "seed"),
     _Opt("threads", int, _on(_RUNS, 1), "worker thread cap; never affects results", least=1),
     _Opt("out", _path, _on(_COMMANDS), "output base path (known suffixes stripped)",
          metavar="PATH"),
@@ -323,7 +320,6 @@ _OPTIONS = {row.name: row for row in (
          choices=("json", "csv", "both")),
     _Opt("quiet", bool, _on(_COMMANDS, False), "suppress the stdout tables"),
     _Opt("snr_grid", _snr_grid, {"scan": _REQUIRED}, "log-spaced SNR targets", metavar="LO:HI:N"),
-    _Opt("bins", int, {"certify": 20}, "histogram bin count (default {})"),
     _Opt("checks", _checks, _on(_RUNS, ALL_CHECKS), None, "checks"),
     _Opt("rel_tol", float, _on(_RUNS, 1e-10), None, "rel_tol"),
 )}
@@ -732,25 +728,6 @@ def _cmd_scan(ns) -> int:
     return _identity_status(config, [pt.result for pt in points])
 
 
-def _cmd_certify(ns) -> int:
-    spectrum, spec_echo = ns.spectrum
-    study = certificate_study(spectrum, ns.n, ns.constants.c0, ns.trials, ns.seed, bins=ns.bins)
-    edges = study.hist_edges
-    header = ("ratio_lo", "ratio_hi", "count")
-    _write_outputs(
-        ns,
-        lambda: {"schema": 1, "spectrum": spec_echo, **_fields(study)},
-        lambda: _csv(header, zip(edges, edges[1:], study.hist_counts)),
-    )
-
-    if not ns.quiet:
-        print(f"k_star {study.k_star}")
-        print(f"r_kstar {format_float(study.r_kstar)}")
-        print(f"threshold {format_float(study.threshold)}")
-    print(f"pass_rate {format_float(study.pass_rate)}")
-    return 0
-
-
 def _cmd_spectrum(ns) -> int:
     spectrum, spec_echo = ns.spectrum
     payload = {"schema": 1, "spectrum": spec_echo, "p": spectrum.p, "trace": spectrum.trace}
@@ -779,7 +756,6 @@ def _build_parser() -> _Parser:
         ("diagnose", _cmd_diagnose, "spectrum diagnostics and bound report"),
         ("simulate", _cmd_simulate, "run one Monte Carlo experiment"),
         ("scan", _cmd_scan, "sweep the SNR grid and tag regimes"),
-        ("certify", _cmd_certify, "smallest-singular-value certificate study"),
         ("spectrum", _cmd_spectrum, "build a spectrum and export its values"),
     ):
         sub = subs.add_parser(cmd, help=text)
@@ -789,8 +765,7 @@ def _build_parser() -> _Parser:
         for row in _OPTIONS.values():
             if cmd not in row.defaults or row.help is None:
                 continue
-            text = row.help[cmd] if isinstance(row.help, dict) else row.help
-            text = text.format(_fmt(row.defaults[cmd]))
+            text = row.help.format(_fmt(row.defaults[cmd]))
             if row.conv is bool:  # the flag alone means 1
                 sub.add_argument("-" + row.name[0], row.flag, action="store_const", const="1",
                                  help=text)

@@ -46,8 +46,8 @@ from .diagnostics import (
     effective_rank_index,
 )
 from .noise import NoiseModel
-from .spectra import (_SEED_MAX, CovarianceModel, Spectrum, _check_at_most, _check_choice,
-                      _check_count, _check_length, _check_number, _check_rank, _float_array)
+from .spectra import (_SEED_MAX, CovarianceModel, _check_choice, _check_count, _check_length,
+                      _check_number, _check_rank, _float_array)
 
 __all__ = [
     "CHECK_IDENTITY",
@@ -65,8 +65,6 @@ __all__ = [
     "run_experiment",
     "ScanPoint",
     "snr_scan",
-    "CertificateStudy",
-    "certificate_study",
 ]
 
 CHECK_IDENTITY = "identity"
@@ -90,11 +88,6 @@ _BOUND_SLACK = 1e-12
 # Stream index for the one-off random beta* direction draw; trial indices
 # stay below 2^32 so the streams never collide.
 _BETA_STREAM = 2**32
-
-# Most histogram bins a certificate study takes: its edges and counts are
-# built after the draws and each is written out, so a larger count is
-# refused before the first design (a million bins write 30 MB of JSON).
-_MAX_BINS = 10**6
 
 _DIRECTIONS = ("e1", "random", "top")
 
@@ -590,56 +583,3 @@ def snr_scan(
                       snr_threshold=result.diagnostics.snr_threshold,
                       snr_threshold_cn=1.0 / r_cn, result=result)
             for target, result in zip(grid, _run(configs, threads))]
-
-
-@dataclass(frozen=True, eq=False)
-class CertificateStudy:
-    """Empirical frequency of sigma_min >= sqrt(r_kstar)/4 plus histogram data,
-    its fields in payload order: the study's inputs, then its results."""
-
-    n: int
-    c0: float
-    trials: int
-    seed: int
-    k_star: int
-    r_kstar: float
-    threshold: float
-    pass_rate: float
-    hist_edges: tuple  # bins of sigma_min / sqrt(r_kstar)
-    hist_counts: tuple
-    sigma_min: tuple
-
-
-def certificate_study(
-    spectrum: Spectrum, n: int, c0: float, trials: int, seed: int, bins: int = 20
-) -> CertificateStudy:
-    """Monte Carlo frequency of the smallest-singular-value certificate at covariance
-    diag(spectrum).  A failing trial raises ExperimentError with the earlier sigma_min values
-    preserved.  n and c0 are checked first, in effective_rank_index, then k*
-    (InfiniteIndexError), trials, the seed, bins and the rank, all before the first design."""
-    ks = effective_rank_index(spectrum, n, c0)
-    if math.isinf(ks):
-        raise InfiniteIndexError(
-            "effective-rank index is infinite; the certificate threshold is undefined"
-        )
-    _check_count("trials", trials, most=_BETA_STREAM)
-    _check_count("seed", seed, 0, _SEED_MAX)
-    _check_count("bins", bins)
-    _check_at_most("bins", bins, _MAX_BINS)
-    _check_rank(spectrum, n)
-    r_kstar = spectrum.tail_sum(ks)
-    sqrt_rk = math.sqrt(r_kstar)
-    threshold = _CERT_FACTOR * sqrt_rk
-    sigma_mins = np.empty(trials)  # first: a count too large to hold fails here, with its size
-    sigma_mins[:] = _map_trials(
-        lambda t: sample_design(spectrum, n, trial_rng(seed, t)).sigma_min(), trials, threads=1)
-    rate = float(np.mean(sigma_mins >= threshold))
-    ratios = sigma_mins / sqrt_rk
-    hi = max(1.0, float(np.max(ratios)))
-    edges = np.linspace(0.0, hi, bins + 1)
-    counts, _ = np.histogram(ratios, bins=edges)
-    return CertificateStudy(
-        n=n, c0=c0, trials=trials, seed=seed, k_star=ks, r_kstar=r_kstar, threshold=threshold,
-        pass_rate=rate, hist_edges=tuple(float(e) for e in edges),
-        hist_counts=tuple(int(c) for c in counts), sigma_min=tuple(float(v) for v in sigma_mins),
-    )

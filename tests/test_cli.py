@@ -153,9 +153,13 @@ def test_scan_infinite_index_exits_2(capsys):
     assert code == 2
 
 
-def test_certify_infinite_index_exits_2(capsys):
-    code = main(["certify", "--exp-floor", "300", "20", "1e-4", "--n", "100", "--trials", "2"])
-    assert code == 2
+def test_certificate_study_at_an_infinite_index_exits_0_and_skips(capsys):
+    code = main(["simulate", "--exp-floor", "300", "20", "1e-4", "--n", "100", "--trials", "2",
+                 "--noise", "zero"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "certificate_pass_rate -\n" in out
+    assert "[SKIP] certificate: skipped: effective-rank index is infinite\n" in out
 
 
 # ---------------------------------------------------------------------------
@@ -507,32 +511,15 @@ def test_scan_deterministic_across_threads(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# certify outputs
+# the certificate study is simulate --noise zero; certify is no subcommand
 
 
-def test_certify_flat_wide(tmp_path, capsys):
-    out = tmp_path / "cert"
-    code = main([
-        "certify", "--flat", "2000", "--n", "20", "--trials", "20",
-        "-q", "--out", str(out), "--format", "both",
-    ])
-    assert code == 0
-    assert "pass_rate 1" in capsys.readouterr().out
-    payload = read_json(str(out) + ".json")
-    assert list(payload) == [  # CertificateStudy's order
-        "schema", "spectrum", "n", "c0", "trials", "seed", "k_star", "r_kstar", "threshold",
-        "pass_rate", "hist_edges", "hist_counts", "sigma_min",
-    ]
-    assert payload["k_star"] == 1
-    assert payload["pass_rate"] == 1.0
-    assert payload["threshold"] == pytest.approx(math.sqrt(2000) / 4, rel=1e-12)
-    lines = (tmp_path / "cert.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "ratio_lo,ratio_hi,count"
-    assert sum(int(line.split(",")[2]) for line in lines[1:]) == 20
-
-
-def test_certify_missing_spectrum(capsys):
-    assert main(["certify", "--n", "5"]) == 1
+def test_certify_is_not_a_subcommand(capsys):
+    assert main(["certify", "--flat", "50", "--n", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ridgeless [-h] {diagnose,simulate,scan,spectrum} ...\n")
+    assert "error: argument subcommand: invalid choice: 'certify'" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -734,12 +721,6 @@ def test_diagnose_rejects_non_finite_norms(flag, value, capsys):
     _one_error(capsys, "norm must be a non-negative finite number")
 
 
-@pytest.mark.parametrize("bins", ["0", "-3"])
-def test_certify_rejects_bins_below_one(bins, capsys):
-    assert main(["certify", "--flat", "50", "--n", "5", "--trials", "2", "--bins", bins]) == 1
-    _one_error(capsys, "bins must be a positive integer")
-
-
 def _no_design_drawn(monkeypatch) -> list:
     import ridgeless.experiments as experiments
 
@@ -748,36 +729,26 @@ def _no_design_drawn(monkeypatch) -> list:
     return drawn
 
 
-def test_certify_refuses_bins_past_the_cap_before_any_design(monkeypatch, capsys):
-    # once asked numpy for 7.28 TiB of histogram, after drawing every design
-    drawn = _no_design_drawn(monkeypatch)
-    argv = ["certify", "--flat", "50", "--n", "2", "--trials", "2", "--bins", "1000000000000"]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "error: bins must be at most 1000000, got 1000000000000\n"
-    assert drawn == []
-
-
-def test_certify_refuses_a_bad_seed_before_any_design_as_simulate_does(monkeypatch, capsys):
+def test_simulate_refuses_a_bad_seed_before_any_design(monkeypatch, capsys):
     # once "error: trial 0 failed: seed must be ...", from inside the trial loop
     drawn = _no_design_drawn(monkeypatch)
-    line = "error: seed must be an unsigned 64-bit integer, got -1\n"
-    for cmd in ("certify", "simulate"):
-        assert main([cmd, "--flat", "50", "--n", "5", "--trials", "3", "--seed", "-1"]) == 1
-        assert capsys.readouterr().err == line
+    assert main(["simulate", "--flat", "50", "--n", "5", "--trials", "3", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be an unsigned 64-bit integer, got -1\n"
     assert drawn == []
 
 
-def test_certify_refuses_a_covariance_of_too_low_rank_before_any_design(
+def test_simulate_refuses_a_covariance_of_too_low_rank_before_any_design(
         tmp_path, monkeypatch, capsys):
     # once "error: trial 0 failed: covariance rank 3 ...", after drawing the first design
     drawn = _no_design_drawn(monkeypatch)
     path = _write(tmp_path / "z.txt", "1\n1\n1\n0\n0\n0\n0\n0\n")
-    assert main(["certify", "--spectrum-file", path, "--n", "5", "--c0", "0.01"]) == 1
+    argv = ["simulate", "--spectrum-file", path, "--n", "5", "--c0", "0.01", "--noise", "zero"]
+    assert main(argv) == 1
     assert capsys.readouterr().err == "error: covariance rank 3 is below the sample count n=5\n"
     assert drawn == []
 
 
-@pytest.mark.parametrize("cmd", ["diagnose", "certify"])
+@pytest.mark.parametrize("cmd", ["diagnose", "simulate"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_n_beyond_a_float_is_refused_by_name(cmd, source, tmp_path, monkeypatch, capsys):
     # once "error: int too large to convert to float", which named nothing
@@ -931,10 +902,10 @@ def test_empty_out_and_config_are_refused_by_key(argv, env, message, tmp_path, m
         (["spectrum", "--flat", "3"], "sub/"),
         (["diagnose", "--flat", "100", "--n", "5"], "sub/.json"),
         (["simulate", "--flat", "50", "--n", "5", "--trials", "2"], "."),
-        (["certify", "--flat", "50", "--n", "5", "--trials", "2"], "sub/.."),
+        (["simulate", "--flat", "50", "--n", "5", "--trials", "2", "--noise", "zero"], "sub/.."),
     ],
     ids=["scan-suffix-only", "spectrum-directory", "diagnose-dir-suffix", "simulate-dot",
-         "certify-dotdot"],
+         "simulate-dotdot"],
 )
 def test_out_that_names_no_file_is_refused(argv, out, tmp_path, monkeypatch, capsys):
     # BASE would be empty, "." or "..": scan once wrote hidden .csv, .json and .plot.csv files
@@ -1032,9 +1003,6 @@ EVERY_ERROR = pytest.mark.parametrize(
     [
         (["diagnose", "--n", "x", "--c0", "y"],
          ["--n: expected an integer, got 'x'", "--c0: expected a number, got 'y'", NO_SPECTRUM]),
-        (["certify", "--n", "5", "--trials", "1.5", "--bins", "b"],
-         ["--trials: expected an integer, got '1.5'", "--bins: expected an integer, got 'b'",
-          NO_SPECTRUM]),
         (["spectrum", "--flat", "x"], ["--flat P: expected an integer, got 'x'"]),
         # an integer token past int()'s 4300 digits is an integer, too large, not malformed
         (["spectrum", "--flat", "1" + "0" * 5000],
@@ -1049,7 +1017,7 @@ EVERY_ERROR = pytest.mark.parametrize(
          ["--beta-direction must be e1, random, or top, got 'up'",
           "--trials: expected an integer, got 'x'"]),
     ],
-    ids=["diagnose", "certify", "spectrum", "spectrum-long-token", "spectrum-long-zero-led-token",
+    ids=["diagnose", "spectrum", "spectrum-long-token", "spectrum-long-zero-led-token",
          "spectrum-long-malformed-token", "simulate"],
 )
 
@@ -1120,14 +1088,12 @@ def _limited_address_space():
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["certify", "--flat", "50", "--n", "5", "--trials", "1000000000000"],
+        (["simulate", "--flat", "50", "--n", "5", "--trials", "1000000000000"],
          "trials must be an integer in [1, 4294967296], got 1000000000000"),
-        (["certify", "--flat", "50", "--n", "5", "--trials", "4294967296"],
-         "out of memory: Unable to allocate 32.0 GiB"),
         (["simulate", "--flat", "20", "--n", "3", "--trials", "4294967296", "-q"],
          "out of memory"),
     ],
-    ids=["certify-above-bound", "certify", "simulate"],
+    ids=["simulate-above-bound", "simulate"],
 )
 def test_trial_count_beyond_memory_exits_1(argv, message, tmp_path):
     # The child's address space is capped before it starts, so the count's
@@ -1223,7 +1189,8 @@ OUT_BEFORE_WORK = pytest.mark.parametrize(
         (SIM_ARGS, "run_experiment"),
         (SCAN_ARGS, "snr_scan"),
         (["diagnose", "--flat", "100", "--n", "5", "-q"], "diagnose"),
-        (["certify", "--flat", "50", "--n", "5", "--trials", "2", "-q"], "certificate_study"),
+        (["simulate", "--flat", "50", "--n", "5", "--trials", "2", "--noise", "zero", "-q"],
+         "run_experiment"),
         # k* is infinite here (exit 2), but --out is checked first, as for every subcommand
         (["scan", "--exp-floor", "300", "20", "1e-4", "--n", "100", "--trials", "2",
           "--snr-grid", "0.1:10:2", "--noise", "gaussian:1"], "snr_scan"),
@@ -1358,7 +1325,7 @@ def test_diagnose_out_from_env_and_csv_format(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["certify", "--flat", "10", "--n", "0"], "n must be a positive integer, got 0"),
+        (["simulate", "--flat", "10", "--n", "0"], "n must be a positive integer, got 0"),
         (["diagnose", "--flat", "2000", "1e306", "--n", "20"],
          "spectrum: spectrum values must have a finite sum"),
         (["diagnose", "--flat", "2000", "--n", "20", "--beta-norm", "1e160", "--xi-norm", "1"],
@@ -1378,7 +1345,7 @@ def test_diagnose_out_from_env_and_csv_format(tmp_path, monkeypatch):
           "--snr-grid", "1e100:1e300:2"],
          "SNR target 1e+300 is too large for gaussian noise: target * E||xi||^2 at n=5 overflows"),
     ],
-    ids=["certify-n0", "diagnose-flat-sum", "diagnose-beta", "diagnose-xi", "scan-gaussian",
+    ids=["simulate-n0", "diagnose-flat-sum", "diagnose-beta", "diagnose-xi", "scan-gaussian",
          "simulate-beta", "simulate-worst", "scan-grid-inf", "scan-target"],
 )
 def test_overflowing_input_is_refused_before_any_trial(argv, message, tmp_path, monkeypatch,
@@ -1487,7 +1454,7 @@ _MAGNITUDE = st.one_of(
 
 @st.composite
 def _extreme_argv(draw):
-    cmd = draw(st.sampled_from(["diagnose", "simulate", "scan", "certify", "spectrum"]))
+    cmd = draw(st.sampled_from(["diagnose", "simulate", "scan", "spectrum"]))
     p, n = draw(st.integers(1, 50)), draw(st.integers(1, 5))
     kind = draw(st.sampled_from(["flat", "exp-floor", "three-level"]))
     if kind == "flat":
@@ -1499,14 +1466,10 @@ def _extreme_argv(draw):
                 draw(_MAGNITUDE)]
     if cmd == "spectrum":
         return argv
-    argv += ["--n", str(n)]
-    if cmd != "certify":
-        argv += ["--beta-norm", draw(_MAGNITUDE)]
+    argv += ["--n", str(n), "--beta-norm", draw(_MAGNITUDE)]
     if cmd == "diagnose":
         return argv + ["--xi-norm", draw(_MAGNITUDE)]
     argv += ["--trials", str(draw(st.integers(1, 3)))]
-    if cmd == "certify":
-        return argv
     noise = draw(st.sampled_from(["gaussian:{}", "student:{}:{}", "worst:{}"]))
     argv += ["--noise", noise.format(draw(_MAGNITUDE), draw(_MAGNITUDE)),
              "--threads", str(draw(st.integers(1, 2)))]
@@ -1587,10 +1550,9 @@ _UNKNOWN = st.sampled_from([None, None, None, (), ("spectrum",), ("noise",), ("c
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cmd=st.sampled_from(["diagnose", "simulate", "scan", "certify", "spectrum"]),
-       conf=_CONFIG, unknown=_UNKNOWN, flat=st.booleans(), n=st.booleans(),
-       bins=st.integers(-2, 5))
-def test_random_config_files_never_escape_main(cmd, conf, unknown, flat, n, bins, tmp_path,
+@given(cmd=st.sampled_from(["diagnose", "simulate", "scan", "spectrum"]),
+       conf=_CONFIG, unknown=_UNKNOWN, flat=st.booleans(), n=st.booleans())
+def test_random_config_files_never_escape_main(cmd, conf, unknown, flat, n, tmp_path,
                                                monkeypatch):
     # a flag here and there lets more files reach the spectrum, the noise and the trials
     monkeypatch.chdir(tmp_path)  # relative paths: xi.txt below, missing.txt nowhere
@@ -1605,8 +1567,6 @@ def test_random_config_files_never_escape_main(cmd, conf, unknown, flat, n, bins
         argv += ["--n", "2"]
     if cmd == "scan":
         argv += ["--snr-grid", "0.1:10:2"]
-    if cmd == "certify":
-        argv += ["--bins", str(bins)]
     code, caught, err = _run_unfiltered(argv + ["-q"])
     assert code in (0, 1, 2, 3) and caught == [], (code, caught)
     assert all(line.startswith(("error: ", "note: ")) for line in err), err

@@ -1,4 +1,4 @@
-"""Monte Carlo harness: trials, aggregation, scans, studies."""
+"""Monte Carlo harness: trials, aggregation, scans, the certificate study."""
 
 import io
 import json
@@ -35,7 +35,6 @@ from ridgeless.experiments import (
     IDENTITY_TOL,
     ExperimentConfig,
     ExperimentError,
-    certificate_study,
     run_experiment,
     run_trial,
     snr_scan,
@@ -682,7 +681,7 @@ def test_worst_noise_shares_the_fit_svd(monkeypatch):
 
 def test_certificate_study_factors_each_trial_once(monkeypatch):
     factors = _FactorCounter(monkeypatch)
-    certificate_study(make_flat_spectrum(200, 1.0), 5, 10.0, 6, seed=0)
+    certificate_run(make_flat_spectrum(200, 1.0), 5, 10.0, 6, seed=0)
     assert factors.calls == ["eigh"] * 6
 
 
@@ -1042,46 +1041,48 @@ def test_serial_trials_do_not_refault_the_heap():
 
 
 # ---------------------------------------------------------------------------
-# certificate study
+# certificate study: a zero-noise run that makes the certificate check alone
+
+
+def certificate_run(spectrum, n, c0, trials, seed):
+    return run_experiment(ExperimentConfig(
+        covariance=CovarianceModel(spectrum), n=n, noise_model=ZeroNoise(), trials=trials,
+        seed=seed, constants=Constants(c0=c0), checks=frozenset({CHECK_CERTIFICATE})))
 
 
 def test_certificate_study_wide_flat():
-    study = certificate_study(make_flat_spectrum(2000, 1.0), 20, 10.0, 50, seed=0)
-    assert study.k_star == 1
-    assert study.r_kstar == 2000.0
-    assert study.threshold == pytest.approx(math.sqrt(2000.0) / 4, rel=1e-12)
-    assert study.pass_rate == 1.0
-    assert sum(study.hist_counts) == 50
-    assert len(study.hist_edges) == len(study.hist_counts) + 1
+    result = certificate_run(make_flat_spectrum(2000, 1.0), 20, 10.0, 50, seed=0)
+    assert result.diagnostics.k_star == 1
+    assert result.diagnostics.r_kstar == 2000.0
+    assert result.rates["certificate_pass_rate"] == 1.0
+    assert result.rates["est_bound_pass_rate"] is None  # the one check made is the certificate
+    # every trial clears sqrt(r_k*) / 4 = 11.18 by a wide margin (Bai-Yin: 40.3)
+    assert min(r.sigma_min for r in result.records) > math.sqrt(2000.0) / 4
+
+
+def test_certificate_pass_rate_is_pinned_to_the_draws():
+    # exact rates, so any change to the design draws of trial_rng(seed, t) shows here
+    # (criterion 5's two setups; the 1x1 rate is P(|N(0,1)| >= 1/4) = 0.8026 at 1000 draws)
+    single = certificate_run(make_flat_spectrum(1, 1.0), 1, 1.0, 1000, seed=0)
+    assert single.rates["certificate_pass_rate"] == 0.803
+    wide = certificate_run(make_flat_spectrum(2000, 1.0), 20, 10.0, 200, seed=0)
+    assert wide.rates["certificate_pass_rate"] == 1.0
 
 
 @pytest.mark.parametrize("p, n, value", [(2000, 20, 1.0), (2000, 100, 1.0), (500, 50, 4.0)])
 def test_certificate_study_median_sigma_min_is_bai_yin(p, n, value):
-    study = certificate_study(make_flat_spectrum(p, value), n, 1.0, 200, seed=0)
-    ratio = float(np.median(study.sigma_min)) / oracles.bai_yin_sigma_min(value, p, n)
-    assert ratio == pytest.approx(1.0, abs=0.03)
+    result = certificate_run(make_flat_spectrum(p, value), n, 1.0, 200, seed=0)
+    median = float(np.median([r.sigma_min for r in result.records]))
+    assert median / oracles.bai_yin_sigma_min(value, p, n) == pytest.approx(1.0, abs=0.03)
 
 
 def test_certificate_study_single_sample_rate():
-    # n = p = 1, flat value 1: sigma_min = |g|, threshold 1/4, so the rate
-    # is P(|N(0,1)| >= 1/4) = erfc(1/(4 sqrt 2))
-    study = certificate_study(make_flat_spectrum(1, 1.0), 1, 1.0, 300, seed=11)
-    assert study.threshold == 0.25
-    assert study.pass_rate == pytest.approx(oracles.HALF_NORMAL_CERT_RATE, abs=0.07)
-
-
-def test_certificate_study_rejects_infinite_index():
-    s = Spectrum(4.0 ** -np.arange(1, 31))  # k* is infinite at c0 = 10
-    with pytest.raises(ValueError):
-        certificate_study(s, 3, 10.0, 5, seed=0)
-    # n is checked first, then k*, then trials and bins
-    with pytest.raises(ValueError, match="^n must be a positive integer, got 0$"):
-        certificate_study(s, 0, 10.0, 0, seed=0, bins=0)
-    message = "^effective-rank index is infinite; the certificate threshold is undefined$"
-    with pytest.raises(InfiniteIndexError, match=message):
-        certificate_study(s, 3, 10.0, 0, seed=0, bins=0)
-    with pytest.raises(ValueError, match="^trials must be "):
-        certificate_study(s, 3, 0.1, 0, seed=0, bins=0)
+    # n = p = 1, flat value 1: sigma_min = |g|, r_k* = 1 and the gate 1/4, so the
+    # rate is P(|N(0,1)| >= 1/4) = erfc(1/(4 sqrt 2))
+    result = certificate_run(make_flat_spectrum(1, 1.0), 1, 1.0, 300, seed=11)
+    assert result.diagnostics.r_kstar == 1.0
+    assert result.rates["certificate_pass_rate"] == pytest.approx(
+        oracles.HALF_NORMAL_CERT_RATE, abs=0.07)
 
 
 def test_certificate_study_runs_with_one_blas_thread(monkeypatch):
@@ -1097,37 +1098,24 @@ def test_certificate_study_runs_with_one_blas_thread(monkeypatch):
         return real(design)
 
     monkeypatch.setattr(DesignMatrix, "sigma_min", spy)
-    certificate_study(make_flat_spectrum(50, 1.0), 5, 10.0, 4, seed=0)
+    certificate_run(make_flat_spectrum(50, 1.0), 5, 10.0, 4, seed=0)
     assert seen == [1] * 4
     assert get() == before
     with pytest.raises(ExperimentError, match="^trial 2 failed: synthetic failure") as info:
-        certificate_study(make_flat_spectrum(50, 1.0), 5, 10.0, 6, seed=0)
+        certificate_run(make_flat_spectrum(50, 1.0), 5, 10.0, 6, seed=0)
     assert seen == [1] * 7
     assert get() == before
     assert info.value.trial_index == 2
     monkeypatch.undo()
-    earlier = certificate_study(make_flat_spectrum(50, 1.0), 5, 10.0, 2, seed=0).sigma_min
+    earlier = certificate_run(make_flat_spectrum(50, 1.0), 5, 10.0, 2, seed=0).records
     assert info.value.partial == earlier
-
-
-def test_certificate_study_refuses_bins_past_the_cap_before_any_design(monkeypatch):
-    monkeypatch.setattr(experiments, "sample_design", lambda *a: pytest.fail("design drawn"))
-    with pytest.raises(ValueError, match=r"^bins must be at most 1000000, got 1000001$"):
-        certificate_study(make_flat_spectrum(50, 1.0), 5, 10.0, 2, seed=0, bins=10**6 + 1)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, True])
 def test_certificate_study_checks_the_seed_before_any_design(monkeypatch, seed):
-    # once "trial 0 failed: seed must be ...", raised from inside the trial loop
     monkeypatch.setattr(experiments, "sample_design", lambda *a: pytest.fail("design drawn"))
     with pytest.raises(ValueError, match=f"^seed must be an unsigned 64-bit integer, got {seed}$"):
-        certificate_study(make_flat_spectrum(50, 1.0), 5, 1.0, 3, seed)
-
-
-@pytest.mark.parametrize("bins", [0, -3])
-def test_certificate_study_rejects_bins_below_one(bins):
-    with pytest.raises(ValueError, match="bins"):
-        certificate_study(make_flat_spectrum(50, 1.0), 5, 10.0, 2, seed=0, bins=bins)
+        certificate_run(make_flat_spectrum(50, 1.0), 5, 1.0, 3, seed)
 
 
 @pytest.mark.parametrize(
@@ -1136,11 +1124,10 @@ def test_certificate_study_rejects_bins_below_one(bins):
         ((5, 10.0, True, 0), "trials"),
         ((True, 10.0, 2, 0), "n"),
         ((5.0, 10.0, 2, 0), "n"),
-        ((5, 10.0, 2, 0, True), "bins"),
     ],
-    ids=["trials-bool", "n-bool", "n-float", "bins-bool"],
+    ids=["trials-bool", "n-bool", "n-float"],
 )
 def test_certificate_study_counts_follow_the_config_rule(args, name):
-    # the rule ExperimentConfig applies: an int, not a bool or a float
+    # an int, not a bool or a float
     with pytest.raises(ValueError, match=f"^{name} must be "):
-        certificate_study(make_flat_spectrum(50, 1.0), *args)
+        certificate_run(make_flat_spectrum(50, 1.0), *args)

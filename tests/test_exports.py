@@ -4,8 +4,11 @@ name has a use in the package.  Each public name has one import path, its module
 the CLI one entry, ridgeless.__main__.run.  The count rule is written once, in
 spectra._check_count, the choice rule once, in spectra._check_choice, outside input
 becomes a float array once, in spectra._float_array, and the checks a run skips are
-decided once, in ExperimentConfig.__post_init__, and only the config reads `checks`."""
+decided once, in ExperimentConfig.__post_init__, and only the config reads `checks`.
+The CLI's subcommands, its _cmd_ functions and the README's CLI quick start name the
+same set."""
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -55,6 +58,24 @@ def test_the_console_script_is_the_module_entry():
     guard = tree.body[-1]
     assert ast.unparse(guard.test) == "__name__ == '__main__'"
     assert [ast.unparse(node) for node in guard.body] == ["run()"]
+
+
+def test_every_subcommand_is_declared_run_and_shown():
+    # the parser's subcommands are cli._COMMANDS, in order; each runs its own _cmd_ function
+    # and has a call in the README's CLI quick start, and no _cmd_ function is left unreachable
+    from ridgeless import cli
+
+    parser = cli._build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert tuple(subs.choices) == cli._COMMANDS
+    for name, sub in subs.choices.items():
+        assert sub.get_default("func") is getattr(cli, f"_cmd_{name}"), name
+    assert {name[len("_cmd_"):] for name in vars(cli) if name.startswith("_cmd_")} == set(
+        cli._COMMANDS)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Quick start (CLI)\n", 1)[1].split("```sh\n", 1)[1].split("```")[0]
+    shown = [line.split()[1] for line in block.splitlines() if line.startswith("ridgeless ")]
+    assert set(shown) == set(cli._COMMANDS)
 
 
 def _refers_to(tree: ast.AST, name: str) -> bool:
